@@ -1,8 +1,10 @@
-// The pre-certificate enumerator, kept as a strawman baseline: it walks
-// the same trimmed candidate lists in the same order as
-// TrimmedEnumerator, but discovers whether a candidate is live for the
-// current prefix by *trial* AdvanceStates — exactly the enumerator this
-// repo shipped before the Theorem 2 certificate machinery landed.
+// The pre-certificate enumerator, kept as a strawman baseline and as
+// the independent order oracle of the served one: it walks the same
+// trimmed candidate lists in the same order as ResumableEnumerator, but
+// discovers whether a candidate is live for the current prefix by
+// *trial* AdvanceStates — exactly the enumerator this repo shipped
+// before the Theorem 2 certificate machinery landed. It shares no
+// certificate or seek code with ResumableEnumerator.
 //
 // A candidate edge of (level, v) is usable from at least one useful
 // state of (level, v), but can still be dead for the reachable-run set
@@ -12,8 +14,8 @@
 // makes the gap between two outputs grow linearly with the fanout —
 // the honest-delay gap bench_delay's E3b and tests/delay_bound_test.cc
 // measure. Answer sequence and order are byte-identical to
-// TrimmedEnumerator's (the property the cross-oracle test pins), only
-// the delay differs.
+// ResumableEnumerator's (the property tests/resumable_test.cc and
+// tests/delay_bound_test.cc pin), only the delay differs.
 
 #ifndef DSW_BASELINE_TRIAL_FILTER_ENUMERATOR_H_
 #define DSW_BASELINE_TRIAL_FILTER_ENUMERATOR_H_
@@ -25,7 +27,7 @@
 
 #include "core/annotate.h"
 #include "core/database.h"
-#include "core/enumerator.h"
+#include "core/resumable_enumerator.h"  // enumerator_detail::AdvanceStates
 #include "core/trimmed_index.h"
 #include "core/walk.h"
 #include "util/state_set.h"

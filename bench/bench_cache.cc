@@ -201,7 +201,6 @@ void BM_Cache_ZipfPrepareMix(benchmark::State& state) {
   }
   // Execution-tier mix of the prepared plans (cache hits included) —
   // how much of this workload rides each kernel path.
-  state.counters["tier_simple"] = static_cast<double>(stats.tier_simple);
   state.counters["tier_single_word"] =
       static_cast<double>(stats.tier_single_word);
   state.counters["tier_general"] = static_cast<double>(stats.tier_general);

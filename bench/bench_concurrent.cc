@@ -155,7 +155,6 @@ void BM_Engine_ZipfMix(benchmark::State& state) {
   // Execution-tier mix of the prepared plans — which kernel path the
   // concurrent workload actually exercised.
   EngineStats stats = engine.Stats();
-  state.counters["tier_simple"] = static_cast<double>(stats.tier_simple);
   state.counters["tier_single_word"] =
       static_cast<double>(stats.tier_single_word);
   state.counters["tier_general"] = static_cast<double>(stats.tier_general);

@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/annotate.h"
-#include "core/enumerator.h"
+#include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 #include "workload/figure1.h"
 
@@ -28,10 +28,10 @@ void BM_Figure1_Enumerate(benchmark::State& state) {
   Figure1 fig = MakeFigure1();
   Snapshot snap = fig.db.Freeze();
   Annotation ann = Annotate(snap, fig.query, fig.alix, fig.bob);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   size_t outputs = 0;
   for (auto _ : state) {
-    for (TrimmedEnumerator en(ann, index, fig.alix, fig.bob);
+    for (ResumableEnumerator en(ann, index, fig.alix, fig.bob);
          en.Valid(); en.Next()) {
       benchmark::DoNotOptimize(en.walk().edges.data());
       ++outputs;
@@ -47,9 +47,9 @@ void BM_Figure1_EndToEnd(benchmark::State& state) {
   Snapshot snap = fig.db.Freeze();
   for (auto _ : state) {
     Annotation ann = Annotate(snap, fig.query, fig.alix, fig.bob);
-    TrimmedIndex index(snap, ann);
+    ResumableIndex index(snap, ann);
     size_t n = 0;
-    for (TrimmedEnumerator en(ann, index, fig.alix, fig.bob);
+    for (ResumableEnumerator en(ann, index, fig.alix, fig.bob);
          en.Valid(); en.Next()) {
       ++n;
     }

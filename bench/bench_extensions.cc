@@ -11,9 +11,8 @@
 #include "bench_util.h"
 #include "core/annotate.h"
 #include "core/cheapest.h"
-#include "core/enumerator.h"
 #include "core/multi_target.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -85,14 +84,14 @@ void RunCounting(benchmark::State& state) {
   Instance inst = BubbleChain(static_cast<uint32_t>(state.range(0)), 2);
   Nfa query = StaircaseNfa(2, 2);
   Annotation ann = Annotate(inst.db, query, inst.source, inst.target);
-  TrimmedIndex index(inst.db, ann);
+  ResumableIndex index(inst.db, ann);
   EnumeratorOptions opts;
   opts.count_multiplicities = kCount;
   bench::DelayProfile profile;
   uint64_t total_multiplicity = 0;
   for (auto _ : state) {
-    TrimmedEnumerator en(inst.db, ann, index, inst.source, inst.target,
-                         opts);
+    ResumableEnumerator en(inst.db, ann, index, inst.source, inst.target,
+                           opts);
     total_multiplicity = 0;
     while (en.Valid()) {
       total_multiplicity += en.multiplicity();
@@ -150,8 +149,8 @@ void BM_MultiTarget_Independent(benchmark::State& state) {
                                     inst.db.num_vertices()) -
                                 1);
       Annotation ann = Annotate(inst.db, query, inst.source, t);
-      TrimmedIndex index(inst.db, ann);
-      for (TrimmedEnumerator en(inst.db, ann, index, inst.source, t);
+      ResumableIndex index(inst.db, ann);
+      for (ResumableEnumerator en(inst.db, ann, index, inst.source, t);
            en.Valid() && answers < 100000; en.Next()) {
         ++answers;
       }
@@ -170,14 +169,14 @@ void BM_DeltaOutput_AmortizedSize(benchmark::State& state) {
   Instance inst = BubbleChain(static_cast<uint32_t>(state.range(0)), 2);
   Nfa query = StaircaseNfa(1, 2);
   Annotation ann = Annotate(inst.db, query, inst.source, inst.target);
-  TrimmedIndex index(inst.db, ann);
+  ResumableIndex index(inst.db, ann);
   uint64_t total_delta = 0;
   uint64_t outputs = 0;
   for (auto _ : state) {
     total_delta = 0;
     outputs = 0;
-    for (TrimmedEnumerator en(inst.db, ann, index, inst.source,
-                              inst.target);
+    for (ResumableEnumerator en(inst.db, ann, index, inst.source,
+                                inst.target);
          en.Valid(); en.Next()) {
       total_delta += en.delta_length();
       ++outputs;

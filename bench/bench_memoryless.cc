@@ -2,7 +2,7 @@
 //
 // NextOutput recomputes the position of the previous answer with a guided
 // run. With the plain trimmed queues this costs an extra factor d (the
-// in-degree: queues must be advanced linearly); ResumableTrim's O(1)
+// in-degree: queues must be advanced linearly); ResumableIndex's O(1)
 // SeekGe removes it. The star-of-chains family pins lambda and the
 // answer count while sweeping the in-degree d of the target, so the
 // linear-reseek cost surfaces directly.
@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -21,7 +20,7 @@ namespace {
 
 constexpr uint32_t kDepth = 32;
 
-// Stateful enumeration (the main algorithm) as the reference point.
+// Plain DFS enumeration (Next, no reseek) as the reference point.
 void BM_Memoryless_StatefulReference(benchmark::State& state) {
   Instance inst =
       StarOfChains(static_cast<uint32_t>(state.range(0)), kDepth, 2);
@@ -105,23 +104,21 @@ void BM_Memoryless_LinearReseek(benchmark::State& state) {
     while (true) {
       // Simulate the linear reposition cost along prev's path: for each
       // level, walk the queue from its start to the previous edge. An
-      // edge sits in the queue of its *source* vertex (the level-i
-      // choice point), so that is the queue to re-advance.
+      // edge sits in the queue of its *source* vertex at level i (the
+      // level-i choice point), so that is the queue to re-advance.
       for (size_t i = prev.edges.size(); i-- > 0;) {
         EdgeId e = prev.edges[i];
         VertexId u = inst.db.src(e);
         uint32_t ti = snap.tgt_idx(e);
-        for (StateId p = 0; p < ann.num_states; ++p) {
-          uint32_t slot = index.SlotOf(u, p);
-          if (slot == kNoSlot) continue;
-          uint32_t cur = index.RestartCursor(slot);
-          while (!index.Exhausted(slot, cur) &&
-                 index.Peek(slot, cur).tgt_idx < ti) {
-            cur = index.Advanced(slot, cur);
-            ++scanned;
-          }
-          benchmark::DoNotOptimize(cur);
+        const uint32_t level = static_cast<uint32_t>(i);
+        auto queue = index.trimmed().CandidatesAt(
+            level, index.trimmed().UsefulLevel(level).FindIndex(u));
+        uint32_t cur = 0;
+        while (cur < queue.size() && snap.tgt_idx(queue[cur].edge) < ti) {
+          ++cur;
+          ++scanned;
         }
+        benchmark::DoNotOptimize(cur);
       }
       if (!en.SeekAfter(prev) || !en.Valid()) break;
       prev = en.walk();

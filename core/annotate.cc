@@ -141,6 +141,7 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
   ann.final_states = query.final_states();
   if (query.has_epsilon()) ann.eps_closure = query.EpsilonClosures();
   ann.delta = CompiledDelta(query, ann.eps_closure);  // closures shared
+  ann.force_multi_word = opts.force_multi_word;
 
   if (source >= snap.num_vertices() || target >= snap.num_vertices() ||
       query.num_states() == 0 || query.initial().None())
@@ -148,11 +149,10 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
 
   // Tier dispatch: one-word queries run the collapsed single-word
   // kernels unless a test/bench forces the generic instantiation.
-  const uint32_t wps = ann.words_per_set();
-  if (wps == 1 && !opts.force_multi_word)
+  if (ann.single_word())
     ProductBfs(snap, query, SingleWordKernel(), &ann);
   else
-    ProductBfs(snap, query, MultiWordKernel(wps), &ann);
+    ProductBfs(snap, query, MultiWordKernel(ann.words_per_set()), &ann);
   return ann;
 }
 
@@ -165,6 +165,7 @@ Annotation MultiSourceAnnotation::Slice(size_t j) const {
   ann.final_states = final_states;
   ann.eps_closure = eps_closure;
   ann.delta = delta;
+  ann.force_multi_word = force_multi_word;
   if (ann.lambda < 0) return ann;  // unreachable: empty levels, like Annotate
 
   ann.levels.reserve(static_cast<size_t>(ann.lambda) + 1);
@@ -190,9 +191,9 @@ MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
                                           const std::vector<uint32_t>& sources,
                                           uint32_t target,
                                           const AnnotateOptions& opts) {
-  (void)opts;  // sharding n/a: the block dimension is the parallelism here
-
+  // Sharding n/a: the block dimension is the parallelism here.
   MultiSourceAnnotation ms;
+  ms.force_multi_word = opts.force_multi_word;
   ms.num_states = query.num_states();
   ms.num_blocks = static_cast<uint32_t>(sources.size());
   ms.block_words = static_cast<uint32_t>(

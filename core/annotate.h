@@ -29,7 +29,7 @@
 // seen bitmap. Downstream, levels being closure-saturated means a
 // labeled transition out of *any* member covers the "epsilon before the
 // edge" half of an effective step; the "epsilon after" half is already
-// inside the delta rows TrimmedIndex reuses, so TrimmedEnumerator's
+// inside the delta rows TrimmedIndex reuses, so the enumerator's
 // state-set propagation needs no change at all.
 //
 // The annotation also snapshots the compiled query (delta rows, final
@@ -66,14 +66,16 @@ struct AnnotateOptions {
   /// backpressure, they never drop) — the stress tests shrink this to
   /// force the full-ring path.
   size_t ring_capacity_words = 0;
-  /// Test/bench knob for the execution-tier layer (util/word_kernel.h):
-  /// when true, the sequential annotate and trim sweeps run the generic
-  /// multi-word kernels even for one-word (|Q| <= 64) queries, instead
-  /// of dispatching to the collapsed single-word kernels. Results are
-  /// bit-identical either way (asserted by tests/exec_tier_test.cc);
-  /// bench_fastpath uses the flag to measure the kernel win in
-  /// isolation. No effect on the sharded path, which always runs the
-  /// generic loops.
+  /// Test/bench knob for the execution-tier layer (util/word_kernel.h),
+  /// and the only one: when true, the whole plan — annotate, the trim
+  /// sweep and every enumerator over it — runs the generic multi-word
+  /// kernels even for one-word (|Q| <= 64) queries, instead of the
+  /// collapsed single-word kernels. The annotation records the setting
+  /// (Annotation::force_multi_word) and the later stages read it from
+  /// there. Results are bit-identical either way (asserted by
+  /// tests/exec_tier_test.cc); bench_fastpath uses the flag to measure
+  /// the kernel win in isolation. The sharded and multi-source product
+  /// BFS always run the generic loops.
   bool force_multi_word = false;
 };
 
@@ -100,9 +102,17 @@ struct Annotation {
   /// when the query is epsilon-free, in which case closure(q) = {q}.
   std::vector<StateSet> eps_closure;
 
+  /// AnnotateOptions::force_multi_word as the plan was built with it.
+  bool force_multi_word = false;
+
   bool reachable() const { return lambda >= 0; }
   bool has_epsilon() const { return !eps_closure.empty(); }
   uint32_t words_per_set() const { return (num_states + 63) / 64; }
+  /// True iff the plan's trim sweep and enumerators run the one-word
+  /// kernels: |Q| <= 64 and not forced multi-word.
+  bool single_word() const {
+    return words_per_set() == 1 && !force_multi_word;
+  }
 
   /// True iff q alone accepts, i.e. reaches a final state by epsilon
   /// moves only (q itself included).
@@ -178,6 +188,7 @@ struct MultiSourceAnnotation {
   CompiledDelta delta;
   StateSet final_states;
   std::vector<StateSet> eps_closure;
+  bool force_multi_word = false;
 
   /// Extracts source j's view as a standalone Annotation, bit-identical
   /// to Annotate(snap, query, sources[j], target). O(sum of wide level
@@ -201,8 +212,9 @@ struct MultiSourceAnnotation {
 /// at once (block-replicated; see MultiSourceAnnotation). Sequential —
 /// the batch dimension already saturates the word-level parallelism
 /// that sharding would otherwise chase, so \p opts' num_shards is
-/// ignored here. Duplicate sources are legal (independent equal
-/// blocks); invalid sources yield lambda = -1 slices.
+/// ignored here; its force_multi_word is recorded on every slice.
+/// Duplicate sources are legal (independent equal blocks); invalid
+/// sources yield lambda = -1 slices.
 MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
                                           const Nfa& query,
                                           const std::vector<uint32_t>& sources,

@@ -125,9 +125,13 @@ class LabelIndex {
 
   /// Position of \p edge in the target pool — its rank in the global
   /// (src, label, insertion) order. Within one vertex this is exactly
-  /// the order the trimmed enumerator tries candidate edges in, which
-  /// makes it the sort/seek key of the resumable candidate queues.
+  /// the order the enumerator tries candidate edges in, which makes it
+  /// the seek key of the resumable candidate queues.
   uint32_t PositionOf(uint32_t edge) const { return edge_pos_[edge]; }
+
+  /// Number of edges frozen into this index (edge ids [0, num_edges())).
+  /// Unlike Database::num_edges(), it does not grow with later inserts.
+  size_t num_edges() const { return edge_pos_.size(); }
 
  private:
   friend class Database;
@@ -190,12 +194,14 @@ class Database {
 
   /// Monotonic mutation counter: bumped by every AddVertex/AddVertices/
   /// AddEdge (label interning does not count — it never perturbs the
-  /// adjacency). Freeze() stamps it into the Snapshot, the index
-  /// structures (TrimmedIndex, ResumableIndex) record it at build time,
-  /// and both debug-assert it in their accessors: a mutation after
-  /// Freeze() silently invalidates the spans, positions and rank arrays
-  /// they hold, and the generation check turns that latent
-  /// use-after-mutate into a loud assertion instead of wrong answers.
+  /// adjacency). Freeze() stamps it into the Snapshot, which
+  /// debug-asserts it in its accessors (Snapshot::AssertFresh): a
+  /// mutation after Freeze() silently invalidates everything built from
+  /// the snapshot — spans, positions, rank arrays — and the generation
+  /// check turns that latent use-after-mutate into a loud assertion
+  /// instead of wrong answers. ResumableIndex holds its snapshot and
+  /// reads the seek keys through it, so a plan used past a mutation
+  /// trips the same check.
   uint64_t generation() const { return generation_; }
 
   uint32_t num_vertices() const { return static_cast<uint32_t>(out_.size()); }
@@ -294,8 +300,7 @@ class Database {
 /// from any number of threads concurrently — the read path performs no
 /// lazy work whatsoever. The Database must outlive every snapshot of it
 /// (the snapshot reads the edge tables through a back-pointer), and
-/// mutating it retires them: debug builds assert on the next access,
-/// mirroring TrimmedIndex::AssertFresh.
+/// mutating it retires them: debug builds assert on the next access.
 class Snapshot {
  public:
   /// Null snapshot (tests false); assign a real one from Freeze().
@@ -317,8 +322,8 @@ class Snapshot {
   /// instead of repair. Defined after Database.
   EdgeDelta DeltaFrom(uint64_t prev_generation) const;
 
-  /// Debug-only staleness check, same contract as
-  /// TrimmedIndex::AssertFresh: compiled away under NDEBUG.
+  /// Debug-only staleness check, compiled away under NDEBUG — the one
+  /// guard of every structure built from this snapshot.
   void AssertFresh() const {
     assert(fresh() &&
            "stale Snapshot: the Database was mutated after Freeze()");

@@ -298,8 +298,8 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
 }
 
 // Friend of TrimmedIndex: assembles the repaired index directly into
-// the private pools, reading the (now formally stale) old index through
-// its private members — see the friend declaration in trimmed_index.h.
+// the private pools, reading the old index through its public
+// accessors — see the friend declaration in trimmed_index.h.
 class DeltaTrimmer {
  public:
   static TrimmedIndex Repair(const Snapshot& snap, const Annotation& ann,
@@ -311,12 +311,10 @@ class DeltaTrimmer {
     // A lambda change reshapes every level's useful sets at once; run
     // the full backward sweep from the repaired annotation (still no
     // product BFS). Same fallback if the old index was degenerate.
-    if (rep.lambda_changed || old_index.num_slots_ == 0)
+    if (rep.lambda_changed || old_index.empty())
       return TrimmedIndex(snap, ann);
 
     TrimmedIndex out;
-    out.db_ = &snap.db();
-    out.generation_ = snap.generation();
     if (!ann.reachable()) return out;
     const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
     const uint32_t wps = ann.words_per_set();
@@ -355,11 +353,11 @@ class DeltaTrimmer {
     // changed_next / pos_map describe level i + 1 (old vs repaired)
     // while the sweep processes level i.
     std::vector<uint32_t> changed_next, pos_map, dirty;
-    DiffLevels(old_index.useful_[lambda], out.useful_[lambda], wps,
+    DiffLevels(old_index.UsefulLevel(lambda), out.useful_[lambda], wps,
                &changed_next, &pos_map);
 
     for (uint32_t i = lambda; i-- > 0;) {
-      const LevelSets& old_useful = old_index.useful_[i];
+      const LevelSets& old_useful = old_index.UsefulLevel(i);
       const LevelSets& next_useful = out.useful_[i + 1];
 
       // A vertex must be re-trimmed when its own annotation changed,
@@ -392,7 +390,8 @@ class DeltaTrimmer {
               if (trim_detail::TrimVertex(adj, cd, wps, v, states,
                                           next_useful, &scratch,
                                           &out.cand_pool_,
-                                          &out.nxt_pool_)) {
+                                          &out.nxt_pool_,
+                                          ann.force_multi_word)) {
                 out.useful_[i].Append(v, scratch.useful_here.words());
                 out.cand_ranges_[i].emplace_back(
                     cand_begin,
@@ -406,11 +405,10 @@ class DeltaTrimmer {
             // Clean: same useful set, same candidates, same certificate
             // block as before — copy, remapping only the next-level
             // positions.
-            const auto& [begin, end] = old_index.cand_ranges_[i][oi];
             const uint32_t cand_begin =
                 static_cast<uint32_t>(out.cand_pool_.size());
-            for (uint32_t c = begin; c < end; ++c) {
-              TrimmedIndex::CandidateEdge ce = old_index.cand_pool_[c];
+            for (TrimmedIndex::CandidateEdge ce :
+                 old_index.CandidatesAt(i, oi)) {
               assert(ce.next_pos < pos_map.size() &&
                      pos_map[ce.next_pos] != UINT32_MAX &&
                      "clean vertex points at a vanished next slot");
@@ -418,13 +416,12 @@ class DeltaTrimmer {
               out.cand_pool_.push_back(ce);
             }
             const size_t block_off = out.nxt_pool_.size();
-            const size_t rows = old_useful.states(oi).Count();
+            const TrimmedIndex::BList old_blist = old_index.BListAt(i, oi);
             const size_t block_len =
-                rows * (static_cast<size_t>(end - begin) + 1);
-            const uint32_t* block =
-                old_index.nxt_pool_.data() + old_index.blist_off_[i][oi];
-            out.nxt_pool_.insert(out.nxt_pool_.end(), block,
-                                 block + block_len);
+                old_useful.states(oi).Count() *
+                (static_cast<size_t>(old_blist.num_cand) + 1);
+            out.nxt_pool_.insert(out.nxt_pool_.end(), old_blist.nxt,
+                                 old_blist.nxt + block_len);
             out.useful_[i].Append(v, old_useful.states(oi).words());
             out.cand_ranges_[i].emplace_back(
                 cand_begin, static_cast<uint32_t>(out.cand_pool_.size()));

@@ -1,30 +1,27 @@
 #include "core/resumable_index.h"
 
+#include <span>
 #include <utility>
 
 namespace dsw {
 
 ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
                                const AnnotateOptions& opts)
-    : trimmed_(snap, ann, opts) {
-  BuildQueues(snap, ann);
+    : snap_(snap), trimmed_(snap, ann, opts) {
+  BuildRanks();
 }
 
-ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
+ResumableIndex::ResumableIndex(const Snapshot& snap,
+                               const Annotation& /*ann*/,
                                TrimmedIndex trimmed)
-    : trimmed_(std::move(trimmed)) {
-  BuildQueues(snap, ann);
+    : snap_(snap), trimmed_(std::move(trimmed)) {
+  BuildRanks();
 }
 
-void ResumableIndex::BuildQueues(const Snapshot& snap,
-                                 const Annotation& ann) {
-  if (!ann.reachable() || trimmed_.empty()) return;
-  const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
-  const LabelIndex& adj = snap.label_index();
-
-  edge_tgt_.resize(snap.num_edges());
-  for (uint32_t e = 0; e < edge_tgt_.size(); ++e)
-    edge_tgt_[e] = adj.PositionOf(e);
+void ResumableIndex::BuildRanks() {
+  if (trimmed_.empty()) return;
+  const uint32_t lambda = trimmed_.num_levels() - 1;
+  const LabelIndex& adj = snap_.label_index();
 
   // Every useful vertex below level lambda owns one queue (the trimmed
   // sweep only records a vertex as useful when it has >= 1 candidate).
@@ -35,66 +32,39 @@ void ResumableIndex::BuildQueues(const Snapshot& snap,
     n += static_cast<uint32_t>(trimmed_.UsefulLevel(i).size());
   }
   level_base_[lambda] = n;
-  level_.resize(n);
-  vertex_.resize(n);
-  cand_begin_.resize(n);
-  cand_end_.resize(n);
   span_begin_.resize(n);
-  span_len_.resize(n);
-  rank_begin_.resize(n);
+  rank_off_.assign(n + 1, 0);
 
+  uint32_t s = 0;
   for (uint32_t i = 0; i < lambda; ++i) {
     const LevelSets& lvl = trimmed_.UsefulLevel(i);
-    for (size_t vi = 0; vi < lvl.size(); ++vi) {
-      const uint32_t s = level_base_[i] + static_cast<uint32_t>(vi);
-      const uint32_t v = lvl.vertex(vi);
-      level_[s] = i;
-      vertex_[s] = v;
-
+    for (size_t vi = 0; vi < lvl.size(); ++vi, ++s) {
       // The vertex's out-edges sit contiguously in the target pool
       // (BuildLabelIndex emits them vertex by vertex); the span is the
       // domain of the slot's rank array.
-      std::span<const LabelIndex::Group> groups = adj.GroupsOf(v);
+      std::span<const LabelIndex::Group> groups = adj.GroupsOf(lvl.vertex(vi));
       const uint32_t sb = groups.front().begin;
+      const uint32_t len = groups.back().end - sb;
       span_begin_[s] = sb;
-      span_len_[s] = groups.back().end - sb;
+      rank_off_[s + 1] = rank_off_[s] + len;
 
-      // The trimmed candidate list of (i, v) is already ascending in
-      // target-pool rank: the sweep walks groups in label order and
-      // targets in pool order.
-      cand_begin_[s] = static_cast<uint32_t>(pool_.size());
-      for (const TrimmedIndex::CandidateEdge& ce :
-           trimmed_.CandidatesAt(i, vi)) {
-        assert((pool_.size() == cand_begin_[s] ||
-                pool_.back().tgt_idx < edge_tgt_[ce.edge]) &&
+      // rank[k] = #candidates with (rank - sb) < k: one merge over the
+      // span, O(out-degree) per slot. The trimmed candidate list is
+      // already ascending in target-pool rank: the sweep walks groups
+      // in label order and targets in pool order.
+      std::span<const TrimmedIndex::CandidateEdge> cand =
+          trimmed_.CandidatesAt(i, vi);
+      uint32_t k = 0;
+      for (uint32_t c = 0; c < cand.size(); ++c) {
+        const uint32_t key = adj.PositionOf(cand[c].edge) - sb;
+        assert(k <= key && key < len &&
                "candidate list not ascending in target-pool rank");
-        pool_.push_back(Candidate{ce.edge, ce.dst, ce.label, ce.next_pos,
-                                  edge_tgt_[ce.edge]});
+        for (; k <= key; ++k) rank_pool_.push_back(c);
       }
-      cand_end_[s] = static_cast<uint32_t>(pool_.size());
-
-      // rank[k] = #queue entries with (tgt_idx - span_begin) < k: one
-      // merge over the span, O(out-degree) per slot.
-      rank_begin_[s] = static_cast<uint32_t>(rank_pool_.size());
-      const uint32_t len = cand_end_[s] - cand_begin_[s];
-      uint32_t c = 0;
-      for (uint32_t k = 0; k < span_len_[s]; ++k) {
-        while (c < len && pool_[cand_begin_[s] + c].tgt_idx - sb < k) ++c;
-        rank_pool_.push_back(c);
-      }
+      for (; k < len; ++k)
+        rank_pool_.push_back(static_cast<uint32_t>(cand.size()));
     }
   }
-
-  // CSR of "slots of vertex v" for the per-pair SlotOf lookup.
-  vertex_slot_off_.assign(snap.num_vertices() + 1, 0);
-  for (uint32_t s = 0; s < n; ++s) ++vertex_slot_off_[vertex_[s] + 1];
-  for (uint32_t v = 0; v < snap.num_vertices(); ++v)
-    vertex_slot_off_[v + 1] += vertex_slot_off_[v];
-  vertex_slots_.resize(n);
-  std::vector<uint32_t> cursor(vertex_slot_off_.begin(),
-                               vertex_slot_off_.end() - 1);
-  for (uint32_t s = 0; s < n; ++s)
-    vertex_slots_[cursor[vertex_[s]]++] = s;
 }
 
 }  // namespace dsw

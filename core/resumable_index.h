@@ -1,244 +1,133 @@
 // The memoryless enumeration index (Section 4.2 / Theorem 18). The
-// stateful TrimmedEnumerator keeps a stack of per-level cursors between
-// outputs; the memoryless variant keeps *nothing* — given only the
-// previous answer, the next one is recomputed in O(lambda x |A|) by a
-// guided run that repositions every level's cursor from the answer's
-// edges alone. That makes enumeration pageable and restartable: a
-// server can ship an answer to a client, drop the query's enumeration
-// state entirely, and resume from the answer echoed back later.
+// enumerator keeps *nothing* between pages — given only the previous
+// answer, the next one is recomputed in O(lambda x |A|) by a guided run
+// that repositions every level's cursor from the answer's edges alone.
+// That makes enumeration pageable and restartable: a server can ship an
+// answer to a client, drop the query's enumeration state entirely, and
+// resume from the answer echoed back later.
 //
-// ResumableIndex is the structure that makes the guided run cheap. It
-// owns a TrimmedIndex (same reverse-row backward sweep, same candidate
-// pool contents) and re-lays the per-(level, vertex) candidate lists
-// out as *queues sorted by the global target-pool rank* (Database::
-// tgt_idx — within one vertex, exactly the order the enumerator tries
-// candidates in), each with a flat rank array over the vertex's
-// out-edge span:
+// ResumableIndex is the structure that makes the guided run cheap, as a
+// thin seek layer over data that already exists. It owns the
+// TrimmedIndex and holds the Snapshot it was built from. Each trimmed
+// candidate list of a useful (level, vertex) is the queue of that
+// choice point as is: it is ascending in the global target-pool rank
+// (LabelIndex::PositionOf — within one vertex, exactly the order the
+// enumerator tries candidates in). On top, each queue gets a flat rank
+// array over the vertex's out-edge span:
 //
-//   rank[k] = #candidates of the queue whose (tgt_idx - span_begin) < k
+//   rank[k] = #candidates of the queue whose (PositionOf - span_begin) < k
 //
-// so SeekGe(edge) — "cursor of the first candidate at or after this
+// so SeekGe(edge) — "position of the first candidate at or after this
 // edge" — is one subtraction and one load, O(1), instead of the linear
 // queue re-advance that costs an extra in-degree factor d (the E8
 // strawman). Rank arrays cost O(sum of out-degrees over useful
 // (level, vertex) pairs) <= O(|D| x |A|) words, within the paper's
-// index budget.
-//
-// Cursors are plain indexes into the shared candidate pool; the
-// queue-walking API (RestartCursor / Peek / Advanced / Exhausted) is
-// deliberately value-oriented so an enumerator holds no pointers into
-// the index and the whole (index, previous answer) pair is trivially
-// serializable — the memoryless property made concrete.
+// index budget; nothing here is sized by |V| or |E| — the seek key is
+// read from the snapshot's LabelIndex, which the held Snapshot keeps
+// alive. Reading it through the Snapshot also carries the one
+// staleness guard: debug builds assert (Snapshot::AssertFresh) when the
+// Database mutated after the freeze.
 
 #ifndef DSW_CORE_RESUMABLE_INDEX_H_
 #define DSW_CORE_RESUMABLE_INDEX_H_
 
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/annotate.h"
 #include "core/database.h"
 #include "core/trimmed_index.h"
-#include "util/state_set.h"
 
 namespace dsw {
 
-/// Sentinel of SlotOf/SlotAt: no queue for that (vertex, state) /
-/// (level, vertex).
-inline constexpr uint32_t kNoSlot = UINT32_MAX;
-
 class ResumableIndex {
  public:
-  /// One queue entry: TrimmedIndex::CandidateEdge plus the seek key.
-  struct Candidate {
-    uint32_t edge;
-    uint32_t dst;
-    uint32_t label;
-    uint32_t next_pos;  // dst's position in useful level + 1
-    uint32_t tgt_idx;   // Database::tgt_idx(edge), the queue sort key
-  };
-
-  /// Builds the trimmed structure (one backward sweep) and the sorted
-  /// queues + rank arrays on top; a pure read of the snapshot, safe to
-  /// run concurrently with other readers. Release builds never consult
-  /// the database after construction; debug builds keep a back-pointer
-  /// for the stale-snapshot assertion (TrimmedIndex::AssertFresh), so
-  /// there the database must outlive the index. \p opts selects the
-  /// sequential or sharded backward sweep (same structure either way).
+  /// Builds the trimmed structure (one backward sweep) and the rank
+  /// arrays on top; a pure read of the snapshot, safe to run
+  /// concurrently with other readers. \p opts selects the sequential or
+  /// sharded backward sweep (same structure either way).
   ResumableIndex(const Snapshot& snap, const Annotation& ann,
                  const AnnotateOptions& opts = {});
 
-  /// Same queues + rank arrays on top of an already-built trimmed
-  /// structure (taken by value; move it in). This is the delta-repair
-  /// path: DeltaTrim patched the old TrimmedIndex against an insert-only
-  /// delta and only the queue layout remains to be rebuilt. \p trimmed
+  /// Same rank arrays on top of an already-built trimmed structure
+  /// (taken by value; move it in). This is the delta-repair path:
+  /// DeltaTrim patched the old TrimmedIndex against an insert-only
+  /// delta and only the rank arrays remain to be rebuilt. \p trimmed
   /// must describe \p ann against \p snap.
   ResumableIndex(const Snapshot& snap, const Annotation& ann,
                  TrimmedIndex trimmed);
 
-  /// The underlying trimmed structure (useful sets, lambda, etc.).
+  /// The underlying trimmed structure: useful sets, and per useful
+  /// (level, position) the candidate queue (CandidatesAt) and its
+  /// certificate structure (BListAt).
   const TrimmedIndex& trimmed() const { return trimmed_; }
   bool empty() const { return trimmed_.empty(); }
 
-  /// Number of per-(level, vertex) queues.
-  uint32_t num_queues() const { return static_cast<uint32_t>(level_.size()); }
+  /// The snapshot the index was built from; its generation is the one
+  /// the plan is valid for.
+  const Snapshot& snapshot() const { return snap_; }
 
-  // ------------------------------------------------------- slot lookup
-
-  /// Queue of vertex \p v at the unique level where state \p p is useful
-  /// at v (each product pair lives on exactly one BFS level), or kNoSlot
-  /// when (v, p) is not useful anywhere below lambda. This is the
-  /// per-pair-queue view of the paper; all states useful at the same
-  /// (level, v) share one physical queue.
-  uint32_t SlotOf(uint32_t v, uint32_t p) const {
-    if (v + 1 >= vertex_slot_off_.size()) return kNoSlot;
-    for (uint32_t i = vertex_slot_off_[v]; i < vertex_slot_off_[v + 1];
-         ++i) {
-      uint32_t s = vertex_slots_[i];
-      StateSetView useful =
-          trimmed_.UsefulStates(level_[s], s - level_base_[level_[s]]);
-      if (p < useful.capacity() && useful.Test(p)) return s;
-    }
-    return kNoSlot;
+  /// True iff \p edge is an out-edge of the vertex at position \p pos
+  /// of useful level \p level (level < lambda) — the precondition of
+  /// SeekGe. Any edge id is safe to pass: ids the frozen LabelIndex
+  /// does not know (garbage, or inserted after the freeze) are rejected.
+  bool SpanContains(uint32_t level, uint32_t pos, uint32_t edge) const {
+    const LabelIndex& adj = snap_.label_index();
+    const uint32_t s = level_base_[level] + pos;
+    return edge < adj.num_edges() &&
+           adj.PositionOf(edge) - span_begin_[s] <
+               rank_off_[s + 1] - rank_off_[s];
   }
 
-  /// Queue of (level, vertex) directly — the guided run knows the level.
-  /// O(log |level|) binary search over the level's sorted vertices.
-  uint32_t SlotAt(uint32_t level, uint32_t v) const {
-    if (level + 1 >= level_base_.size()) return kNoSlot;
-    size_t pos = trimmed_.UsefulLevel(level).FindIndex(v);
-    if (pos == LevelSets::npos) return kNoSlot;
-    return level_base_[level] + static_cast<uint32_t>(pos);
-  }
-
-  /// Queue of the vertex at position \p pos of useful level \p level —
-  /// the O(1) variant for positions recorded in Candidate::next_pos
-  /// (slots are laid out level-major in useful-level order, so this is
-  /// plain arithmetic; no binary search anywhere on the hot path).
-  /// Precondition: level < lambda and pos < |useful level|.
-  uint32_t SlotAtPos(uint32_t level, uint32_t pos) const {
-    return level_base_[level] + pos;
-  }
-
-  uint32_t level_of(uint32_t slot) const { return level_[slot]; }
-  uint32_t vertex_of(uint32_t slot) const { return vertex_[slot]; }
-
-  // ---------------------------------------------------- queue walking
-
-  /// Cursor at the front of the queue.
-  uint32_t RestartCursor(uint32_t slot) const { return cand_begin_[slot]; }
-
-  /// Cursor one past the last entry (where SeekGe lands when every
-  /// entry precedes the key).
-  uint32_t EndCursor(uint32_t slot) const { return cand_end_[slot]; }
-
-  bool Exhausted(uint32_t slot, uint32_t cur) const {
-    return cur >= cand_end_[slot];
-  }
-
-  /// The entry under the cursor; only meaningful while !Exhausted.
-  const Candidate& Peek([[maybe_unused]] uint32_t slot,
-                        uint32_t cur) const {
-    assert(!Exhausted(slot, cur) && "Peek past the end of the queue");
-    return pool_[cur];
-  }
-
-  /// The cursor after \p cur; O(1).
-  uint32_t Advanced(uint32_t slot, uint32_t cur) const {
-    (void)slot;
-    return cur + 1;
-  }
-
-  /// True iff \p edge is an out-edge of the slot's vertex — the
-  /// precondition of SeekGe (any edge id is safe to pass here).
-  bool SpanContains(uint32_t slot, uint32_t edge) const {
-    return edge < edge_tgt_.size() &&
-           edge_tgt_[edge] - span_begin_[slot] < span_len_[slot];
-  }
-
-  /// Cursor of the first queue entry whose tgt_idx is >= tgt_idx(edge)
-  /// (== the entry for \p edge itself when the edge is in the queue);
-  /// EndCursor(slot) when all entries precede it. O(1): one rank-array
-  /// load. Precondition: SpanContains(slot, edge).
-  uint32_t SeekGe(uint32_t slot, uint32_t edge) const {
-    trimmed_.AssertFresh();
-    assert(SpanContains(slot, edge) &&
-           "SeekGe: edge is not an out-edge of the slot's vertex");
-    uint32_t rel = edge_tgt_[edge] - span_begin_[slot];
-    return cand_begin_[slot] + rank_pool_[rank_begin_[slot] + rel];
-  }
-
-  /// Certificate (B-list) structure of the slot's queue. Queue entries
-  /// mirror the trimmed candidate list position for position, so the
-  /// B-list positions are cursor offsets from RestartCursor(slot).
-  TrimmedIndex::BList BListOf(uint32_t slot) const {
-    const uint32_t level = level_[slot];
-    return trimmed_.BListAt(level, slot - level_base_[level]);
-  }
-
-  /// The pool entry under a cursor — for callers that carry (cur, end)
-  /// pairs themselves (the enumerator's frames) instead of re-supplying
-  /// the slot on every read.
-  const Candidate& At(uint32_t cur) const { return pool_[cur]; }
-
-  /// The queue as a span — introspection for the structural-invariant
-  /// tests; the enumerator walks cursors instead.
-  std::span<const Candidate> Queue(uint32_t slot) const {
-    return {pool_.data() + cand_begin_[slot],
-            pool_.data() + cand_end_[slot]};
+  /// Position in trimmed().CandidatesAt(level, pos) of the first
+  /// candidate whose target-pool rank is >= that of \p edge (== the
+  /// candidate \p edge itself when it is one); the queue's size when
+  /// all candidates precede it. O(1): one rank-array load.
+  /// Precondition: SpanContains(level, pos, edge).
+  uint32_t SeekGe(uint32_t level, uint32_t pos, uint32_t edge) const {
+    assert(SpanContains(level, pos, edge) &&
+           "SeekGe: edge is not an out-edge of the queue's vertex");
+    const uint32_t s = level_base_[level] + pos;
+    return rank_pool_[rank_off_[s] + snap_.label_index().PositionOf(edge) -
+                      span_begin_[s]];
   }
 
   /// Heap footprint estimate (including the owned TrimmedIndex), for
-  /// the plan cache's byte budget.
+  /// the plan cache's byte budget. The shared LabelIndex is the
+  /// snapshot's, not the plan's, and is not counted.
   size_t ApproxBytes() const {
     auto u32 = [](const std::vector<uint32_t>& v) {
       return v.capacity() * sizeof(uint32_t);
     };
     return sizeof(ResumableIndex) - sizeof(TrimmedIndex) +
-           trimmed_.ApproxBytes() + pool_.capacity() * sizeof(Candidate) +
-           u32(level_base_) + u32(level_) + u32(vertex_) + u32(cand_begin_) +
-           u32(cand_end_) + u32(span_begin_) + u32(span_len_) +
-           u32(rank_begin_) + u32(rank_pool_) + u32(edge_tgt_) +
-           u32(vertex_slot_off_) + u32(vertex_slots_);
+           trimmed_.ApproxBytes() + u32(level_base_) + u32(span_begin_) +
+           u32(rank_off_) + u32(rank_pool_);
   }
 
  private:
-  // Lays out the queues, rank arrays, and the vertex-slot CSR from
-  // trimmed_ (shared tail of both constructors).
-  void BuildQueues(const Snapshot& snap, const Annotation& ann);
+  // Lays out the rank arrays from trimmed_ (shared tail of both
+  // constructors).
+  void BuildRanks();
 
+  Snapshot snap_;
   TrimmedIndex trimmed_;
 
-  // Queues are allocated level-major, in useful-level vertex order, so
-  // slot id == level_base_[level] + position-in-level and every array
-  // below is indexed by slot.
+  // One queue ("slot") per useful (level, vertex) below lambda, laid
+  // out level-major in useful-level order: slot == level_base_[level] +
+  // position-in-level, and every array below is indexed by slot.
   std::vector<uint32_t> level_base_;  // level -> first slot; size lambda+1
-  std::vector<uint32_t> level_;
-  std::vector<uint32_t> vertex_;
-  std::vector<uint32_t> cand_begin_;  // into pool_
-  std::vector<uint32_t> cand_end_;
   std::vector<uint32_t> span_begin_;  // vertex's first target-pool rank
-  std::vector<uint32_t> span_len_;    // vertex's out-degree
-  std::vector<uint32_t> rank_begin_;  // into rank_pool_
-
-  std::vector<Candidate> pool_;       // queues, ascending tgt_idx each
-  std::vector<uint32_t> rank_pool_;   // per slot: span_len_ rank entries
-  std::vector<uint32_t> edge_tgt_;    // edge id -> target-pool rank
-
-  // Per-vertex list of the (few) slots of that vertex, CSR layout; a
-  // vertex has one slot per level it is useful at, at most min(lambda,
-  // |Q|) of them.
-  std::vector<uint32_t> vertex_slot_off_;  // size V+1
-  std::vector<uint32_t> vertex_slots_;
+  // Slot s's rank array is rank_pool_[rank_off_[s], rank_off_[s + 1]),
+  // one entry per out-edge of its vertex; size #slots + 1.
+  std::vector<uint32_t> rank_off_;
+  std::vector<uint32_t> rank_pool_;
 };
 
 }  // namespace dsw
 
 // The memoryless subsystem is one unit: every consumer of the index
-// also wants the enumerator that drives it (bench_memoryless includes
-// only this header and core/enumerator.h). The include sits below the
+// also wants the enumerator that drives it. The include sits below the
 // class so either header can be included first.
 #include "core/resumable_enumerator.h"  // IWYU pragma: export
 

@@ -335,6 +335,7 @@ Annotation ShardedAnnotate(const Snapshot& snap, const Nfa& query,
   ann.final_states = query.final_states();
   if (query.has_epsilon()) ann.eps_closure = query.EpsilonClosures();
   ann.delta = CompiledDelta(query, ann.eps_closure);  // closures shared
+  ann.force_multi_word = opts.force_multi_word;
 
   if (source >= snap.num_vertices() || target >= snap.num_vertices() ||
       query.num_states() == 0 || query.initial().None())
@@ -391,8 +392,6 @@ struct TrimShard {
 
 void ShardedTrimBuild(TrimmedIndex& out, const Snapshot& snap,
                       const Annotation& ann, const AnnotateOptions& opts) {
-  out.db_ = &snap.db();
-  out.generation_ = snap.generation();
   assert(ann.reachable() && "caller dispatches unreachable sequentially");
   const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
   out.wps_ = ann.words_per_set();
@@ -449,7 +448,8 @@ void ShardedTrimBuild(TrimmedIndex& out, const Snapshot& snap,
             const size_t bo = me.nxt.size();
             if (trim_detail::TrimVertex(adj, delta, wps, level.vertex(vi),
                                         level.states(vi), next_useful,
-                                        &me.scratch, &me.pool, &me.nxt)) {
+                                        &me.scratch, &me.pool, &me.nxt,
+                                        ann.force_multi_word)) {
               me.useful.Append(level.vertex(vi),
                                me.scratch.useful_here.words());
               me.ranges.emplace_back(cb,

@@ -103,14 +103,11 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
     ShardedTrimBuild(*this, snap, ann, opts);
     return;
   }
-  BuildSequential(snap, ann, opts.force_multi_word);
+  BuildSequential(snap, ann);
 }
 
 void TrimmedIndex::BuildSequential(const Snapshot& snap,
-                                   const Annotation& ann,
-                                   bool force_multi_word) {
-  db_ = &snap.db();
-  generation_ = snap.generation();
+                                   const Annotation& ann) {
   if (!ann.reachable()) return;
   const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
   wps_ = ann.words_per_set();
@@ -153,7 +150,7 @@ void TrimmedIndex::BuildSequential(const Snapshot& snap,
       const size_t block_off = nxt_pool_.size();
       if (!trim_detail::TrimVertex(adj, delta, wps_, v, level.states(vi),
                                    next_useful, &scratch, &cand_pool_,
-                                   &nxt_pool_, force_multi_word))
+                                   &nxt_pool_, ann.force_multi_word))
         continue;
       useful_[i].Append(v, scratch.useful_here.words());
       cand_ranges_[i].emplace_back(cand_begin,

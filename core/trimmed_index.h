@@ -54,7 +54,6 @@
 #define DSW_CORE_TRIMMED_INDEX_H_
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -84,8 +83,8 @@ class TrimmedIndex {
   /// The Theorem 2 certificate view of one useful (level, vertex): the
   /// per-state next-usable-candidate arrays, with the useful set as the
   /// slot domain. Positions are relative to the vertex's candidate list
-  /// (Candidates/CandidatesAt spans and the resumable queues index
-  /// identically).
+  /// (Candidates/CandidatesAt spans, which ResumableIndex::SeekGe also
+  /// indexes).
   struct BList {
     const uint32_t* nxt = nullptr;  // useful.Count() rows, num_cand+1 each
     uint32_t num_cand = 0;
@@ -98,8 +97,9 @@ class TrimmedIndex {
     /// ops, independent of num_cand. When \p probes is non-null it is
     /// incremented by the number of slot loads (the op-count proxy the
     /// delay tests assert on — identical in both kernel tiers).
-    /// \p allow_single_word is the test/bench knob forcing the generic
-    /// multi-word instantiation onto one-word queries.
+    /// \p allow_single_word false runs the generic multi-word
+    /// instantiation on a one-word query (the enumerator passes its
+    /// plan's Annotation::single_word).
     uint32_t NextLive(const StateSet& r, uint32_t from,
                       uint64_t* probes = nullptr,
                       bool allow_single_word = true) const {
@@ -151,11 +151,12 @@ class TrimmedIndex {
 
   /// Builds the trimmed structure from a frozen snapshot (one backward
   /// sweep over the annotation); a pure read of the snapshot, safe to
-  /// run concurrently with other readers. The snapshot's generation is
-  /// recorded for the AssertFresh staleness check. With
-  /// opts.num_shards > 1 the sweep runs sharded (one thread per shard,
-  /// superstep per level; core/sharded_annotate.h) and produces a
-  /// bit-identical structure.
+  /// run concurrently with other readers. The index keeps no reference
+  /// to the snapshot. With opts.num_shards > 1 the sweep runs sharded
+  /// (one thread per shard, superstep per level;
+  /// core/sharded_annotate.h) and produces a bit-identical structure.
+  /// The sweep runs the kernels the annotation records
+  /// (Annotation::single_word).
   TrimmedIndex(const Snapshot& snap, const Annotation& ann,
                const AnnotateOptions& opts = {});
 
@@ -164,29 +165,14 @@ class TrimmedIndex {
   bool empty() const { return num_slots_ == 0; }
   uint32_t words_per_set() const { return wps_; }
 
-  /// Debug-only staleness check: the spans, positions and candidate
-  /// lists in here describe the database as of construction time; any
-  /// AddVertex/AddEdge since silently invalidates them. Compiled away
-  /// under NDEBUG. Debug builds read the database's generation through
-  /// the stored back-pointer, so there the Database must outlive the
-  /// index; release builds never touch it (the index carries everything
-  /// the enumerators need).
-  void AssertFresh() const {
-    assert((db_ == nullptr || db_->generation() == generation_) &&
-           "stale TrimmedIndex: the Database was mutated after this index "
-           "was built");
-  }
-
   /// Useful states at (level, v); null view if none.
   StateSetView Useful(uint32_t level, uint32_t v) const {
-    AssertFresh();
     return level < useful_.size() ? useful_[level].Find(v) : StateSetView();
   }
 
   /// Useful states at a (level, position) slot — the O(1) variant for
   /// positions recorded in CandidateEdge::next_pos.
   StateSetView UsefulStates(uint32_t level, uint32_t pos) const {
-    AssertFresh();
     return useful_[level].states(pos);
   }
 
@@ -194,10 +180,9 @@ class TrimmedIndex {
   uint32_t num_levels() const { return static_cast<uint32_t>(useful_.size()); }
 
   /// The whole useful level — sorted vertices with their state sets.
-  /// ResumableIndex walks these to lay out its per-(level, vertex)
-  /// candidate queues without re-running the backward sweep.
+  /// Positions in it address CandidatesAt/BListAt; ResumableIndex walks
+  /// these to lay out its per-(level, vertex) rank arrays.
   const LevelSets& UsefulLevel(uint32_t level) const {
-    AssertFresh();
     return useful_[level];
   }
 
@@ -206,7 +191,6 @@ class TrimmedIndex {
   /// Candidates() for callers already iterating UsefulLevel(level).
   std::span<const CandidateEdge> CandidatesAt(uint32_t level,
                                               size_t pos) const {
-    AssertFresh();
     const auto& [begin, end] = cand_ranges_[level][pos];
     return {cand_pool_.data() + begin, cand_pool_.data() + end};
   }
@@ -215,7 +199,6 @@ class TrimmedIndex {
   /// useful level \p level (level < lambda); O(1), same positions as
   /// CandidatesAt.
   BList BListAt(uint32_t level, size_t pos) const {
-    AssertFresh();
     const auto& [begin, end] = cand_ranges_[level][pos];
     return BList{nxt_pool_.data() + blist_off_[level][pos], end - begin,
                  useful_[level].states(pos)};
@@ -237,7 +220,6 @@ class TrimmedIndex {
   /// vertices with no useful states.
   std::span<const CandidateEdge> Candidates(uint32_t level,
                                             uint32_t v) const {
-    AssertFresh();
     if (level >= cand_ranges_.size()) return {};
     size_t i = useful_[level].FindIndex(v);
     if (i == LevelSets::npos) return {};
@@ -251,19 +233,13 @@ class TrimmedIndex {
   friend void ShardedTrimBuild(TrimmedIndex&, const Snapshot&,
                                const Annotation&, const AnnotateOptions&);
   // The delta-repair path (core/delta_annotate.cc) assembles a patched
-  // copy of an existing index against an insert-only edge delta. It
-  // reads the old index through these private members on purpose: the
-  // old index is stale by then (the database has mutated), so the
-  // public accessors' AssertFresh would fire even though the *contents*
-  // being copied are exactly what the repair needs.
+  // copy of an existing index against an insert-only edge delta; it
+  // reads the old index through the public accessors.
   friend class DeltaTrimmer;
   TrimmedIndex() = default;
 
   // The sequential backward sweep (the num_shards <= 1 path).
-  // force_multi_word forwards AnnotateOptions::force_multi_word to the
-  // per-vertex kernel dispatch.
-  void BuildSequential(const Snapshot& snap, const Annotation& ann,
-                       bool force_multi_word = false);
+  void BuildSequential(const Snapshot& snap, const Annotation& ann);
 
   uint32_t wps_ = 0;
   std::vector<LevelSets> useful_;  // per level, sorted vertices
@@ -277,9 +253,6 @@ class TrimmedIndex {
   std::vector<std::vector<size_t>> blist_off_;
   std::vector<uint32_t> nxt_pool_;
   size_t num_slots_ = 0;
-  // Staleness tracking for AssertFresh; unused in release builds.
-  const Database* db_ = nullptr;
-  uint64_t generation_ = 0;
 };
 
 namespace trim_detail {
@@ -302,7 +275,8 @@ struct Scratch {
 /// left in scratch->useful_here. CandidateEdge::next_pos is a position
 /// into \p next_useful, so passing the *merged* next level keeps the
 /// sharded build's positions global. Dispatches to the single-word
-/// kernel when wps == 1 unless \p force_multi_word (results are
+/// kernel when wps == 1 unless \p force_multi_word (the annotation's
+/// recorded AnnotateOptions::force_multi_word; results are
 /// bit-identical either way).
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,

@@ -64,7 +64,7 @@ struct QueryEngine::WorkerCache {
   // long-lived engine does not accumulate one per old generation.
   void EvictOtherGenerations(const Database* db, uint64_t gen) {
     for (auto it = entries.begin(); it != entries.end();) {
-      const Snapshot& s = it->second.query->snap;
+      const Snapshot& s = it->second.query->index.snapshot();
       if (&s.db() != db || s.generation() != gen) {
         lru.erase(it->second.lru_it);
         it = entries.erase(it);
@@ -120,14 +120,9 @@ RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
   if (!rep.ok) return out;
   TrimmedIndex trimmed =
       DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, ctx);
-  // The tier carries over, except that inserted edges may have given a
-  // kSimple plan's data a second label — recheck and demote (the query
-  // half of the classification cannot change, so no promotion exists).
-  ExecTier tier = old.tier;
-  if (tier == ExecTier::kSimple && !DataSingleLabeled(snap))
-    tier = ann.num_states <= 64 ? ExecTier::kSingleWord : ExecTier::kGeneral;
+  // The tier depends on the query alone, so it carries over.
   out.value = std::make_shared<const PreparedQuery>(
-      snap, std::move(ann), std::move(trimmed), tier);
+      snap, std::move(ann), std::move(trimmed), old.tier);
   out.order_preserved = !rep.lambda_changed;
   return out;
 }
@@ -249,17 +244,8 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
 }
 
 void QueryEngine::BumpTier(ExecTier tier) {
-  switch (tier) {
-    case ExecTier::kSimple:
-      tier_simple_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ExecTier::kSingleWord:
-      tier_single_word_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ExecTier::kGeneral:
-      tier_general_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+  (tier == ExecTier::kSingleWord ? tier_single_word_ : tier_general_)
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<QueryId> QueryEngine::PrepareBatch(
@@ -404,7 +390,6 @@ EngineStats QueryEngine::Stats() const {
       frontend_thompson_.load(std::memory_order_relaxed);
   stats.frontend_glushkov =
       frontend_glushkov_.load(std::memory_order_relaxed);
-  stats.tier_simple = tier_simple_.load(std::memory_order_relaxed);
   stats.tier_single_word =
       tier_single_word_.load(std::memory_order_relaxed);
   stats.tier_general = tier_general_.load(std::memory_order_relaxed);
@@ -463,7 +448,7 @@ void QueryEngine::WorkerLoop() {
       queue_.pop_front();
 
       Session& s = sessions_[job.session];
-      const Snapshot& pinned = s.query->snap;
+      const Snapshot& pinned = s.query->index.snapshot();
       if (&pinned.db() != installed_db_ ||
           pinned.generation() != installed_gen_) {
         // Graceful rejection: the stale index is never touched.

@@ -119,9 +119,8 @@ struct EngineStats {
   uint64_t frontend_thompson = 0;       // PrepareRegex picks, per front-end
   uint64_t frontend_glushkov = 0;
   // Execution tier of each resolved Prepare/PrepareBatch plan
-  // (core/query_traits.h) — cache hits count too, so the three sum to
+  // (core/query_traits.h) — cache hits count too, so the two sum to
   // the number of plans handed out, not the number built.
-  uint64_t tier_simple = 0;
   uint64_t tier_single_word = 0;
   uint64_t tier_general = 0;
 };
@@ -155,7 +154,7 @@ class QueryEngine {
   /// against the previous install is a known insert-only suffix
   /// (Snapshot::DeltaFrom), the previous generation's plan-cache entries
   /// are *upgraded* — annotation repaired by the bounded re-relaxation
-  /// wave, trimmed/B-list structure patched, queues re-laid — and
+  /// wave, trimmed/B-list structure patched, rank arrays rebuilt — and
   /// re-inserted under the new generation's keys instead of dropped.
   /// Prepared queries and sessions are re-pointed at the upgraded plans;
   /// a parked session survives when its plan's enumeration order is an
@@ -296,7 +295,6 @@ class QueryEngine {
   std::atomic<uint64_t> worker_cache_evictions_{0};
   std::atomic<uint64_t> frontend_thompson_{0};
   std::atomic<uint64_t> frontend_glushkov_{0};
-  std::atomic<uint64_t> tier_simple_{0};
   std::atomic<uint64_t> tier_single_word_{0};
   std::atomic<uint64_t> tier_general_{0};
 

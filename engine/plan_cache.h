@@ -65,20 +65,19 @@
 namespace dsw {
 
 /// Everything a query needs at run time, built once and then strictly
-/// read-only — the snapshot copy keeps the frozen LabelIndex alive and
-/// carries the generation this query is pinned to. Shared by the plan
-/// cache, the engine's query table, and every session.
+/// read-only — the index's snapshot (index.snapshot()) keeps the frozen
+/// LabelIndex alive and carries the generation this query is pinned
+/// to. Shared by the plan cache, the engine's query table, and every
+/// session.
 struct PreparedQuery {
   /// Builds from scratch: one single-source annotate + trim. The
   /// execution tier (core/query_traits.h) is classified here, at
   /// prepare time — the cached plan carries it for the engine's
   /// per-tier stats and for tooling; the kernels themselves dispatch on
-  /// words-per-set independently, so the label is observability, not
-  /// control flow.
-  PreparedQuery(Snapshot s, const Nfa& query, uint32_t src, uint32_t tgt,
-                const AnnotateOptions& opts)
-      : snap(std::move(s)),
-        ann(Annotate(snap, query, src, tgt, opts)),
+  /// the annotation, so the label is observability, not control flow.
+  PreparedQuery(const Snapshot& snap, const Nfa& query, uint32_t src,
+                uint32_t tgt, const AnnotateOptions& opts)
+      : ann(Annotate(snap, query, src, tgt, opts)),
         index(snap, ann, opts),
         source(src),
         target(tgt),
@@ -89,10 +88,10 @@ struct PreparedQuery {
   /// one product BFS serves many prepared views. \p tier is classified
   /// once per batch by the caller (it depends only on (snap, query),
   /// not the source).
-  PreparedQuery(Snapshot s, Annotation a, const AnnotateOptions& opts,
+  PreparedQuery(const Snapshot& snap, Annotation a,
+                const AnnotateOptions& opts,
                 ExecTier query_tier = ExecTier::kGeneral)
-      : snap(std::move(s)),
-        ann(std::move(a)),
+      : ann(std::move(a)),
         index(snap, ann, opts),
         source(ann.source),
         target(ann.target),
@@ -100,20 +99,17 @@ struct PreparedQuery {
 
   /// Builds on repaired structures — the incremental InstallSnapshot
   /// path: \p a and \p trimmed were patched by core/delta_annotate
-  /// against an insert-only edge delta, so only the resumable queue
-  /// layout is rebuilt here; no product BFS, no backward sweep. \p tier
-  /// is the upgraded plan's tier, re-derived by the caller (the delta
-  /// may have added a second label, demoting a kSimple plan).
-  PreparedQuery(Snapshot s, Annotation a, TrimmedIndex trimmed,
+  /// against an insert-only edge delta, so only the resumable rank
+  /// arrays are rebuilt here; no product BFS, no backward sweep. \p tier
+  /// is the old plan's (it depends on the query alone).
+  PreparedQuery(const Snapshot& snap, Annotation a, TrimmedIndex trimmed,
                 ExecTier query_tier = ExecTier::kGeneral)
-      : snap(std::move(s)),
-        ann(std::move(a)),
+      : ann(std::move(a)),
         index(snap, ann, std::move(trimmed)),
         source(ann.source),
         target(ann.target),
         tier(query_tier) {}
 
-  Snapshot snap;
   Annotation ann;
   ResumableIndex index;
   uint32_t source;

@@ -35,8 +35,7 @@
 #include "automaton/canonical_hash.h"
 #include "automaton/frontend.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "regex/canonical.h"
 #include "regex/regex_parser.h"
 #include "workload/generators.h"
@@ -95,8 +94,8 @@ PipelineResult RunPipeline(Instance& inst, const Nfa& nfa) {
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, nfa, inst.source, inst.target);
   res.lambda = ann.lambda;
-  TrimmedIndex index(snap, ann);
-  for (TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  ResumableIndex index(snap, ann);
+  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
        en.Valid(); en.Next())
     res.walks.insert(en.walk().edges);
   return res;

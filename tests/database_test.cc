@@ -9,7 +9,7 @@
 
 #include "core/annotate.h"
 #include "core/database.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "util/state_set.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -230,17 +230,21 @@ TEST(SnapshotTest, OldSnapshotStaysReadableUntilAccessedAfterMutation) {
 // The stale-snapshot hazard, made loud: an index built before a
 // mutation must assert on its next access instead of serving spans and
 // positions that describe the pre-mutation adjacency.
-TEST(DatabaseDeathTest, StaleTrimmedIndexAssertsInDebug) {
+TEST(DatabaseDeathTest, StalePlanSeekAfterAssertsInDebug) {
+  // A plan reads its seek keys through the snapshot it was built from,
+  // so resuming a session on it after a mutation trips the snapshot's
+  // generation check instead of seeking through stale positions.
   Instance inst = BubbleChain(3, 2);
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, StaircaseNfa(1, 2), inst.source,
                             inst.target);
-  TrimmedIndex index(snap, ann);
-  ASSERT_FALSE(index.empty());
-  EXPECT_TRUE(static_cast<bool>(index.Useful(0, inst.source)));
-  inst.db.AddEdge(inst.source, 0u, inst.target);  // invalidates the index
-  EXPECT_DEATH((void)index.Useful(0, inst.source), "stale TrimmedIndex");
-  EXPECT_DEATH((void)index.Candidates(0, inst.source), "stale TrimmedIndex");
+  ResumableIndex index(snap, ann);
+  ResumableEnumerator en(ann, index, inst.source, inst.target);
+  ASSERT_TRUE(en.Valid());
+  const Walk first = en.walk();
+  EXPECT_TRUE(en.SeekAfter(first));  // fresh: fine
+  inst.db.AddEdge(inst.source, 0u, inst.target);  // invalidates the plan
+  EXPECT_DEATH(en.SeekAfter(first), "stale Snapshot");
 }
 
 TEST(DatabaseDeathTest, StaleSnapshotAssertsInDebug) {

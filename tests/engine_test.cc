@@ -1,7 +1,7 @@
 // The concurrent query engine, pinned from four sides:
 //
 //  1. Correctness: batches pumped through the worker pool concatenate
-//     to exactly the single-threaded TrimmedEnumerator sequence (order
+//     to exactly the single-threaded ResumableEnumerator sequence (order
 //     included), for every session, under every batch size.
 //  2. Concurrency: N client threads park and SeekAfter-resume random
 //     sessions off ONE shared snapshot while the pool's workers run
@@ -30,10 +30,8 @@
 #include <vector>
 
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
-#include "core/trimmed_index.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -55,9 +53,9 @@ EdgeSeq Edges(const std::vector<Walk>& walks) {
 EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
                uint32_t target) {
   Annotation ann = Annotate(snap, query, source, target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   EdgeSeq out;
-  for (TrimmedEnumerator en(ann, index, source, target); en.Valid();
+  for (ResumableEnumerator en(ann, index, source, target); en.Valid();
        en.Next())
     out.push_back(en.walk().edges);
   return out;

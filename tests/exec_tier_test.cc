@@ -1,18 +1,12 @@
 // The execution-tier layer (core/query_traits.h, util/word_kernel.h):
 //
-//  - ClassifyQuery unit tests: the three tiers, the traits flags, and
-//    the deterministic-automaton edge cases (duplicate parallel
-//    transitions, multiple initials, epsilon moves).
-//  - SimpleEnumerator::Applicable negatives: multi-label data,
-//    nondeterministic query, epsilon-transitions.
+//  - ClassifyQuery unit tests: the two tiers and the traits flag.
 //  - Cross-tier bit-identity: the collapsed single-word kernels vs the
-//    generic multi-word loops forced onto the same one-word query
-//    (AnnotateOptions::force_multi_word, the enumerators' ctor flag)
-//    must agree level for level, candidate for candidate, B-list row
-//    for B-list row, answer for answer — and probe for probe (OpStats).
-//    Queries over 64 states exercise the genuinely-multi-word path.
-//  - Simple-vs-trimmed oracle: SimpleEnumerator's answer sequence is
-//    bit-identical to the general pipeline's on simple instances.
+//    generic multi-word loops forced onto the same one-word query's
+//    whole plan (AnnotateOptions::force_multi_word) must agree level
+//    for level, candidate for candidate, B-list row for B-list row,
+//    answer for answer — and probe for probe (OpStats). Queries over 64
+//    states exercise the genuinely-multi-word path.
 //  - Engine per-tier prepare counters.
 
 #include <gtest/gtest.h>
@@ -24,11 +18,9 @@
 
 #include "automaton/thompson.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/query_traits.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
-#include "core/simple_enumerator.h"
 #include "core/trimmed_index.h"
 #include "engine/engine.h"
 #include "regex/regex_parser.h"
@@ -115,8 +107,10 @@ void ExpectSameWalks(const std::vector<Walk>& a, const std::vector<Walk>& b) {
 }
 
 // The whole cross-tier oracle: default (single-word for one-word
-// queries) vs forced multi-word — annotation, trimmed structure,
-// enumeration sequence, op accounting.
+// queries) vs a plan built with AnnotateOptions::force_multi_word —
+// annotation, trimmed structure, enumeration sequence, op accounting.
+// The setting is recorded on the annotation, so the forced plan's trim
+// sweep and enumerator run the multi-word kernels too.
 void ExpectTiersBitIdentical(Instance& inst, const Nfa& query) {
   Snapshot snap = inst.db.Freeze();
   Annotation fast_ann = Annotate(snap, query, inst.source, inst.target);
@@ -124,78 +118,55 @@ void ExpectTiersBitIdentical(Instance& inst, const Nfa& query) {
   forced.force_multi_word = true;
   Annotation slow_ann =
       Annotate(snap, query, inst.source, inst.target, forced);
+  EXPECT_EQ(fast_ann.single_word(), fast_ann.words_per_set() == 1);
+  EXPECT_FALSE(slow_ann.single_word());
   ExpectAnnotationsEqual(fast_ann, slow_ann);
 
-  TrimmedIndex fast_index(snap, fast_ann);
-  TrimmedIndex slow_index(snap, slow_ann, forced);
-  ExpectTrimmedEqual(fast_index, slow_index);
+  ResumableIndex fast_index(snap, fast_ann);
+  ResumableIndex slow_index(snap, slow_ann);
+  ExpectTrimmedEqual(fast_index.trimmed(), slow_index.trimmed());
 
-  TrimmedEnumerator fast_en(fast_ann, fast_index, inst.source, inst.target);
-  TrimmedEnumerator slow_en(slow_ann, slow_index, inst.source, inst.target,
-                            /*force_multi_word=*/true);
+  ResumableEnumerator fast_en(fast_ann, fast_index, inst.source,
+                              inst.target);
+  ResumableEnumerator slow_en(slow_ann, slow_index, inst.source,
+                              inst.target);
   std::vector<Walk> fast = DrainAll(&fast_en);
   std::vector<Walk> slow = DrainAll(&slow_en);
   ExpectSameWalks(fast, slow);
   // The Theorem 2 op accounting must not depend on the kernel tier.
   EXPECT_EQ(fast_en.stats().row_ors, slow_en.stats().row_ors);
   EXPECT_EQ(fast_en.stats().probes, slow_en.stats().probes);
-
-  ResumableIndex fast_ri(snap, fast_ann);
-  ResumableIndex slow_ri(snap, slow_ann, forced);
-  ResumableEnumerator fast_ren(fast_ann, fast_ri, inst.source, inst.target);
-  ResumableEnumerator slow_ren(slow_ann, slow_ri, inst.source, inst.target,
-                               /*force_multi_word=*/true);
-  std::vector<Walk> fast_r = DrainAll(&fast_ren);
-  std::vector<Walk> slow_r = DrainAll(&slow_ren);
-  ExpectSameWalks(fast_r, fast);  // and both match the stateful order
-  ExpectSameWalks(fast_r, slow_r);
-  EXPECT_EQ(fast_ren.stats().total(), slow_ren.stats().total());
+  EXPECT_EQ(fast_en.stats().total(), slow_en.stats().total());
 
   // SeekAfter mid-sequence: both tiers resume onto the same successor.
   if (fast.size() >= 2) {
     const Walk& anchor = fast[fast.size() / 2];
-    ASSERT_TRUE(fast_ren.SeekAfter(anchor));
-    ASSERT_TRUE(slow_ren.SeekAfter(anchor));
-    ASSERT_EQ(fast_ren.Valid(), slow_ren.Valid());
-    if (fast_ren.Valid()) {
-      EXPECT_EQ(fast_ren.walk().edges, slow_ren.walk().edges);
+    ASSERT_TRUE(fast_en.SeekAfter(anchor));
+    ASSERT_TRUE(slow_en.SeekAfter(anchor));
+    ASSERT_EQ(fast_en.Valid(), slow_en.Valid());
+    if (fast_en.Valid()) {
+      EXPECT_EQ(fast_en.walk().edges, slow_en.walk().edges);
     }
   }
 }
 
 // ------------------------------------------------------ classification
 
-TEST(QueryTraitsTest, GridAnyKIsSimple) {
-  Instance inst = Grid(4, 5);
-  Snapshot snap = inst.db.Freeze();
-  QueryTraits traits = ClassifyQuery(snap, AnyKDfa(7, 1));
-  EXPECT_EQ(traits.tier, ExecTier::kSimple);
-  EXPECT_TRUE(traits.data_single_label);
-  EXPECT_TRUE(traits.query_deterministic);
-  EXPECT_TRUE(traits.single_word);
-  EXPECT_TRUE(SimpleEnumerator::Applicable(snap, AnyKDfa(7, 1)));
-}
-
+// The tier follows the query's state count alone: neither the data's
+// labels nor the query's determinism or epsilon moves enter it.
 TEST(QueryTraitsTest, MultiLabelDataIsSingleWordNotSimple) {
   Instance inst = BubbleChain(5, 2);  // top l0, bottom l1
   Snapshot snap = inst.db.Freeze();
-  Nfa dfa = AnyKDfa(10, 2);  // still deterministic
-  QueryTraits traits = ClassifyQuery(snap, dfa);
+  QueryTraits traits = ClassifyQuery(snap, AnyKDfa(10, 2));
   EXPECT_EQ(traits.tier, ExecTier::kSingleWord);
-  EXPECT_FALSE(traits.data_single_label);
-  EXPECT_TRUE(traits.query_deterministic);
-  EXPECT_FALSE(SimpleEnumerator::Applicable(snap, dfa));
+  EXPECT_TRUE(traits.single_word);
 }
 
 TEST(QueryTraitsTest, NondeterministicQueryIsNotSimple) {
   Instance inst = Grid(4, 4);  // single-labeled
   Snapshot snap = inst.db.Freeze();
   Nfa staircase = StaircaseNfa(2, 1);  // loop + advance on one label
-  QueryTraits traits = ClassifyQuery(snap, staircase);
-  EXPECT_EQ(traits.tier, ExecTier::kSingleWord);
-  EXPECT_TRUE(traits.data_single_label);
-  EXPECT_FALSE(traits.query_deterministic);
-  EXPECT_FALSE(SimpleEnumerator::Applicable(snap, staircase));
+  EXPECT_EQ(ClassifyQuery(snap, staircase).tier, ExecTier::kSingleWord);
 }
 
 TEST(QueryTraitsTest, EpsilonQueryIsNotSimple) {
@@ -205,10 +176,7 @@ TEST(QueryTraitsTest, EpsilonQueryIsNotSimple) {
   ASSERT_TRUE(ast.ok()) << ast.error();
   Nfa thompson = ThompsonNfa(*ast.value(), inst.db.mutable_dict());
   ASSERT_GT(thompson.num_epsilon_transitions(), 0u);
-  QueryTraits traits = ClassifyQuery(snap, thompson);
-  EXPECT_FALSE(traits.query_deterministic);
-  EXPECT_NE(traits.tier, ExecTier::kSimple);
-  EXPECT_FALSE(SimpleEnumerator::Applicable(snap, thompson));
+  EXPECT_EQ(ClassifyQuery(snap, thompson).tier, ExecTier::kSingleWord);
 }
 
 TEST(QueryTraitsTest, Over64StatesIsGeneral) {
@@ -220,59 +188,7 @@ TEST(QueryTraitsTest, Over64StatesIsGeneral) {
   EXPECT_FALSE(traits.single_word);
 }
 
-TEST(QueryTraitsTest, SimpleBeatsSingleWord) {
-  // A simple query with |Q| <= 64 reports kSimple, not kSingleWord.
-  Instance inst = Grid(3, 3);
-  Snapshot snap = inst.db.Freeze();
-  QueryTraits traits = ClassifyQuery(snap, AnyKDfa(4, 1));
-  EXPECT_TRUE(traits.single_word);
-  EXPECT_EQ(traits.tier, ExecTier::kSimple);
-}
-
-TEST(QueryTraitsTest, DeterminismEdgeCases) {
-  Instance inst = Grid(2, 2);
-  Snapshot snap = inst.db.Freeze();
-
-  // Duplicate parallel transitions to the SAME successor are tolerated.
-  Nfa dup(2);
-  dup.AddInitial(0);
-  dup.AddFinal(1);
-  dup.AddTransition(0, 0u, 1);
-  dup.AddTransition(0, 0u, 1);
-  EXPECT_TRUE(QueryDeterministic(dup));
-  EXPECT_EQ(ClassifyQuery(snap, dup).tier, ExecTier::kSimple);
-
-  // Two distinct successors on one (state, label) are not.
-  Nfa fork(3);
-  fork.AddInitial(0);
-  fork.AddFinal(2);
-  fork.AddTransition(0, 0u, 1);
-  fork.AddTransition(0, 0u, 2);
-  EXPECT_FALSE(QueryDeterministic(fork));
-
-  // Multiple initial states are not.
-  Nfa two_init(2);
-  two_init.AddInitial(0);
-  two_init.AddInitial(1);
-  two_init.AddFinal(1);
-  two_init.AddTransition(0, 0u, 1);
-  EXPECT_FALSE(QueryDeterministic(two_init));
-
-  // The empty automaton is not (vacuously rejected).
-  EXPECT_FALSE(QueryDeterministic(Nfa(0)));
-}
-
-TEST(QueryTraitsTest, EdgelessSnapshotIsSingleLabeled) {
-  Database db;
-  db.labels().Intern("l0");
-  db.AddVertices(3);
-  Snapshot snap = db.Freeze();
-  EXPECT_TRUE(DataSingleLabeled(snap));
-  EXPECT_EQ(ClassifyQuery(snap, AnyKDfa(2, 1)).tier, ExecTier::kSimple);
-}
-
 TEST(ExecTierTest, TierNames) {
-  EXPECT_STREQ(ExecTierName(ExecTier::kSimple), "simple");
   EXPECT_STREQ(ExecTierName(ExecTier::kSingleWord), "single_word");
   EXPECT_STREQ(ExecTierName(ExecTier::kGeneral), "general");
 }
@@ -337,62 +253,6 @@ TEST(ExecTierTest, UnreachableTargetBitIdenticalAcrossKernels) {
   ExpectTiersBitIdentical(inst, query);
 }
 
-// ------------------------------------------- simple-vs-trimmed oracle
-
-void ExpectSimpleMatchesTrimmed(Instance& inst, const Nfa& dfa) {
-  Snapshot snap = inst.db.Freeze();
-  ASSERT_TRUE(SimpleEnumerator::Applicable(snap, dfa));
-  SimpleEnumerator simple(snap, dfa, inst.source, inst.target);
-
-  Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
-  TrimmedEnumerator general(ann, index, inst.source, inst.target);
-
-  EXPECT_EQ(simple.lambda(), ann.lambda);
-  std::vector<Walk> fast = DrainAll(&simple);
-  std::vector<Walk> slow = DrainAll(&general);
-  ExpectSameWalks(fast, slow);
-}
-
-TEST(SimpleEnumeratorTest, GridMatchesGeneralPipeline) {
-  Instance inst = Grid(5, 7);
-  ExpectSimpleMatchesTrimmed(inst, AnyKDfa(10, 1));
-}
-
-TEST(SimpleEnumeratorTest, BubbleChainMatchesGeneralPipeline) {
-  Instance inst = BubbleChain(8, 1);  // 256 answers, lambda = 16
-  ExpectSimpleMatchesTrimmed(inst, AnyKDfa(16, 1));
-}
-
-TEST(SimpleEnumeratorTest, StarOfChainsMatchesGeneralPipeline) {
-  Instance inst = StarOfChains(9, 5, 1);
-  ExpectSimpleMatchesTrimmed(inst, AnyKDfa(5, 1));
-}
-
-TEST(SimpleEnumeratorTest, NoAnswerIsInvalid) {
-  Instance inst = Grid(3, 3);
-  Snapshot snap = inst.db.Freeze();
-  // Walks of length 3 cannot end at the far corner (lambda = 4).
-  Nfa dfa = AnyKDfa(3, 1);
-  ASSERT_TRUE(SimpleEnumerator::Applicable(snap, dfa));
-  SimpleEnumerator en(snap, dfa, inst.source, inst.target);
-  EXPECT_FALSE(en.Valid());
-  EXPECT_EQ(en.lambda(), -1);
-}
-
-TEST(SimpleEnumeratorTest, LambdaZeroYieldsTheEmptyWalk) {
-  Instance inst = Grid(3, 3);
-  Snapshot snap = inst.db.Freeze();
-  Nfa dfa = AnyKDfa(0, 1);  // accepts exactly the empty word
-  ASSERT_TRUE(SimpleEnumerator::Applicable(snap, dfa));
-  SimpleEnumerator en(snap, dfa, inst.source, inst.source);
-  ASSERT_TRUE(en.Valid());
-  EXPECT_EQ(en.lambda(), 0);
-  EXPECT_TRUE(en.walk().edges.empty());
-  en.Next();
-  EXPECT_FALSE(en.Valid());
-}
-
 // --------------------------------------------------- engine counters
 
 TEST(ExecTierTest, EnginePerTierPrepareCounters) {
@@ -400,25 +260,25 @@ TEST(ExecTierTest, EnginePerTierPrepareCounters) {
   QueryEngine engine(2);
   engine.InstallSnapshot(inst.db.Freeze());
 
-  engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);     // simple
-  engine.Prepare(StaircaseNfa(2, 1), inst.source, inst.target);  // 1-word
+  engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);      // 1-word
+  engine.Prepare(StaircaseNfa(2, 1), inst.source, inst.target);   // 1-word
   engine.Prepare(StaircaseNfa(70, 1), inst.source, inst.target);  // general
   EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.tier_simple, 1u);
-  EXPECT_EQ(stats.tier_single_word, 1u);
+  EXPECT_EQ(stats.tier_single_word, 2u);
   EXPECT_EQ(stats.tier_general, 1u);
 
   // Cache hits count too: the counters tally plans handed out.
   engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);
   stats = engine.Stats();
-  EXPECT_EQ(stats.tier_simple, 2u);
+  EXPECT_EQ(stats.tier_single_word, 3u);
   EXPECT_EQ(stats.plan_cache.hits, 1u);
 
   // PrepareBatch classifies once and tags every slice.
   std::vector<uint32_t> sources = {inst.source, 1u, 2u};
   engine.PrepareBatch(AnyKDfa(6, 1), sources, inst.target);
   stats = engine.Stats();
-  EXPECT_EQ(stats.tier_simple, 5u);
+  EXPECT_EQ(stats.tier_single_word, 6u);
+  EXPECT_EQ(stats.tier_general, 1u);
 }
 
 }  // namespace

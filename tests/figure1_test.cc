@@ -13,15 +13,14 @@
 #include "automaton/glushkov.h"
 #include "automaton/thompson.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "regex/regex_parser.h"
 #include "workload/figure1.h"
 
 namespace dsw {
 namespace {
 
-std::vector<Walk> Drain(TrimmedEnumerator* en) {
+std::vector<Walk> Drain(ResumableEnumerator* en) {
   std::vector<Walk> out;
   for (; en->Valid(); en->Next()) out.push_back(en->walk());
   return out;
@@ -40,7 +39,7 @@ class Figure1Test : public ::testing::Test {
   Figure1 fig_;
   Snapshot snap_;
   Annotation ann_;
-  TrimmedIndex index_;
+  ResumableIndex index_;
 };
 
 TEST_F(Figure1Test, LambdaIsTwo) {
@@ -49,7 +48,7 @@ TEST_F(Figure1Test, LambdaIsTwo) {
 }
 
 TEST_F(Figure1Test, EnumeratesExactlyTheFourAnswers) {
-  TrimmedEnumerator en(ann_, index_, fig_.alix, fig_.bob);
+  ResumableEnumerator en(ann_, index_, fig_.alix, fig_.bob);
   std::vector<Walk> walks = Drain(&en);
   ASSERT_EQ(walks.size(), Figure1::kNumAnswers);
 
@@ -66,7 +65,7 @@ TEST_F(Figure1Test, EnumeratesExactlyTheFourAnswers) {
 }
 
 TEST_F(Figure1Test, AnswersInNonDecreasingLengthOrder) {
-  TrimmedEnumerator en(ann_, index_, fig_.alix, fig_.bob);
+  ResumableEnumerator en(ann_, index_, fig_.alix, fig_.bob);
   size_t prev = 0;
   for (const Walk& w : Drain(&en)) {
     EXPECT_GE(w.length(), prev);
@@ -76,7 +75,7 @@ TEST_F(Figure1Test, AnswersInNonDecreasingLengthOrder) {
 }
 
 TEST_F(Figure1Test, EveryAnswerIsLabelConsistentWithTheQuery) {
-  TrimmedEnumerator en(ann_, index_, fig_.alix, fig_.bob);
+  ResumableEnumerator en(ann_, index_, fig_.alix, fig_.bob);
   for (const Walk& w : Drain(&en)) {
     EXPECT_TRUE(fig_.query.Accepts(w.LabelWord(fig_.db)));
     std::vector<uint32_t> path = w.VertexPath(fig_.db, fig_.alix);
@@ -91,8 +90,9 @@ TEST_F(Figure1Test, TrimmingRemovesTheDeadEndVertex) {
   // carl is reachable in the product at level 1 but on no shortest
   // answer, so no level may keep it.
   for (uint32_t level = 0; level <= Figure1::kLambda; ++level)
-    EXPECT_FALSE(index_.Useful(level, fig_.carl)) << "level " << level;
-  EXPECT_GT(index_.num_slots(), 0u);
+    EXPECT_FALSE(index_.trimmed().Useful(level, fig_.carl))
+        << "level " << level;
+  EXPECT_GT(index_.trimmed().num_slots(), 0u);
 }
 
 TEST_F(Figure1Test, RegexFrontEndReproducesTheAnswerSet) {
@@ -113,8 +113,8 @@ TEST_F(Figure1Test, RegexFrontEndReproducesTheAnswerSet) {
     Annotation ann = Annotate(snap_, nfa, fig_.alix, fig_.bob);
     ASSERT_TRUE(ann.reachable());
     EXPECT_EQ(ann.lambda, Figure1::kLambda);
-    TrimmedIndex index(snap_, ann);
-    TrimmedEnumerator en(ann, index, fig_.alix, fig_.bob);
+    ResumableIndex index(snap_, ann);
+    ResumableEnumerator en(ann, index, fig_.alix, fig_.bob);
     std::set<std::vector<uint32_t>> got;
     for (const Walk& w : Drain(&en)) got.insert(w.edges);
     EXPECT_EQ(got, expected);
@@ -124,8 +124,8 @@ TEST_F(Figure1Test, RegexFrontEndReproducesTheAnswerSet) {
 }
 
 TEST_F(Figure1Test, EnumeratorIsRestartable) {
-  TrimmedEnumerator first(ann_, index_, fig_.alix, fig_.bob);
-  TrimmedEnumerator second(ann_, index_, fig_.alix, fig_.bob);
+  ResumableEnumerator first(ann_, index_, fig_.alix, fig_.bob);
+  ResumableEnumerator second(ann_, index_, fig_.alix, fig_.bob);
   std::vector<Walk> a = Drain(&first);
   std::vector<Walk> b = Drain(&second);
   ASSERT_EQ(a.size(), b.size());

@@ -38,8 +38,7 @@
 #include <vector>
 
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
 #include "workload/generators.h"
@@ -60,9 +59,9 @@ EdgeSeq Edges(const std::vector<Walk>& walks) {
 EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
                uint32_t target) {
   Annotation ann = Annotate(snap, query, source, target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   EdgeSeq out;
-  for (TrimmedEnumerator en(ann, index, source, target); en.Valid();
+  for (ResumableEnumerator en(ann, index, source, target); en.Valid();
        en.Next())
     out.push_back(en.walk().edges);
   return out;

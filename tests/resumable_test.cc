@@ -1,7 +1,9 @@
 // Cross-oracle harness for the memoryless pipeline (Theorem 18).
 //
-// The stateful TrimmedEnumerator is the oracle: on every instance x
-// query, ResumableEnumerator's full scan must reproduce its answer
+// The trial-filter baseline (baseline/trial_filter_enumerator.h) is the
+// order oracle: it walks the same trimmed candidate lists but shares no
+// certificate or seek code with ResumableEnumerator. On every instance
+// x query, ResumableEnumerator's full scan must reproduce its answer
 // sequence exactly (order included), the SeekAfter chain — each answer
 // recomputed from the previous one alone — must reproduce it again,
 // and a *fresh* enumerator SeekAfter'ed to any answer w must emit
@@ -22,8 +24,8 @@
 
 #include "automaton/glushkov.h"
 #include "automaton/thompson.h"
+#include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 #include "regex/regex_parser.h"
@@ -43,15 +45,15 @@ WalkSeq Drain(Enumerator& en) {
 }
 
 // The three properties of the harness header, on one (instance, query).
-void ExpectResumableMatchesStateful(Instance inst, const Nfa& query,
-                                    const char* what) {
+void ExpectResumableMatchesOracle(Instance inst, const Nfa& query,
+                                  const char* what) {
   SCOPED_TRACE(what);
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
   TrimmedIndex tindex(snap, ann);
   ResumableIndex rindex(snap, ann);
 
-  TrimmedEnumerator ref_en(ann, tindex, inst.source, inst.target);
+  TrialFilterEnumerator ref_en(ann, tindex, inst.source, inst.target);
   const WalkSeq ref = Drain(ref_en);
 
   // (a) full scan, order included.
@@ -96,21 +98,21 @@ Nfa CompileRegex(const std::string& pattern, Database* db, bool thompson) {
 TEST(ResumableCrossOracleTest, GridsWithFixedNfas) {
   for (uint32_t n = 2; n <= 4; ++n) {
     Instance inst = Grid(n, n);
-    ExpectResumableMatchesStateful(inst, StaircaseNfa(1, 1), "staircase1");
-    ExpectResumableMatchesStateful(inst, AnyKDfa(2 * (n - 1), 1), "anyk");
+    ExpectResumableMatchesOracle(inst, StaircaseNfa(1, 1), "staircase1");
+    ExpectResumableMatchesOracle(inst, AnyKDfa(2 * (n - 1), 1), "anyk");
   }
-  ExpectResumableMatchesStateful(Grid(3, 5), StaircaseNfa(2, 1),
-                                 "grid3x5-staircase2");
+  ExpectResumableMatchesOracle(Grid(3, 5), StaircaseNfa(2, 1),
+                               "grid3x5-staircase2");
 }
 
 TEST(ResumableCrossOracleTest, GridsWithRegexFrontEnds) {
   for (bool thompson : {false, true}) {
     Instance inst = Grid(3, 3);
     Nfa query = CompileRegex("l0 l0 l0 l0", &inst.db, thompson);
-    ExpectResumableMatchesStateful(inst, query,
-                                   thompson ? "thompson" : "glushkov");
+    ExpectResumableMatchesOracle(inst, query,
+                                 thompson ? "thompson" : "glushkov");
     Nfa plus = CompileRegex("(l0)+", &inst.db, thompson);
-    ExpectResumableMatchesStateful(inst, plus, "plus");
+    ExpectResumableMatchesOracle(inst, plus, "plus");
   }
 }
 
@@ -118,9 +120,9 @@ TEST(ResumableCrossOracleTest, StarOfChainsSweepsShapeAndQueries) {
   for (uint32_t d : {1u, 2u, 5u, 9u}) {
     for (uint32_t depth : {1u, 2u, 5u}) {
       Instance inst = StarOfChains(d, depth, 2);
-      ExpectResumableMatchesStateful(inst, StaircaseNfa(1, 2),
-                                     "staircase1");
-      ExpectResumableMatchesStateful(inst, CompleteNfa(3, 2), "complete3");
+      ExpectResumableMatchesOracle(inst, StaircaseNfa(1, 2),
+                                   "staircase1");
+      ExpectResumableMatchesOracle(inst, CompleteNfa(3, 2), "complete3");
     }
   }
   // "ends in l0" keeps only every other chain — trimming must drop the
@@ -128,7 +130,7 @@ TEST(ResumableCrossOracleTest, StarOfChainsSweepsShapeAndQueries) {
   for (bool thompson : {false, true}) {
     Instance inst = StarOfChains(6, 4, 2);
     Nfa query = CompileRegex("(l0|l1)* l0", &inst.db, thompson);
-    ExpectResumableMatchesStateful(inst, query, "ends-in-l0");
+    ExpectResumableMatchesOracle(inst, query, "ends-in-l0");
   }
 }
 
@@ -137,18 +139,18 @@ TEST(ResumableCrossOracleTest, NoiseEmbeddedRandomInstances) {
     Instance core = BubbleChain(3 + seed % 2, 2);
     Instance inst =
         EmbedInNoise(core, 40, 160, seed);
-    ExpectResumableMatchesStateful(inst, StaircaseNfa(1, 2), "staircase1");
-    ExpectResumableMatchesStateful(inst, StaircaseNfa(2, 2), "staircase2");
+    ExpectResumableMatchesOracle(inst, StaircaseNfa(1, 2), "staircase1");
+    ExpectResumableMatchesOracle(inst, StaircaseNfa(2, 2), "staircase2");
     for (bool thompson : {false, true}) {
       Nfa query = CompileRegex("l0 (l0|l1)* l1?", &inst.db, thompson);
-      ExpectResumableMatchesStateful(inst, query, "regex");
+      ExpectResumableMatchesOracle(inst, query, "regex");
     }
   }
   for (uint64_t seed : {7u, 13u}) {
     Instance inst = EmbedInNoise(StarOfChains(4, 3, 2), 30, 120, seed);
     for (bool thompson : {false, true}) {
       Nfa query = CompileRegex("(l0|l1)+", &inst.db, thompson);
-      ExpectResumableMatchesStateful(inst, query, "any-plus");
+      ExpectResumableMatchesOracle(inst, query, "any-plus");
     }
   }
 }
@@ -160,7 +162,7 @@ TEST(ResumableCrossOracleTest, LambdaZeroEmptyWalk) {
   Instance inst = Grid(2, 2);
   inst.target = inst.source;
   Nfa query = StaircaseNfa(0, 1);  // accepts every word incl. epsilon
-  ExpectResumableMatchesStateful(inst, query, "lambda0");
+  ExpectResumableMatchesOracle(inst, query, "lambda0");
 
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
@@ -186,12 +188,12 @@ TEST(ResumableCrossOracleTest, UnreachableTargetHasNoAnswers) {
   EXPECT_FALSE(en.Valid());
 }
 
-// Structural invariants of the index itself, on a noisy random
-// instance: every queue mirrors the trimmed candidate list of its
-// (level, vertex), ascending in tgt_idx; SeekGe lands exactly on each
-// member and on the first entry at-or-after any other out-edge of the
-// vertex; SlotOf agrees with SlotAt for every useful state; level
-// lambda has no queues.
+// Structural invariants of the seek layer, on a noisy random instance:
+// every queue (the trimmed candidate list of a useful (level, vertex))
+// holds out-edges of its vertex, ascending in target-pool rank; SeekGe
+// lands exactly on each member and on the first entry at-or-after any
+// other out-edge of the vertex; SpanContains accepts exactly the
+// vertex's out-edges.
 TEST(ResumableIndexTest, QueueStructureInvariants) {
   Instance inst = EmbedInNoise(StarOfChains(5, 4, 2), 25, 100, 3);
   Nfa query = StaircaseNfa(2, 2);
@@ -201,56 +203,69 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
   ResumableIndex index(snap, ann);
   const TrimmedIndex& trimmed = index.trimmed();
   ASSERT_EQ(trimmed.num_levels(), static_cast<uint32_t>(ann.lambda) + 1);
-  EXPECT_GT(index.num_queues(), 0u);
 
-  for (uint32_t s = 0; s < index.num_queues(); ++s) {
-    const uint32_t level = index.level_of(s);
-    const uint32_t v = index.vertex_of(s);
-    EXPECT_LT(level, static_cast<uint32_t>(ann.lambda));
-    EXPECT_EQ(index.SlotAt(level, v), s);
-
-    auto queue = index.Queue(s);
-    auto ref = trimmed.Candidates(level, v);
-    ASSERT_EQ(queue.size(), ref.size());
-    ASSERT_FALSE(queue.empty()) << "useful vertex without candidates";
-    for (size_t i = 0; i < queue.size(); ++i) {
-      EXPECT_EQ(queue[i].edge, ref[i].edge);
-      EXPECT_EQ(queue[i].next_pos, ref[i].next_pos);
-      EXPECT_EQ(queue[i].dst, inst.db.dst(queue[i].edge));
-      EXPECT_EQ(queue[i].label, inst.db.edge(queue[i].edge).label);
-      EXPECT_EQ(queue[i].tgt_idx, snap.tgt_idx(queue[i].edge));
-      if (i > 0) {
-        EXPECT_LT(queue[i - 1].tgt_idx, queue[i].tgt_idx);
+  size_t queues = 0;
+  for (uint32_t level = 0; level < static_cast<uint32_t>(ann.lambda);
+       ++level) {
+    const LevelSets& lvl = trimmed.UsefulLevel(level);
+    for (uint32_t pos = 0; pos < lvl.size(); ++pos, ++queues) {
+      const uint32_t v = lvl.vertex(pos);
+      auto queue = trimmed.CandidatesAt(level, pos);
+      ASSERT_FALSE(queue.empty()) << "useful vertex without candidates";
+      for (uint32_t i = 0; i < queue.size(); ++i) {
+        EXPECT_EQ(inst.db.src(queue[i].edge), v);
+        EXPECT_EQ(queue[i].dst, inst.db.dst(queue[i].edge));
+        EXPECT_EQ(queue[i].label, inst.db.edge(queue[i].edge).label);
+        if (i > 0) {
+          EXPECT_LT(snap.tgt_idx(queue[i - 1].edge),
+                    snap.tgt_idx(queue[i].edge));
+        }
+        // SeekGe on a member is exact.
+        EXPECT_EQ(index.SeekGe(level, pos, queue[i].edge), i);
       }
-      // SeekGe on a member is exact.
-      EXPECT_EQ(index.SeekGe(s, queue[i].edge),
-                index.RestartCursor(s) + static_cast<uint32_t>(i));
-    }
 
-    // SeekGe on *any* out-edge of v is the first entry at-or-after it.
-    for (uint32_t e : inst.db.OutEdges(v)) {
-      ASSERT_TRUE(index.SpanContains(s, e));
-      uint32_t cur = index.SeekGe(s, e);
-      uint32_t key = snap.tgt_idx(e);
-      for (uint32_t c = index.RestartCursor(s); c != cur;
-           c = index.Advanced(s, c))
-        EXPECT_LT(index.Peek(s, c).tgt_idx, key);
-      if (!index.Exhausted(s, cur)) {
-        EXPECT_GE(index.Peek(s, cur).tgt_idx, key);
+      // SeekGe on *any* out-edge of v is the first entry at-or-after it.
+      for (uint32_t e : inst.db.OutEdges(v)) {
+        ASSERT_TRUE(index.SpanContains(level, pos, e));
+        const uint32_t c = index.SeekGe(level, pos, e);
+        const uint32_t key = snap.tgt_idx(e);
+        ASSERT_LE(c, queue.size());
+        for (uint32_t k = 0; k < c; ++k)
+          EXPECT_LT(snap.tgt_idx(queue[k].edge), key);
+        if (c < queue.size()) {
+          EXPECT_GE(snap.tgt_idx(queue[c].edge), key);
+        }
       }
+      // Out-edges of every other vertex fall outside the span.
+      for (uint32_t e = 0; e < inst.db.num_edges(); ++e)
+        if (inst.db.src(e) != v) {
+          EXPECT_FALSE(index.SpanContains(level, pos, e));
+        }
     }
-
-    // The per-(vertex, state) view resolves to this queue for every
-    // useful state at (level, v).
-    trimmed.Useful(level, v).ForEach(
-        [&](uint32_t p) { EXPECT_EQ(index.SlotOf(v, p), s); });
   }
+  EXPECT_GT(queues, 0u);
+}
 
-  // Level lambda (the target's level) has no queues, and states useful
-  // nowhere have no slot.
-  EXPECT_EQ(index.SlotAt(static_cast<uint32_t>(ann.lambda), inst.target),
-            kNoSlot);
-  EXPECT_EQ(index.SlotOf(inst.target, 0), kNoSlot);
+// The plan holds no copy of snapshot data: apart from the trimmed
+// structure, its bytes depend on the useful slots and their
+// out-degrees only, never on |V| or |E|. Growing the graph by 120k
+// edges among vertices the plan never reaches leaves them unchanged.
+TEST(ResumableIndexTest, SeekLayerBytesIgnoreUnreachedGraph) {
+  const Nfa query = StaircaseNfa(1, 2);
+  auto seek_layer_bytes = [&](uint32_t extra_vertices,
+                              uint32_t extra_edges) {
+    Instance inst = StarOfChains(6, 5, 2);
+    const uint32_t first = inst.db.AddVertices(extra_vertices);
+    for (uint32_t i = 0; i < extra_edges; ++i)
+      inst.db.AddEdge(first + i % extra_vertices, i % 2,
+                      first + (7 * i + 1) % extra_vertices);
+    Snapshot snap = inst.db.Freeze();
+    Annotation ann = Annotate(snap, query, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    EXPECT_FALSE(index.empty());
+    return index.ApproxBytes() - index.trimmed().ApproxBytes();
+  };
+  EXPECT_EQ(seek_layer_bytes(0, 0), seek_layer_bytes(20000, 120000));
 }
 
 // ------------------------------------------------------- adversarial
@@ -306,9 +321,9 @@ struct AdversarialFixture {
 // cross-oracle harness and come out in the expected order.
 TEST(ResumableAdversarialTest, FixtureAnswersAreSane) {
   AdversarialFixture fx;
-  ExpectResumableMatchesStateful(fx.inst, fx.query, "ab-or-ba");
-  TrimmedEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
-                        fx.inst.target);
+  ExpectResumableMatchesOracle(fx.inst, fx.query, "ab-or-ba");
+  TrialFilterEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
+                            fx.inst.target);
   WalkSeq answers = Drain(ref);
   ASSERT_EQ(answers, (WalkSeq{{fx.e0, fx.e2}, {fx.e1, fx.e3}}));
 }

@@ -18,8 +18,7 @@
 #include "automaton/thompson.h"
 #include "baseline/naive.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "regex/regex_parser.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -114,10 +113,10 @@ std::set<std::vector<uint32_t>> PipelineAnswers(Instance& inst,
                                                 const Nfa& nfa) {
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, nfa, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   std::set<std::vector<uint32_t>> walks;
   size_t emitted = 0;
-  for (TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
        en.Valid(); en.Next()) {
     ++emitted;
     walks.insert(en.walk().edges);

@@ -19,10 +19,9 @@
 // Dispatch happens at the entry points (Annotate, trim_detail::
 // TrimVertex, enumerator_detail::AdvanceStates, BList::NextLive) on
 // words-per-set == 1; callers never name a kernel. Tests and benches
-// force the multi-word instantiation onto one-word queries
-// (AnnotateOptions::force_multi_word, the enumerators' trailing ctor
-// flag) to assert bit-identity and to measure the kernel win in
-// isolation.
+// force the multi-word instantiation onto a one-word query's whole plan
+// (AnnotateOptions::force_multi_word, recorded on the Annotation) to
+// assert bit-identity and to measure the kernel win in isolation.
 
 #ifndef DSW_UTIL_WORD_KERNEL_H_
 #define DSW_UTIL_WORD_KERNEL_H_
