@@ -13,10 +13,6 @@
 //    cache hit rate (hit_rate counter; 0 in the cold arm by
 //    construction, textual variants collide via canonicalization in
 //    the warm arm).
-//  - BM_Cache_MultiSourceBatch vs BM_Cache_PerSourcePrepare: preparing
-//    one query from k sources through one block-replicated multi-source
-//    BFS vs k independent annotate runs, both uncached — the prefix
-//    sharing headline (prepares_per_sec, higher is better).
 //
 // cpu_time is process-wide where the worker pool participates, so the
 // regression baseline stays comparable across host core counts;
@@ -208,70 +204,6 @@ void BM_Cache_ZipfPrepareMix(benchmark::State& state) {
 BENCHMARK(BM_Cache_ZipfPrepareMix)
     ->ArgName("warm")->Arg(0)->Arg(1)
     ->UseRealTime()->MeasureProcessCPUTime()
-    ->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------- multi-source prefix share
-
-void BM_Cache_MultiSourceBatch(benchmark::State& state) {
-  Instance inst = Grid(8, 8);
-  Snapshot snap = inst.db.Freeze();
-  const uint32_t k = static_cast<uint32_t>(state.range(0));
-  std::vector<uint32_t> sources;
-  for (uint32_t s = 0; s < k; ++s) sources.push_back(s);
-  Nfa query = AnyKDfa(14, 1);
-
-  EngineOptions opts;
-  opts.num_threads = 1;
-  opts.plan_cache_bytes = 0;  // measure the build, not the cache
-  QueryEngine engine(opts);
-  engine.InstallSnapshot(snap);
-
-  uint64_t prepares = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    std::vector<QueryId> ids = engine.PrepareBatch(query, sources, inst.target);
-    benchmark::DoNotOptimize(ids.data());
-    prepares += ids.size();
-  }
-  double secs = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  state.counters["prepares_per_sec"] =
-      secs > 0 ? static_cast<double>(prepares) / secs : 0;
-}
-BENCHMARK(BM_Cache_MultiSourceBatch)
-    ->ArgName("sources")->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Cache_PerSourcePrepare(benchmark::State& state) {
-  Instance inst = Grid(8, 8);
-  Snapshot snap = inst.db.Freeze();
-  const uint32_t k = static_cast<uint32_t>(state.range(0));
-  Nfa query = AnyKDfa(14, 1);
-
-  EngineOptions opts;
-  opts.num_threads = 1;
-  opts.plan_cache_bytes = 0;
-  QueryEngine engine(opts);
-  engine.InstallSnapshot(snap);
-
-  uint64_t prepares = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    for (uint32_t s = 0; s < k; ++s) {
-      QueryId q = engine.Prepare(query, s, inst.target);
-      benchmark::DoNotOptimize(q);
-      ++prepares;
-    }
-  }
-  double secs = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  state.counters["prepares_per_sec"] =
-      secs > 0 ? static_cast<double>(prepares) / secs : 0;
-}
-BENCHMARK(BM_Cache_PerSourcePrepare)
-    ->ArgName("sources")->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -50,22 +50,8 @@
 
 namespace dsw {
 
-/// Knobs of the preprocessing stages (annotate + trim). num_shards = 1
-/// is the sequential path; > 1 partitions the vertices into that many
-/// shards (clamped, see ShardPlan::ClampShards) and runs the product
-/// BFS and the backward trim sweep Pregel-style — one thread per shard,
-/// supersteps per BFS level, (dst-vertex, state-set-delta) word messages
-/// over per-(src-shard, dst-shard) SPSC rings — producing results
-/// bit-identical to the sequential path (core/sharded_annotate.h).
-/// The engine's Prepare() forwards these, so sharding is opt-in per
-/// query.
+/// Knob of the preprocessing stages (annotate + trim).
 struct AnnotateOptions {
-  uint32_t num_shards = 1;
-  /// Per-(src-shard, dst-shard) ring capacity in words; 0 picks the
-  /// default (1 << 12). Tiny values are legal (the rings apply
-  /// backpressure, they never drop) — the stress tests shrink this to
-  /// force the full-ring path.
-  size_t ring_capacity_words = 0;
   /// Test/bench knob for the execution-tier layer (util/word_kernel.h),
   /// and the only one: when true, the whole plan — annotate, the trim
   /// sweep and every enumerator over it — runs the generic multi-word
@@ -74,8 +60,7 @@ struct AnnotateOptions {
   /// (Annotation::force_multi_word) and the later stages read it from
   /// there. Results are bit-identical either way (asserted by
   /// tests/exec_tier_test.cc); bench_fastpath uses the flag to measure
-  /// the kernel win in isolation. The sharded and multi-source product
-  /// BFS always run the generic loops.
+  /// the kernel win in isolation.
   bool force_multi_word = false;
 };
 
@@ -154,78 +139,10 @@ struct Annotation {
   }
 };
 
-/// Result of one block-replicated product BFS from a source *set*: the
-/// multi-source prefix-sharing mode of the plan cache. Each source j
-/// owns an independent "block" of |Q| states — block j occupies words
-/// [j * block_words, (j + 1) * block_words) of every wide state set, so
-/// the word-parallel frontier machinery runs all blocks at once while
-/// the blocks never mix (delta rows are |Q|-bit, so a block's relax
-/// writes stay inside its word-aligned slice). Per-block BFS therefore
-/// evolves exactly as a per-source Annotate would, and Slice(j) peels
-/// block j back out *bit-identically* — same levels, same sorted
-/// vertices, same words (asserted against per-source runs in
-/// tests/multi_source_annotate_test.cc).
-///
-/// A block is deactivated (no further relaxation) the moment its
-/// (target, final) pair appears at a sealed level — mirroring the
-/// per-source early return — so sources with small lambda stop paying
-/// for sources with large lambda. Invalid (out-of-range) and exhausted
-/// sources end with lambda = -1, exactly like Annotate.
-struct MultiSourceAnnotation {
-  uint32_t num_states = 0;
-  uint32_t num_blocks = 0;   // == sources.size()
-  uint32_t block_words = 0;  // ceil(num_states / 64)
-  uint32_t target = 0;
-  std::vector<uint32_t> sources;
-  std::vector<int32_t> lambdas;  // per block; -1 = unreachable
-
-  /// Wide levels: level i holds, for every touched vertex, the
-  /// num_blocks * block_words * 64-bit concatenation of all blocks'
-  /// state sets at distance exactly i (distance is per block).
-  std::vector<LevelSets> wide_levels;
-
-  // Query snapshot shared by every slice (see Annotation).
-  CompiledDelta delta;
-  StateSet final_states;
-  std::vector<StateSet> eps_closure;
-  bool force_multi_word = false;
-
-  /// Extracts source j's view as a standalone Annotation, bit-identical
-  /// to Annotate(snap, query, sources[j], target). O(sum of wide level
-  /// sizes) word copies plus one CompiledDelta copy.
-  Annotation Slice(size_t j) const;
-
-  /// Heap footprint estimate, for the plan cache's byte budget.
-  size_t ApproxBytes() const {
-    size_t bytes = sizeof(MultiSourceAnnotation) + delta.ApproxBytes() +
-                   final_states.num_words() * sizeof(uint64_t) +
-                   sources.capacity() * sizeof(uint32_t) +
-                   lambdas.capacity() * sizeof(int32_t);
-    for (const LevelSets& lvl : wide_levels) bytes += lvl.ApproxBytes();
-    for (const StateSet& c : eps_closure)
-      bytes += sizeof(StateSet) + c.num_words() * sizeof(uint64_t);
-    return bytes;
-  }
-};
-
-/// Runs one product BFS that annotates from every source in \p sources
-/// at once (block-replicated; see MultiSourceAnnotation). Sequential —
-/// the batch dimension already saturates the word-level parallelism
-/// that sharding would otherwise chase, so \p opts' num_shards is
-/// ignored here; its force_multi_word is recorded on every slice.
-/// Duplicate sources are legal (independent equal blocks); invalid
-/// sources yield lambda = -1 slices.
-MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
-                                          const Nfa& query,
-                                          const std::vector<uint32_t>& sources,
-                                          uint32_t target,
-                                          const AnnotateOptions& opts = {});
-
 /// Runs the product BFS against a frozen snapshot. The snapshot carries
 /// the label-stratified adjacency built at Freeze() time, so annotation
 /// is a pure read — any number of Annotate calls can run concurrently
-/// against one shared Snapshot (each sharded call spawns and joins its
-/// own worker threads internally; the result is identical either way).
+/// against one shared Snapshot.
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
                     uint32_t target, const AnnotateOptions& opts = {});
 

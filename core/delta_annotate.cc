@@ -323,8 +323,8 @@ class DeltaTrimmer {
     out.cand_ranges_.resize(lambda);
     out.blist_off_.resize(lambda);
 
-    // Level lambda is one vertex; recompute it outright (cf.
-    // TrimmedIndex::BuildSequential).
+    // Level lambda is one vertex; recompute it outright (cf. the
+    // TrimmedIndex constructor).
     if (StateSetView at_target = ann.StatesAt(lambda, ann.target)) {
       StateSet fin(ann.num_states);
       fin.Assign(at_target);

@@ -85,23 +85,6 @@ class LevelSets {
                   other.words_.begin() + end * words_per_set_);
   }
 
-  /// Sharded-merge support. ResizeForMerge pre-sizes the level to hold
-  /// exactly \p total entries (discarding current contents); the shards
-  /// then CopySliceFrom their sub-levels into disjoint position ranges
-  /// concurrently. The caller guarantees the slices tile [0, total) and
-  /// that concatenation order keeps the vertices strictly increasing —
-  /// contiguous shard ranges give that for free (core/shard_plan.h).
-  void ResizeForMerge(size_t total) {
-    vertices_.resize(total);
-    words_.resize(total * words_per_set_);
-  }
-  void CopySliceFrom(const LevelSets& other, size_t pos) {
-    std::copy(other.vertices_.begin(), other.vertices_.end(),
-              vertices_.begin() + pos);
-    std::copy(other.words_.begin(), other.words_.end(),
-              words_.begin() + pos * words_per_set_);
-  }
-
   /// Heap footprint estimate, for the plan cache's byte budget.
   size_t ApproxBytes() const {
     return vertices_.capacity() * sizeof(uint32_t) +

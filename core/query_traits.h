@@ -1,5 +1,5 @@
-// Execution-tier classification: the prepare-time pass that records
-// which kernels a query's plan runs on. Two tiers:
+// Execution-tier classification: which kernels a query's plan runs on.
+// Two tiers:
 //
 //  - kSingleWord: |Q| <= 64, so every state set is one uint64_t and the
 //    pipeline runs on the collapsed SingleWordKernel loops
@@ -10,8 +10,9 @@
 // The tier never changes WHAT is computed, only how fast: both tiers
 // produce bit-identical annotations, B-lists and enumeration order
 // (tests/exec_tier_test.cc). The kernels dispatch on words-per-set
-// themselves; the engine records the tier on the cached plan and counts
-// per-tier prepares (EngineStats).
+// themselves; the engine counts per-tier prepares (EngineStats) from the
+// plan's Annotation::single_word, which equals the tier unless the plan
+// was forced multi-word.
 
 #ifndef DSW_CORE_QUERY_TRAITS_H_
 #define DSW_CORE_QUERY_TRAITS_H_

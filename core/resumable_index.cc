@@ -5,9 +5,8 @@
 
 namespace dsw {
 
-ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
-                               const AnnotateOptions& opts)
-    : snap_(snap), trimmed_(snap, ann, opts) {
+ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann)
+    : snap_(snap), trimmed_(snap, ann) {
   BuildRanks();
 }
 

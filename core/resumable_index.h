@@ -45,10 +45,8 @@ class ResumableIndex {
  public:
   /// Builds the trimmed structure (one backward sweep) and the rank
   /// arrays on top; a pure read of the snapshot, safe to run
-  /// concurrently with other readers. \p opts selects the sequential or
-  /// sharded backward sweep (same structure either way).
-  ResumableIndex(const Snapshot& snap, const Annotation& ann,
-                 const AnnotateOptions& opts = {});
+  /// concurrently with other readers.
+  ResumableIndex(const Snapshot& snap, const Annotation& ann);
 
   /// Same rank arrays on top of an already-built trimmed structure
   /// (taken by value; move it in). This is the delta-repair path:

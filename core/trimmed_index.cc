@@ -1,8 +1,5 @@
 #include "core/trimmed_index.h"
 
-#include "core/shard_plan.h"
-#include "core/sharded_annotate.h"
-
 namespace dsw {
 
 namespace trim_detail {
@@ -96,18 +93,7 @@ bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
 
 }  // namespace trim_detail
 
-TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
-                           const AnnotateOptions& opts) {
-  if (ShardPlan::ClampShards(opts.num_shards, snap.num_vertices()) > 1 &&
-      ann.reachable()) {
-    ShardedTrimBuild(*this, snap, ann, opts);
-    return;
-  }
-  BuildSequential(snap, ann);
-}
-
-void TrimmedIndex::BuildSequential(const Snapshot& snap,
-                                   const Annotation& ann) {
+TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann) {
   if (!ann.reachable()) return;
   const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
   wps_ = ann.words_per_set();
@@ -135,7 +121,7 @@ void TrimmedIndex::BuildSequential(const Snapshot& snap,
   // would only duplicate moves. The after side is already inside the
   // delta rows. The per-vertex unit (word-parallel reverse-row move
   // sets, candidate list, B-list block) lives in trim_detail::TrimVertex,
-  // shared with the sharded builder.
+  // shared with DeltaTrim.
   const LabelIndex& adj = snap.label_index();
   const CompiledDelta& delta = ann.delta;
   trim_detail::Scratch scratch(ann.num_states);

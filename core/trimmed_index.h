@@ -152,13 +152,9 @@ class TrimmedIndex {
   /// Builds the trimmed structure from a frozen snapshot (one backward
   /// sweep over the annotation); a pure read of the snapshot, safe to
   /// run concurrently with other readers. The index keeps no reference
-  /// to the snapshot. With opts.num_shards > 1 the sweep runs sharded
-  /// (one thread per shard, superstep per level;
-  /// core/sharded_annotate.h) and produces a bit-identical structure.
-  /// The sweep runs the kernels the annotation records
+  /// to the snapshot. The sweep runs the kernels the annotation records
   /// (Annotation::single_word).
-  TrimmedIndex(const Snapshot& snap, const Annotation& ann,
-               const AnnotateOptions& opts = {});
+  TrimmedIndex(const Snapshot& snap, const Annotation& ann);
 
   /// Number of useful (v, q, level) triples; 0 iff no answer exists.
   size_t num_slots() const { return num_slots_; }
@@ -228,18 +224,11 @@ class TrimmedIndex {
   }
 
  private:
-  // The sharded builder (core/sharded_annotate.cc) assembles the same
-  // private structure from per-shard pieces.
-  friend void ShardedTrimBuild(TrimmedIndex&, const Snapshot&,
-                               const Annotation&, const AnnotateOptions&);
   // The delta-repair path (core/delta_annotate.cc) assembles a patched
   // copy of an existing index against an insert-only edge delta; it
   // reads the old index through the public accessors.
   friend class DeltaTrimmer;
   TrimmedIndex() = default;
-
-  // The sequential backward sweep (the num_shards <= 1 path).
-  void BuildSequential(const Snapshot& snap, const Annotation& ann);
 
   uint32_t wps_ = 0;
   std::vector<LevelSets> useful_;  // per level, sorted vertices
@@ -267,17 +256,16 @@ struct Scratch {
 };
 
 /// The per-vertex unit of the backward sweep, shared verbatim between
-/// the sequential TrimmedIndex constructor and the sharded builder —
-/// which is what makes the two paths bit-identical by construction.
-/// Appends the candidate edges of annotated vertex \p v (state set
-/// \p states) to *cand_pool, and — iff v turns out useful — its B-list
-/// block to *nxt_pool; returns that usefulness, with the useful set
-/// left in scratch->useful_here. CandidateEdge::next_pos is a position
-/// into \p next_useful, so passing the *merged* next level keeps the
-/// sharded build's positions global. Dispatches to the single-word
-/// kernel when wps == 1 unless \p force_multi_word (the annotation's
-/// recorded AnnotateOptions::force_multi_word; results are
-/// bit-identical either way).
+/// the TrimmedIndex constructor and DeltaTrim's re-trim of dirty
+/// vertices — which is what makes a repaired index bit-identical to a
+/// rebuilt one. Appends the candidate edges of annotated vertex \p v
+/// (state set \p states) to *cand_pool, and — iff v turns out useful —
+/// its B-list block to *nxt_pool; returns that usefulness, with the
+/// useful set left in scratch->useful_here. CandidateEdge::next_pos is
+/// a position into \p next_useful. Dispatches to the single-word kernel
+/// when wps == 1 unless \p force_multi_word (the annotation's recorded
+/// AnnotateOptions::force_multi_word; results are bit-identical either
+/// way).
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,

@@ -120,9 +120,8 @@ RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
   if (!rep.ok) return out;
   TrimmedIndex trimmed =
       DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, ctx);
-  // The tier depends on the query alone, so it carries over.
-  out.value = std::make_shared<const PreparedQuery>(
-      snap, std::move(ann), std::move(trimmed), old.tier);
+  out.value = std::make_shared<const PreparedQuery>(snap, std::move(ann),
+                                                    std::move(trimmed));
   out.order_preserved = !rep.lambda_changed;
   return out;
 }
@@ -218,7 +217,7 @@ QueryId QueryEngine::RegisterLocked(
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
-                             uint32_t target, const AnnotateOptions& opts) {
+                             uint32_t target) {
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -234,69 +233,20 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
   // keys proceed in parallel, all against the same frozen snapshot;
   // misses on the SAME key build once (single-flight).
   std::shared_ptr<const PreparedQuery> prepared = cache_.GetOrBuild(
-      key, [&snap, &query, source, target, &opts] {
+      key, [&snap, &query, source, target] {
         return std::make_shared<const PreparedQuery>(snap, query, source,
-                                                     target, opts);
+                                                     target);
       });
-  BumpTier(prepared->tier);
+  (prepared->ann.single_word() ? tier_single_word_ : tier_general_)
+      .fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   return RegisterLocked(std::move(prepared));
 }
 
-void QueryEngine::BumpTier(ExecTier tier) {
-  (tier == ExecTier::kSingleWord ? tier_single_word_ : tier_general_)
-      .fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<QueryId> QueryEngine::PrepareBatch(
-    const Nfa& query, const std::vector<uint32_t>& sources, uint32_t target,
-    const AnnotateOptions& opts) {
-  Snapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    assert(static_cast<bool>(snapshot_) &&
-           "PrepareBatch: no snapshot installed");
-    snap = snapshot_;
-  }
-  CanonicalAutomaton canon = CanonicalizeAutomaton(query);
-  // Tier depends only on (snapshot, query), not the source: classify
-  // once for the whole batch.
-  const ExecTier tier = ClassifyQuery(snap, query).tier;
-  std::vector<PlanKey> keys;
-  keys.reserve(sources.size());
-  for (uint32_t s : sources)
-    keys.push_back(PlanKey{&snap.db(), snap.generation(), canon.hash,
-                           canon.bytes, s, target});
-  // All claimed (absent) sources share ONE block-replicated product BFS;
-  // each slice is bit-identical to a per-source Annotate, so cache
-  // entries filled here and by single Prepare() are interchangeable.
-  std::vector<PlanCache::Value> values = cache_.GetOrBuildBatch(
-      keys, [&snap, &query, &sources, target, &opts,
-             tier](const std::vector<size_t>& idx) {
-        std::vector<uint32_t> batch_sources;
-        batch_sources.reserve(idx.size());
-        for (size_t i : idx) batch_sources.push_back(sources[i]);
-        MultiSourceAnnotation ms =
-            AnnotateMultiSource(snap, query, batch_sources, target, opts);
-        std::vector<PlanCache::Value> built;
-        built.reserve(idx.size());
-        for (size_t j = 0; j < idx.size(); ++j)
-          built.push_back(std::make_shared<const PreparedQuery>(
-              snap, ms.Slice(j), opts, tier));
-        return built;
-      });
-  std::vector<QueryId> ids;
-  ids.reserve(values.size());
-  for (const PlanCache::Value& v : values) BumpTier(v->tier);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (PlanCache::Value& v : values) ids.push_back(RegisterLocked(std::move(v)));
-  return ids;
-}
-
 PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
                                              LabelDictionary* dict,
-                                             uint32_t source, uint32_t target,
-                                             const AnnotateOptions& opts) {
+                                             uint32_t source,
+                                             uint32_t target) {
   PrepareRegexResult result;
   RegexParseResult parsed = ParseRegex(pattern);
   if (!parsed.ok()) {
@@ -308,7 +258,7 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
   (compiled.frontend == Frontend::kThompson ? frontend_thompson_
                                             : frontend_glushkov_)
       .fetch_add(1, std::memory_order_relaxed);
-  result.id = Prepare(compiled.nfa, source, target, opts);
+  result.id = Prepare(compiled.nfa, source, target);
   result.ok = true;
   return result;
 }

@@ -14,9 +14,6 @@
 //    structure with zero annotate/trim work; misses build once —
 //    concurrent misses on one key build once total (single-flight) —
 //    and the result is shared (read-only) by every session and worker.
-//  - PrepareBatch() prepares one query from MANY sources via a single
-//    block-replicated multi-source product BFS (AnnotateMultiSource),
-//    so the per-source plans share one annotate run's work.
 //  - PrepareRegex() goes in at the source level: parse, canonicalize
 //    (regex/canonical.h), pick Thompson vs Glushkov per query from the
 //    E9 size heuristic (automaton/frontend.h), then Prepare — so
@@ -65,7 +62,6 @@
 #include <vector>
 
 #include "automaton/frontend.h"
-#include "core/annotate.h"
 #include "core/database.h"
 #include "core/nfa.h"
 #include "core/resumable_index.h"
@@ -118,9 +114,10 @@ struct EngineStats {
   uint64_t worker_cache_evictions = 0;  // enumerators dropped by the LRU cap
   uint64_t frontend_thompson = 0;       // PrepareRegex picks, per front-end
   uint64_t frontend_glushkov = 0;
-  // Execution tier of each resolved Prepare/PrepareBatch plan
-  // (core/query_traits.h) — cache hits count too, so the two sum to
-  // the number of plans handed out, not the number built.
+  // Execution tier of each resolved Prepare plan (the kernels its
+  // annotation runs, Annotation::single_word) — cache hits count too,
+  // so the two sum to the number of plans handed out, not the number
+  // built.
   uint64_t tier_single_word = 0;
   uint64_t tier_general = 0;
 };
@@ -171,22 +168,7 @@ class QueryEngine {
   /// returns the shared structure with no annotate/trim work; a miss
   /// builds once on the calling thread (concurrent misses on the same
   /// key wait for the one build). Requires a snapshot to be installed.
-  /// \p opts opts a cold build into the sharded preprocessing path
-  /// (AnnotateOptions::num_shards > 1); the index is identical either
-  /// way, so cached entries are shared across opts values.
-  QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target,
-                  const AnnotateOptions& opts = {});
-
-  /// Prepares (query, s, target) for every s in \p sources. Cached
-  /// sources hit; all missing sources are built by ONE block-replicated
-  /// multi-source product BFS (core/annotate.h AnnotateMultiSource) and
-  /// sliced into per-source prepared structures bit-identical to what
-  /// per-source Prepare would build. Returns one QueryId per source, in
-  /// order (duplicates allowed; they share the cache entry).
-  std::vector<QueryId> PrepareBatch(const Nfa& query,
-                                    const std::vector<uint32_t>& sources,
-                                    uint32_t target,
-                                    const AnnotateOptions& opts = {});
+  QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target);
 
   /// Source-level Prepare: parses \p pattern, canonicalizes, picks the
   /// front-end per the E9 size heuristic (recorded in Stats()), and
@@ -196,8 +178,7 @@ class QueryEngine {
   /// reported in the result, not thrown.
   PrepareRegexResult PrepareRegex(std::string_view pattern,
                                   LabelDictionary* dict, uint32_t source,
-                                  uint32_t target,
-                                  const AnnotateOptions& opts = {});
+                                  uint32_t target);
 
   /// Opens a parked cursor over a prepared query. Cheap; many sessions
   /// may share one prepared query.
@@ -297,8 +278,6 @@ class QueryEngine {
   std::atomic<uint64_t> frontend_glushkov_{0};
   std::atomic<uint64_t> tier_single_word_{0};
   std::atomic<uint64_t> tier_general_{0};
-
-  void BumpTier(ExecTier tier);
 
   std::vector<std::thread> workers_;
 };

@@ -113,137 +113,6 @@ PlanCache::Value PlanCache::GetOrBuild(const PlanKey& key,
   return value;
 }
 
-std::vector<PlanCache::Value> PlanCache::GetOrBuildBatch(
-    const std::vector<PlanKey>& keys, const BatchBuilder& build_many) {
-  std::vector<Value> out(keys.size());
-  if (keys.empty()) return out;
-
-  if (byte_budget_ == 0) {  // caching disabled: one batch build of all
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.misses += keys.size();
-    }
-    std::vector<size_t> all(keys.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return build_many(all);
-  }
-
-  // Phase 1 (one lock hold): resolve hits, claim every absent key, and
-  // bucket the rest. Duplicate keys within the batch alias their first
-  // occurrence so we never wait on our own claim.
-  std::vector<size_t> claimed;           // indices this thread builds
-  std::vector<uint64_t> tickets;         // parallel to `claimed`
-  std::vector<size_t> waiting;           // keys being built elsewhere
-  std::vector<std::pair<size_t, size_t>> aliases;  // (dup, first occurrence)
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Dedup within the batch: hash/compare through the pointed-to key.
-    struct DerefHash {
-      size_t operator()(const PlanKey* k) const { return PlanKeyHash{}(*k); }
-    };
-    struct DerefEq {
-      bool operator()(const PlanKey* a, const PlanKey* b) const {
-        return *a == *b;
-      }
-    };
-    std::unordered_map<const PlanKey*, size_t, DerefHash, DerefEq> seen;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (auto dup = seen.find(&keys[i]); dup != seen.end()) {
-        aliases.emplace_back(i, dup->second);
-        continue;
-      }
-      seen.emplace(&keys[i], i);
-      auto it = map_.find(keys[i]);
-      if (it == map_.end()) {
-        tickets.push_back(ClaimLocked(map_.emplace(keys[i], Entry{}).first));
-        claimed.push_back(i);
-      } else if (!it->second.building()) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        out[i] = it->second.value;
-      } else {
-        ++stats_.single_flight_waits;
-        waiting.push_back(i);
-      }
-    }
-  }
-
-  // Phase 2: one build call covers every claimed key — the engine runs
-  // a single multi-source annotate here.
-  if (!claimed.empty()) {
-    std::vector<Value> built;
-    try {
-      built = build_many(claimed);
-      assert(built.size() == claimed.size() &&
-             "BatchBuilder returned the wrong number of values");
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (size_t c = 0; c < claimed.size(); ++c)
-          EraseClaimLocked(keys[claimed[c]], tickets[c]);
-      }
-      cv_.notify_all();
-      throw;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t c = 0; c < claimed.size(); ++c) {
-        out[claimed[c]] = built[c];
-        FillLocked(keys[claimed[c]], tickets[c], built[c]);
-      }
-    }
-    cv_.notify_all();
-  }
-
-  // Phase 3: collect the keys other threads were building. A key that
-  // vanished mid-wait (failed or invalidated claim) is re-claimed and
-  // built individually.
-  for (size_t i : waiting) {
-    std::unique_lock<std::mutex> lock(mu_);
-    uint64_t ticket = 0;
-    bool claimed_here = false;
-    for (;;) {
-      auto it = map_.find(keys[i]);
-      if (it == map_.end()) {
-        ticket = ClaimLocked(map_.emplace(keys[i], Entry{}).first);
-        claimed_here = true;
-        break;
-      }
-      if (!it->second.building()) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        out[i] = it->second.value;
-        break;
-      }
-      cv_.wait(lock);
-    }
-    if (!claimed_here) continue;
-    lock.unlock();
-    Value value;
-    try {
-      std::vector<Value> built = build_many({i});
-      assert(built.size() == 1);
-      value = std::move(built.front());
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> relock(mu_);
-        EraseClaimLocked(keys[i], ticket);
-      }
-      cv_.notify_all();
-      throw;
-    }
-    out[i] = value;
-    {
-      std::lock_guard<std::mutex> relock(mu_);
-      FillLocked(keys[i], ticket, value);
-    }
-    cv_.notify_all();
-  }
-
-  for (const auto& [dup, first] : aliases) out[dup] = out[first];
-  return out;
-}
-
 std::vector<std::pair<PlanKey, PlanCache::Value>> PlanCache::TakeGeneration(
     const Database* db, uint64_t generation) {
   std::vector<std::pair<PlanKey, Value>> out;

@@ -59,7 +59,6 @@
 #include "core/annotate.h"
 #include "core/database.h"
 #include "core/nfa.h"
-#include "core/query_traits.h"
 #include "core/resumable_index.h"
 
 namespace dsw {
@@ -70,51 +69,28 @@ namespace dsw {
 /// to. Shared by the plan cache, the engine's query table, and every
 /// session.
 struct PreparedQuery {
-  /// Builds from scratch: one single-source annotate + trim. The
-  /// execution tier (core/query_traits.h) is classified here, at
-  /// prepare time — the cached plan carries it for the engine's
-  /// per-tier stats and for tooling; the kernels themselves dispatch on
-  /// the annotation, so the label is observability, not control flow.
+  /// Builds from scratch: one annotate + trim.
   PreparedQuery(const Snapshot& snap, const Nfa& query, uint32_t src,
-                uint32_t tgt, const AnnotateOptions& opts)
-      : ann(Annotate(snap, query, src, tgt, opts)),
-        index(snap, ann, opts),
+                uint32_t tgt)
+      : ann(Annotate(snap, query, src, tgt)),
+        index(snap, ann),
         source(src),
-        target(tgt),
-        tier(ClassifyQuery(snap, query).tier) {}
-
-  /// Builds on a ready-made annotation — the multi-source prefix-sharing
-  /// path hands each source its MultiSourceAnnotation::Slice here, so
-  /// one product BFS serves many prepared views. \p tier is classified
-  /// once per batch by the caller (it depends only on (snap, query),
-  /// not the source).
-  PreparedQuery(const Snapshot& snap, Annotation a,
-                const AnnotateOptions& opts,
-                ExecTier query_tier = ExecTier::kGeneral)
-      : ann(std::move(a)),
-        index(snap, ann, opts),
-        source(ann.source),
-        target(ann.target),
-        tier(query_tier) {}
+        target(tgt) {}
 
   /// Builds on repaired structures — the incremental InstallSnapshot
   /// path: \p a and \p trimmed were patched by core/delta_annotate
   /// against an insert-only edge delta, so only the resumable rank
-  /// arrays are rebuilt here; no product BFS, no backward sweep. \p tier
-  /// is the old plan's (it depends on the query alone).
-  PreparedQuery(const Snapshot& snap, Annotation a, TrimmedIndex trimmed,
-                ExecTier query_tier = ExecTier::kGeneral)
+  /// arrays are rebuilt here; no product BFS, no backward sweep.
+  PreparedQuery(const Snapshot& snap, Annotation a, TrimmedIndex trimmed)
       : ann(std::move(a)),
         index(snap, ann, std::move(trimmed)),
         source(ann.source),
-        target(ann.target),
-        tier(query_tier) {}
+        target(ann.target) {}
 
   Annotation ann;
   ResumableIndex index;
   uint32_t source;
   uint32_t target;
-  ExecTier tier = ExecTier::kGeneral;
 
   /// Heap footprint estimate — the plan cache's byte-budget charge.
   size_t ApproxBytes() const {
@@ -166,10 +142,6 @@ class PlanCache {
  public:
   using Value = std::shared_ptr<const PreparedQuery>;
   using Builder = std::function<Value()>;
-  /// Batch builder: receives the indices (into the batch's key vector)
-  /// this thread must build, returns their values in the same order.
-  using BatchBuilder =
-      std::function<std::vector<Value>(const std::vector<size_t>&)>;
 
   /// \p byte_budget bounds the resident completed entries (approximate,
   /// see header comment); 0 disables caching.
@@ -183,16 +155,6 @@ class PlanCache {
   /// same key build once; the rest wait. \p build must not re-enter the
   /// cache. Never returns null (assuming \p build doesn't).
   Value GetOrBuild(const PlanKey& key, const Builder& build);
-
-  /// Batch variant for multi-source prefix sharing: resolves hits,
-  /// claims every absent key, and calls \p build_many ONCE with the
-  /// claimed indices — so one multi-source annotate run can serve all
-  /// of them. Keys being built by other threads are waited on; a waited
-  /// key that vanishes (failed or invalidated build) is re-claimed and
-  /// built via build_many({i}). Duplicate keys within the batch
-  /// resolve to one build. Returns one value per key, in order.
-  std::vector<Value> GetOrBuildBatch(const std::vector<PlanKey>& keys,
-                                     const BatchBuilder& build_many);
 
   /// Drops every entry not built against (\p db, \p generation) — the
   /// InstallSnapshot hook. In-flight builds for dropped keys complete

@@ -273,9 +273,9 @@ TEST(ExecTierTest, EnginePerTierPrepareCounters) {
   EXPECT_EQ(stats.tier_single_word, 3u);
   EXPECT_EQ(stats.plan_cache.hits, 1u);
 
-  // PrepareBatch classifies once and tags every slice.
-  std::vector<uint32_t> sources = {inst.source, 1u, 2u};
-  engine.PrepareBatch(AnyKDfa(6, 1), sources, inst.target);
+  // One count per source, hit or built.
+  for (uint32_t s : {inst.source, 1u, 2u})
+    engine.Prepare(AnyKDfa(6, 1), s, inst.target);
   stats = engine.Stats();
   EXPECT_EQ(stats.tier_single_word, 6u);
   EXPECT_EQ(stats.tier_general, 1u);

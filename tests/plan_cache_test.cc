@@ -18,9 +18,6 @@
 //  - Byte-budget LRU: a tiny budget keeps the cache bounded and
 //    evicting; budget 0 disables caching outright (the bench's cold
 //    arm) with every call building.
-//  - PrepareBatch: many sources resolve through one multi-source BFS,
-//    answers identical to per-source Prepare; warm batches are pure
-//    hits; duplicate sources alias a single entry.
 //  - The per-worker enumerator LRU is bounded by worker_cache_entries
 //    and evictions are visible in EngineStats.
 //
@@ -211,21 +208,74 @@ TEST(PlanCacheTest, IncrementalInstallUpgradesEntriesInPlace) {
   EXPECT_EQ(DrainAll(engine, q2), expected);
 }
 
-// A GetOrBuildBatch phase-3 waiter whose awaited claim is dropped by
-// Invalidate mid-wait must wake, re-claim the vacant key, and rebuild
-// — the batch result is never null and the builder's orphaned value
-// goes to its own caller only. The deterministic schedule: thread B
-// claims k2 and parks inside its builder; thread A batches {k1, k2},
-// builds k1, and waits on B's claim; Invalidate then erases both the
-// completed k1 and B's building marker before B is released.
+// A GetOrBuild waiter whose awaited claim is dropped by Invalidate
+// mid-wait must wake, re-claim the vacant key, and rebuild — its value
+// is never null, and the builder's orphaned value goes to its own
+// caller only. The deterministic schedule: thread B claims the key and
+// parks inside its builder; thread A waits on B's claim; Invalidate
+// then erases B's building marker before B is released.
+TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
+  Instance inst = BubbleChain(3, 2);
+  Nfa query = StaircaseNfa(1, 2);
+  Snapshot snap = inst.db.Freeze();
+  std::atomic<int> builds{0};
+  auto make_value = [&]() -> PlanCache::Value {
+    ++builds;
+    return std::make_shared<const PreparedQuery>(snap, query, inst.source,
+                                                 inst.target);
+  };
+
+  PlanCache cache(size_t{64} << 20);
+  PlanKey key{&inst.db, 1, 0x2222, "b", inst.source, inst.target};
+
+  std::promise<void> builder_entered, release_builder;
+  PlanCache::Value got_b;
+  std::thread b([&] {
+    got_b = cache.GetOrBuild(key, [&] {
+      builder_entered.set_value();
+      release_builder.get_future().wait();
+      return make_value();
+    });
+  });
+  builder_entered.get_future().wait();
+
+  PlanCache::Value got_a;
+  std::thread a([&] { got_a = cache.GetOrBuild(key, make_value); });
+  // The wait is counted under the cache lock that cv_.wait releases, so
+  // once it shows, A is parked on B's claim.
+  while (cache.Stats().single_flight_waits < 1) std::this_thread::yield();
+
+  // A new generation drops B's building marker.
+  cache.Invalidate(&inst.db, 2);
+  release_builder.set_value();
+  b.join();
+  a.join();
+
+  EXPECT_NE(got_a, nullptr);    // re-claimed, rebuilt, not lost
+  EXPECT_NE(got_b, nullptr);    // the orphaned build reaches its caller
+  EXPECT_EQ(builds.load(), 2);  // B's orphaned build + A's rebuild
+  EXPECT_EQ(cache.Stats().invalidations, 1u);
+  // The cache serves A's rebuild, never B's orphan.
+  EXPECT_EQ(cache.GetOrBuild(key, make_value), got_a);
+  EXPECT_EQ(builds.load(), 2);
+}
+
+// The same re-claim when the waiter is part-way through a batch of keys
+// prepared one GetOrBuild at a time, as a batch of sources is: one
+// Invalidate sweep erases both the entry A completed and the claim A
+// waits on. The deterministic schedule: thread B claims k2 and parks
+// inside its builder; thread A builds k1, then waits on B's claim;
+// Invalidate drops k1's entry and k2's building marker before B is
+// released.
 TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   Instance inst = BubbleChain(3, 2);
   Nfa query = StaircaseNfa(1, 2);
   Snapshot snap = inst.db.Freeze();
-  AnnotateOptions aopts;
-  auto make_value = [&] {
+  std::atomic<int> builds{0};
+  auto make_value = [&]() -> PlanCache::Value {
+    ++builds;
     return std::make_shared<const PreparedQuery>(snap, query, inst.source,
-                                                 inst.target, aopts);
+                                                 inst.target);
   };
 
   PlanCache cache(size_t{64} << 20);
@@ -233,34 +283,23 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   PlanKey k2{&inst.db, 1, 0x2222, "b", inst.source, inst.target};
 
   std::promise<void> builder_entered, release_builder;
+  PlanCache::Value got_b;
   std::thread b([&] {
-    PlanCache::Value v = cache.GetOrBuild(k2, [&]() -> PlanCache::Value {
+    got_b = cache.GetOrBuild(k2, [&] {
       builder_entered.set_value();
       release_builder.get_future().wait();
       return make_value();
     });
-    // The orphaned build still reaches its own caller.
-    EXPECT_NE(v, nullptr);
   });
   builder_entered.get_future().wait();
 
-  std::atomic<int> batch_builds{0};
   std::vector<PlanCache::Value> got;
   std::thread a([&] {
-    std::vector<PlanKey> keys{k1, k2};
-    got = cache.GetOrBuildBatch(
-        keys, [&](const std::vector<size_t>& idx) {
-          std::vector<PlanCache::Value> out;
-          for (size_t i : idx) {
-            (void)i;
-            ++batch_builds;
-            out.push_back(make_value());
-          }
-          return out;
-        });
+    for (const PlanKey& k : {k1, k2})
+      got.push_back(cache.GetOrBuild(k, make_value));
   });
-  // A has reached its wait on k2 (or is about to — both interleavings
-  // resolve identically) once the single-flight wait is counted.
+  // k1 is filled before A reaches k2, so once the wait shows, k1 is a
+  // completed entry and A is parked on B's claim.
   while (cache.Stats().single_flight_waits < 1) std::this_thread::yield();
 
   // A new generation drops everything: k1's completed entry and k2's
@@ -271,10 +310,16 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   a.join();
 
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_NE(got[0], nullptr);
-  EXPECT_NE(got[1], nullptr);              // re-claimed, rebuilt, not lost
-  EXPECT_GE(batch_builds.load(), 2);       // k1 + the phase-3 rebuild of k2
-  EXPECT_GE(cache.Stats().invalidations, 2u);
+  EXPECT_NE(got[0], nullptr);   // held across the invalidation
+  EXPECT_NE(got[1], nullptr);   // re-claimed, rebuilt, not lost
+  EXPECT_NE(got_b, nullptr);    // the orphaned build reaches its caller
+  EXPECT_EQ(builds.load(), 3);  // A's k1, B's orphan, A's rebuild of k2
+  EXPECT_EQ(cache.Stats().invalidations, 2u);
+  // The cache serves A's rebuild of k2; k1's entry is gone and rebuilds.
+  EXPECT_EQ(cache.GetOrBuild(k2, make_value), got[1]);
+  EXPECT_EQ(builds.load(), 3);
+  EXPECT_NE(cache.GetOrBuild(k1, make_value), got[0]);
+  EXPECT_EQ(builds.load(), 4);
 }
 
 // Concurrent cold misses on ONE key: exactly one build, everyone shares
@@ -356,41 +401,6 @@ TEST(PlanCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(DrainAll(engine, q2), expected);
 }
 
-TEST(PlanCacheTest, PrepareBatchMatchesPerSourcePrepare) {
-  Instance inst = Grid(4, 4);
-  Nfa query = AnyKDfa(3, 1);
-  Snapshot snap = inst.db.Freeze();
-
-  QueryEngine engine(2);
-  engine.InstallSnapshot(snap);
-  // Mixed batch: duplicates, the real source, the target itself, and a
-  // vertex that cannot reach the target in 3 steps.
-  std::vector<uint32_t> sources = {0, 5, 0, 10, 15};
-  std::vector<QueryId> ids =
-      engine.PrepareBatch(query, sources, inst.target);
-  ASSERT_EQ(ids.size(), sources.size());
-
-  EngineStats cold = engine.Stats();
-  EXPECT_EQ(cold.plan_cache.misses, 4u);  // unique sources only
-  EXPECT_EQ(cold.plan_cache.entries, 4u);
-
-  for (size_t j = 0; j < sources.size(); ++j) {
-    SCOPED_TRACE("source " + std::to_string(sources[j]));
-    EXPECT_EQ(DrainAll(engine, ids[j]),
-              Oracle(snap, query, sources[j], inst.target));
-  }
-
-  // A warm batch — and warm single Prepares — are pure hits; the
-  // batch-filled and singly-filled entries are interchangeable.
-  engine.PrepareBatch(query, sources, inst.target);
-  engine.Prepare(query, 5, inst.target);
-  EngineStats warm = engine.Stats();
-  EXPECT_EQ(warm.plan_cache.misses, 4u);
-  // 4 unique keys hit in the warm batch (the duplicate aliases its
-  // first occurrence) plus the single warm Prepare.
-  EXPECT_EQ(warm.plan_cache.hits, cold.plan_cache.hits + 5u);
-}
-
 TEST(PlanCacheTest, WorkerEnumeratorCacheIsBounded) {
   Instance inst = Grid(4, 4);
   Nfa query = AnyKDfa(3, 1);
@@ -406,12 +416,13 @@ TEST(PlanCacheTest, WorkerEnumeratorCacheIsBounded) {
   // every pump after the first cycle needs a rebuild, so evictions must
   // show up — and answers must not change.
   std::vector<uint32_t> sources = {0, 1, 4, 5};
-  std::vector<QueryId> ids = engine.PrepareBatch(query, sources, inst.target);
   std::vector<SessionId> sessions;
-  std::vector<EdgeSeq> got(ids.size()), want;
-  for (QueryId q : ids) sessions.push_back(engine.OpenSession(q));
-  for (uint32_t s : sources)
+  std::vector<EdgeSeq> got(sources.size()), want;
+  for (uint32_t s : sources) {
+    sessions.push_back(
+        engine.OpenSession(engine.Prepare(query, s, inst.target)));
     want.push_back(Oracle(snap, query, s, inst.target));
+  }
 
   bool progress = true;
   while (progress) {
