@@ -128,7 +128,7 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
 }  // namespace
 
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
-                    uint32_t target, const AnnotateOptions& opts) {
+                    uint32_t target) {
   Annotation ann;
   ann.num_states = query.num_states();
   ann.source = source;
@@ -136,18 +136,18 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
   ann.final_states = query.final_states();
   if (query.has_epsilon()) ann.eps_closure = query.EpsilonClosures();
   ann.delta = CompiledDelta(query, ann.eps_closure);  // closures shared
-  ann.force_multi_word = opts.force_multi_word;
 
   if (source >= snap.num_vertices() || target >= snap.num_vertices() ||
       query.num_states() == 0 || query.initial().None())
     return ann;
 
-  // Tier dispatch: one-word queries run the collapsed single-word
-  // kernels unless a test/bench forces the generic instantiation.
-  if (ann.single_word())
+  // Kernel dispatch on the word count: one-word queries run the
+  // collapsed single-word kernels.
+  const uint32_t wps = ann.words_per_set();
+  if (wps == 1)
     ProductBfs(snap, query, SingleWordKernel(), &ann);
   else
-    ProductBfs(snap, query, MultiWordKernel(ann.words_per_set()), &ann);
+    ProductBfs(snap, query, MultiWordKernel(wps), &ann);
   return ann;
 }
 

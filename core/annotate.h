@@ -50,20 +50,6 @@
 
 namespace dsw {
 
-/// Knob of the preprocessing stages (annotate + trim).
-struct AnnotateOptions {
-  /// Test/bench knob for the execution-tier layer (util/word_kernel.h),
-  /// and the only one: when true, the whole plan — annotate, the trim
-  /// sweep and every enumerator over it — runs the generic multi-word
-  /// kernels even for one-word (|Q| <= 64) queries, instead of the
-  /// collapsed single-word kernels. The annotation records the setting
-  /// (Annotation::force_multi_word) and the later stages read it from
-  /// there. Results are bit-identical either way (asserted by
-  /// tests/exec_tier_test.cc); bench_fastpath uses the flag to measure
-  /// the kernel win in isolation.
-  bool force_multi_word = false;
-};
-
 struct Annotation {
   /// Length of the shortest accepting walk; -1 if target is unreachable
   /// under the query.
@@ -87,17 +73,9 @@ struct Annotation {
   /// when the query is epsilon-free, in which case closure(q) = {q}.
   std::vector<StateSet> eps_closure;
 
-  /// AnnotateOptions::force_multi_word as the plan was built with it.
-  bool force_multi_word = false;
-
   bool reachable() const { return lambda >= 0; }
   bool has_epsilon() const { return !eps_closure.empty(); }
   uint32_t words_per_set() const { return (num_states + 63) / 64; }
-  /// True iff the plan's trim sweep and enumerators run the one-word
-  /// kernels: |Q| <= 64 and not forced multi-word.
-  bool single_word() const {
-    return words_per_set() == 1 && !force_multi_word;
-  }
 
   /// True iff q alone accepts, i.e. reaches a final state by epsilon
   /// moves only (q itself included).
@@ -144,7 +122,7 @@ struct Annotation {
 /// is a pure read — any number of Annotate calls can run concurrently
 /// against one shared Snapshot.
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
-                    uint32_t target, const AnnotateOptions& opts = {});
+                    uint32_t target);
 
 }  // namespace dsw
 

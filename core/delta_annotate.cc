@@ -390,8 +390,7 @@ class DeltaTrimmer {
               if (trim_detail::TrimVertex(adj, cd, wps, v, states,
                                           next_useful, &scratch,
                                           &out.cand_pool_,
-                                          &out.nxt_pool_,
-                                          ann.force_multi_word)) {
+                                          &out.nxt_pool_)) {
                 out.useful_[i].Append(v, scratch.useful_here.words());
                 out.cand_ranges_[i].emplace_back(
                     cand_begin,

@@ -10,7 +10,6 @@
 #ifndef DSW_CORE_NFA_H_
 #define DSW_CORE_NFA_H_
 
-#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -226,30 +225,6 @@ class CompiledDelta {
   StateSetView Sources(uint32_t label) const {
     return {&sources_[static_cast<size_t>(label) * words_per_set_],
             num_states_};
-  }
-
-  // Single-word row access, the execution-tier layer's scalar API
-  // (core/query_traits.h): for |Q| <= 64 every row is exactly one
-  // uint64_t, and these return it by value — no pointer chase at the
-  // call site, and the natural operands for the SingleWordKernel
-  // instantiations. Precondition: words_per_set() == 1 (asserted).
-
-  /// delta[label][q] as one word; requires words_per_set() == 1.
-  uint64_t SuccessorWord(uint32_t label, uint32_t q) const {
-    assert(words_per_set_ == 1);
-    return words_[static_cast<size_t>(label) * num_states_ + q];
-  }
-
-  /// Reverse relation row as one word; requires words_per_set() == 1.
-  uint64_t ReverseWord(uint32_t label, uint32_t t) const {
-    assert(words_per_set_ == 1);
-    return rev_words_[static_cast<size_t>(label) * num_states_ + t];
-  }
-
-  /// Sources(label) as one word; requires words_per_set() == 1.
-  uint64_t SourcesWord(uint32_t label) const {
-    assert(words_per_set_ == 1);
-    return sources_[label];
   }
 
   /// Heap footprint estimate, for the plan cache's byte budget.

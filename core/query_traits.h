@@ -7,12 +7,12 @@
 //    word loop.
 //  - kGeneral: the multi-word path, unchanged semantics.
 //
-// The tier never changes WHAT is computed, only how fast: both tiers
-// produce bit-identical annotations, B-lists and enumeration order
+// The tier never changes WHAT is computed, only how fast: a query and
+// its states spread over several words give the same annotations,
+// B-lists and enumeration order under the renumbering
 // (tests/exec_tier_test.cc). The kernels dispatch on words-per-set
 // themselves; the engine counts per-tier prepares (EngineStats) from the
-// plan's Annotation::single_word, which equals the tier unless the plan
-// was forced multi-word.
+// plan's Annotation::words_per_set, which equals the tier.
 
 #ifndef DSW_CORE_QUERY_TRAITS_H_
 #define DSW_CORE_QUERY_TRAITS_H_

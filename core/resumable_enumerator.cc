@@ -10,8 +10,7 @@ ResumableEnumerator::ResumableEnumerator(const Annotation& ann,
     : index_(&index),
       delta_(&ann.delta),
       lambda_(ann.lambda),
-      wps_(ann.words_per_set()),
-      single_word_(ann.single_word()) {
+      wps_(ann.words_per_set()) {
   // The endpoints are baked into the annotation and index; the
   // parameters exist for symmetry with the rest of the pipeline and a
   // mismatch is a caller bug, not a valid different query.
@@ -73,8 +72,7 @@ void ResumableEnumerator::FindNext() {
   const TrimmedIndex& trimmed = index_->trimmed();
   while (true) {
     Frame& f = stack_[depth_];
-    const uint32_t c =
-        f.blist.NextLive(f.states, f.cur, &stats_.probes, single_word_);
+    const uint32_t c = f.blist.NextLive(f.states, f.cur, &stats_.probes);
     if (c < f.blist.num_cand) {
       const TrimmedIndex::CandidateEdge& ce = f.cand[c];
       f.cur = c + 1;
@@ -83,7 +81,7 @@ void ResumableEnumerator::FindNext() {
       const bool alive = enumerator_detail::AdvanceStates(
           *delta_, wps_, f.states, ce.label,
           trimmed.UsefulStates(depth_ + 1, ce.next_pos), &next.states,
-          &stats_.row_ors, single_word_);
+          &stats_.row_ors);
       assert(alive && "certificate handed out a dead candidate");
       (void)alive;
       walk_.edges.push_back(ce.edge);
@@ -143,7 +141,7 @@ bool ResumableEnumerator::SeekAfter(const Walk& prev) {
     if (!enumerator_detail::AdvanceStates(
             *delta_, wps_, f.states, ce.label,
             trimmed.UsefulStates(i + 1, ce.next_pos), &stack_[i + 1].states,
-            &stats_.row_ors, single_word_))
+            &stats_.row_ors))
       return RejectSeek();  // no accepting run threads through prev
     pos = ce.next_pos;
   }

@@ -93,15 +93,12 @@ inline bool AdvanceStatesWith(Kernel ker, const CompiledDelta& delta,
 /// state count; \p wps is the word count of one set. When \p row_ors is
 /// non-null it is incremented by the number of delta-row ORs performed
 /// (the count falls out of the bit walk for free — identical in both
-/// kernel tiers). \p allow_single_word false runs the generic
-/// multi-word instantiation on a one-word query (the plan's recorded
-/// Annotation::force_multi_word).
+/// kernel tiers).
 inline bool AdvanceStates(const CompiledDelta& delta, uint32_t wps,
                           const StateSet& from, uint32_t label,
                           StateSetView useful_next, StateSet* out,
-                          uint64_t* row_ors = nullptr,
-                          bool allow_single_word = true) {
-  if (wps == 1 && allow_single_word)
+                          uint64_t* row_ors = nullptr) {
+  if (wps == 1)
     return AdvanceStatesWith(SingleWordKernel(), delta, from, label,
                              useful_next, out, row_ors);
   return AdvanceStatesWith(MultiWordKernel(wps), delta, from, label,
@@ -131,9 +128,7 @@ class ResumableEnumerator {
   /// and \p target must match the annotation's. Positions on the first
   /// answer. The database is not consulted — the index denormalizes
   /// everything — so any number of enumerators can run concurrently
-  /// over one shared (annotation, index) pair. The kernels are the
-  /// plan's: single-word for one-word queries unless the annotation
-  /// was built with AnnotateOptions::force_multi_word.
+  /// over one shared (annotation, index) pair.
   ResumableEnumerator(const Annotation& ann, const ResumableIndex& index,
                       uint32_t source, uint32_t target);
 
@@ -186,7 +181,6 @@ class ResumableEnumerator {
   const CompiledDelta* delta_;
   int32_t lambda_;
   uint32_t wps_ = 0;
-  bool single_word_ = true;  // run the single-word kernels
   uint32_t source_pos_ = 0;  // source's position in useful level 0
   StateSet r0_;  // useful(0, source), the root of every (re)run
   bool has_answers_ = false;

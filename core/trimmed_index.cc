@@ -83,8 +83,8 @@ bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,
                 std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                std::vector<uint32_t>* nxt_pool, bool force_multi_word) {
-  if (wps == 1 && !force_multi_word)
+                std::vector<uint32_t>* nxt_pool) {
+  if (wps == 1)
     return TrimVertexImpl(SingleWordKernel(), adj, delta, v, states,
                           next_useful, scratch, cand_pool, nxt_pool);
   return TrimVertexImpl(MultiWordKernel(wps), adj, delta, v, states,
@@ -136,7 +136,7 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann) {
       const size_t block_off = nxt_pool_.size();
       if (!trim_detail::TrimVertex(adj, delta, wps_, v, level.states(vi),
                                    next_useful, &scratch, &cand_pool_,
-                                   &nxt_pool_, ann.force_multi_word))
+                                   &nxt_pool_))
         continue;
       useful_[i].Append(v, scratch.useful_here.words());
       cand_ranges_[i].emplace_back(cand_begin,

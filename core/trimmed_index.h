@@ -97,14 +97,10 @@ class TrimmedIndex {
     /// ops, independent of num_cand. When \p probes is non-null it is
     /// incremented by the number of slot loads (the op-count proxy the
     /// delay tests assert on — identical in both kernel tiers).
-    /// \p allow_single_word false runs the generic multi-word
-    /// instantiation on a one-word query (the enumerator passes its
-    /// plan's Annotation::single_word).
     uint32_t NextLive(const StateSet& r, uint32_t from,
-                      uint64_t* probes = nullptr,
-                      bool allow_single_word = true) const {
+                      uint64_t* probes = nullptr) const {
       const uint32_t n = static_cast<uint32_t>(useful.num_words());
-      if (n == 1 && allow_single_word)
+      if (n == 1)
         return NextLiveWith(SingleWordKernel(), r, from, probes);
       return NextLiveWith(MultiWordKernel(n), r, from, probes);
     }
@@ -152,8 +148,7 @@ class TrimmedIndex {
   /// Builds the trimmed structure from a frozen snapshot (one backward
   /// sweep over the annotation); a pure read of the snapshot, safe to
   /// run concurrently with other readers. The index keeps no reference
-  /// to the snapshot. The sweep runs the kernels the annotation records
-  /// (Annotation::single_word).
+  /// to the snapshot.
   TrimmedIndex(const Snapshot& snap, const Annotation& ann);
 
   /// Number of useful (v, q, level) triples; 0 iff no answer exists.
@@ -263,15 +258,12 @@ struct Scratch {
 /// its B-list block to *nxt_pool; returns that usefulness, with the
 /// useful set left in scratch->useful_here. CandidateEdge::next_pos is
 /// a position into \p next_useful. Dispatches to the single-word kernel
-/// when wps == 1 unless \p force_multi_word (the annotation's recorded
-/// AnnotateOptions::force_multi_word; results are bit-identical either
-/// way).
+/// when wps == 1.
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,
                 std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                std::vector<uint32_t>* nxt_pool,
-                bool force_multi_word = false);
+                std::vector<uint32_t>* nxt_pool);
 
 }  // namespace trim_detail
 

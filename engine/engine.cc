@@ -45,8 +45,8 @@ struct QueryEngine::WorkerCache {
     // (e.g. bad_alloc), default-inserting first would leave a poisoned
     // entry — null `en`, dangling `lru_it` — that the next hit on this
     // query dereferences.
-    auto en = std::make_unique<ResumableEnumerator>(q->ann, q->index,
-                                                    q->source, q->target);
+    auto en = std::make_unique<ResumableEnumerator>(
+        q->ann, q->index, q->ann.source, q->ann.target);
     if (entries.size() >= capacity) {
       entries.erase(lru.back());
       lru.pop_back();
@@ -136,8 +136,6 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     prev = snapshot_;
-    installed_db_ = db;
-    installed_gen_ = gen;
     snapshot_ = snap;
     // Sessions pinned to older generations are retired lazily, at their
     // next pump — the (db, generation) compare in the worker is the
@@ -167,31 +165,26 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   // Repair each extracted plan against the new snapshot and re-insert
   // it under the new generation's key. One reverse CSR serves them all.
   DeltaContext ctx(snap);
-  std::unordered_map<const PreparedQuery*,
-                     std::shared_ptr<const PreparedQuery>>
-      remap;           // old plan -> upgraded plan (all upgrades)
-  uint64_t upgraded = 0;
-  std::vector<const PreparedQuery*> order_broken;  // lambda changed
+  // Old plan -> its repaired upgrade.
+  std::unordered_map<const PreparedQuery*, RepairedPlan> remap;
   for (auto& [key, old] : old_entries) {
     RepairedPlan repaired = RepairPlan(snap, delta, ctx, *old);
     if (!repaired.value) continue;
-    ++upgraded;
-    remap.emplace(old.get(), repaired.value);
-    if (!repaired.order_preserved) order_broken.push_back(old.get());
     PlanKey new_key = std::move(key);
     new_key.generation = gen;
-    cache_.InsertUpgraded(std::move(new_key), std::move(repaired.value));
+    cache_.InsertUpgraded(std::move(new_key), repaired.value);
+    remap.emplace(old.get(), std::move(repaired));
   }
   if (remap.empty()) return;
 
   std::lock_guard<std::mutex> lock(mu_);
-  plans_upgraded_ += upgraded;
+  plans_upgraded_ += remap.size();
   // Re-point the query table: future OpenSession calls on an existing
   // QueryId get the upgraded plan (new sessions Rewind, so this is safe
   // even when the enumeration order changed).
   for (auto& q : queries_) {
     auto it = remap.find(q.get());
-    if (it != remap.end()) q = it->second;
+    if (it != remap.end()) q = it->second.value;
   }
   // Re-point sessions. A session that already emitted answers needs its
   // parked walk to stay a valid order anchor, which only holds when
@@ -201,11 +194,8 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     if (!s.query) continue;
     auto it = remap.find(s.query.get());
     if (it == remap.end()) continue;
-    if (s.started &&
-        std::find(order_broken.begin(), order_broken.end(),
-                  s.query.get()) != order_broken.end())
-      continue;
-    s.query = it->second;
+    if (s.started && !it->second.order_preserved) continue;
+    s.query = it->second.value;
     if (s.state == SessionState::kParked) ++sessions_upgraded_;
   }
 }
@@ -237,7 +227,7 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
         return std::make_shared<const PreparedQuery>(snap, query, source,
                                                      target);
       });
-  (prepared->ann.single_word() ? tier_single_word_ : tier_general_)
+  (prepared->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
       .fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   return RegisterLocked(std::move(prepared));
@@ -399,13 +389,13 @@ void QueryEngine::WorkerLoop() {
 
       Session& s = sessions_[job.session];
       const Snapshot& pinned = s.query->index.snapshot();
-      if (&pinned.db() != installed_db_ ||
-          pinned.generation() != installed_gen_) {
+      if (&pinned.db() != &snapshot_.db() ||
+          pinned.generation() != snapshot_.generation()) {
         // Graceful rejection: the stale index is never touched.
         s.state = SessionState::kRetired;
         ++sessions_retired_;
-        const Database* live_db = installed_db_;
-        uint64_t live_gen = installed_gen_;
+        const Database* live_db = &snapshot_.db();
+        uint64_t live_gen = snapshot_.generation();
         lock.unlock();
         cache.EvictOtherGenerations(live_db, live_gen);
         job.promise.set_value(PumpResult{PumpStatus::kRetired, {}});

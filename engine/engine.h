@@ -254,11 +254,9 @@ class QueryEngine {
   bool stop_ = false;
   std::deque<Job> queue_;
 
-  // The installed snapshot and its identity; (db, generation) pairs are
-  // compared so generations of different Database objects never alias.
+  // The installed snapshot; its (db, generation) pair is compared so
+  // generations of different Database objects never alias.
   Snapshot snapshot_;
-  const Database* installed_db_ = nullptr;
-  uint64_t installed_gen_ = 0;
 
   std::vector<std::shared_ptr<const PreparedQuery>> queries_;
   std::vector<Session> sessions_;

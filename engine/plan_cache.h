@@ -72,25 +72,17 @@ struct PreparedQuery {
   /// Builds from scratch: one annotate + trim.
   PreparedQuery(const Snapshot& snap, const Nfa& query, uint32_t src,
                 uint32_t tgt)
-      : ann(Annotate(snap, query, src, tgt)),
-        index(snap, ann),
-        source(src),
-        target(tgt) {}
+      : ann(Annotate(snap, query, src, tgt)), index(snap, ann) {}
 
   /// Builds on repaired structures — the incremental InstallSnapshot
   /// path: \p a and \p trimmed were patched by core/delta_annotate
   /// against an insert-only edge delta, so only the resumable rank
   /// arrays are rebuilt here; no product BFS, no backward sweep.
   PreparedQuery(const Snapshot& snap, Annotation a, TrimmedIndex trimmed)
-      : ann(std::move(a)),
-        index(snap, ann, std::move(trimmed)),
-        source(ann.source),
-        target(ann.target) {}
+      : ann(std::move(a)), index(snap, ann, std::move(trimmed)) {}
 
-  Annotation ann;
+  Annotation ann;  // ann.source and ann.target are the endpoints
   ResumableIndex index;
-  uint32_t source;
-  uint32_t target;
 
   /// Heap footprint estimate — the plan cache's byte-budget charge.
   size_t ApproxBytes() const {

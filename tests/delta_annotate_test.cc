@@ -5,8 +5,9 @@
 // answers in the same order as a fresh one — with the naive product-path
 // baseline as the independent set oracle. Scenarios cover the workload
 // families (bubbles, grids, star-of-chains, noise-embedded cores, an
-// initially-disconnected instance) and epsilon-NFAs via the Thompson
-// front-end; together they apply well over 100 insertions.
+// initially-disconnected instance), epsilon-NFAs via the Thompson
+// front-end and multi-word queries (states spread over 2 and 3 words);
+// together they apply well over 100 insertions.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,22 @@ TEST(DeltaAnnotateOracleTest, NoisyBubblesEpsilonNfa) {
   Nfa thompson = ThompsonNfa(*ast.value(), inst.db.mutable_dict());
   ASSERT_GT(thompson.num_epsilon_transitions(), 0u);
   RunScenario(std::move(inst), thompson, 30, 404);
+}
+
+// Multi-word repair: the same families with the query's states spread
+// over two and three words (SpreadStates), so DeltaAnnotate's staging
+// and level diffs and DeltaTrim's B-list copies run on several words.
+TEST(DeltaAnnotateOracleTest, BubbleChainSpreadStaircase) {
+  RunScenario(BubbleChain(6, 2), SpreadStates(StaircaseNfa(2, 2), 2), 30,
+              606);
+}
+
+TEST(DeltaAnnotateOracleTest, NoisyBubblesSpreadEpsilonNfa) {
+  Instance inst = EmbedInNoise(BubbleChain(5, 2), 40, 120, 7);
+  RegexParseResult ast = ParseRegex(ContainsL0Regex(2));
+  ASSERT_TRUE(ast.ok()) << ast.error();
+  Nfa thompson = ThompsonNfa(*ast.value(), inst.db.mutable_dict());
+  RunScenario(std::move(inst), SpreadStates(thompson, 3), 30, 707);
 }
 
 TEST(DeltaAnnotateOracleTest, DisconnectedUntilInsertionsConnect) {

@@ -29,28 +29,14 @@ from the baseline (a new benchmark is uncovered until the committed
 baseline is refreshed).
 
 Usage:
-  check_bench_regression.py BASELINE.json CURRENT.json [THRESHOLD]
-  check_bench_regression.py BASELINE.json CURRENT.json --threshold 3.0
-  check_bench_regression.py BASELINE.json CURRENT.json \
-      --threshold 2.0 --threshold 'BM_FastPath_Simple/10=1.3'
+  check_bench_regression.py BASELINE.json CURRENT.json [--threshold FACTOR]
   check_bench_regression.py --self-test
 
---threshold is repeatable: a bare float sets the global threshold, a
-NAME=FACTOR pair overrides the *normalized* check for that one
-benchmark — tighter than the global guard for a benchmark whose delay
-bound matters (the fast-path gate), or looser for a known-noisy one.
-The geomean check always uses the global threshold (a per-benchmark
-number for a whole-suite metric would be meaningless). Overrides
-naming benchmarks absent from the comparison only warn, so a renamed
-benchmark doesn't brick the job — but watch the log.
-
-The global threshold defaults to 2.0; a bare positional third argument
-is the legacy spelling of --threshold, and DSW_BENCH_THRESHOLD
-overrides the default when neither is given. --self-test runs the
-checker against synthetic fixtures (flat run passes, uniform slowdown
-trips the geomean, a single spike trips the normalized check,
-per-benchmark overrides tighten and loosen it) and exits nonzero on
-any surprise — CI runs it so the guard itself is guarded.
+The threshold FACTOR (default 2.0) applies to both checks. --self-test
+runs the checker against synthetic fixtures (flat run passes, uniform
+slowdown trips the geomean, a single spike trips the normalized check)
+and exits nonzero on any surprise — CI runs it so the guard itself is
+guarded.
 """
 
 import argparse
@@ -82,9 +68,8 @@ def median(values):
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def check(baseline_path, current_path, threshold, overrides=None):
+def check(baseline_path, current_path, threshold):
     """The comparison proper; returns a process exit code."""
-    overrides = overrides or {}
     baseline = load_times(baseline_path)
     current = load_times(current_path)
 
@@ -92,12 +77,6 @@ def check(baseline_path, current_path, threshold, overrides=None):
     if not common:
         print("error: no common benchmarks between baseline and current run")
         return 1
-    unused = sorted(set(overrides) - set(common))
-    if unused:
-        print(f"warning: {len(unused)} threshold overrides match no "
-              f"compared benchmark (renamed? typo?):")
-        for name in unused:
-            print(f"  {name}={overrides[name]:g}")
     missing = sorted(set(baseline) - set(current))
     if missing:
         print(f"warning: {len(missing)} baseline benchmarks missing from run:")
@@ -115,21 +94,18 @@ def check(baseline_path, current_path, threshold, overrides=None):
     geomean = math.exp(sum(math.log(r) for r in ratios.values()) / len(common))
 
     print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} "
-          f"{'ratio':>7} {'norm':>6} {'limit':>6}")
+          f"{'ratio':>7} {'norm':>6}")
     worst_norm = (0.0, "")
     norm_failures = []
     for name in common:
         norm = ratios[name] / med
         worst_norm = max(worst_norm, (norm, name))
-        limit = overrides.get(name, threshold)
-        if norm > limit:
-            norm_failures.append((name, norm, limit))
-        mark = "*" if name in overrides else " "
+        if norm > threshold:
+            norm_failures.append((name, norm))
         print(f"{name:<44} {baseline[name]:>10.0f}ns {current[name]:>10.0f}ns "
-              f"{ratios[name]:>6.2f}x {norm:>5.2f}x {limit:>5.2f}{mark}")
+              f"{ratios[name]:>6.2f}x {norm:>5.2f}x")
     print(f"\ngeomean ratio: {geomean:.2f}x, median {med:.2f}x over "
-          f"{len(common)} benchmarks (threshold {threshold:.2f}x"
-          f"{', * = per-benchmark override' if overrides else ''}); "
+          f"{len(common)} benchmarks (threshold {threshold:.2f}x); "
           f"worst normalized: {worst_norm[1]} at {worst_norm[0]:.2f}x")
 
     failed = False
@@ -138,9 +114,9 @@ def check(baseline_path, current_path, threshold, overrides=None):
               "(if normalized ratios are flat, the runner is uniformly "
               "slower than the baseline machine — see the docstring)")
         failed = True
-    for name, norm, limit in norm_failures:
+    for name, norm in norm_failures:
         print(f"FAIL: {name} regressed {norm:.2f}x relative to the rest "
-              f"of the suite (limit {limit:.2f}x)")
+              f"of the suite (limit {threshold:.2f}x)")
         failed = True
     if failed:
         return 1
@@ -163,46 +139,33 @@ def self_test():
     base_times = {"BM_a/1": 100.0, "BM_a/2": 200.0,
                   "BM_b/1": 1000.0, "BM_b/2": 4000.0, "BM_c": 50.0}
     cases = [
-        # (label, current times, threshold, overrides, expected exit code)
-        ("flat run passes", dict(base_times), 2.0, {}, 0),
+        # (label, current times, threshold, expected exit code)
+        ("flat run passes", dict(base_times), 2.0, 0),
         ("mild uniform drift passes",
-         {n: t * 1.4 for n, t in base_times.items()}, 2.0, {}, 0),
+         {n: t * 1.4 for n, t in base_times.items()}, 2.0, 0),
         ("uniform 3x slowdown trips the geomean",
-         {n: t * 3.0 for n, t in base_times.items()}, 2.0, {}, 1),
+         {n: t * 3.0 for n, t in base_times.items()}, 2.0, 1),
         ("single 5x spike trips the normalized check",
-         {**base_times, "BM_b/2": base_times["BM_b/2"] * 5.0}, 2.0, {}, 1),
+         {**base_times, "BM_b/2": base_times["BM_b/2"] * 5.0}, 2.0, 1),
         ("--threshold 6 tolerates the same spike",
-         {**base_times, "BM_b/2": base_times["BM_b/2"] * 5.0}, 6.0, {}, 0),
-        # 1.8x spike: under the 2.0 global, but a tight per-benchmark
-        # override catches it — the fast-path gate scenario.
+         {**base_times, "BM_b/2": base_times["BM_b/2"] * 5.0}, 6.0, 0),
         ("mild spike passes under the global threshold alone",
-         {**base_times, "BM_b/2": base_times["BM_b/2"] * 1.8}, 2.0, {}, 0),
-        ("tight override trips the same mild spike",
-         {**base_times, "BM_b/2": base_times["BM_b/2"] * 1.8}, 2.0,
-         {"BM_b/2": 1.5}, 1),
-        ("loose override tolerates a 5x spike on its benchmark",
-         {**base_times, "BM_b/2": base_times["BM_b/2"] * 5.0}, 2.0,
-         {"BM_b/2": 6.0}, 0),
-        ("loose override on one benchmark does not unguard another",
-         {**base_times, "BM_a/1": base_times["BM_a/1"] * 5.0}, 2.0,
-         {"BM_b/2": 6.0}, 1),
-        ("override naming an unknown benchmark only warns",
-         dict(base_times), 2.0, {"BM_gone/1": 1.1}, 0),
+         {**base_times, "BM_b/2": base_times["BM_b/2"] * 1.8}, 2.0, 0),
         ("missing benchmarks only warn",
-         {n: t for n, t in base_times.items() if n != "BM_c"}, 2.0, {}, 0),
+         {n: t for n, t in base_times.items() if n != "BM_c"}, 2.0, 0),
         ("baseline-less benchmarks only warn — even a slow one",
-         {**base_times, "BM_new/1": 9e9}, 2.0, {}, 0),
-        ("disjoint suites are an error", {"BM_other": 10.0}, 2.0, {}, 1),
+         {**base_times, "BM_new/1": 9e9}, 2.0, 0),
+        ("disjoint suites are an error", {"BM_other": 10.0}, 2.0, 1),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         base_path = os.path.join(tmp, "base.json")
         cur_path = os.path.join(tmp, "cur.json")
         _fixture(base_path, base_times)
-        for label, cur_times, threshold, overrides, expected in cases:
+        for label, cur_times, threshold, expected in cases:
             _fixture(cur_path, cur_times)
             print(f"--- self-test: {label} (expect exit {expected}) ---")
-            got = check(base_path, cur_path, threshold, overrides)
+            got = check(base_path, cur_path, threshold)
             if got != expected:
                 print(f"SELF-TEST FAIL: {label}: exit {got}, "
                       f"expected {expected}")
@@ -220,14 +183,10 @@ def main(argv):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("baseline", nargs="?", help="committed baseline JSON")
     parser.add_argument("current", nargs="?", help="fresh run JSON")
-    parser.add_argument("legacy_threshold", nargs="?", type=float,
-                        help="legacy positional spelling of --threshold")
-    parser.add_argument("--threshold", action="append", default=None,
-                        metavar="FACTOR|NAME=FACTOR",
-                        help="repeatable: a bare factor sets the global "
-                             "threshold (default 2.0, or "
-                             "DSW_BENCH_THRESHOLD); NAME=FACTOR overrides "
-                             "the normalized check for one benchmark")
+    parser.add_argument("--threshold", type=float, default=2.0,
+                        metavar="FACTOR",
+                        help="regression factor for both checks "
+                             "(default 2.0)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the checker against synthetic fixtures")
     args = parser.parse_args(argv[1:])
@@ -237,25 +196,7 @@ def main(argv):
     if args.baseline is None or args.current is None:
         parser.print_usage()
         return 2
-    threshold = None
-    overrides = {}
-    for spec in args.threshold or []:
-        name, eq, factor = spec.rpartition("=")
-        try:
-            value = float(factor)
-        except ValueError:
-            print(f"error: bad --threshold value {spec!r} "
-                  f"(want FACTOR or NAME=FACTOR)")
-            return 2
-        if eq:
-            overrides[name] = value
-        else:
-            threshold = value
-    if threshold is None:
-        threshold = args.legacy_threshold
-    if threshold is None:
-        threshold = float(os.environ.get("DSW_BENCH_THRESHOLD", "2.0"))
-    return check(args.baseline, args.current, threshold, overrides)
+    return check(args.baseline, args.current, args.threshold)
 
 
 if __name__ == "__main__":

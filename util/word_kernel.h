@@ -17,11 +17,12 @@
 //    "one-uint64_t kernels" of the single-word tier.
 //
 // Dispatch happens at the entry points (Annotate, trim_detail::
-// TrimVertex, enumerator_detail::AdvanceStates, BList::NextLive) on
-// words-per-set == 1; callers never name a kernel. Tests and benches
-// force the multi-word instantiation onto a one-word query's whole plan
-// (AnnotateOptions::force_multi_word, recorded on the Annotation) to
-// assert bit-identity and to measure the kernel win in isolation.
+// TrimVertex, enumerator_detail::AdvanceStates, BList::NextLive) on the
+// word count alone, each through its own explicit `if (wps == 1)`
+// branch so the single-word body inlines into the caller; callers never
+// name a kernel. tests/exec_tier_test.cc checks the two instantiations
+// against each other by spreading a one-word query's states over two
+// and three words (SpreadStates in workload/queries.h).
 
 #ifndef DSW_UTIL_WORD_KERNEL_H_
 #define DSW_UTIL_WORD_KERNEL_H_

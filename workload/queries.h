@@ -5,6 +5,7 @@
 #ifndef DSW_WORKLOAD_QUERIES_H_
 #define DSW_WORKLOAD_QUERIES_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -74,6 +75,33 @@ inline Nfa ForkChainNfa(uint32_t tail) {
     nfa.AddTransition(3 + p, 0u, 4 + p);
   nfa.AddFinal(tail + 3);
   return nfa;
+}
+
+/// Where SpreadStates puts state \p q: 64 x (q mod words) + q / words.
+inline uint32_t SpreadState(uint32_t q, uint32_t words) {
+  return 64 * (q % words) + q / words;
+}
+
+/// \p nfa renumbered into a (64 x words)-state automaton: state q
+/// becomes SpreadState(q, words), with the same initial, final, labeled
+/// and epsilon structure; the other states are isolated. Consecutive
+/// states land in different words, so a one-word query spread over two
+/// or more words runs the multi-word kernels on the same problem — the
+/// cross-kernel oracle of tests/exec_tier_test.cc. Requires
+/// |Q| <= 64 x words.
+inline Nfa SpreadStates(const Nfa& nfa, uint32_t words) {
+  assert(nfa.num_states() <= 64 * words);
+  Nfa out(64 * words);
+  for (uint32_t q = 0; q < nfa.num_states(); ++q) {
+    const uint32_t at = SpreadState(q, words);
+    if (nfa.initial().Test(q)) out.AddInitial(at);
+    if (nfa.IsFinal(q)) out.AddFinal(at);
+    for (const auto& [label, to] : nfa.Transitions(q))
+      out.AddTransition(at, label, SpreadState(to, words));
+    for (uint32_t to : nfa.EpsilonSuccessors(q))
+      out.AddEpsilonTransition(at, SpreadState(to, words));
+  }
+  return out;
 }
 
 /// The E9 regex family (l0|...|l_{m-1})* l0 (l0|...|l_{m-1})*: words
