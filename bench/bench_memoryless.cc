@@ -95,6 +95,7 @@ void BM_Memoryless_LinearReseek(benchmark::State& state) {
     return;
   }
   const Walk first = en.walk();
+  const LabelIndex& adj = snap.label_index();
   uint64_t outputs = 0;
   uint64_t scanned = 0;
   for (auto _ : state) {
@@ -109,12 +110,12 @@ void BM_Memoryless_LinearReseek(benchmark::State& state) {
       for (size_t i = prev.edges.size(); i-- > 0;) {
         EdgeId e = prev.edges[i];
         VertexId u = inst.db.src(e);
-        uint32_t ti = snap.tgt_idx(e);
+        uint32_t ti = adj.PositionOf(e);
         const uint32_t level = static_cast<uint32_t>(i);
         auto queue = index.trimmed().CandidatesAt(
             level, index.trimmed().UsefulLevel(level).FindIndex(u));
         uint32_t cur = 0;
-        while (cur < queue.size() && snap.tgt_idx(queue[cur].edge) < ti) {
+        while (cur < queue.size() && adj.PositionOf(queue[cur].edge) < ti) {
           ++cur;
           ++scanned;
         }

@@ -16,6 +16,19 @@
 // everything the engine's upgrade path would run, DeltaContext build
 // included. The CI perf-smoke job gates DeltaRepair being >3x faster
 // than FullRebuild at permille = 10 (a 1% mutation rate).
+//
+// Two more arms time the Database::Freeze that precedes every install:
+//
+//   Freeze             — the freeze after a batch, derived from the
+//                        previous freeze's index (block copies plus the
+//                        touched vertices)
+//   FreezeFromScratch  — the first freeze of a never-frozen copy, which
+//                        derives from an empty index and so emits every
+//                        vertex
+//
+// The CI perf-smoke job fails unless FreezeFromScratch takes more than
+// 2x as long as Freeze at permille = 10, so a silent fallback to full
+// builds cannot pass.
 
 #include <benchmark/benchmark.h>
 
@@ -125,6 +138,57 @@ void BM_Mutation_FullRebuild(benchmark::State& state) {
   state.counters["inserted_edges"] = k;
 }
 BENCHMARK(BM_Mutation_FullRebuild)
+    ->ArgName("permille")
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(50);
+
+// The databases and snapshots live across iterations, so neither the
+// copy's teardown nor the release of an index lands in the timed region:
+// `before` keeps the pre-batch index alive, as the engine's installed
+// snapshot does.
+void BM_Mutation_Freeze(benchmark::State& state) {
+  const Fixture& fx = Fixture::Get();
+  const uint32_t k = fx.NumInserts(state.range(0));
+  Database db;
+  Snapshot before, after;
+  for (auto _ : state) {
+    state.PauseTiming();
+    after = Snapshot();
+    db = fx.pristine.db;
+    before = db.Freeze();
+    fx.Mutate(&db, k);
+    state.ResumeTiming();
+
+    after = db.Freeze();
+    benchmark::DoNotOptimize(after);
+  }
+  state.counters["inserted_edges"] = k;
+}
+BENCHMARK(BM_Mutation_Freeze)
+    ->ArgName("permille")
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(50);
+
+void BM_Mutation_FreezeFromScratch(benchmark::State& state) {
+  const Fixture& fx = Fixture::Get();
+  const uint32_t k = fx.NumInserts(state.range(0));
+  Database db;
+  Snapshot after;
+  for (auto _ : state) {
+    state.PauseTiming();
+    after = Snapshot();
+    db = fx.pristine.db;  // the generators never freeze
+    fx.Mutate(&db, k);
+    state.ResumeTiming();
+
+    after = db.Freeze();
+    benchmark::DoNotOptimize(after);
+  }
+  state.counters["inserted_edges"] = k;
+}
+BENCHMARK(BM_Mutation_FreezeFromScratch)
     ->ArgName("permille")
     ->Arg(1)
     ->Arg(10)

@@ -17,14 +17,21 @@
 //
 // Mutation and reads are split by an explicit freeze point: AddVertex/
 // AddEdge grow the edge tables, and Freeze() seals the current contents
-// into an immutable Snapshot that owns the built LabelIndex and the
-// generation stamp. Every read-path structure (Annotation, TrimmedIndex,
-// ResumableIndex, the query engine) is constructed from a Snapshot, so
-// nothing on the read path ever builds anything lazily — any number of
-// threads can share one Snapshot with no synchronization at all. A
-// mutation after Freeze() starts the next generation: old snapshots (and
-// the indexes built from them) keep the loud generation assert instead
-// of silently serving stale spans.
+// into an immutable Snapshot that owns the built LabelIndex, the vertex
+// and edge counts it covers, and the generation stamp. Every read-path
+// structure (Annotation, TrimmedIndex, ResumableIndex, the query engine)
+// is constructed from a Snapshot, so nothing on the read path ever
+// builds anything lazily — any number of threads can share one Snapshot
+// with no synchronization at all. A mutation after Freeze() starts the
+// next generation: old snapshots (and the indexes built from them) keep
+// the loud generation assert instead of silently serving stale spans,
+// and their counts stay those of their freeze.
+//
+// Since the mutation API is append-only, each Freeze() derives its
+// LabelIndex from the previous one (the first from an empty index): a
+// vertex's groups change only when it is new or gained an out-edge, so
+// every other vertex is block-copied with its run and only the touched
+// ones are re-emitted. An install costs the write, not the graph.
 
 #ifndef DSW_CORE_DATABASE_H_
 #define DSW_CORE_DATABASE_H_
@@ -129,13 +136,19 @@ class LabelIndex {
   /// the seek key of the resumable candidate queues.
   uint32_t PositionOf(uint32_t edge) const { return edge_pos_[edge]; }
 
+  /// Number of vertices frozen into this index (ids [0, num_vertices())).
+  /// Unlike Database::num_vertices(), it does not grow with later inserts.
+  uint32_t num_vertices() const {
+    return static_cast<uint32_t>(group_offsets_.size() - 1);
+  }
+
   /// Number of edges frozen into this index (edge ids [0, num_edges())).
   /// Unlike Database::num_edges(), it does not grow with later inserts.
   size_t num_edges() const { return edge_pos_.size(); }
 
  private:
   friend class Database;
-  std::vector<uint32_t> group_offsets_;  // vertex -> first group; size V+1
+  std::vector<uint32_t> group_offsets_ = {0};  // vertex -> first group; V+1
   std::vector<Group> groups_;
   std::vector<Target> targets_;  // grouped by (src, label)
   std::vector<uint32_t> edge_pos_;  // edge id -> position in targets_
@@ -214,9 +227,11 @@ class Database {
   uint32_t dst(uint32_t id) const { return edges_[id].dst; }
   const std::vector<uint32_t>& OutEdges(uint32_t v) const { return out_[v]; }
 
-  /// Seals the current contents into an immutable Snapshot: builds the
-  /// label-stratified adjacency (O(|E| log d), reusing the build when
-  /// nothing mutated since the last freeze) and stamps the generation.
+  /// Seals the current contents into an immutable Snapshot: derives the
+  /// label-stratified adjacency from the previous freeze's (block copies
+  /// of the untouched vertices plus O(d log d) per touched vertex; O(1)
+  /// when nothing mutated since the last freeze) and stamps the
+  /// generation.
   /// Deliberately non-const — building the index is a mutation-path
   /// operation, so it can never race with the read path; the returned
   /// Snapshot (and copies of it) can then be shared across any number
@@ -235,35 +250,101 @@ class Database {
  private:
   friend class Snapshot;  // DeltaFrom reads the freeze-mark log
 
-  void BuildLabelIndex(LabelIndex& ix) const {
-    uint32_t v_count = num_vertices();
-    ix.group_offsets_.assign(v_count + 1, 0);
-    ix.groups_.clear();
-    ix.targets_.clear();
-    ix.targets_.reserve(edges_.size());
-    ix.edge_pos_.assign(edges_.size(), 0);
-    std::vector<uint32_t> buf;
-    for (uint32_t v = 0; v < v_count; ++v) {
-      ix.group_offsets_[v] = static_cast<uint32_t>(ix.groups_.size());
-      buf.assign(out_[v].begin(), out_[v].end());
-      // Stable: edges of one (v, label) group keep insertion order.
-      std::stable_sort(buf.begin(), buf.end(),
-                       [this](uint32_t a, uint32_t b) {
-                         return edges_[a].label < edges_[b].label;
-                       });
-      for (uint32_t id : buf) {
-        uint32_t label = edges_[id].label;
-        if (ix.groups_.size() == ix.group_offsets_[v] ||
-            ix.groups_.back().label != label) {
-          uint32_t pos = static_cast<uint32_t>(ix.targets_.size());
-          ix.groups_.push_back(LabelIndex::Group{label, pos, pos});
-        }
-        ix.edge_pos_[id] = static_cast<uint32_t>(ix.targets_.size());
-        ix.targets_.push_back(LabelIndex::Target{id, edges_[id].dst});
-        ++ix.groups_.back().end;
+  // The index of the current contents, derived from \p prev, the index
+  // of an earlier state of this database (an empty index on the first
+  // freeze). Append-only mutation means prev covers exactly vertices
+  // [0, prev.num_vertices()) and edges [0, prev.num_edges()), and a
+  // vertex's groups differ from prev's only if it is new or the source
+  // of a new edge. Each run of other vertices is block-copied, its group
+  // and target positions shifted by the targets inserted before it; the
+  // touched vertices are re-emitted. The layout is a function of the
+  // edge list alone, so the result equals a build from empty.
+  std::shared_ptr<const LabelIndex> BuildLabelIndex(
+      const LabelIndex& prev) const {
+    const uint32_t v_count = num_vertices();
+    const uint32_t e_count = static_cast<uint32_t>(num_edges());
+    const uint32_t old_v = prev.num_vertices();
+    const uint32_t old_e = static_cast<uint32_t>(prev.num_edges());
+    assert(old_v <= v_count && old_e <= e_count);
+
+    // Old vertices that gained an out-edge, ascending; old_v closes the
+    // last clean run.
+    std::vector<uint32_t> touched;
+    for (uint32_t e = old_e; e < e_count; ++e)
+      if (edges_[e].src < old_v) touched.push_back(edges_[e].src);
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    touched.push_back(old_v);
+
+    auto ix = std::make_shared<LabelIndex>();
+    ix->group_offsets_.resize(static_cast<size_t>(v_count) + 1);
+    ix->groups_.reserve(prev.groups_.size() + (e_count - old_e));
+    ix->targets_.reserve(e_count);
+    // Right for every edge up to the first moved target; the copies
+    // below rewrite the rest.
+    ix->edge_pos_.reserve(e_count);
+    ix->edge_pos_.assign(prev.edge_pos_.begin(), prev.edge_pos_.end());
+    ix->edge_pos_.resize(e_count);
+
+    // Emits one vertex from scratch. out_[v] ascends in edge id, so
+    // sorting (label, edge id) keys orders the groups by label with each
+    // group's edges in insertion order.
+    std::vector<uint64_t> keys;
+    auto emit = [&](uint32_t v) {
+      const uint32_t first_group = static_cast<uint32_t>(ix->groups_.size());
+      ix->group_offsets_[v] = first_group;
+      keys.clear();
+      for (uint32_t id : out_[v])
+        keys.push_back(uint64_t{edges_[id].label} << 32 | id);
+      std::sort(keys.begin(), keys.end());
+      for (uint64_t key : keys) {
+        const uint32_t id = static_cast<uint32_t>(key);
+        const uint32_t label = static_cast<uint32_t>(key >> 32);
+        const uint32_t pos = static_cast<uint32_t>(ix->targets_.size());
+        if (ix->groups_.size() == first_group ||
+            ix->groups_.back().label != label)
+          ix->groups_.push_back(LabelIndex::Group{label, pos, pos});
+        ix->edge_pos_[id] = pos;
+        ix->targets_.push_back(LabelIndex::Target{id, edges_[id].dst});
+        ++ix->groups_.back().end;
       }
+    };
+
+    uint32_t v = 0;
+    for (uint32_t next : touched) {
+      // Clean run [v, next): same groups and targets, shifted.
+      const uint32_t g_begin = prev.group_offsets_[v];
+      const uint32_t g_end = prev.group_offsets_[next];
+      const uint32_t group_shift =
+          static_cast<uint32_t>(ix->groups_.size()) - g_begin;
+      for (uint32_t u = v; u < next; ++u)
+        ix->group_offsets_[u] = prev.group_offsets_[u] + group_shift;
+      if (g_begin < g_end) {
+        const uint32_t t_begin = prev.groups_[g_begin].begin;
+        const uint32_t t_end = prev.groups_[g_end - 1].end;
+        const uint32_t target_shift =
+            static_cast<uint32_t>(ix->targets_.size()) - t_begin;
+        const size_t first = ix->groups_.size();
+        ix->groups_.insert(ix->groups_.end(), prev.groups_.begin() + g_begin,
+                           prev.groups_.begin() + g_end);
+        for (size_t g = first; g < ix->groups_.size(); ++g) {
+          ix->groups_[g].begin += target_shift;
+          ix->groups_[g].end += target_shift;
+        }
+        ix->targets_.insert(ix->targets_.end(),
+                            prev.targets_.begin() + t_begin,
+                            prev.targets_.begin() + t_end);
+        if (target_shift != 0)
+          for (uint32_t t = t_begin; t < t_end; ++t)
+            ix->edge_pos_[prev.targets_[t].edge] = t + target_shift;
+      }
+      if (next == old_v) break;
+      emit(next);
+      v = next + 1;
     }
-    ix.group_offsets_[v_count] = static_cast<uint32_t>(ix.groups_.size());
+    for (uint32_t u = old_v; u < v_count; ++u) emit(u);
+    ix->group_offsets_[v_count] = static_cast<uint32_t>(ix->groups_.size());
+    return ix;
   }
 
   // One entry per frozen generation: the vertex/edge counts as of that
@@ -285,9 +366,9 @@ class Database {
   std::vector<FreezeMark> freeze_marks_;  // ascending generation
   // The index built by the last Freeze() and the generation it captured;
   // shared with every Snapshot handed out, so re-freezing an unchanged
-  // database is O(1) and old snapshots stay valid storage-wise even
-  // after a rebuild (their generation assert governs *semantic*
-  // validity).
+  // database is O(1), the next freeze derives from it, and old snapshots
+  // stay valid storage-wise even after a rebuild (their generation
+  // assert governs *semantic* validity).
   std::shared_ptr<const LabelIndex> frozen_index_;
   uint64_t frozen_generation_ = UINT64_MAX;  // != any real generation
   uint64_t generation_ = 0;
@@ -301,6 +382,8 @@ class Database {
 /// lazy work whatsoever. The Database must outlive every snapshot of it
 /// (the snapshot reads the edge tables through a back-pointer), and
 /// mutating it retires them: debug builds assert on the next access.
+/// The counts come from the frozen index, so in release builds a
+/// retired snapshot still bounds vertex and edge ids by its freeze.
 class Snapshot {
  public:
   /// Null snapshot (tests false); assign a real one from Freeze().
@@ -340,24 +423,10 @@ class Snapshot {
     return *index_;
   }
 
-  /// Rank of edge \p id in the label-stratified target pool (the
-  /// (src, label, insertion) order; see LabelIndex::PositionOf) — the
-  /// candidate-queue seek key of the memoryless pipeline.
-  uint32_t tgt_idx(uint32_t id) const { return label_index().PositionOf(id); }
-
-  uint32_t num_vertices() const {
-    AssertFresh();
-    return db_->num_vertices();
-  }
-  size_t num_edges() const {
-    AssertFresh();
-    return db_->num_edges();
-  }
+  uint32_t num_vertices() const { return label_index().num_vertices(); }
+  size_t num_edges() const { return label_index().num_edges(); }
   /// |D| = |V| + |E|, as in the paper's complexity statements.
-  size_t size() const {
-    AssertFresh();
-    return db_->size();
-  }
+  size_t size() const { return num_vertices() + num_edges(); }
   const Edge& edge(uint32_t id) const {
     AssertFresh();
     return db_->edge(id);
@@ -386,9 +455,8 @@ class Snapshot {
 
 inline Snapshot Database::Freeze() {
   if (!frozen_index_ || frozen_generation_ != generation_) {
-    auto ix = std::make_shared<LabelIndex>();
-    BuildLabelIndex(*ix);
-    frozen_index_ = std::move(ix);
+    static const LabelIndex kEmpty;
+    frozen_index_ = BuildLabelIndex(frozen_index_ ? *frozen_index_ : kEmpty);
     frozen_generation_ = generation_;
   }
   if (freeze_marks_.empty() || freeze_marks_.back().generation != generation_) {
@@ -403,8 +471,8 @@ inline Snapshot Database::Freeze() {
 inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
   AssertFresh();
   if (prev_generation == generation_)
-    return EdgeDelta{true, db_->num_vertices(),
-                     static_cast<uint32_t>(db_->num_edges())};
+    return EdgeDelta{true, index_->num_vertices(),
+                     static_cast<uint32_t>(index_->num_edges())};
   if (prev_generation > generation_) return EdgeDelta{};
   for (const Database::FreezeMark& mark : db_->freeze_marks_)
     if (mark.generation == prev_generation)

@@ -52,18 +52,49 @@ void DiffLevels(const LevelSets& old_level, const LevelSets& new_level,
 
 }  // namespace
 
-DeltaContext::DeltaContext(const Snapshot& snap) {
+DeltaContext::DeltaContext(const Snapshot& snap)
+    : DeltaContext(snap, DeltaContext()) {}
+
+// Append-only mutation means prev covers exactly the first
+// prev.in_off_.size() - 1 vertices and prev.in_src_.size() edges, and
+// each vertex keeps its old in-neighbors ahead of its new ones.
+DeltaContext::DeltaContext(const Snapshot& snap, const DeltaContext& prev) {
   snap.AssertFresh();
   const Database& db = snap.db();
-  const uint32_t num_vertices = db.num_vertices();
-  const uint32_t num_edges = static_cast<uint32_t>(db.num_edges());
+  const uint32_t num_vertices = snap.num_vertices();
+  const uint32_t num_edges = static_cast<uint32_t>(snap.num_edges());
+  const uint32_t old_vertices = static_cast<uint32_t>(prev.in_off_.size() - 1);
+  const uint32_t old_edges = static_cast<uint32_t>(prev.in_src_.size());
+  assert(old_vertices <= num_vertices && old_edges <= num_edges);
   in_off_.assign(static_cast<size_t>(num_vertices) + 1, 0);
-  for (uint32_t e = 0; e < num_edges; ++e) ++in_off_[db.dst(e) + 1];
-  for (uint32_t v = 0; v < num_vertices; ++v) in_off_[v + 1] += in_off_[v];
   in_src_.resize(num_edges);
-  std::vector<uint32_t> cursor(in_off_.begin(), in_off_.end() - 1);
-  for (uint32_t e = 0; e < num_edges; ++e)
-    in_src_[cursor[db.dst(e)]++] = db.src(e);
+  for (uint32_t e = old_edges; e < num_edges; ++e) ++in_off_[db.dst(e) + 1];
+
+  // One pass turns in_off_[v + 1] from v's new in-degree into the slot
+  // of its first new in-neighbor, and block-copies the old in-neighbors
+  // of each run of vertices that gained none, through the next vertex
+  // that did.
+  uint32_t begin = 0;      // first slot of v
+  uint32_t run = 0;        // first vertex of the current run
+  uint32_t run_begin = 0;  // its first slot
+  for (uint32_t v = 0; v < num_vertices; ++v) {
+    const uint32_t old_degree =
+        v < old_vertices ? prev.in_off_[v + 1] - prev.in_off_[v] : 0;
+    const uint32_t new_degree = in_off_[v + 1];
+    in_off_[v + 1] = begin + old_degree;
+    begin += old_degree + new_degree;
+    if (v < old_vertices && (new_degree != 0 || v + 1 == old_vertices)) {
+      std::copy(prev.in_src_.begin() + prev.in_off_[run],
+                prev.in_src_.begin() + prev.in_off_[v + 1],
+                in_src_.begin() + run_begin);
+      run = v + 1;
+      run_begin = begin;
+    }
+  }
+  // The new in-neighbors, in edge-id order; each in_off_[v + 1] ends at
+  // the end of v's slots, which is where v + 1's begin.
+  for (uint32_t e = old_edges; e < num_edges; ++e)
+    in_src_[in_off_[db.dst(e) + 1]++] = db.src(e);
 }
 
 AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,

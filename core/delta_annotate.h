@@ -56,23 +56,33 @@
 
 namespace dsw {
 
-/// Reverse label-free adjacency (in-neighbor CSR) of one snapshot.
-/// Built once per InstallSnapshot and shared across every entry repair:
-/// the trim patcher needs "which vertices have an edge into w" to
-/// propagate usefulness changes backward, and the forward LabelIndex
-/// cannot answer that. O(|E|) build; parallel edges appear as duplicate
-/// in-neighbors (the dirty sets dedup downstream).
+/// Reverse label-free adjacency (in-neighbor CSR) of one snapshot,
+/// shared across every entry repair of one install: the trim patcher
+/// needs "which vertices have an edge into w" to propagate usefulness
+/// changes backward, and the forward LabelIndex cannot answer that.
+/// Each vertex lists the sources of its in-edges in edge-id order, so
+/// parallel edges appear as duplicate in-neighbors (the dirty sets dedup
+/// downstream). The engine keeps the context of its installed generation
+/// and derives the next one from it at each incremental install: an
+/// O(|V|) offset pass, block copies and the new edges, where a build
+/// from empty makes two passes over every edge.
 class DeltaContext {
  public:
+  /// The context of \p snap, derived from an empty one.
   explicit DeltaContext(const Snapshot& snap);
+  /// The context of \p snap, derived from \p prev: the context of an
+  /// earlier snapshot of the same database.
+  DeltaContext(const Snapshot& snap, const DeltaContext& prev);
 
   std::span<const uint32_t> InNeighbors(uint32_t v) const {
     return {in_src_.data() + in_off_[v], in_src_.data() + in_off_[v + 1]};
   }
 
  private:
-  std::vector<uint32_t> in_off_;  // vertex -> first in-edge; size V+1
-  std::vector<uint32_t> in_src_;  // source vertices, grouped by dst
+  DeltaContext() = default;  // no vertices, no edges
+
+  std::vector<uint32_t> in_off_ = {0};  // vertex -> first in-edge; V+1
+  std::vector<uint32_t> in_src_;        // source vertices, grouped by dst
 };
 
 /// What DeltaAnnotate did to the annotation. ok == false means the

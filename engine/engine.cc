@@ -133,6 +133,7 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   const Database* db = &snap.db();
   const uint64_t gen = snap.generation();
   Snapshot prev;
+  std::shared_ptr<const DeltaContext> prev_ctx;
   {
     std::lock_guard<std::mutex> lock(mu_);
     prev = snapshot_;
@@ -141,6 +142,8 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     // next pump — the (db, generation) compare in the worker is the
     // whole mechanism. The incremental path below re-points the sessions
     // it saves BEFORE they can reach a worker again.
+    if (!prev || &prev.db() != db || prev.generation() != gen)
+      prev_ctx = std::move(context_);  // it describes prev, not snap
   }
 
   // Incremental path: when the previous install was an earlier frozen
@@ -160,24 +163,31 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   // carry the generation); drop them eagerly. Outside mu_ — the cache
   // has its own lock and the two are never held together.
   cache_.Invalidate(db, gen);
-  if (old_entries.empty()) return;
+  if (!delta.known) return;
 
+  // One reverse CSR serves every repair. It is derived from the previous
+  // install's, and built from empty only when the engine holds none —
+  // the first incremental install after a full one.
+  auto ctx = prev_ctx ? std::make_shared<const DeltaContext>(snap, *prev_ctx)
+                      : std::make_shared<const DeltaContext>(snap);
   // Repair each extracted plan against the new snapshot and re-insert
-  // it under the new generation's key. One reverse CSR serves them all.
-  DeltaContext ctx(snap);
-  // Old plan -> its repaired upgrade.
+  // it under the new generation's key. Old plan -> its repaired upgrade.
   std::unordered_map<const PreparedQuery*, RepairedPlan> remap;
   for (auto& [key, old] : old_entries) {
-    RepairedPlan repaired = RepairPlan(snap, delta, ctx, *old);
+    RepairedPlan repaired = RepairPlan(snap, delta, *ctx, *old);
     if (!repaired.value) continue;
     PlanKey new_key = std::move(key);
     new_key.generation = gen;
     cache_.InsertUpgraded(std::move(new_key), repaired.value);
     remap.emplace(old.get(), std::move(repaired));
   }
-  if (remap.empty()) return;
 
   std::lock_guard<std::mutex> lock(mu_);
+  // Keep the context for the next install, unless a concurrent install
+  // has already replaced the snapshot it describes.
+  if (&snapshot_.db() == db && snapshot_.generation() == gen)
+    context_ = std::move(ctx);
+  if (remap.empty()) return;
   plans_upgraded_ += remap.size();
   // Re-point the query table: future OpenSession calls on an existing
   // QueryId get the upgraded plan (new sessions Rewind, so this is safe

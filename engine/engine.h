@@ -70,6 +70,8 @@
 
 namespace dsw {
 
+class DeltaContext;  // core/delta_annotate.h
+
 using QueryId = uint32_t;
 using SessionId = uint32_t;
 
@@ -160,7 +162,9 @@ class QueryEngine {
   /// correct suffix of the NEW answer order). Plans whose lambda shrank
   /// still upgrade — new sessions enumerate the new order — but their
   /// parked sessions retire lazily as before. Repairs run on the calling
-  /// (control) thread.
+  /// (control) thread. The reverse CSR they share (DeltaContext) is
+  /// derived from the previous install's, which the engine keeps, so an
+  /// install costs the write rather than a pass over every edge.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -257,6 +261,9 @@ class QueryEngine {
   // The installed snapshot; its (db, generation) pair is compared so
   // generations of different Database objects never alias.
   Snapshot snapshot_;
+  // Null or the reverse CSR of snapshot_, kept so that the next
+  // incremental install derives its own instead of building one.
+  std::shared_ptr<const DeltaContext> context_;
 
   std::vector<std::shared_ptr<const PreparedQuery>> queries_;
   std::vector<Session> sessions_;

@@ -179,7 +179,6 @@ TEST(SnapshotTest, FreezeCapturesTheCurrentGeneration) {
   EXPECT_EQ(snap.generation(), db.generation());
   EXPECT_EQ(snap.num_vertices(), 3u);
   EXPECT_EQ(snap.num_edges(), 1u);
-  EXPECT_EQ(snap.tgt_idx(0), snap.label_index().PositionOf(0));
 
   // A default-constructed snapshot is null and never fresh.
   Snapshot null_snap;
@@ -225,6 +224,25 @@ TEST(SnapshotTest, OldSnapshotStaysReadableUntilAccessedAfterMutation) {
   Snapshot b = db.Freeze();
   EXPECT_EQ(&b.label_index(), ix);
 }
+
+#if defined(NDEBUG)
+// Release builds compile AssertFresh out, so a retired snapshot must
+// still answer from its freeze: a vertex added afterwards is out of
+// range for it, and Annotate reports that vertex unreachable instead of
+// passing its bounds check and reading past the frozen LabelIndex.
+TEST(SnapshotTest, RetiredSnapshotKeepsItsFrozenCounts) {
+  Database db;
+  db.AddVertices(2);
+  db.AddEdge(0, "l0", 1);
+  Snapshot old = db.Freeze();
+  const uint32_t new_vertex = db.AddVertices(1);
+  EXPECT_EQ(old.num_vertices(), 2u);
+  EXPECT_EQ(old.num_edges(), 1u);
+  EXPECT_EQ(old.size(), 3u);
+  Annotation ann = Annotate(old, StaircaseNfa(1, 1), new_vertex, 1);
+  EXPECT_EQ(ann.lambda, -1);
+}
+#endif
 
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
 // The stale-snapshot hazard, made loud: an index built before a

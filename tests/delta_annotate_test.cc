@@ -107,7 +107,9 @@ EdgeSeq Enumerate(const Annotation& ann, const ResumableIndex& idx,
 // Applies num_inserts random edge insertions (occasionally interleaved
 // with vertex additions, so the delta's vertex suffix is exercised too)
 // and checks the repaired structures against from-scratch rebuilds
-// after every one.
+// after every one. The reverse CSR is carried forward the way the
+// engine carries it: each step derives its context from the previous
+// step's.
 void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
                  uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -118,6 +120,7 @@ void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
   uint64_t prev_gen = snap.generation();
   Annotation carried = Annotate(snap, query, inst.source, inst.target);
   TrimmedIndex carried_trim(snap, carried);
+  DeltaContext ctx(snap);
 
   for (uint32_t step = 0; step < num_inserts; ++step) {
     SCOPED_TRACE(testing::Message() << "insertion " << step);
@@ -132,6 +135,7 @@ void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
     EdgeDelta delta = ns.DeltaFrom(prev_gen);
     ASSERT_TRUE(delta.known);
     prev_gen = ns.generation();
+    ctx = DeltaContext(ns, ctx);
 
     Annotation fresh = Annotate(ns, query, inst.source, inst.target);
     AnnotationRepair rep = DeltaAnnotate(ns, delta, &carried);
@@ -146,7 +150,6 @@ void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
     ExpectAnnotationsEqual(carried, fresh);
 
     TrimmedIndex fresh_trim(ns, fresh);
-    DeltaContext ctx(ns);
     carried_trim =
         DeltaTrim(ns, carried, carried_trim, rep, delta, ctx);
     ExpectTrimsEqual(carried_trim, fresh_trim);

@@ -335,6 +335,66 @@ TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
   EXPECT_EQ(engine.Stats().sessions_retired, 0u);
 }
 
+// The engine keeps the reverse CSR of its installed generation and
+// derives the next one from it, so a chain of incremental installs
+// never rebuilds it from every edge. The chain also skips a frozen
+// generation that was never installed and is broken once by a second
+// database, after which the first database's next incremental install
+// starts from an empty context. After every install each query must
+// drain to the oracle of the installed snapshot, through plans repaired
+// (not rebuilt) on the incremental installs.
+TEST(QueryEngineTest, ChainedInstallsRepairThroughDerivedContexts) {
+  Instance inst = EmbedInNoise(BubbleChain(5, 2), 30, 90, 11);
+  Instance other = Grid(4, 4);
+  const std::vector<Nfa> queries = {StaircaseNfa(2, 2), StaircaseNfa(1, 2),
+                                    CompleteNfa(3, 2)};
+  QueryEngine engine(2);
+  std::mt19937_64 rng(2026);
+  auto expect_oracle = [&](const Instance& in, const Snapshot& snap) {
+    for (const Nfa& query : queries) {
+      QueryId q = engine.Prepare(query, in.source, in.target);
+      PumpResult all = engine.Drain(engine.OpenSession(q), 16);
+      EXPECT_EQ(all.status, PumpStatus::kExhausted);
+      EXPECT_EQ(Edges(all.walks), Oracle(snap, query, in.source, in.target));
+    }
+  };
+  auto insert_edges = [&] {
+    if (rng() % 3 == 0) inst.db.AddVertices(1);
+    for (int i = 0; i < 4; ++i)
+      inst.db.AddEdge(static_cast<uint32_t>(rng() % inst.db.num_vertices()),
+                      static_cast<uint32_t>(rng() % 2),
+                      static_cast<uint32_t>(rng() % inst.db.num_vertices()));
+  };
+
+  Snapshot snap = inst.db.Freeze();
+  engine.InstallSnapshot(snap);
+  expect_oracle(inst, snap);
+  int incremental = 0;
+  for (int step = 0; step < 9; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    if (step == 4) {
+      Snapshot other_snap = other.db.Freeze();
+      engine.InstallSnapshot(other_snap);
+      expect_oracle(other, other_snap);
+      continue;
+    }
+    insert_edges();
+    if (step == 2) {
+      (void)inst.db.Freeze();  // a generation the engine never sees
+      insert_edges();
+    }
+    const uint64_t upgraded = engine.Stats().plans_upgraded;
+    snap = inst.db.Freeze();
+    engine.InstallSnapshot(snap);
+    if (step != 5) {  // step 5 returns from the other database
+      EXPECT_EQ(engine.Stats().plans_upgraded, upgraded + queries.size());
+      ++incremental;
+    }
+    expect_oracle(inst, snap);
+  }
+  EXPECT_GE(incremental, 6);
+}
+
 // No engine: the snapshot layer alone must let raw threads share one
 // frozen snapshot — each thread builds its own annotation, index and
 // enumerator concurrently. Before the snapshot refactor the first

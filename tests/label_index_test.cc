@@ -1,6 +1,8 @@
 // Unit tests for the label-stratified data layer: the snapshot's CSR
-// LabelIndex (grouping, ordering, rebuild on Freeze after mutation) and
-// the precompiled CompiledDelta transition relation (forward rows with
+// LabelIndex (grouping, ordering, rebuild on Freeze after mutation, and
+// each Freeze deriving its index from the previous one), the derived
+// reverse CSR of the delta-repair layer (DeltaContext), and the
+// precompiled CompiledDelta transition relation (forward rows with
 // after-side epsilon-closure composition, reverse rows, label/source
 // masks).
 
@@ -8,12 +10,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "core/database.h"
+#include "core/delta_annotate.h"
 #include "core/nfa.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -100,6 +104,144 @@ TEST(LabelIndexTest, FreezeAfterMutationSeesTheNewEdges) {
   EXPECT_EQ(ix.Targets(ix.GroupsOf(s)[0]).size(), 2u);  // two a-edges
   EXPECT_TRUE(ix.GroupsOf(u).empty());
   ExpectIndexMatchesAdjacency(db);
+}
+
+// Runs one random append-only sequence of `freezes` batches and calls
+// check(db, snapshot) after each Freeze. The batches cycle through the
+// shapes a derived build must handle: empty (the freeze reuses the
+// index), vertex-only, edges among existing vertices with parallel
+// copies, and new vertices with edges out of and into them. Label 0 is
+// first used halfway through, so its group sorts ahead of the groups a
+// touched vertex already has.
+template <typename Check>
+void RunAppends(uint64_t seed, int freezes, Check check) {
+  std::mt19937_64 rng(seed);
+  Database db;
+  db.AddVertices(1 + static_cast<uint32_t>(rng() % 4));
+  for (int f = 0; f < freezes; ++f) {
+    const uint32_t first_label = f < freezes / 2 ? 1 : 0;
+    auto label = [&] {
+      return first_label + static_cast<uint32_t>(rng() % (3 - first_label));
+    };
+    auto any_vertex = [&] {
+      return static_cast<uint32_t>(rng() % db.num_vertices());
+    };
+    const uint32_t edges = 1 + static_cast<uint32_t>(rng() % 6);
+    switch ((seed + f) % 4) {
+      case 0:
+        break;
+      case 1:
+        db.AddVertices(1 + static_cast<uint32_t>(rng() % 3));
+        break;
+      case 2:
+        for (uint32_t i = 0; i < edges; ++i) {
+          if (db.num_edges() > 0 && rng() % 3 == 0) {
+            const Edge e =
+                db.edge(static_cast<uint32_t>(rng() % db.num_edges()));
+            db.AddEdge(e.src, e.label, e.dst);
+          } else {
+            db.AddEdge(any_vertex(), label(), any_vertex());
+          }
+        }
+        break;
+      case 3: {
+        const uint32_t first =
+            db.AddVertices(1 + static_cast<uint32_t>(rng() % 3));
+        auto new_vertex = [&] {
+          return first +
+                 static_cast<uint32_t>(rng() % (db.num_vertices() - first));
+        };
+        for (uint32_t i = 0; i < edges; ++i) {
+          db.AddEdge(new_vertex(), label(), any_vertex());
+          db.AddEdge(any_vertex(), label(), new_vertex());
+        }
+        break;
+      }
+    }
+    check(db, db.Freeze());
+  }
+}
+
+void ExpectSameIndex(const LabelIndex& got, const LabelIndex& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  for (uint32_t v = 0; v < want.num_vertices(); ++v) {
+    auto got_groups = got.GroupsOf(v);
+    auto want_groups = want.GroupsOf(v);
+    ASSERT_EQ(got_groups.size(), want_groups.size()) << "vertex " << v;
+    for (size_t g = 0; g < want_groups.size(); ++g) {
+      EXPECT_EQ(got_groups[g].label, want_groups[g].label) << "vertex " << v;
+      EXPECT_EQ(got_groups[g].begin, want_groups[g].begin) << "vertex " << v;
+      EXPECT_EQ(got_groups[g].end, want_groups[g].end) << "vertex " << v;
+      auto got_targets = got.Targets(got_groups[g]);
+      auto want_targets = want.Targets(want_groups[g]);
+      ASSERT_EQ(got_targets.size(), want_targets.size()) << "vertex " << v;
+      for (size_t t = 0; t < want_targets.size(); ++t) {
+        EXPECT_EQ(got_targets[t].edge, want_targets[t].edge);
+        EXPECT_EQ(got_targets[t].dst, want_targets[t].dst);
+      }
+    }
+  }
+  for (uint32_t e = 0; e < want.num_edges(); ++e)
+    EXPECT_EQ(got.PositionOf(e), want.PositionOf(e)) << "edge " << e;
+}
+
+// Every Freeze derives its index from the previous one; a database that
+// was never frozen derives its first from an empty index. Both must
+// produce the same layout for the same edge list.
+TEST(LabelIndexTest, DerivedFreezeMatchesFullBuild) {
+  for (uint64_t seq = 0; seq < 24; ++seq) {
+    SCOPED_TRACE(testing::Message() << "sequence " << seq);
+    // Sequence 0 outlives the 64-entry freeze-mark log: derivation
+    // chains through the previous index, not through the delta log.
+    RunAppends(seq, seq == 0 ? 80 : 12,
+               [](const Database& db, const Snapshot& snap) {
+                 Database fresh;
+                 fresh.AddVertices(db.num_vertices());
+                 for (uint32_t e = 0; e < db.num_edges(); ++e)
+                   fresh.AddEdge(db.src(e), db.edge(e).label, db.dst(e));
+                 Snapshot full = fresh.Freeze();
+                 EXPECT_EQ(snap.num_vertices(), db.num_vertices());
+                 EXPECT_EQ(snap.num_edges(), db.num_edges());
+                 ExpectSameIndex(snap.label_index(), full.label_index());
+               });
+  }
+}
+
+// The same oracle for the delta-repair layer's reverse CSR: a context
+// derived at every freeze, one derived only at every third (skipping
+// generations, as the engine does when a freeze is never installed) and
+// one built from empty all list each vertex's in-edge sources in edge-id
+// order.
+TEST(DeltaContextTest, DerivedContextMatchesInEdges) {
+  for (uint64_t seq = 0; seq < 24; ++seq) {
+    SCOPED_TRACE(testing::Message() << "sequence " << seq);
+    std::unique_ptr<DeltaContext> every, sparse;
+    int freeze = 0;
+    RunAppends(seq, seq == 0 ? 80 : 12, [&](const Database& db,
+                                            const Snapshot& snap) {
+      DeltaContext full(snap);
+      std::vector<const DeltaContext*> contexts = {&full};
+      every = every ? std::make_unique<DeltaContext>(snap, *every)
+                    : std::make_unique<DeltaContext>(snap);
+      contexts.push_back(every.get());
+      if (freeze++ % 3 == 0) {
+        sparse = sparse ? std::make_unique<DeltaContext>(snap, *sparse)
+                        : std::make_unique<DeltaContext>(snap);
+        contexts.push_back(sparse.get());
+      }
+      std::vector<std::vector<uint32_t>> want(db.num_vertices());
+      for (uint32_t e = 0; e < db.num_edges(); ++e)
+        want[db.dst(e)].push_back(db.src(e));
+      for (uint32_t v = 0; v < db.num_vertices(); ++v) {
+        for (const DeltaContext* ctx : contexts) {
+          auto got = ctx->InNeighbors(v);
+          EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want[v])
+              << "vertex " << v;
+        }
+      }
+    });
+  }
 }
 
 // Brute-force oracle for CompiledDelta on an arbitrary Nfa.

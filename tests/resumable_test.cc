@@ -202,6 +202,7 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
   ASSERT_TRUE(ann.reachable());
   ResumableIndex index(snap, ann);
   const TrimmedIndex& trimmed = index.trimmed();
+  const LabelIndex& adj = snap.label_index();
   ASSERT_EQ(trimmed.num_levels(), static_cast<uint32_t>(ann.lambda) + 1);
 
   size_t queues = 0;
@@ -217,8 +218,8 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
         EXPECT_EQ(queue[i].dst, inst.db.dst(queue[i].edge));
         EXPECT_EQ(queue[i].label, inst.db.edge(queue[i].edge).label);
         if (i > 0) {
-          EXPECT_LT(snap.tgt_idx(queue[i - 1].edge),
-                    snap.tgt_idx(queue[i].edge));
+          EXPECT_LT(adj.PositionOf(queue[i - 1].edge),
+                    adj.PositionOf(queue[i].edge));
         }
         // SeekGe on a member is exact.
         EXPECT_EQ(index.SeekGe(level, pos, queue[i].edge), i);
@@ -228,12 +229,12 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
       for (uint32_t e : inst.db.OutEdges(v)) {
         ASSERT_TRUE(index.SpanContains(level, pos, e));
         const uint32_t c = index.SeekGe(level, pos, e);
-        const uint32_t key = snap.tgt_idx(e);
+        const uint32_t key = adj.PositionOf(e);
         ASSERT_LE(c, queue.size());
         for (uint32_t k = 0; k < c; ++k)
-          EXPECT_LT(snap.tgt_idx(queue[k].edge), key);
+          EXPECT_LT(adj.PositionOf(queue[k].edge), key);
         if (c < queue.size()) {
-          EXPECT_GE(snap.tgt_idx(queue[c].edge), key);
+          EXPECT_GE(adj.PositionOf(queue[c].edge), key);
         }
       }
       // Out-edges of every other vertex fall outside the span.
