@@ -5,13 +5,14 @@
 //
 // The search is restricted to level-consistent product edges (the BFS
 // annotation), i.e. this is the strongest naive variant: it never
-// wanders off shortest paths, and still drowns in duplicates. It reads
-// the same Annotation snapshot as the trimmed pipeline (precompiled
-// delta rows + epsilon-closures), branching on closure-collapsed
-// *effective* steps eps* . label . eps*: distinct epsilon-paths between
-// the same labeled steps count as one run, for epsilon-free and
-// epsilon-NFAs alike — which keeps the oracle honest against the
-// label-stratified pipeline without inheriting its trimming.
+// wanders off shortest paths, and still drowns in duplicates. It walks
+// the snapshot's LabelIndex and reads the same Annotation as the
+// trimmed pipeline (precompiled delta rows + epsilon-closures),
+// branching on closure-collapsed *effective* steps eps* . label . eps*:
+// distinct epsilon-paths between the same labeled steps count as one
+// run, for epsilon-free and epsilon-NFAs alike — which keeps the oracle
+// honest against the label-stratified pipeline without inheriting its
+// trimming.
 
 #ifndef DSW_BASELINE_NAIVE_H_
 #define DSW_BASELINE_NAIVE_H_
@@ -66,22 +67,23 @@ struct Search {
         ++res->duplicates;
       return;
     }
-    for (uint32_t e : snap->OutEdges(v)) {
-      const Edge& edge = snap->edge(e);
-      StateSetView next = ann->StatesAt(depth + 1, edge.dst);
-      if (!next) continue;
-      StateSet& step = (*targets)[depth];
-      step.ZeroAll();
-      ann->EffectiveSuccessorsInto(q, edge.label, &step);
-      step &= next;
-      step.ForEach([&](uint32_t to) {
+    const LabelIndex& adj = snap->label_index();
+    for (const LabelIndex::Group& g : adj.GroupsOf(v))
+      for (const LabelIndex::Target& t : adj.Targets(g)) {
+        StateSetView next = ann->StatesAt(depth + 1, t.dst);
+        if (!next) continue;
+        StateSet& step = (*targets)[depth];
+        step.ZeroAll();
+        ann->EffectiveSuccessorsInto(q, g.label, &step);
+        step &= next;
+        step.ForEach([&](uint32_t to) {
+          if (res->budget_exhausted) return;
+          prefix->push_back(t.edge);
+          Run(t.dst, to, depth + 1);
+          prefix->pop_back();
+        });
         if (res->budget_exhausted) return;
-        prefix->push_back(e);
-        Run(edge.dst, to, depth + 1);
-        prefix->pop_back();
-      });
-      if (res->budget_exhausted) return;
-    }
+      }
   }
 };
 

@@ -7,25 +7,25 @@
 // human-readable label names used by workloads ("a", "b", "l0", ...) to
 // ids and back.
 //
-// Besides the insertion-ordered OutEdges lists, the database maintains a
-// CSR-style *label-stratified* adjacency (LabelIndex): per vertex, the
-// out-edges grouped by label with an offset index. The annotate/trim hot
-// paths iterate "distinct labels out of v" and then "edges of v with
-// label l", so the per-edge label filtering of the naive adjacency never
+// Besides the edge table, the database builds a CSR-style
+// *label-stratified* adjacency (LabelIndex): per vertex, the out-edges
+// grouped by label with an offset index. It is the only adjacency: the
+// annotate/trim hot paths iterate "distinct labels out of v" and then
+// "edges of v with label l", so no per-edge label filtering ever
 // happens — and the per-(vertex, label) automaton move is computed once
 // and shared across every edge of the group (parallel edges included).
 //
 // Mutation and reads are split by an explicit freeze point: AddVertex/
-// AddEdge grow the edge tables, and Freeze() seals the current contents
-// into an immutable Snapshot that owns the built LabelIndex, the vertex
-// and edge counts it covers, and the generation stamp. Every read-path
-// structure (Annotation, TrimmedIndex, ResumableIndex, the query engine)
-// is constructed from a Snapshot, so nothing on the read path ever
-// builds anything lazily — any number of threads can share one Snapshot
-// with no synchronization at all. A mutation after Freeze() starts the
-// next generation: old snapshots (and the indexes built from them) keep
-// the loud generation assert instead of silently serving stale spans,
-// and their counts stay those of their freeze.
+// AddEdge append to the edge table and bump the vertex count, and
+// Freeze() seals the current contents into an immutable Snapshot that
+// owns the built LabelIndex, the vertex and edge counts it covers, and
+// the generation stamp. Every read-path structure (Annotation,
+// TrimmedIndex, ResumableIndex, the query engine) is constructed from a
+// Snapshot and reads only its LabelIndex, so nothing on the read path
+// ever builds anything lazily — any number of threads can share one
+// Snapshot with no synchronization at all, and a later mutation changes
+// nothing they read: a snapshot and every plan built from it keep
+// answering for their own generation.
 //
 // Since the mutation API is append-only, each Freeze() derives its
 // LabelIndex from the previous one (the first from an empty index): a
@@ -171,20 +171,16 @@ struct EdgeDelta {
 
 class Database {
  public:
-  uint32_t AddVertex() {
-    out_.emplace_back();
-    ++generation_;
-    return static_cast<uint32_t>(out_.size() - 1);
-  }
+  uint32_t AddVertex() { return AddVertices(1); }
 
   /// Adds \p n vertices; returns the id of the first. A zero-vertex
   /// call changes nothing and is generation-neutral — bumping the
   /// counter here would retire every snapshot, session and cached plan
   /// for a mutation that never happened.
   uint32_t AddVertices(uint32_t n) {
-    uint32_t first = num_vertices();
+    uint32_t first = num_vertices_;
     if (n == 0) return first;
-    out_.resize(out_.size() + n);
+    num_vertices_ += n;
     ++generation_;
     return first;
   }
@@ -195,7 +191,6 @@ class Database {
     assert(dst < num_vertices() && "AddEdge: dst is not a vertex id");
     uint32_t id = static_cast<uint32_t>(edges_.size());
     edges_.push_back(Edge{src, dst, label});
-    out_[src].push_back(id);
     ++generation_;
     return id;
   }
@@ -207,17 +202,11 @@ class Database {
 
   /// Monotonic mutation counter: bumped by every AddVertex/AddVertices/
   /// AddEdge (label interning does not count — it never perturbs the
-  /// adjacency). Freeze() stamps it into the Snapshot, which
-  /// debug-asserts it in its accessors (Snapshot::AssertFresh): a
-  /// mutation after Freeze() silently invalidates everything built from
-  /// the snapshot — spans, positions, rank arrays — and the generation
-  /// check turns that latent use-after-mutate into a loud assertion
-  /// instead of wrong answers. ResumableIndex holds its snapshot and
-  /// reads the seek keys through it, so a plan used past a mutation
-  /// trips the same check.
+  /// adjacency). Freeze() stamps it into the Snapshot; the engine and
+  /// the plan cache key plans and sessions on (database, generation).
   uint64_t generation() const { return generation_; }
 
-  uint32_t num_vertices() const { return static_cast<uint32_t>(out_.size()); }
+  uint32_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return edges_.size(); }
   /// |D| as used in the paper's complexity statements: |V| + |E|.
   size_t size() const { return num_vertices() + num_edges(); }
@@ -225,13 +214,12 @@ class Database {
   const Edge& edge(uint32_t id) const { return edges_[id]; }
   uint32_t src(uint32_t id) const { return edges_[id].src; }
   uint32_t dst(uint32_t id) const { return edges_[id].dst; }
-  const std::vector<uint32_t>& OutEdges(uint32_t v) const { return out_[v]; }
 
   /// Seals the current contents into an immutable Snapshot: derives the
-  /// label-stratified adjacency from the previous freeze's (block copies
-  /// of the untouched vertices plus O(d log d) per touched vertex; O(1)
-  /// when nothing mutated since the last freeze) and stamps the
-  /// generation.
+  /// label-stratified adjacency from the previous freeze's (one counting
+  /// pass over the vertices and the k new edges, block copies of the
+  /// untouched vertices, O(d log d) per touched vertex; O(1) when
+  /// nothing mutated since the last freeze) and stamps the generation.
   /// Deliberately non-const — building the index is a mutation-path
   /// operation, so it can never race with the read path; the returned
   /// Snapshot (and copies of it) can then be shared across any number
@@ -257,8 +245,9 @@ class Database {
   // vertex's groups differ from prev's only if it is new or the source
   // of a new edge. Each run of other vertices is block-copied, its group
   // and target positions shifted by the targets inserted before it; the
-  // touched vertices are re-emitted. The layout is a function of the
-  // edge list alone, so the result equals a build from empty.
+  // touched vertices are re-emitted from their targets in prev plus
+  // their new edges. The layout is a function of the edge list alone,
+  // so the result equals a build from empty.
   std::shared_ptr<const LabelIndex> BuildLabelIndex(
       const LabelIndex& prev) const {
     const uint32_t v_count = num_vertices();
@@ -267,14 +256,15 @@ class Database {
     const uint32_t old_e = static_cast<uint32_t>(prev.num_edges());
     assert(old_v <= v_count && old_e <= e_count);
 
-    // Old vertices that gained an out-edge, ascending; old_v closes the
-    // last clean run.
-    std::vector<uint32_t> touched;
+    // The new edges grouped by source in one counting pass, each group
+    // ascending in edge id: v's are fresh[fresh_off[v], fresh_off[v + 1]).
+    std::vector<uint32_t> fresh_off(static_cast<size_t>(v_count) + 2, 0);
+    for (uint32_t e = old_e; e < e_count; ++e) ++fresh_off[edges_[e].src + 2];
+    for (size_t i = 2; i < fresh_off.size(); ++i)
+      fresh_off[i] += fresh_off[i - 1];
+    std::vector<uint32_t> fresh(e_count - old_e);
     for (uint32_t e = old_e; e < e_count; ++e)
-      if (edges_[e].src < old_v) touched.push_back(edges_[e].src);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    touched.push_back(old_v);
+      fresh[fresh_off[edges_[e].src + 1]++] = e;
 
     auto ix = std::make_shared<LabelIndex>();
     ix->group_offsets_.resize(static_cast<size_t>(v_count) + 1);
@@ -286,16 +276,20 @@ class Database {
     ix->edge_pos_.assign(prev.edge_pos_.begin(), prev.edge_pos_.end());
     ix->edge_pos_.resize(e_count);
 
-    // Emits one vertex from scratch. out_[v] ascends in edge id, so
-    // sorting (label, edge id) keys orders the groups by label with each
-    // group's edges in insertion order.
+    // Emits one vertex from scratch: its targets in prev, then its new
+    // edges. Sorting (label, edge id) keys orders the groups by label
+    // with each group's edges in insertion order.
     std::vector<uint64_t> keys;
     auto emit = [&](uint32_t v) {
       const uint32_t first_group = static_cast<uint32_t>(ix->groups_.size());
       ix->group_offsets_[v] = first_group;
       keys.clear();
-      for (uint32_t id : out_[v])
-        keys.push_back(uint64_t{edges_[id].label} << 32 | id);
+      if (v < old_v)
+        for (const LabelIndex::Group& g : prev.GroupsOf(v))
+          for (const LabelIndex::Target& t : prev.Targets(g))
+            keys.push_back(uint64_t{g.label} << 32 | t.edge);
+      for (uint32_t i = fresh_off[v]; i < fresh_off[v + 1]; ++i)
+        keys.push_back(uint64_t{edges_[fresh[i]].label} << 32 | fresh[i]);
       std::sort(keys.begin(), keys.end());
       for (uint64_t key : keys) {
         const uint32_t id = static_cast<uint32_t>(key);
@@ -310,9 +304,10 @@ class Database {
       }
     };
 
-    uint32_t v = 0;
-    for (uint32_t next : touched) {
+    for (uint32_t v = 0; v < old_v;) {
       // Clean run [v, next): same groups and targets, shifted.
+      uint32_t next = v;
+      while (next < old_v && fresh_off[next] == fresh_off[next + 1]) ++next;
       const uint32_t g_begin = prev.group_offsets_[v];
       const uint32_t g_end = prev.group_offsets_[next];
       const uint32_t group_shift =
@@ -338,8 +333,7 @@ class Database {
           for (uint32_t t = t_begin; t < t_end; ++t)
             ix->edge_pos_[prev.targets_[t].edge] = t + target_shift;
       }
-      if (next == old_v) break;
-      emit(next);
+      if (next < old_v) emit(next);
       v = next + 1;
     }
     for (uint32_t u = old_v; u < v_count; ++u) emit(u);
@@ -361,14 +355,13 @@ class Database {
   static constexpr size_t kMaxFreezeMarks = 64;
 
   std::vector<Edge> edges_;
-  std::vector<std::vector<uint32_t>> out_;  // vertex -> edge ids
+  uint32_t num_vertices_ = 0;
   LabelDictionary labels_;
   std::vector<FreezeMark> freeze_marks_;  // ascending generation
   // The index built by the last Freeze() and the generation it captured;
   // shared with every Snapshot handed out, so re-freezing an unchanged
-  // database is O(1), the next freeze derives from it, and old snapshots
-  // stay valid storage-wise even after a rebuild (their generation
-  // assert governs *semantic* validity).
+  // database is O(1) and the next freeze derives from it, while old
+  // snapshots keep their own.
   std::shared_ptr<const LabelIndex> frozen_index_;
   uint64_t frozen_generation_ = UINT64_MAX;  // != any real generation
   uint64_t generation_ = 0;
@@ -379,11 +372,14 @@ class Database {
 /// cheap (one shared_ptr); every member is const, so a Snapshot (and the
 /// Annotation/TrimmedIndex/ResumableIndex built from it) can be read
 /// from any number of threads concurrently — the read path performs no
-/// lazy work whatsoever. The Database must outlive every snapshot of it
-/// (the snapshot reads the edge tables through a back-pointer), and
-/// mutating it retires them: debug builds assert on the next access.
-/// The counts come from the frozen index, so in release builds a
-/// retired snapshot still bounds vertex and edge ids by its freeze.
+/// lazy work whatsoever. Later mutations of the Database do not change
+/// what a snapshot answers: its counts and adjacency come from the
+/// frozen index, and edge() reads the append-only edge table below the
+/// frozen count. edge(), labels() and DeltaFrom() (the bounded
+/// freeze-mark log) read the live Database through a back-pointer, so
+/// it must outlive every snapshot of it, and they are for the thread
+/// that mutates it (engine/engine.h); nothing built from a snapshot
+/// calls them on the read path.
 class Snapshot {
  public:
   /// Null snapshot (tests false); assign a real one from Freeze().
@@ -395,9 +391,6 @@ class Snapshot {
   /// version key of the concurrent engine's session table.
   uint64_t generation() const { return generation_; }
 
-  /// True iff the Database has not mutated since this freeze.
-  bool fresh() const { return db_ != nullptr && db_->generation() == generation_; }
-
   /// Insert-only delta between \p prev_generation (an earlier frozen
   /// generation of the same Database) and this snapshot, from the
   /// freeze-time mark log. Unknown (never-frozen or aged-out)
@@ -405,42 +398,24 @@ class Snapshot {
   /// instead of repair. Defined after Database.
   EdgeDelta DeltaFrom(uint64_t prev_generation) const;
 
-  /// Debug-only staleness check, compiled away under NDEBUG — the one
-  /// guard of every structure built from this snapshot.
-  void AssertFresh() const {
-    assert(fresh() &&
-           "stale Snapshot: the Database was mutated after Freeze()");
-  }
-
-  /// The underlying database. Prefer the forwarding accessors below —
-  /// they carry the staleness assert.
+  /// The underlying database, for identity checks and the live tables.
   const Database& db() const { return *db_; }
 
   /// The label-stratified adjacency, built at freeze time. Plain const
   /// read; safe to share across threads.
-  const LabelIndex& label_index() const {
-    AssertFresh();
-    return *index_;
-  }
+  const LabelIndex& label_index() const { return *index_; }
 
-  uint32_t num_vertices() const { return label_index().num_vertices(); }
-  size_t num_edges() const { return label_index().num_edges(); }
+  uint32_t num_vertices() const { return index_->num_vertices(); }
+  size_t num_edges() const { return index_->num_edges(); }
   /// |D| = |V| + |E|, as in the paper's complexity statements.
   size_t size() const { return num_vertices() + num_edges(); }
   const Edge& edge(uint32_t id) const {
-    AssertFresh();
+    assert(id < num_edges() && "Snapshot::edge: id past the frozen edges");
     return db_->edge(id);
   }
   uint32_t src(uint32_t id) const { return edge(id).src; }
   uint32_t dst(uint32_t id) const { return edge(id).dst; }
-  const std::vector<uint32_t>& OutEdges(uint32_t v) const {
-    AssertFresh();
-    return db_->OutEdges(v);
-  }
-  const LabelDictionary& labels() const {
-    AssertFresh();
-    return db_->labels();
-  }
+  const LabelDictionary& labels() const { return db_->labels(); }
 
  private:
   friend class Database;
@@ -469,7 +444,6 @@ inline Snapshot Database::Freeze() {
 }
 
 inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
-  AssertFresh();
   if (prev_generation == generation_)
     return EdgeDelta{true, index_->num_vertices(),
                      static_cast<uint32_t>(index_->num_edges())};

@@ -59,7 +59,6 @@ DeltaContext::DeltaContext(const Snapshot& snap)
 // prev.in_off_.size() - 1 vertices and prev.in_src_.size() edges, and
 // each vertex keeps its old in-neighbors ahead of its new ones.
 DeltaContext::DeltaContext(const Snapshot& snap, const DeltaContext& prev) {
-  snap.AssertFresh();
   const Database& db = snap.db();
   const uint32_t num_vertices = snap.num_vertices();
   const uint32_t num_edges = static_cast<uint32_t>(snap.num_edges());
@@ -105,7 +104,6 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   // the levels on exhaustion), so there is nothing to repair from — and
   // the initial-state set needed for a re-BFS was discarded with it.
   if (!ann->reachable()) return rep;
-  snap.AssertFresh();
 
   const CompiledDelta& cd = ann->delta;
   const LabelIndex& adj = snap.label_index();

@@ -24,9 +24,8 @@
 // (level, vertex) pairs) <= O(|D| x |A|) words, within the paper's
 // index budget; nothing here is sized by |V| or |E| — the seek key is
 // read from the snapshot's LabelIndex, which the held Snapshot keeps
-// alive. Reading it through the Snapshot also carries the one
-// staleness guard: debug builds assert (Snapshot::AssertFresh) when the
-// Database mutated after the freeze.
+// alive, so the plan answers for its own generation however the
+// Database grows afterwards.
 
 #ifndef DSW_CORE_RESUMABLE_INDEX_H_
 #define DSW_CORE_RESUMABLE_INDEX_H_

@@ -253,7 +253,9 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
     result.error = parsed.error();
     return result;
   }
+  std::unique_lock<std::mutex> compile_lock(compile_mu_);
   CompiledRegex compiled = CompileRegex(*parsed.value(), dict);
+  compile_lock.unlock();
   result.frontend = compiled.frontend;
   (compiled.frontend == Frontend::kThompson ? frontend_thompson_
                                             : frontend_glushkov_)
@@ -401,7 +403,7 @@ void QueryEngine::WorkerLoop() {
       const Snapshot& pinned = s.query->index.snapshot();
       if (&pinned.db() != &snapshot_.db() ||
           pinned.generation() != snapshot_.generation()) {
-        // Graceful rejection: the stale index is never touched.
+        // Graceful rejection: the old plan is never run.
         s.state = SessionState::kRetired;
         ++sessions_retired_;
         const Database* live_db = &snapshot_.db();

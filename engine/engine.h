@@ -6,8 +6,9 @@
 //
 //  - InstallSnapshot() publishes the Snapshot queries run against; the
 //    control thread owns mutation and freezing, workers only ever see
-//    sealed snapshots. Installing also invalidates the plan cache's
-//    entries from older generations.
+//    sealed snapshots, so the graph may keep growing while they run.
+//    Installing also invalidates the plan cache's entries from older
+//    generations.
 //  - Prepare() resolves a query's prepared structure (Annotation +
 //    ResumableIndex) through the shared PlanCache (engine/plan_cache.h):
 //    repeated (automaton, source, target) shapes hit the cached
@@ -25,10 +26,9 @@
 //    session can resume on ANY worker thread, not just the one that
 //    produced the previous batch.
 //  - Installing a new snapshot retires the sessions (and prepared
-//    queries) pinned to an older generation: their next pump returns
-//    PumpStatus::kRetired without touching the stale index — the loud
-//    generation assert stays as the misuse backstop, the engine's
-//    version check is the graceful path.
+//    queries) pinned to an older generation that it did not upgrade:
+//    their next pump returns PumpStatus::kRetired instead of answers
+//    from a generation the engine no longer serves.
 //  - Stats() exposes the cache and scheduling counters (hits, misses,
 //    evictions, single-flight waits, session retirements, front-end
 //    choices) for tests and benchmarks to assert on.
@@ -41,9 +41,14 @@
 // only a rebuild on the next pump, never a wrong resume.
 //
 // Thread-safety: every public method is safe to call from any thread.
-// The Database itself must only be mutated while no Prepare/Pump runs
-// against its current snapshot (mutate, Freeze(), InstallSnapshot() is
-// the intended sequence, all on the control thread).
+// Prepare, PrepareRegex, OpenSession and Pump read only sealed
+// snapshots, so one control thread may call AddVertex/AddVertices,
+// AddEdge by label id, Freeze() and InstallSnapshot() while they run,
+// as long as no other thread makes any of these calls (an install's
+// repairs read the live edge table). PrepareRegex interns into the
+// dictionary it is given under an engine lock, so nothing else may
+// intern into that dictionary (AddEdge by label name,
+// LabelDictionary::Intern) while a PrepareRegex runs.
 
 #ifndef DSW_ENGINE_ENGINE_H_
 #define DSW_ENGINE_ENGINE_H_
@@ -117,9 +122,9 @@ struct EngineStats {
   uint64_t frontend_thompson = 0;       // PrepareRegex picks, per front-end
   uint64_t frontend_glushkov = 0;
   // Execution tier of each resolved Prepare plan (the kernels its
-  // annotation runs, Annotation::single_word) — cache hits count too,
-  // so the two sum to the number of plans handed out, not the number
-  // built.
+  // annotation runs: single-word iff Annotation::words_per_set() == 1)
+  // — cache hits count too, so the two sum to the number of plans
+  // handed out, not the number built.
   uint64_t tier_single_word = 0;
   uint64_t tier_general = 0;
 };
@@ -162,9 +167,11 @@ class QueryEngine {
   /// correct suffix of the NEW answer order). Plans whose lambda shrank
   /// still upgrade — new sessions enumerate the new order — but their
   /// parked sessions retire lazily as before. Repairs run on the calling
-  /// (control) thread. The reverse CSR they share (DeltaContext) is
-  /// derived from the previous install's, which the engine keeps, so an
-  /// install costs the write rather than a pass over every edge.
+  /// (control) thread; a pump a worker starts while they run retires
+  /// its session, as if its plan had not been upgraded. The reverse CSR
+  /// they share (DeltaContext) is derived from the previous install's,
+  /// which the engine keeps, so an install costs the write rather than
+  /// a pass over every edge.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -178,8 +185,9 @@ class QueryEngine {
   /// front-end per the E9 size heuristic (recorded in Stats()), and
   /// resolves through the cache. Labels are interned via \p dict —
   /// normally the engine database's mutable_dict(); interning does not
-  /// perturb the adjacency or the generation. Parse failures are
-  /// reported in the result, not thrown.
+  /// perturb the adjacency or the generation, and concurrent calls
+  /// take turns at it. Parse failures are reported in the result, not
+  /// thrown.
   PrepareRegexResult PrepareRegex(std::string_view pattern,
                                   LabelDictionary* dict, uint32_t source,
                                   uint32_t target);
@@ -255,6 +263,9 @@ class QueryEngine {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  // Serializes CompileRegex, which interns into the caller's
+  // LabelDictionary; the dictionary has no lock of its own.
+  std::mutex compile_mu_;
   bool stop_ = false;
   std::deque<Job> queue_;
 

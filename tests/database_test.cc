@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/annotate.h"
 #include "core/database.h"
+#include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
 #include "util/state_set.h"
 #include "workload/generators.h"
@@ -86,8 +89,8 @@ TEST(DatabaseTest, GenerationCountsStructuralMutationsOnly) {
   EXPECT_GT(db.generation(), after_vertices);
 
   // Label interning, read-only accessors and freezing are not
-  // mutations: a query recompiled against a live database must not flag
-  // the snapshots stale.
+  // mutations: a query recompiled against a live database must not move
+  // it past its snapshots' generation.
   uint64_t gen = db.generation();
   db.mutable_dict()->Intern("l1");
   db.labels().Find("l0");
@@ -108,7 +111,7 @@ TEST(DatabaseTest, ZeroVertexAddIsGenerationNeutral) {
   EXPECT_EQ(db.AddVertices(0), 3u);  // still returns the next id
   EXPECT_EQ(db.generation(), gen);
   EXPECT_EQ(db.num_vertices(), 3u);
-  EXPECT_TRUE(snap.fresh());  // the snapshot survived
+  EXPECT_EQ(snap.generation(), db.generation());  // the snapshot survived
 
   // And the delta layer agrees: re-freezing yields the same generation
   // with an empty known delta.
@@ -175,15 +178,14 @@ TEST(SnapshotTest, FreezeCapturesTheCurrentGeneration) {
   db.AddEdge(0, "l0", 1);
   Snapshot snap = db.Freeze();
   EXPECT_TRUE(static_cast<bool>(snap));
-  EXPECT_TRUE(snap.fresh());
   EXPECT_EQ(snap.generation(), db.generation());
   EXPECT_EQ(snap.num_vertices(), 3u);
   EXPECT_EQ(snap.num_edges(), 1u);
 
-  // A default-constructed snapshot is null and never fresh.
+  // A default-constructed snapshot is null and stamps no generation.
   Snapshot null_snap;
   EXPECT_FALSE(static_cast<bool>(null_snap));
-  EXPECT_FALSE(null_snap.fresh());
+  EXPECT_NE(null_snap.generation(), db.generation());
 }
 
 TEST(SnapshotTest, RefreezeWithoutMutationReusesTheBuiltIndex) {
@@ -201,21 +203,24 @@ TEST(SnapshotTest, RefreezeWithoutMutationReusesTheBuiltIndex) {
   EXPECT_EQ(&a.label_index(), shared);
   EXPECT_EQ(a.generation(), b.generation());
 
-  // A mutation retires both (so their label_index() would assert from
-  // here on) and the next freeze builds a new index.
+  // A mutation moves the database past both, and the next freeze
+  // builds a new index while the old snapshots keep theirs.
   db.AddEdge(2, "l0", 3);
-  EXPECT_FALSE(a.fresh());
-  EXPECT_FALSE(b.fresh());
+  EXPECT_NE(a.generation(), db.generation());
+  EXPECT_NE(b.generation(), db.generation());
   Snapshot c = db.Freeze();
-  EXPECT_TRUE(c.fresh());
+  EXPECT_EQ(c.generation(), db.generation());
   EXPECT_NE(&c.label_index(), shared);
+  EXPECT_EQ(&a.label_index(), shared);
   EXPECT_EQ(c.num_edges(), 3u);
 }
 
-TEST(SnapshotTest, OldSnapshotStaysReadableUntilAccessedAfterMutation) {
+TEST(SnapshotTest, OldSnapshotStaysReadableAfterMutation) {
   // The shared_ptr keeps the frozen index alive independently of the
   // database's cache slot, so holding a snapshot across someone else's
-  // Freeze() of the same generation is safe.
+  // Freeze() of the same generation is safe — and across later
+  // mutations and freezes too: the old snapshot keeps reading its own
+  // index, edge table prefix and delta log.
   Database db;
   db.AddVertices(3);
   db.AddEdge(0, "l0", 1);
@@ -223,13 +228,31 @@ TEST(SnapshotTest, OldSnapshotStaysReadableUntilAccessedAfterMutation) {
   const LabelIndex* ix = &a.label_index();
   Snapshot b = db.Freeze();
   EXPECT_EQ(&b.label_index(), ix);
+
+  db.AddVertices(2);
+  db.AddEdge(0, "l0", 4);
+  db.AddEdge(1, "l1", 0);
+  Snapshot c = db.Freeze();
+  EXPECT_EQ(&a.label_index(), ix);
+  EXPECT_EQ(a.num_vertices(), 3u);
+  EXPECT_EQ(a.num_edges(), 1u);
+  auto groups = a.label_index().GroupsOf(0);
+  ASSERT_EQ(groups.size(), 1u);
+  auto targets = a.label_index().Targets(groups[0]);
+  ASSERT_EQ(targets.size(), 1u);
+  EXPECT_EQ(targets[0].edge, 0u);
+  EXPECT_EQ(targets[0].dst, 1u);
+  EXPECT_TRUE(a.label_index().GroupsOf(1).empty());
+  EXPECT_EQ(a.dst(0), 1u);
+  EXPECT_EQ(a.labels().Name(a.edge(0).label), "l0");
+  EXPECT_TRUE(a.DeltaFrom(a.generation()).known);
+  EXPECT_EQ(a.DeltaFrom(a.generation()).first_new_edge, 1u);
+  EXPECT_EQ(c.num_edges(), 3u);
 }
 
-#if defined(NDEBUG)
-// Release builds compile AssertFresh out, so a retired snapshot must
-// still answer from its freeze: a vertex added afterwards is out of
-// range for it, and Annotate reports that vertex unreachable instead of
-// passing its bounds check and reading past the frozen LabelIndex.
+// A snapshot answers from its freeze: a vertex added afterwards is out
+// of range for it, and Annotate reports that vertex unreachable instead
+// of passing its bounds check and reading past the frozen LabelIndex.
 TEST(SnapshotTest, RetiredSnapshotKeepsItsFrozenCounts) {
   Database db;
   db.AddVertices(2);
@@ -242,40 +265,59 @@ TEST(SnapshotTest, RetiredSnapshotKeepsItsFrozenCounts) {
   Annotation ann = Annotate(old, StaircaseNfa(1, 1), new_vertex, 1);
   EXPECT_EQ(ann.lambda, -1);
 }
-#endif
 
-#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
-// The stale-snapshot hazard, made loud: an index built before a
-// mutation must assert on its next access instead of serving spans and
-// positions that describe the pre-mutation adjacency.
-TEST(DatabaseDeathTest, StalePlanSeekAfterAssertsInDebug) {
-  // A plan reads its seek keys through the snapshot it was built from,
-  // so resuming a session on it after a mutation trips the snapshot's
-  // generation check instead of seeking through stale positions.
+// A plan reads only its snapshot's frozen index, so mutating and
+// re-freezing the database after it was built changes none of its
+// answers, their order or any SeekAfter successor, in either build
+// type; a plan on the new snapshot sees the inserted edge.
+TEST(SnapshotTest, PlanKeepsItsGenerationAfterMutation) {
   Instance inst = BubbleChain(3, 2);
+  const Nfa query = StaircaseNfa(1, 2);
+  auto answers = [&](ResumableEnumerator& en) {
+    std::vector<std::vector<uint32_t>> out;
+    for (en.Rewind(); en.Valid(); en.Next()) out.push_back(en.walk().edges);
+    return out;
+  };
+  auto successors = [&](ResumableEnumerator& en,
+                        const std::vector<std::vector<uint32_t>>& walks) {
+    std::vector<std::vector<uint32_t>> out;
+    for (const std::vector<uint32_t>& w : walks) {
+      EXPECT_TRUE(en.SeekAfter(Walk{w}));
+      out.push_back(en.Valid() ? en.walk().edges : std::vector<uint32_t>{});
+    }
+    return out;
+  };
+
   Snapshot snap = inst.db.Freeze();
-  Annotation ann = Annotate(snap, StaircaseNfa(1, 2), inst.source,
-                            inst.target);
+  Annotation ann = Annotate(snap, query, inst.source, inst.target);
   ResumableIndex index(snap, ann);
   ResumableEnumerator en(ann, index, inst.source, inst.target);
-  ASSERT_TRUE(en.Valid());
-  const Walk first = en.walk();
-  EXPECT_TRUE(en.SeekAfter(first));  // fresh: fine
-  inst.db.AddEdge(inst.source, 0u, inst.target);  // invalidates the plan
-  EXPECT_DEATH(en.SeekAfter(first), "stale Snapshot");
-}
+  const auto before = answers(en);
+  ASSERT_EQ(before.size(), 8u);  // 2^3 bubbles
+  const auto seek_before = successors(en, before);
 
-TEST(DatabaseDeathTest, StaleSnapshotAssertsInDebug) {
-  Database db;
-  db.AddVertices(2);
-  db.AddEdge(0, "l0", 1);
-  Snapshot snap = db.Freeze();
-  (void)snap.label_index();  // fresh: fine
-  db.AddVertex();            // retires the snapshot
-  EXPECT_DEATH((void)snap.label_index(), "stale Snapshot");
-  EXPECT_DEATH((void)snap.OutEdges(0), "stale Snapshot");
+  // A new vertex, and a parallel twin of the first answer's first edge:
+  // every answer through that edge gains a twin through the new one.
+  (void)inst.db.AddVertices(1);
+  const uint32_t e0 = before[0][0];
+  const uint32_t twin = inst.db.AddEdge(
+      inst.db.src(e0), inst.db.edge(e0).label, inst.db.dst(e0));
+  Snapshot next = inst.db.Freeze();
+  ASSERT_NE(next.generation(), snap.generation());
+
+  EXPECT_EQ(answers(en), before);
+  EXPECT_EQ(successors(en, before), seek_before);
+
+  Annotation ann2 = Annotate(next, query, inst.source, inst.target);
+  ResumableIndex index2(next, ann2);
+  ResumableEnumerator en2(ann2, index2, inst.source, inst.target);
+  const auto after = answers(en2);
+  EXPECT_EQ(after.size(), 12u);
+  size_t with_twin = 0;
+  for (const std::vector<uint32_t>& w : after)
+    with_twin += std::count(w.begin(), w.end(), twin);
+  EXPECT_EQ(with_twin, 4u);
 }
-#endif
 
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
 TEST(StateSetViewDeathTest, NullViewProbesAssertInDebug) {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <future>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -302,7 +303,6 @@ TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
   PumpResult first = engine.Pump(s, 5);
   ASSERT_EQ(first.status, PumpStatus::kOk);
   ASSERT_EQ(first.walks.size(), 5u);
-  // (Before mutating: the old snapshot's accessors assert freshness.)
   EdgeSeq old_expected = Oracle(snap, query, inst.source, inst.target);
 
   // Insert-only, lambda-preserving mutation: duplicate three existing
@@ -393,6 +393,102 @@ TEST(QueryEngineTest, ChainedInstallsRepairThroughDerivedContexts) {
     expect_oracle(inst, snap);
   }
   EXPECT_GE(incremental, 6);
+}
+
+// PrepareRegex interns every atom into the caller's dictionary, which
+// has no lock of its own, so concurrent calls naming labels the
+// dictionary lacks must take turns at it. Each of four clients prepares
+// 200 queries that each name a new label: the dictionary grows by
+// exactly 800 entries and every query drains to no answers.
+TEST(QueryEngineTest, ConcurrentPrepareRegexInternsNewLabels) {
+  Instance inst = BubbleChain(3, 2);
+  QueryEngine engine(2);
+  engine.InstallSnapshot(inst.db.Freeze());
+  LabelDictionary* dict = inst.db.mutable_dict();
+  const uint32_t labels_before = dict->size();
+  constexpr int kClients = 4;
+  constexpr int kQueries = 200;
+  std::vector<std::vector<PrepareRegexResult>> results(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kQueries; ++i)
+        results[c].push_back(engine.PrepareRegex(
+            "l0* x" + std::to_string(c) + "_" + std::to_string(i), dict,
+            inst.source, inst.target));
+    });
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(dict->size(), labels_before + kClients * kQueries);
+  for (const std::vector<PrepareRegexResult>& client : results)
+    for (const PrepareRegexResult& r : client) {
+      ASSERT_TRUE(r.ok) << r.error;
+      PumpResult all = engine.Drain(engine.OpenSession(r.id), 16);
+      EXPECT_EQ(all.status, PumpStatus::kExhausted);
+      EXPECT_TRUE(all.walks.empty());
+    }
+}
+
+// Prepare and Pump read only sealed snapshots, so the control thread
+// grows the graph, freezes and installs while two clients keep
+// preparing and draining, with their pumps in flight. The new edges run
+// among new vertices and from noise vertices into them, which changes
+// no answer and no answer order: every drain that runs to exhaustion —
+// on a plan built before or after an install, or upgraded in the middle
+// of the drain — equals the first snapshot's oracle. Drains whose
+// session an install retired end kRetired and are not compared. Run
+// under ThreadSanitizer in CI.
+TEST(QueryEngineTest, MutationWhilePumpingServesOneAnswerSet) {
+  constexpr uint32_t kNoise = 40;
+  Instance inst = EmbedInNoise(BubbleChain(5, 2), kNoise, 160, 5);
+  const uint32_t first_noise = inst.db.num_vertices() - kNoise;
+  const Nfa query = StaircaseNfa(2, 2);
+  Snapshot snap = inst.db.Freeze();
+  const EdgeSeq expected = Oracle(snap, query, inst.source, inst.target);
+  ASSERT_EQ(expected.size(), 32u);  // 2^5 bubbles
+
+  QueryEngine engine(2);
+  engine.InstallSnapshot(snap);
+  std::atomic<bool> done{false};
+  std::atomic<int> drains{0};
+  std::atomic<int> exhausted{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (uint32_t c = 0; c < 2; ++c)
+    clients.emplace_back([&, c] {
+      while (!done.load()) {
+        SessionId s = engine.OpenSession(
+            engine.Prepare(query, inst.source, inst.target));
+        PumpResult all = engine.Drain(s, 3 + c);
+        if (all.status == PumpStatus::kExhausted) {
+          ++exhausted;
+          if (Edges(all.walks) != expected) ++mismatches;
+        }
+        ++drains;
+      }
+    });
+
+  std::mt19937 rng(17);
+  for (int round = 0; round < 200; ++round) {
+    const uint32_t first = inst.db.AddVertices(2);
+    const uint32_t noise = first_noise + static_cast<uint32_t>(rng() % kNoise);
+    inst.db.AddEdge(first, static_cast<uint32_t>(rng() % 2), first + 1);
+    inst.db.AddEdge(noise, static_cast<uint32_t>(rng() % 2), first);
+    engine.InstallSnapshot(inst.db.Freeze());
+    // Wait for a drain to run to exhaustion, so the installs land
+    // between and inside drains instead of all before the first. A
+    // session pumped while an install repairs retires, so some drains
+    // end kRetired; the bound turns a regression that retires them all
+    // into a failure instead of a hang.
+    const int seen = exhausted.load();
+    const int ended = drains.load();
+    while (exhausted.load() == seen && drains.load() < ended + 100)
+      std::this_thread::yield();
+  }
+  done = true;
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(exhausted.load(), 10);
 }
 
 // No engine: the snapshot layer alone must let raw threads share one

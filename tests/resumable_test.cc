@@ -204,6 +204,9 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
   const TrimmedIndex& trimmed = index.trimmed();
   const LabelIndex& adj = snap.label_index();
   ASSERT_EQ(trimmed.num_levels(), static_cast<uint32_t>(ann.lambda) + 1);
+  std::vector<std::vector<uint32_t>> out(inst.db.num_vertices());
+  for (uint32_t e = 0; e < inst.db.num_edges(); ++e)
+    out[inst.db.src(e)].push_back(e);
 
   size_t queues = 0;
   for (uint32_t level = 0; level < static_cast<uint32_t>(ann.lambda);
@@ -226,7 +229,7 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
       }
 
       // SeekGe on *any* out-edge of v is the first entry at-or-after it.
-      for (uint32_t e : inst.db.OutEdges(v)) {
+      for (uint32_t e : out[v]) {
         ASSERT_TRUE(index.SpanContains(level, pos, e));
         const uint32_t c = index.SeekGe(level, pos, e);
         const uint32_t key = adj.PositionOf(e);

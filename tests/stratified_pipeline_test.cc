@@ -42,6 +42,8 @@ RefAnnotation RefAnnotate(const Database& db, const Nfa& nfa, uint32_t s,
     return ref;
   std::vector<StateSet> closures;
   if (nfa.has_epsilon()) closures = nfa.EpsilonClosures();
+  std::vector<std::vector<uint32_t>> out(db.num_vertices());  // edge ids
+  for (uint32_t e = 0; e < db.num_edges(); ++e) out[db.src(e)].push_back(e);
 
   std::set<std::pair<uint32_t, uint32_t>> seen;
   std::map<uint32_t, std::set<uint32_t>> frontier;
@@ -68,7 +70,7 @@ RefAnnotation RefAnnotate(const Database& db, const Nfa& nfa, uint32_t s,
 
     std::map<uint32_t, std::set<uint32_t>> next;
     for (const auto& [v, states] : current)
-      for (uint32_t e : db.OutEdges(v)) {
+      for (uint32_t e : out[v]) {
         const Edge& edge = db.edge(e);
         for (uint32_t q : states)
           for (const auto& [label, to] : nfa.Transitions(q)) {
