@@ -18,38 +18,6 @@ struct PairEvent {
   uint32_t state;
 };
 
-// Diffs one useful/annotation level against its repaired version:
-// *changed collects (sorted) every vertex whose membership or state
-// words differ, and *pos_map maps each old position to the vertex's new
-// position (UINT32_MAX when it vanished) — the shift the clean-vertex
-// candidate copies in DeltaTrimmer must remap through.
-void DiffLevels(const LevelSets& old_level, const LevelSets& new_level,
-                uint32_t wps, std::vector<uint32_t>* changed,
-                std::vector<uint32_t>* pos_map) {
-  changed->clear();
-  pos_map->assign(old_level.size(), UINT32_MAX);
-  size_t oi = 0, ni = 0;
-  while (oi < old_level.size() || ni < new_level.size()) {
-    uint32_t ov = oi < old_level.size() ? old_level.vertex(oi) : UINT32_MAX;
-    uint32_t nv = ni < new_level.size() ? new_level.vertex(ni) : UINT32_MAX;
-    if (ov < nv) {
-      changed->push_back(ov);
-      ++oi;
-    } else if (nv < ov) {
-      changed->push_back(nv);
-      ++ni;
-    } else {
-      (*pos_map)[oi] = static_cast<uint32_t>(ni);
-      if (std::memcmp(old_level.states(oi).words(),
-                      new_level.states(ni).words(),
-                      static_cast<size_t>(wps) * sizeof(uint64_t)) != 0)
-        changed->push_back(ov);
-      ++oi;
-      ++ni;
-    }
-  }
-}
-
 }  // namespace
 
 DeltaContext::DeltaContext(const Snapshot& snap)
@@ -326,154 +294,43 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   return rep;
 }
 
-// Friend of TrimmedIndex: assembles the repaired index directly into
-// the private pools, reading the old index through its public
-// accessors — see the friend declaration in trimmed_index.h.
-class DeltaTrimmer {
- public:
-  static TrimmedIndex Repair(const Snapshot& snap, const Annotation& ann,
-                             const TrimmedIndex& old_index,
-                             const AnnotationRepair& rep,
-                             const EdgeDelta& delta,
-                             const DeltaContext& ctx) {
-    assert(rep.ok);
-    // A lambda change reshapes every level's useful sets at once; run
-    // the full backward sweep from the repaired annotation (still no
-    // product BFS). Same fallback if the old index was degenerate.
-    if (rep.lambda_changed || old_index.empty())
-      return TrimmedIndex(snap, ann);
-
-    TrimmedIndex out;
-    if (!ann.reachable()) return out;
-    const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
-    const uint32_t wps = ann.words_per_set();
-    out.wps_ = wps;
-    out.useful_.assign(lambda + 1, LevelSets(ann.num_states));
-    out.cand_ranges_.resize(lambda);
-    out.blist_off_.resize(lambda);
-
-    // Level lambda is one vertex; recompute it outright (cf. the
-    // TrimmedIndex constructor).
-    if (StateSetView at_target = ann.StatesAt(lambda, ann.target)) {
-      StateSet fin(ann.num_states);
-      fin.Assign(at_target);
-      fin &= ann.final_states;
-      if (fin.Any()) out.useful_[lambda].Append(ann.target, fin.words());
-    }
-
-    // Sources of the inserted edges: their candidate lists gained an
-    // edge at every level they appear on, so they are dirty everywhere.
-    std::vector<uint32_t> new_sources;
-    {
-      const Database& db = snap.db();
-      const uint32_t num_edges = static_cast<uint32_t>(snap.num_edges());
-      for (uint32_t e = delta.first_new_edge; e < num_edges; ++e)
-        new_sources.push_back(db.src(e));
-      std::sort(new_sources.begin(), new_sources.end());
-      new_sources.erase(
-          std::unique(new_sources.begin(), new_sources.end()),
-          new_sources.end());
-    }
-
-    const LabelIndex& adj = snap.label_index();
-    const CompiledDelta& cd = ann.delta;
-    trim_detail::Scratch scratch(ann.num_states);
-
-    // changed_next / pos_map describe level i + 1 (old vs repaired)
-    // while the sweep processes level i.
-    std::vector<uint32_t> changed_next, pos_map, dirty;
-    DiffLevels(old_index.UsefulLevel(lambda), out.useful_[lambda], wps,
-               &changed_next, &pos_map);
-
-    for (uint32_t i = lambda; i-- > 0;) {
-      const LevelSets& old_useful = old_index.UsefulLevel(i);
-      const LevelSets& next_useful = out.useful_[i + 1];
-
-      // A vertex must be re-trimmed when its own annotation changed,
-      // when an out-neighbor's useful set at i + 1 changed (membership
-      // included — positions shift for everyone, but *content* changes
-      // only reach in-neighbors), or when it gained an out-edge. All
-      // other vertices produce byte-identical TrimVertex output modulo
-      // the next-position shift, which the copy remaps below.
-      dirty = rep.changed[i];
-      for (uint32_t w : changed_next)
-        for (uint32_t u : ctx.InNeighbors(w)) dirty.push_back(u);
-      dirty.insert(dirty.end(), new_sources.begin(), new_sources.end());
-      std::sort(dirty.begin(), dirty.end());
-      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-
-      if (!next_useful.empty()) {
-        size_t oi = 0, di = 0;
-        while (oi < old_useful.size() || di < dirty.size()) {
-          uint32_t ov =
-              oi < old_useful.size() ? old_useful.vertex(oi) : UINT32_MAX;
-          uint32_t dv = di < dirty.size() ? dirty[di] : UINT32_MAX;
-          uint32_t v = std::min(ov, dv);
-          if (dv == v) {
-            // Dirty: re-run the shared backward-sweep unit against the
-            // repaired next level.
-            if (StateSetView states = ann.StatesAt(i, v)) {
-              const uint32_t cand_begin =
-                  static_cast<uint32_t>(out.cand_pool_.size());
-              const size_t block_off = out.nxt_pool_.size();
-              if (trim_detail::TrimVertex(adj, cd, wps, v, states,
-                                          next_useful, &scratch,
-                                          &out.cand_pool_,
-                                          &out.nxt_pool_)) {
-                out.useful_[i].Append(v, scratch.useful_here.words());
-                out.cand_ranges_[i].emplace_back(
-                    cand_begin,
-                    static_cast<uint32_t>(out.cand_pool_.size()));
-                out.blist_off_[i].push_back(block_off);
-              }
-            }
-            ++di;
-            if (ov == v) ++oi;
-          } else {
-            // Clean: same useful set, same candidates, same certificate
-            // block as before — copy, remapping only the next-level
-            // positions.
-            const uint32_t cand_begin =
-                static_cast<uint32_t>(out.cand_pool_.size());
-            for (TrimmedIndex::CandidateEdge ce :
-                 old_index.CandidatesAt(i, oi)) {
-              assert(ce.next_pos < pos_map.size() &&
-                     pos_map[ce.next_pos] != UINT32_MAX &&
-                     "clean vertex points at a vanished next slot");
-              ce.next_pos = pos_map[ce.next_pos];
-              out.cand_pool_.push_back(ce);
-            }
-            const size_t block_off = out.nxt_pool_.size();
-            const TrimmedIndex::BList old_blist = old_index.BListAt(i, oi);
-            const size_t block_len =
-                old_useful.states(oi).Count() *
-                (static_cast<size_t>(old_blist.num_cand) + 1);
-            out.nxt_pool_.insert(out.nxt_pool_.end(), old_blist.nxt,
-                                 old_blist.nxt + block_len);
-            out.useful_[i].Append(v, old_useful.states(oi).words());
-            out.cand_ranges_[i].emplace_back(
-                cand_begin, static_cast<uint32_t>(out.cand_pool_.size()));
-            out.blist_off_[i].push_back(block_off);
-            ++oi;
-          }
-        }
-      }
-
-      DiffLevels(old_useful, out.useful_[i], wps, &changed_next, &pos_map);
-    }
-
-    for (const LevelSets& level : out.useful_)
-      for (size_t vi = 0; vi < level.size(); ++vi)
-        out.num_slots_ += level.states(vi).Count();
-    return out;
-  }
-};
-
 TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
                        const TrimmedIndex& old_index,
                        const AnnotationRepair& rep, const EdgeDelta& delta,
                        const DeltaContext& ctx) {
-  return DeltaTrimmer::Repair(snap, ann, old_index, rep, delta, ctx);
+  assert(rep.ok);
+  // A lambda change reshapes every level's useful sets at once: sweep
+  // from an empty index (still no product BFS).
+  if (rep.lambda_changed || old_index.empty()) return TrimmedIndex(snap, ann);
+
+  // Sources of the inserted edges: their candidate lists gained an edge
+  // at every level they appear on, so they are dirty everywhere.
+  std::vector<uint32_t> new_sources;
+  const Database& db = snap.db();
+  for (uint32_t e = delta.first_new_edge; e < snap.num_edges(); ++e)
+    new_sources.push_back(db.src(e));
+  std::sort(new_sources.begin(), new_sources.end());
+  new_sources.erase(std::unique(new_sources.begin(), new_sources.end()),
+                    new_sources.end());
+
+  // A vertex must be re-trimmed when its own annotation changed, when
+  // an out-neighbor's useful set one level up changed (membership
+  // included — positions shift for everyone, but *content* changes only
+  // reach in-neighbors), or when it gained an out-edge. Every other
+  // vertex re-trims to its old slot modulo the next-position shift,
+  // which the builder's copy remaps.
+  std::vector<uint32_t> dirty;
+  return TrimmedIndex(
+      snap, ann, old_index,
+      [&](uint32_t i, std::span<const uint32_t> changed_next) {
+        dirty = rep.changed[i];
+        for (uint32_t w : changed_next)
+          for (uint32_t u : ctx.InNeighbors(w)) dirty.push_back(u);
+        dirty.insert(dirty.end(), new_sources.begin(), new_sources.end());
+        std::sort(dirty.begin(), dirty.end());
+        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+        return std::span<const uint32_t>(dirty);
+      });
 }
 
 }  // namespace dsw

@@ -31,17 +31,17 @@
 // changed — plus an O(V x |Q|) dense level table fill, far below the
 // full BFS at low mutation rates (bench/bench_mutation.cc, E13).
 //
-// The trim/B-list structures are repaired rather than rebuilt, too:
-// DeltaTrim re-runs the per-vertex backward-sweep unit
-// (trim_detail::TrimVertex) only for *dirty* vertices — annotation
-// changed, an out-neighbor's useful set changed, or an out-edge was
-// inserted — and byte-copies every clean vertex's candidate range and
-// certificate block from the old pools, remapping only the next-level
-// positions (which shift when the next level's membership changes).
-// When lambda changed the whole backward sweep is re-run from the
-// repaired annotation (still skipping the BFS), and sessions parked on
-// the old plan are retired by the engine because the enumeration order
-// is no longer a supersequence anchor (see engine/engine.cc).
+// The trim/B-list structures are repaired rather than rebuilt, too,
+// by TrimmedIndex's one builder: DeltaTrim only names the *dirty*
+// vertices of each level — annotation changed, an out-neighbor's useful
+// set one level up changed, or an out-edge was inserted — and the
+// builder re-trims those and copies every other vertex's useful slot
+// from the old index, remapping only the next-level positions (which
+// shift when the next level's membership changes). When lambda changed
+// the builder sweeps from an empty index instead (still skipping the
+// BFS), and sessions parked on the old plan are retired by the engine
+// because the enumeration order is no longer a supersequence anchor
+// (see engine/engine.cc).
 
 #ifndef DSW_CORE_DELTA_ANNOTATE_H_
 #define DSW_CORE_DELTA_ANNOTATE_H_
@@ -57,8 +57,8 @@
 namespace dsw {
 
 /// Reverse label-free adjacency (in-neighbor CSR) of one snapshot,
-/// shared across every entry repair of one install: the trim patcher
-/// needs "which vertices have an edge into w" to propagate usefulness
+/// shared across every entry repair of one install: DeltaTrim needs
+/// "which vertices have an edge into w" to propagate usefulness
 /// changes backward, and the forward LabelIndex cannot answer that.
 /// Each vertex lists the sources of its in-edges in edge-id order, so
 /// parallel edges appear as duplicate in-neighbors (the dirty sets dedup
@@ -104,12 +104,14 @@ struct AnnotationRepair {
 AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
                                Annotation* ann);
 
-/// Produces the TrimmedIndex of the repaired annotation \p ann by
-/// patching \p old_index (built from the pre-delta annotation).
-/// Requires rep.ok. Incremental (dirty-vertex re-trim + clean-vertex
-/// block copies) when lambda is unchanged; a full backward sweep —
-/// still skipping the product BFS — when it shrank. Bit-identical to
-/// TrimmedIndex(snap, ann) either way.
+/// Produces the TrimmedIndex of the repaired annotation \p ann from
+/// \p old_index (built from the pre-delta annotation). Requires rep.ok.
+/// When lambda is unchanged, the dirty vertices of level i are
+/// rep.changed[i], the in-neighbors (through \p ctx) of the vertices
+/// whose useful set changed at level i + 1, and the sources of the new
+/// edges; the rest are copied from \p old_index. When lambda shrank,
+/// the sweep starts from an empty index — still skipping the product
+/// BFS. Bit-identical to TrimmedIndex(snap, ann) either way.
 TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
                        const TrimmedIndex& old_index,
                        const AnnotationRepair& rep, const EdgeDelta& delta,

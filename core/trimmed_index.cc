@@ -1,9 +1,20 @@
 #include "core/trimmed_index.h"
 
-namespace dsw {
+#include <algorithm>
+#include <cassert>
+#include <cstring>
 
-namespace trim_detail {
+namespace dsw {
 namespace {
+
+// Scratch reused across TrimVertex calls by one sweeping thread.
+struct Scratch {
+  explicit Scratch(uint32_t num_states)
+      : useful_here(num_states), edge_q(num_states) {}
+  StateSet useful_here;
+  StateSet edge_q;
+  std::vector<uint64_t> cand_src;
+};
 
 // The kernel-generic body of TrimVertex (see util/word_kernel.h): one
 // instantiation per execution tier, bit-identical results.
@@ -77,8 +88,12 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
   return true;
 }
 
-}  // namespace
-
+// The per-vertex unit of the backward sweep. Appends the candidate
+// edges of annotated vertex v (state set `states`) to *cand_pool, and —
+// iff v turns out useful — its B-list block to *nxt_pool; returns that
+// usefulness, with the useful set left in scratch->useful_here.
+// CandidateEdge::next_pos is a position into next_useful. Dispatches to
+// the single-word kernel when wps == 1.
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,
@@ -91,15 +106,61 @@ bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                         next_useful, scratch, cand_pool, nxt_pool);
 }
 
-}  // namespace trim_detail
+// Diffs a useful level of the previous index against the one just
+// built: *changed collects (sorted) every vertex whose membership or
+// state words differ, and *pos_map maps each old position to the
+// vertex's new position (UINT32_MAX when it vanished) — the shift the
+// copied candidates of the level below must remap through.
+void DiffLevels(const LevelSets& old_level, const LevelSets& new_level,
+                uint32_t wps, std::vector<uint32_t>* changed,
+                std::vector<uint32_t>* pos_map) {
+  changed->clear();
+  pos_map->assign(old_level.size(), UINT32_MAX);
+  size_t oi = 0, ni = 0;
+  while (oi < old_level.size() || ni < new_level.size()) {
+    uint32_t ov = oi < old_level.size() ? old_level.vertex(oi) : UINT32_MAX;
+    uint32_t nv = ni < new_level.size() ? new_level.vertex(ni) : UINT32_MAX;
+    if (ov < nv) {
+      changed->push_back(ov);
+      ++oi;
+    } else if (nv < ov) {
+      changed->push_back(nv);
+      ++ni;
+    } else {
+      (*pos_map)[oi] = static_cast<uint32_t>(ni);
+      if (std::memcmp(old_level.states(oi).words(),
+                      new_level.states(ni).words(),
+                      static_cast<size_t>(wps) * sizeof(uint64_t)) != 0)
+        changed->push_back(ov);
+      ++oi;
+      ++ni;
+    }
+  }
+}
 
-TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann) {
+}  // namespace
+
+TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann)
+    : TrimmedIndex(snap, ann, TrimmedIndex(),
+                   [&ann](uint32_t i, std::span<const uint32_t>) {
+                     return std::span<const uint32_t>(
+                         ann.levels[i].vertices());
+                   }) {}
+
+TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
+                           const TrimmedIndex& old, const DirtyAt& dirty_at) {
   if (!ann.reachable()) return;
   const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
+  assert((old.useful_.empty() || old.num_levels() == lambda + 1) &&
+         "the previous index must be empty or share lambda");
   wps_ = ann.words_per_set();
   useful_.assign(lambda + 1, LevelSets(ann.num_states));
   cand_ranges_.resize(lambda);
   blist_off_.resize(lambda);
+  const LevelSets none;
+  auto old_level = [&](uint32_t i) -> const LevelSets& {
+    return old.useful_.empty() ? none : old.useful_[i];
+  };
 
   // Level lambda: only (target, final) pairs are useful. Other vertices
   // annotated at this level — even ones carrying final states — end no
@@ -119,30 +180,65 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann) {
   // (a smaller BFS distance would splice into a shorter answer), so the
   // mate is scanned in its own right — composing the before-side closure
   // would only duplicate moves. The after side is already inside the
-  // delta rows. The per-vertex unit (word-parallel reverse-row move
-  // sets, candidate list, B-list block) lives in trim_detail::TrimVertex,
-  // shared with DeltaTrim.
+  // delta rows.
   const LabelIndex& adj = snap.label_index();
-  const CompiledDelta& delta = ann.delta;
-  trim_detail::Scratch scratch(ann.num_states);
-
+  Scratch scratch(ann.num_states);
+  // changed_next / pos_map describe level i + 1 (old vs new) while the
+  // sweep builds level i.
+  std::vector<uint32_t> changed_next, pos_map;
+  DiffLevels(old_level(lambda), useful_[lambda], wps_, &changed_next,
+             &pos_map);
   for (uint32_t i = lambda; i-- > 0;) {
     const LevelSets& level = ann.levels[i];
+    const LevelSets& old_useful = old_level(i);
     const LevelSets& next_useful = useful_[i + 1];
-    if (next_useful.empty()) continue;  // nothing below is useful
-    for (size_t vi = 0; vi < level.size(); ++vi) {
-      const uint32_t v = level.vertex(vi);
-      const uint32_t cand_begin = static_cast<uint32_t>(cand_pool_.size());
-      const size_t block_off = nxt_pool_.size();
-      if (!trim_detail::TrimVertex(adj, delta, wps_, v, level.states(vi),
-                                   next_useful, &scratch, &cand_pool_,
-                                   &nxt_pool_))
-        continue;
-      useful_[i].Append(v, scratch.useful_here.words());
-      cand_ranges_[i].emplace_back(cand_begin,
-                                   static_cast<uint32_t>(cand_pool_.size()));
-      blist_off_[i].push_back(block_off);
+    if (!next_useful.empty()) {  // else nothing below is useful
+      const std::span<const uint32_t> dirty = dirty_at(i, changed_next);
+      // One merge of the old useful vertices with the dirty ones; the
+      // annotation level is walked in step to find a dirty vertex's
+      // states.
+      size_t oi = 0, di = 0, ai = 0;
+      while (oi < old_useful.size() || di < dirty.size()) {
+        const uint32_t ov =
+            oi < old_useful.size() ? old_useful.vertex(oi) : UINT32_MAX;
+        const uint32_t dv = di < dirty.size() ? dirty[di] : UINT32_MAX;
+        const uint32_t v = std::min(ov, dv);
+        const uint32_t cand_begin = static_cast<uint32_t>(cand_pool_.size());
+        const size_t block_off = nxt_pool_.size();
+        const uint64_t* words;
+        if (dv == v) {
+          ++di;
+          if (ov == v) ++oi;
+          while (ai < level.size() && level.vertex(ai) < v) ++ai;
+          if (ai == level.size() || level.vertex(ai) != v) continue;
+          if (!TrimVertex(adj, ann.delta, wps_, v, level.states(ai),
+                          next_useful, &scratch, &cand_pool_, &nxt_pool_))
+            continue;
+          words = scratch.useful_here.words();
+        } else {
+          // Clean: same useful set, candidates and B-list block as in
+          // the previous index; only the next-level positions shift.
+          for (CandidateEdge ce : old.CandidatesAt(i, oi)) {
+            assert(ce.next_pos < pos_map.size() &&
+                   pos_map[ce.next_pos] != UINT32_MAX &&
+                   "clean vertex points at a vanished next slot");
+            ce.next_pos = pos_map[ce.next_pos];
+            cand_pool_.push_back(ce);
+          }
+          const BList b = old.BListAt(i, oi);
+          nxt_pool_.insert(nxt_pool_.end(), b.nxt,
+                           b.nxt + b.useful.Count() *
+                                       (static_cast<size_t>(b.num_cand) + 1));
+          words = old_useful.states(oi).words();
+          ++oi;
+        }
+        useful_[i].Append(v, words);
+        cand_ranges_[i].emplace_back(cand_begin,
+                                     static_cast<uint32_t>(cand_pool_.size()));
+        blist_off_[i].push_back(block_off);
+      }
     }
+    DiffLevels(old_useful, useful_[i], wps_, &changed_next, &pos_map);
   }
 
   for (const LevelSets& level : useful_)

@@ -21,9 +21,18 @@
 // surviving move across an edge are computed word-parallel as
 // (union over useful q' of rev-delta[l][q']) AND annotated(v, i) — one
 // OR per useful next state plus one AND, shared across parallel edges
-// with the same destination, instead of nested per-transition lambda
-// scans. All useful sets live in contiguous word pools (LevelSets);
-// the useful sets and the candidate pool stay O(|D| x |A|) in cost and
+// with the same destination. There is one builder: per level it
+// re-trims the vertices a dirty set names and copies every other
+// useful slot of a previous index, remapping only the next-level
+// positions. A build from scratch is that sweep from an empty index
+// with every annotated vertex dirty; DeltaTrim (core/delta_annotate.h)
+// passes the previous generation's index and the vertices an
+// insert-only delta can have changed. Every other vertex would re-trim
+// to its old slot, so a repaired index is bit-identical to a rebuilt
+// one.
+//
+// All useful sets live in contiguous word pools (LevelSets); the
+// useful sets and the candidate pool stay O(|D| x |A|) in cost and
 // size. The certificate blocks below are the one structure that does
 // not: they are *dense* per-state next-usable arrays, so they cost
 // sum over useful (level, v) of |useful states| x (num_cand + 1)
@@ -55,6 +64,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -66,6 +76,9 @@
 #include "util/word_kernel.h"
 
 namespace dsw {
+
+struct AnnotationRepair;  // core/delta_annotate.h
+class DeltaContext;
 
 class TrimmedIndex {
  public:
@@ -145,10 +158,10 @@ class TrimmedIndex {
     }
   };
 
-  /// Builds the trimmed structure from a frozen snapshot (one backward
-  /// sweep over the annotation); a pure read of the snapshot, safe to
-  /// run concurrently with other readers. The index keeps no reference
-  /// to the snapshot.
+  /// Builds the trimmed structure from a frozen snapshot: the backward
+  /// sweep from an empty index, every annotated vertex dirty. A pure
+  /// read of the snapshot, safe to run concurrently with other readers.
+  /// The index keeps no reference to the snapshot.
   TrimmedIndex(const Snapshot& snap, const Annotation& ann);
 
   /// Number of useful (v, q, level) triples; 0 iff no answer exists.
@@ -219,11 +232,29 @@ class TrimmedIndex {
   }
 
  private:
-  // The delta-repair path (core/delta_annotate.cc) assembles a patched
-  // copy of an existing index against an insert-only edge delta; it
-  // reads the old index through the public accessors.
-  friend class DeltaTrimmer;
-  TrimmedIndex() = default;
+  friend TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
+                                const TrimmedIndex& old_index,
+                                const AnnotationRepair& rep,
+                                const EdgeDelta& delta,
+                                const DeltaContext& ctx);
+
+  /// Returns the sorted vertices to re-trim at level \p i, given the
+  /// sorted vertices whose useful set at level i + 1 differs from the
+  /// previous index's. The span need only stay valid until the next
+  /// call.
+  using DirtyAt = std::function<std::span<const uint32_t>(
+      uint32_t i, std::span<const uint32_t> changed_next)>;
+
+  TrimmedIndex() = default;  // no levels: the predecessor of a first build
+
+  /// The one builder: sweeps lambda - 1 down to 0, re-trimming the
+  /// vertices dirty_at names and copying every other useful slot of
+  /// \p old. Bit-identical to a build from scratch whenever every vertex
+  /// left clean would re-trim to its slot in \p old (same useful set,
+  /// candidates and B-list block); \p old must be empty or have the
+  /// same lambda as \p ann.
+  TrimmedIndex(const Snapshot& snap, const Annotation& ann,
+               const TrimmedIndex& old, const DirtyAt& dirty_at);
 
   uint32_t wps_ = 0;
   std::vector<LevelSets> useful_;  // per level, sorted vertices
@@ -238,34 +269,6 @@ class TrimmedIndex {
   std::vector<uint32_t> nxt_pool_;
   size_t num_slots_ = 0;
 };
-
-namespace trim_detail {
-
-/// Scratch reused across TrimVertex calls by one sweeping thread.
-struct Scratch {
-  explicit Scratch(uint32_t num_states)
-      : useful_here(num_states), edge_q(num_states) {}
-  StateSet useful_here;
-  StateSet edge_q;
-  std::vector<uint64_t> cand_src;
-};
-
-/// The per-vertex unit of the backward sweep, shared verbatim between
-/// the TrimmedIndex constructor and DeltaTrim's re-trim of dirty
-/// vertices — which is what makes a repaired index bit-identical to a
-/// rebuilt one. Appends the candidate edges of annotated vertex \p v
-/// (state set \p states) to *cand_pool, and — iff v turns out useful —
-/// its B-list block to *nxt_pool; returns that usefulness, with the
-/// useful set left in scratch->useful_here. CandidateEdge::next_pos is
-/// a position into \p next_useful. Dispatches to the single-word kernel
-/// when wps == 1.
-bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
-                uint32_t wps, uint32_t v, StateSetView states,
-                const LevelSets& next_useful, Scratch* scratch,
-                std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                std::vector<uint32_t>* nxt_pool);
-
-}  // namespace trim_detail
 
 }  // namespace dsw
 

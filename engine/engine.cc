@@ -182,6 +182,9 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     remap.emplace(old.get(), std::move(repaired));
   }
 
+  // Plans taken from sessions below; declared before the lock so that
+  // the last references drop after mu_ is released.
+  std::vector<std::shared_ptr<const PreparedQuery>> released;
   std::lock_guard<std::mutex> lock(mu_);
   // Keep the context for the next install, unless a concurrent install
   // has already replaced the snapshot it describes.
@@ -198,13 +201,16 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   }
   // Re-point sessions. A session that already emitted answers needs its
   // parked walk to stay a valid order anchor, which only holds when
-  // lambda is unchanged — otherwise leave it on the old plan and let
-  // the worker's generation check retire it lazily, as before.
+  // lambda is unchanged — otherwise take its plan away, so that it pins
+  // no old generation, and let the worker retire it at its next pump.
   for (Session& s : sessions_) {
     if (!s.query) continue;
     auto it = remap.find(s.query.get());
     if (it == remap.end()) continue;
-    if (s.started && !it->second.order_preserved) continue;
+    if (s.started && !it->second.order_preserved) {
+      released.push_back(std::move(s.query));
+      continue;
+    }
     s.query = it->second.value;
     if (s.state == SessionState::kParked) ++sessions_upgraded_;
   }
@@ -400,12 +406,14 @@ void QueryEngine::WorkerLoop() {
       queue_.pop_front();
 
       Session& s = sessions_[job.session];
-      const Snapshot& pinned = s.query->index.snapshot();
-      if (&pinned.db() != &snapshot_.db() ||
-          pinned.generation() != snapshot_.generation()) {
-        // Graceful rejection: the old plan is never run.
+      const Snapshot* pinned = s.query ? &s.query->index.snapshot() : nullptr;
+      if (!pinned || &pinned->db() != &snapshot_.db() ||
+          pinned->generation() != snapshot_.generation()) {
+        // Graceful rejection: the old plan is never run, and its last
+        // session reference drops once mu_ is released.
         s.state = SessionState::kRetired;
         ++sessions_retired_;
+        query = std::move(s.query);
         const Database* live_db = &snapshot_.db();
         uint64_t live_gen = snapshot_.generation();
         lock.unlock();

@@ -166,12 +166,13 @@ class QueryEngine {
   /// relative order, so one SeekAfter on the parked walk resumes the
   /// correct suffix of the NEW answer order). Plans whose lambda shrank
   /// still upgrade — new sessions enumerate the new order — but their
-  /// parked sessions retire lazily as before. Repairs run on the calling
-  /// (control) thread; a pump a worker starts while they run retires
-  /// its session, as if its plan had not been upgraded. The reverse CSR
-  /// they share (DeltaContext) is derived from the previous install's,
-  /// which the engine keeps, so an install costs the write rather than
-  /// a pass over every edge.
+  /// started sessions drop the old plan at once and retire at their
+  /// next pump (a retired session holds no plan). Repairs run on the
+  /// calling (control) thread; a pump a worker starts while they run
+  /// retires its session, as if its plan had not been upgraded. The
+  /// reverse CSR they share (DeltaContext) is derived from the previous
+  /// install's, which the engine keeps, so an install costs the write
+  /// rather than a pass over every edge.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -225,6 +226,8 @@ class QueryEngine {
   enum class SessionState : uint8_t { kParked, kQueued, kExhausted, kRetired };
 
   struct Session {
+    // Null once the session can never run again: retired, or started
+    // on a plan whose lambda an install shrank (the worker retires it).
     std::shared_ptr<const PreparedQuery> query;
     Walk last;                  // the parked cursor: last emitted answer
     bool started = false;       // false until the first batch ran

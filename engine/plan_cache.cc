@@ -8,8 +8,8 @@ namespace dsw {
 // helpers. The building-marker lifecycle: ClaimLocked inserts (or
 // repurposes) a valueless entry stamped with a fresh ticket; the claim
 // is later resolved by exactly one of FillLocked (success — the ticket
-// still matches, so the value lands and joins the LRU) or
-// EraseClaimLocked (failure). A claim whose entry was erased or
+// still matches, so CompleteLocked lands the value and joins it to the
+// LRU) or EraseClaimLocked (failure). A claim whose entry was erased or
 // re-claimed in the meantime (Invalidate does both) resolves to a
 // no-op: the builder's value goes to its callers but not the cache.
 
@@ -28,9 +28,13 @@ void PlanCache::FillLocked(const PlanKey& key, uint64_t ticket,
   if (it == map_.end() || !it->second.building() ||
       it->second.ticket != ticket)
     return;  // claim was invalidated mid-build; value stays uncached
+  CompleteLocked(it, value);
+}
+
+void PlanCache::CompleteLocked(Map::iterator it, Value value) {
   Entry& e = it->second;
-  e.value = value;
-  e.bytes = value->ApproxBytes();
+  e.value = std::move(value);
+  e.bytes = e.value->ApproxBytes();
   lru_.push_front(&it->first);
   e.lru_it = lru_.begin();
   stats_.bytes_used += e.bytes;
@@ -147,15 +151,8 @@ void PlanCache::InsertUpgraded(PlanKey key, Value value) {
     // eventual FillLocked sees a completed entry and no-ops, exactly as
     // if it had been invalidated — but its waiters are released now,
     // by the upgraded value.
-    Entry& e = it->second;
-    e.value = std::move(value);
-    e.bytes = e.value->ApproxBytes();
-    lru_.push_front(&it->first);
-    e.lru_it = lru_.begin();
-    stats_.bytes_used += e.bytes;
-    ++stats_.entries;
     ++stats_.upgrades;
-    EvictOverBudgetLocked(&it->first);
+    CompleteLocked(it, std::move(value));
   }
   cv_.notify_all();
 }

@@ -15,9 +15,10 @@
 // bytes exactly, so a 64-bit hash collision costs one string compare,
 // never a wrong plan. Textually different but equivalent regexes reach
 // the same bytes through regex/canonical.h + the deterministic
-// front-end, and therefore the same entry. (The ISSUE names the key as
-// (generation, automaton hash, source); target joins them because the
-// annotation prunes by target — two targets genuinely are two plans.)
+// front-end, and therefore the same entry. The target is part of the
+// key because a plan depends on it: the annotation stops at the level
+// where the target first accepts, and the trim keeps only walks into
+// the target, so one source with two targets has two plans.
 //
 // Concurrency: single-flight build dedup. The first thread to miss on a
 // key claims it (a "building" marker entry) and builds OUTSIDE the
@@ -185,6 +186,9 @@ class PlanCache {
   // All private helpers require mu_ held.
   uint64_t ClaimLocked(Map::iterator it);
   void FillLocked(const PlanKey& key, uint64_t ticket, const Value& value);
+  // Stores \p value in the entry, charges it to the budget at the LRU's
+  // hot end and evicts over budget (never the entry itself).
+  void CompleteLocked(Map::iterator it, Value value);
   void EraseClaimLocked(const PlanKey& key, uint64_t ticket);
   void EvictOverBudgetLocked(const PlanKey* protect);
 

@@ -237,6 +237,23 @@ TEST(QueryEngineTest, RetiredSessionsAreRejectedGracefully) {
   PumpResult all = engine.Drain(engine.OpenSession(q_new), 8);
   EXPECT_EQ(all.status, PumpStatus::kExhausted);
   EXPECT_EQ(Edges(all.walks), expected);
+
+  // A second shortcut keeps lambda at 2. The retired session holds no
+  // plan; the next install skips it and counts no further retirement.
+  uint32_t mid2 = inst.db.AddVertex();
+  inst.db.AddEdge(inst.source, 0u, mid2);
+  inst.db.AddEdge(mid2, 0u, inst.target);
+  Snapshot snap3 = inst.db.Freeze();
+  engine.InstallSnapshot(snap3);
+  EXPECT_EQ(engine.Stats().sessions_retired, 1u);
+
+  // The old QueryId follows its plan's upgrades: a session opened on
+  // it now drains the newest answers.
+  EdgeSeq expected3 = Oracle(snap3, query, inst.source, inst.target);
+  ASSERT_EQ(expected3.size(), 2u);
+  PumpResult reopened = engine.Drain(engine.OpenSession(q_old), 8);
+  EXPECT_EQ(reopened.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(reopened.walks), expected3);
 }
 
 // Two clients draining ONE session race for its pump lock; the loser

@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Same-run speedup gate for the perf-smoke CI job.
+
+Reads one google-benchmark JSON run and fails unless the SLOW arm's
+real_time divided by the FAST arm's real_time exceeds MIN. Both arms
+come from the same run on the same machine, so the gate does not
+depend on the runner's speed.
+
+Usage:
+  check_bench_ratio.py JSON SLOW FAST MIN
+  check_bench_ratio.py --self-test
+
+SLOW and FAST are exact benchmark names (aggregate rows are ignored).
+A missing arm or a non-positive time is an error. --self-test runs the
+gate against synthetic fixtures and exits nonzero on any surprise; CI
+runs it so the gate itself is guarded.
+"""
+
+import argparse
+import json
+import math
+import os
+import sys
+import tempfile
+
+
+def load_real_times(path):
+    with open(path) as f:
+        data = json.load(f)
+    times = {}
+    for bench in data.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate":
+            continue
+        times[bench["name"]] = float(bench["real_time"])
+    return times
+
+
+def check(path, slow, fast, minimum):
+    """The gate proper; returns a process exit code."""
+    times = load_real_times(path)
+    missing = [name for name in (slow, fast) if name not in times]
+    if missing:
+        print(f"error: missing from {path}: {', '.join(missing)}")
+        return 1
+    for name in (slow, fast):
+        if not (math.isfinite(times[name]) and times[name] > 0):
+            print(f"error: {name} has real_time {times[name]}")
+            return 1
+    ratio = times[slow] / times[fast]
+    print(f"{slow}: real_time {times[slow]:.4g}")
+    print(f"{fast}: real_time {times[fast]:.4g}")
+    print(f"ratio {ratio:.2f}x (must exceed {minimum:g}x)")
+    if ratio <= minimum:
+        print("FAIL")
+        return 1
+    print("OK")
+    return 0
+
+
+# ------------------------------------------------------------ self-test
+
+def _fixture(path, rows):
+    """Writes a minimal google-benchmark JSON from (name, run_type, time)."""
+    benches = [{"name": n, "run_type": t, "real_time": rt, "cpu_time": rt,
+                "time_unit": "ns"} for n, t, rt in rows]
+    with open(path, "w") as f:
+        json.dump({"context": {}, "benchmarks": benches}, f)
+
+
+def self_test():
+    it = "iteration"
+    cases = [
+        # (label, rows, minimum, expected exit code)
+        ("a wide ratio passes",
+         [("BM_Slow", it, 1000.0), ("BM_Fast", it, 100.0)], 3.0, 0),
+        ("a narrow ratio fails",
+         [("BM_Slow", it, 250.0), ("BM_Fast", it, 100.0)], 3.0, 1),
+        ("a ratio equal to MIN fails",
+         [("BM_Slow", it, 300.0), ("BM_Fast", it, 100.0)], 3.0, 1),
+        ("aggregate rows are ignored",
+         [("BM_Slow", it, 1000.0), ("BM_Fast", it, 100.0),
+          ("BM_Fast", "aggregate", 900.0)], 3.0, 0),
+        ("a missing arm is an error",
+         [("BM_Slow", it, 1000.0)], 3.0, 1),
+        ("a zero time is an error",
+         [("BM_Slow", it, 1000.0), ("BM_Fast", it, 0.0)], 3.0, 1),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        for label, rows, minimum, expected in cases:
+            _fixture(path, rows)
+            print(f"--- self-test: {label} (expect exit {expected}) ---")
+            got = check(path, "BM_Slow", "BM_Fast", minimum)
+            if got != expected:
+                print(f"SELF-TEST FAIL: {label}: exit {got}, "
+                      f"expected {expected}")
+                failures += 1
+            print()
+    if failures:
+        print(f"self-test: {failures}/{len(cases)} cases FAILED")
+        return 1
+    print(f"self-test: all {len(cases)} cases passed")
+    return 0
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("json", nargs="?", help="google-benchmark JSON run")
+    parser.add_argument("slow", nargs="?", help="name of the slower arm")
+    parser.add_argument("fast", nargs="?", help="name of the faster arm")
+    parser.add_argument("min", nargs="?", type=float,
+                        help="the ratio slow/fast must exceed this")
+    parser.add_argument("--self-test", action="store_true",
+                        help="run the gate against synthetic fixtures")
+    args = parser.parse_args(argv[1:])
+
+    if args.self_test:
+        return self_test()
+    if args.min is None:
+        parser.print_usage()
+        return 2
+    return check(args.json, args.slow, args.fast, args.min)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

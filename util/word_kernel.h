@@ -16,9 +16,9 @@
 //    loop below folds to one scalar uint64_t operation — the
 //    "one-uint64_t kernels" of the single-word tier.
 //
-// Dispatch happens at the entry points (Annotate, trim_detail::
-// TrimVertex, enumerator_detail::AdvanceStates, BList::NextLive) on the
-// word count alone, each through its own explicit `if (wps == 1)`
+// Dispatch happens at the entry points (Annotate, TrimVertex in
+// core/trimmed_index.cc, enumerator_detail::AdvanceStates,
+// BList::NextLive) on the word count alone, each through its own explicit `if (wps == 1)`
 // branch so the single-word body inlines into the caller; callers never
 // name a kernel. tests/exec_tier_test.cc checks the two instantiations
 // against each other by spreading a one-word query's states over two
