@@ -3,15 +3,16 @@
 // ResumableIndex) up to date after a batch of k inserted edges, as a
 // function of the mutation rate k / |E| (permille), two ways:
 //
-//   DeltaRepair  — DeltaContext + DeltaAnnotate wave + DeltaTrim patch +
-//                  resumable re-layout (the incremental InstallSnapshot
-//                  path of the engine)
+//   DeltaRepair  — DeltaContext + DeltaAnnotate (the product BFS resumed
+//                  from the old levels) + DeltaTrim patch + resumable
+//                  re-layout (the incremental InstallSnapshot path of the
+//                  engine)
 //   FullRebuild  — Annotate product BFS + full backward sweep + layout
 //                  (what every mutation used to cost)
 //
 // The inserted edges land in the noise region of the instance — the
 // headline use case: writes that touch parts of the graph away from the
-// query's answer set, where the wave's touched region stays small. Both
+// query's answer set, where the repair's touched region stays small. Both
 // arms apply identical insertions (same seed), and the repair arm times
 // everything the engine's upgrade path would run, DeltaContext build
 // included. The CI perf-smoke job gates DeltaRepair being >3x faster
@@ -55,10 +56,12 @@ struct Fixture {
   // wires source -> noise and noise -> noise only), so the trimmed
   // useful set stays core-sized while the *annotation* spans the whole
   // noise region — and the wide staircase keeps the per-vertex state
-  // sets dense, which the from-scratch product BFS pays for bit by bit
-  // on every level while the repair's word-level fills and copies do
-  // not. That asymmetry, not a microbenchmark accident, is what the
-  // >3x CI gate pins.
+  // sets dense, which the from-scratch product BFS pays for state by
+  // state (one delta-row OR each) at every vertex of every level, while
+  // the repair marks the old levels into its seen bitmap word by word
+  // and moves only the new pairs and the new edges' sources. That
+  // asymmetry, not a microbenchmark accident, is what the >3x CI gate
+  // pins.
   Fixture()
       : pristine(BubbleChain(16, 2)), query(StaircaseNfa(31, 2)) {
     noise_first = pristine.db.num_vertices();

@@ -1,6 +1,7 @@
 #include "core/annotate.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "util/word_kernel.h"
@@ -13,26 +14,37 @@ constexpr uint32_t kNoSlot = UINT32_MAX;
 // The product BFS, templated over the word kernel (the
 // execution-tier layer, util/word_kernel.h): MultiWordKernel is the
 // pre-tier loop structure verbatim, SingleWordKernel collapses every
-// per-set loop to one uint64_t op for |Q| <= 64. Fills ann->levels and
-// ann->lambda; the caller has already seeded the metadata and rejected
-// the trivial cases.
+// per-set loop to one uint64_t op for |Q| <= 64. ann->levels holds
+// level 0 on entry; \p old holds the previous generation's levels
+// (empty for a build from scratch, where every pair is new) and edges
+// [first_new_edge, num_edges) are the ones inserted since. Fills
+// ann->levels and ann->lambda, and, when \p changed is not null, the
+// vertices of each level whose state set differs from the old level's.
 template <typename Kernel>
-void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
-                Annotation* out) {
+void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
+                uint32_t first_new_edge, Annotation* out,
+                std::vector<std::vector<uint32_t>>* changed) {
   Annotation& ann = *out;
-  const uint32_t source = ann.source;
   const uint32_t target = ann.target;
   const LabelIndex& adj = snap.label_index();
   const CompiledDelta& delta = ann.delta;
   const uint32_t num_vertices = snap.num_vertices();
   const uint32_t wps = ker.wps();
 
+  // The new edges' sources move their pairs through the groups that
+  // hold a new edge, at every level they appear on.
+  const std::vector<uint32_t> new_sources =
+      NewEdgeSources(snap, first_new_edge);
+
   // seen: flat V x |Q| bit matrix of product pairs already assigned a
   // level. One zeroed calloc-style allocation; the BFS itself touches
   // only visited rows.
   std::vector<uint64_t> seen(static_cast<size_t>(num_vertices) * wps, 0);
+  auto seen_row = [&](uint32_t v) {
+    return &seen[static_cast<size_t>(v) * wps];
+  };
 
-  // Next-frontier accumulator: dense per-vertex slot table + touched
+  // New-pair accumulator: dense per-vertex slot table + touched
   // list, so building a level is O(touched) with no hashing. Sealing
   // sorts the touched vertices when they are sparse and linear-scans the
   // slot table when they are dense (>= 1/16 of V) — the scan is cheaper
@@ -42,54 +54,94 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
   std::vector<uint32_t> sorted;
   std::vector<uint64_t> slot_words;
 
-  // Level 0: closure-saturated initial states at the source. Later
-  // levels stay saturated by induction — delta rows compose the
-  // after-side closure, and a union of closed sets is closed.
-  StateSet init = query.initial();
-  if (ann.has_epsilon()) {
-    StateSet saturated(ann.num_states);
-    init.ForEach(
-        [&](uint32_t q) { saturated.UnionWith(ann.eps_closure[q]); });
-    init = std::move(saturated);
-  }
-  for (uint32_t w = 0; w < wps; ++w)
-    seen[static_cast<size_t>(source) * wps + w] = init.words()[w];
-
-  LevelSets frontier(ann.num_states);
-  frontier.Append(source, init.words());
+  // Entries of the old level that lost pairs to a lower level: their
+  // positions and the words they keep.
+  std::vector<uint32_t> lost;
+  std::vector<uint64_t> kept_words;
 
   StateSet moved(ann.num_states);
-  std::vector<uint64_t> add_buf(wps);  // new bits of one relaxed edge
+  std::vector<uint64_t> buf(wps);  // new bits of one relaxed edge; merges
 
-  while (!frontier.empty()) {
-    ann.levels.push_back(std::move(frontier));
-    const LevelSets& current = ann.levels.back();
+  // Level 0 is the source's closed initial states, which no insertion
+  // changes.
+  assert(ann.levels.size() == 1 && ann.levels[0].size() == 1);
+  ker.Or(seen_row(ann.source), ann.levels[0].states(0).words());
+  if (changed) changed->emplace_back();
+
+  // fresh: the pairs of the current level that are new, unless every
+  // pair of it is (fresh_is_level).
+  LevelSets fresh;
+  bool fresh_is_level = old.empty();
+  LevelSets none;  // stands in for the old levels past the last one
+  for (uint32_t i = 0;; ++i) {
+    const LevelSets& current = ann.levels[i];
+    if (current.empty()) break;
     if (StateSetView at_target = current.Find(target);
         at_target && at_target.Intersects(ann.final_states)) {
-      ann.lambda = static_cast<int32_t>(ann.levels.size() - 1);
+      ann.lambda = static_cast<int32_t>(i);
       return;
     }
 
+    // The old level i + 1's pairs that did not settle lower keep their
+    // level; marking them before any move keeps the moves from
+    // re-proposing them.
+    LevelSets& old_next = i + 1 < old.size() ? old[i + 1] : none;
+    lost.clear();
+    kept_words.clear();
+    for (size_t k = 0; k < old_next.size(); ++k) {
+      uint64_t* sw = seen_row(old_next.vertex(k));
+      const uint64_t* ow = old_next.states(k).words();
+      ker.NewBits(buf.data(), ow, sw);
+      if (!ker.Equal(buf.data(), ow)) {
+        lost.push_back(static_cast<uint32_t>(k));
+        kept_words.insert(kept_words.end(), buf.begin(), buf.end());
+      }
+      ker.Or(sw, ow);
+    }
+
+    // Moves out of level i that can reach a new pair: those of the new
+    // pairs, through every group, and those of a new edge's source,
+    // through the groups that hold a new edge (the last edge of a group
+    // is its newest).
+    const LevelSets& movers = fresh_is_level ? current : fresh;
     touched.clear();
     slot_words.clear();
-    for (size_t vi = 0; vi < current.size(); ++vi) {
-      const uint32_t v = current.vertex(vi);
-      const StateSetView states = current.states(vi);
+    size_t fi = 0, si = 0, ci = 0;
+    while (fi < movers.size() || si < new_sources.size()) {
+      const uint32_t fv = fi < movers.size() ? movers.vertex(fi) : UINT32_MAX;
+      const uint32_t sv =
+          si < new_sources.size() ? new_sources[si] : UINT32_MAX;
+      const uint32_t v = std::min(fv, sv);
+      const uint64_t* fresh_states =
+          fv == v ? movers.states(fi++).words() : nullptr;
+      const uint64_t* all_states = nullptr;
+      if (sv == v) {
+        ++si;
+        while (ci < current.size() && current.vertex(ci) < v) ++ci;
+        if (ci < current.size() && current.vertex(ci) == v)
+          all_states = current.states(ci).words();
+      }
+      if (fresh_states == nullptr && all_states == nullptr) continue;
       for (const LabelIndex::Group& group : adj.GroupsOf(v)) {
         if (!delta.HasLabel(group.label)) continue;
+        const uint64_t* states =
+            all_states && adj.Targets(group).back().edge >= first_new_edge
+                ? all_states
+                : fresh_states;
+        if (states == nullptr) continue;
         // One move per (vertex, label), shared by every edge of the
-        // group: word-parallel OR of the frontier's delta rows, visiting
+        // group: word-parallel OR of the movers' delta rows, visiting
         // only states that actually carry this label.
         uint64_t* mw = moved.mutable_words();
         ker.Zero(mw);
-        ker.ForEachAnd(states.words(), delta.Sources(group.label).words(),
+        ker.ForEachAnd(states, delta.Sources(group.label).words(),
                        [&](uint32_t q) {
                          ker.Or(mw, delta.SuccessorWords(group.label, q));
                        });
         if (!ker.Any(mw)) continue;
         for (const LabelIndex::Target& t : adj.Targets(group)) {
-          uint64_t* sw = &seen[static_cast<size_t>(t.dst) * wps];
-          if (ker.NewBits(add_buf.data(), mw, sw) == 0)
+          uint64_t* sw = seen_row(t.dst);
+          if (ker.NewBits(buf.data(), mw, sw) == 0)
             continue;  // every pair already leveled
           uint32_t s = slot[t.dst];
           if (s == kNoSlot) {
@@ -99,33 +151,109 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
             slot_words.resize(slot_words.size() + wps, 0);
           }
           uint64_t* nw = &slot_words[static_cast<size_t>(s) * wps];
-          ker.CommitInto(sw, nw, add_buf.data());
+          ker.CommitInto(sw, nw, buf.data());
         }
       }
     }
 
-    // Seal the next level: sorted vertices, contiguous words.
-    frontier = LevelSets(ann.num_states);
+    // Seal the new pairs: sorted vertices, contiguous words.
+    fresh = LevelSets(ann.num_states);
     if (touched.size() >= num_vertices / 16) {
       for (uint32_t v = 0; v < num_vertices; ++v) {
         if (slot[v] == kNoSlot) continue;
-        frontier.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+        fresh.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
         slot[v] = kNoSlot;
       }
     } else {
       sorted.assign(touched.begin(), touched.end());
       std::sort(sorted.begin(), sorted.end());
       for (uint32_t v : sorted)
-        frontier.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+        fresh.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
       for (uint32_t v : touched) slot[v] = kNoSlot;
     }
+
+    // Level i + 1: the old level with its events applied. Each consumed
+    // old level is released before the next is built, so the new levels
+    // reuse its memory.
+    fresh_is_level = old_next.empty();
+    if (fresh_is_level) {
+      ann.levels.push_back(std::move(fresh));
+      if (changed) changed->push_back(ann.levels.back().vertices());
+      continue;
+    }
+    if (changed) changed->emplace_back();
+    if (lost.empty() && fresh.empty()) {
+      ann.levels.push_back(std::move(old_next));
+      continue;
+    }
+    // Block-copy the runs of old entries around the event vertices: an
+    // entry that lost pairs, or a vertex with new pairs.
+    LevelSets next(ann.num_states);
+    next.Reserve(old_next.size() + fresh.size());
+    const std::vector<uint32_t>& old_vertices = old_next.vertices();
+    size_t copied = 0, li = 0;
+    fi = 0;
+    while (li < lost.size() || fi < fresh.size()) {
+      const uint32_t lv =
+          li < lost.size() ? old_vertices[lost[li]] : UINT32_MAX;
+      const uint32_t fv = fi < fresh.size() ? fresh.vertex(fi) : UINT32_MAX;
+      const uint32_t v = std::min(lv, fv);
+      // v's old entry, or where it would be.
+      const size_t pos =
+          lv == v ? lost[li]
+                  : static_cast<size_t>(
+                        std::lower_bound(old_vertices.begin() + copied,
+                                         old_vertices.end(), v) -
+                        old_vertices.begin());
+      next.AppendRange(old_next, copied, pos);
+      copied = pos;
+      ker.Zero(buf.data());
+      if (lv == v) {
+        ker.Or(buf.data(), &kept_words[li++ * wps]);
+        ++copied;
+      } else if (pos < old_vertices.size() && old_vertices[pos] == v) {
+        ker.Or(buf.data(), old_next.states(pos).words());
+        ++copied;
+      }
+      if (fv == v) ker.Or(buf.data(), fresh.states(fi++).words());
+      if (ker.Any(buf.data())) next.Append(v, buf.data());
+      if (changed) changed->back().push_back(v);
+    }
+    next.AppendRange(old_next, copied, old_next.size());
+    old_next = LevelSets();
+    ann.levels.push_back(std::move(next));
   }
 
   // Product exhausted without reaching (target, final): no answer.
   ann.levels.clear();
+  ann.lambda = -1;
+}
+
+// Kernel dispatch on the word count: one-word queries run the
+// collapsed single-word kernels.
+void RunProductBfs(const Snapshot& snap, std::vector<LevelSets> old,
+                   uint32_t first_new_edge, Annotation* ann,
+                   std::vector<std::vector<uint32_t>>* changed) {
+  const uint32_t wps = ann->words_per_set();
+  if (wps == 1)
+    ProductBfs(snap, SingleWordKernel(), std::move(old), first_new_edge, ann,
+               changed);
+  else
+    ProductBfs(snap, MultiWordKernel(wps), std::move(old), first_new_edge,
+               ann, changed);
 }
 
 }  // namespace
+
+std::vector<uint32_t> NewEdgeSources(const Snapshot& snap,
+                                     uint32_t first_new_edge) {
+  std::vector<uint32_t> sources;
+  for (uint32_t e = first_new_edge; e < snap.num_edges(); ++e)
+    sources.push_back(snap.db().src(e));
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  return sources;
+}
 
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
                     uint32_t target) {
@@ -141,14 +269,41 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
       query.num_states() == 0 || query.initial().None())
     return ann;
 
-  // Kernel dispatch on the word count: one-word queries run the
-  // collapsed single-word kernels.
-  const uint32_t wps = ann.words_per_set();
-  if (wps == 1)
-    ProductBfs(snap, query, SingleWordKernel(), &ann);
-  else
-    ProductBfs(snap, query, MultiWordKernel(wps), &ann);
+  // Level 0: closure-saturated initial states at the source. Later
+  // levels stay saturated by induction — delta rows compose the
+  // after-side closure, and a union of closed sets is closed.
+  StateSet init = query.initial();
+  if (ann.has_epsilon()) {
+    StateSet saturated(ann.num_states);
+    init.ForEach(
+        [&](uint32_t q) { saturated.UnionWith(ann.eps_closure[q]); });
+    init = std::move(saturated);
+  }
+  ann.levels.emplace_back(ann.num_states).Append(source, init.words());
+  RunProductBfs(snap, {}, static_cast<uint32_t>(snap.num_edges()), &ann,
+                nullptr);
   return ann;
+}
+
+AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
+                               Annotation* ann) {
+  AnnotationRepair rep;
+  // An unreachable annotation carries no level data (Annotate clears
+  // the levels on exhaustion), so there is nothing to repair from — and
+  // the initial-state set needed for a re-BFS was discarded with it.
+  if (!delta.known || !ann->reachable()) return rep;
+  assert(delta.first_new_edge <= snap.num_edges());
+
+  const int32_t old_lambda = ann->lambda;
+  std::vector<LevelSets> old = std::move(ann->levels);  // leaves it empty
+  ann->levels.push_back(std::move(old[0]));  // no insertion changes it
+  RunProductBfs(snap, std::move(old), delta.first_new_edge, ann,
+                &rep.changed);
+  assert(ann->lambda >= 0 && ann->lambda <= old_lambda &&
+         "insertions can only shorten the shortest accepting walk");
+  rep.lambda_changed = ann->lambda != old_lambda;
+  rep.ok = true;
+  return rep;
 }
 
 }  // namespace dsw

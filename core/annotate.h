@@ -11,15 +11,32 @@
 // per-level annotation captures every run of every answer, and each
 // product pair lives on exactly one level.
 //
-// Cost: O(|D| x |A|) — each product edge (e, t) with e in E and t in
-// Delta is relaxed at most once. The hot path is label-stratified: the
-// BFS walks the database's CSR LabelIndex ("distinct labels out of v",
-// then "edges of v with label l") and, once per (vertex, label), moves
-// the whole frontier state set with a word-parallel OR of precompiled
-// CompiledDelta rows — shared across every edge of the group. Levels are
-// flat sorted-vertex arrays with contiguous word storage (LevelSets);
-// the only per-level hash-free scratch is a dense slot table plus a
-// touched list.
+// One BFS, two entry points. Annotate builds from scratch; DeltaAnnotate
+// repairs an annotation after edge insertions by resuming the same BFS
+// from the previous generation's levels. An inserted edge can only lower
+// BFS levels, so level i + 1 of the repair is the old level i + 1 minus
+// the pairs that settled lower, plus the new pairs that moves out of
+// level i reach; the kept pairs are marked seen before any move. Only
+// two kinds of moves can reach a new pair: moves of pairs that are new
+// at level i, and moves of a new edge's source through a (vertex, label)
+// group that holds a new edge. Along old edges, a pair that kept level
+// i reaches only pairs whose old level is at most i + 1, which are seen
+// already. A build from scratch is the repair from empty old levels,
+// where every pair is new.
+//
+// Cost: O(|D| x |A|) from scratch — each product edge (e, t) with e in E
+// and t in Delta is relaxed at most once. The hot path is
+// label-stratified: the BFS walks the database's CSR LabelIndex
+// ("distinct labels out of v", then "edges of v with label l") and, once
+// per (vertex, label), moves the whole mover state set with a
+// word-parallel OR of precompiled CompiledDelta rows — shared across
+// every edge of the group. Levels are flat sorted-vertex arrays with
+// contiguous word storage (LevelSets); the per-level hash-free scratch is
+// a dense slot table plus a touched list. A repair costs a zeroed
+// V x ceil(|Q|/64) seen bitmap, one pass over the old levels (each is
+// marked into the bitmap, then moved over as is or block-copied around
+// its changed vertices) and the touched region: the moves of new pairs
+// and of the new edges' sources.
 //
 // Epsilon-NFAs (Section 5.1, the Thompson front-end) are handled "for
 // free": CompiledDelta composes the after-side epsilon-closure into
@@ -123,6 +140,31 @@ struct Annotation {
 /// against one shared Snapshot.
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
                     uint32_t target);
+
+/// What DeltaAnnotate did to the annotation. ok == false means the
+/// repair is unsupported (unknown delta, or the old annotation was
+/// unreachable and thus carries no level data to repair — Annotate
+/// clears the levels on exhaustion); the annotation is untouched and
+/// the caller must rebuild from scratch. changed[i] lists, sorted
+/// ascending, the vertices whose state set at level i differs from
+/// before (added, removed, or mutated); sized new-lambda + 1.
+struct AnnotationRepair {
+  bool ok = false;
+  bool lambda_changed = false;
+  std::vector<std::vector<uint32_t>> changed;
+};
+
+/// Repairs \p ann in place from its old snapshot's state to \p snap
+/// (whose delta against that old generation is \p delta) by resuming
+/// the product BFS from the old levels. On success the annotation is
+/// bit-identical to Annotate() against \p snap; lambda can only shrink.
+AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
+                               Annotation* ann);
+
+/// The sorted distinct sources of edges [first_new_edge, num_edges) of
+/// \p snap: the vertices an insert-only delta gave new out-edges.
+std::vector<uint32_t> NewEdgeSources(const Snapshot& snap,
+                                     uint32_t first_new_edge);
 
 }  // namespace dsw
 

@@ -1,35 +1,10 @@
-// Incremental maintenance of the preprocessing structures under an
-// insert-only edge delta (the mutation-maintenance layer behind the
-// engine's incremental InstallSnapshot).
-//
-// The key monotonicity fact: an inserted edge can only *decrease*
-// product-BFS levels. Every pair (v, q) the old annotation holds at
-// level i has new distance <= i, every pair it lacks has old distance
-// > old lambda, and lambda itself can only shrink. So the old
-// annotation is repairable by a bounded re-relaxation wave instead of a
-// full O(|D| x |A|) BFS:
-//
-//  1. Seed: for each inserted edge (u, l, v), relax u's old annotated
-//     (level, state) slots through the CompiledDelta row for l — each
-//     seed proposes pairs at (old level of u) + 1.
-//  2. Wave: process proposals in increasing level order. A proposal at
-//     level j is accepted only when it strictly decreases the pair's
-//     current level (or the pair was absent) — so each pair settles at
-//     most once, at its true new distance — and an accepted pair
-//     re-relaxes *all* its out-edges (new edges included) into level
-//     j + 1. Unchanged pairs never re-relax: their old contributions
-//     are already in the annotation, and their new-edge contributions
-//     are exactly the seeds.
-//  3. Truncate: the new lambda is the smallest level where the target
-//     carries a final state; levels above it are dropped, mirroring the
-//     from-scratch early return.
-//
-// The result is bit-identical to Annotate() on the new snapshot (the
+// Incremental maintenance under an insert-only edge delta (the
+// mutation-maintenance layer behind the engine's incremental
+// InstallSnapshot). The annotation is repaired by DeltaAnnotate
+// (core/annotate.h), which resumes the product BFS from the old levels;
+// the result is bit-identical to Annotate() on the new snapshot (the
 // oracle test in tests/delta_annotate_test.cc asserts this after every
-// insertion, epsilon-NFAs included). The wave's cost is bounded by the
-// touched region — the product edges out of pairs whose level actually
-// changed — plus an O(V x |Q|) dense level table fill, far below the
-// full BFS at low mutation rates (bench/bench_mutation.cc, E13).
+// insertion, epsilon-NFAs and multi-word queries included).
 //
 // The trim/B-list structures are repaired rather than rebuilt, too,
 // by TrimmedIndex's one builder: DeltaTrim only names the *dirty*
@@ -84,25 +59,6 @@ class DeltaContext {
   std::vector<uint32_t> in_off_ = {0};  // vertex -> first in-edge; V+1
   std::vector<uint32_t> in_src_;        // source vertices, grouped by dst
 };
-
-/// What DeltaAnnotate did to the annotation. ok == false means the
-/// repair is unsupported (unknown delta, or the old annotation was
-/// unreachable and thus carries no level data to repair — Annotate
-/// clears the levels on exhaustion); the annotation is untouched and
-/// the caller must rebuild from scratch. changed[i] lists, sorted
-/// ascending, the vertices whose state set at level i differs from
-/// before (added, removed, or mutated); sized new-lambda + 1.
-struct AnnotationRepair {
-  bool ok = false;
-  bool lambda_changed = false;
-  std::vector<std::vector<uint32_t>> changed;
-};
-
-/// Repairs \p ann in place from its old snapshot's state to \p snap
-/// (whose delta against that old generation is \p delta). On success
-/// the annotation is bit-identical to Annotate() against \p snap.
-AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
-                               Annotation* ann);
 
 /// Produces the TrimmedIndex of the repaired annotation \p ann from
 /// \p old_index (built from the pre-delta annotation). Requires rep.ok.

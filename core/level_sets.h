@@ -37,11 +37,6 @@ class LevelSets {
   StateSetView states(size_t i) const {
     return {&words_[i * words_per_set_], num_bits_};
   }
-  /// Mutable word access for in-place state patches (delta repair).
-  /// Membership (the sorted vertex array) cannot be changed this way.
-  uint64_t* mutable_state_words(size_t i) {
-    return &words_[i * words_per_set_];
-  }
 
   /// States at vertex \p v, or a null view when v is not in the level.
   StateSetView Find(uint32_t v) const {
@@ -54,13 +49,6 @@ class LevelSets {
     auto it = std::lower_bound(vertices_.begin(), vertices_.end(), v);
     if (it == vertices_.end() || *it != v) return npos;
     return static_cast<size_t>(it - vertices_.begin());
-  }
-
-  /// Position of the first vertex >= \p v (== size() when none).
-  size_t LowerBound(uint32_t v) const {
-    return static_cast<size_t>(
-        std::lower_bound(vertices_.begin(), vertices_.end(), v) -
-        vertices_.begin());
   }
 
   /// Appends (v, states). Vertices must arrive in strictly increasing

@@ -77,7 +77,6 @@
 
 namespace dsw {
 
-struct AnnotationRepair;  // core/delta_annotate.h
 class DeltaContext;
 
 class TrimmedIndex {

@@ -107,8 +107,8 @@ struct EngineOptions {
   /// (core/delta_annotate.h) instead of dropping them, and parked
   /// sessions whose enumeration order survived (lambda unchanged)
   /// resume via SeekAfter rather than being retired. False restores the
-  /// drop-everything behavior — the bench's comparison arm and the
-  /// kill-switch if a repair bug is ever suspected in production.
+  /// drop-everything behavior; only a test (plan_cache_test) sets it,
+  /// and nothing selects it by mutation rate.
   bool incremental_install = true;
 };
 
@@ -157,8 +157,8 @@ class QueryEngine {
   /// snapshot is a later generation of the SAME database and its delta
   /// against the previous install is a known insert-only suffix
   /// (Snapshot::DeltaFrom), the previous generation's plan-cache entries
-  /// are *upgraded* — annotation repaired by the bounded re-relaxation
-  /// wave, trimmed/B-list structure patched, rank arrays rebuilt — and
+  /// are *upgraded* — annotation repaired by the resumed product BFS,
+  /// trimmed/B-list structure patched, rank arrays rebuilt — and
   /// re-inserted under the new generation's keys instead of dropped.
   /// Prepared queries and sessions are re-pointed at the upgraded plans;
   /// a parked session survives when its plan's enumeration order is an

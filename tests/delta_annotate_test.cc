@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -88,6 +89,29 @@ void ExpectTrimsEqual(const TrimmedIndex& got, const TrimmedIndex& want) {
   }
 }
 
+// The sorted vertices whose state set differs between levels a and b:
+// present in one only, or present in both with different words.
+std::vector<uint32_t> DiffLevel(const LevelSets& a, const LevelSets& b,
+                                size_t words) {
+  std::vector<uint32_t> out;
+  size_t ai = 0, bi = 0;
+  while (ai < a.size() || bi < b.size()) {
+    const uint32_t av = ai < a.size() ? a.vertex(ai) : UINT32_MAX;
+    const uint32_t bv = bi < b.size() ? b.vertex(bi) : UINT32_MAX;
+    if (av != bv) {
+      out.push_back(std::min(av, bv));
+      ++(av < bv ? ai : bi);
+      continue;
+    }
+    if (std::memcmp(a.states(ai).words(), b.states(bi).words(),
+                    words * sizeof(uint64_t)) != 0)
+      out.push_back(av);
+    ++ai;
+    ++bi;
+  }
+  return out;
+}
+
 using EdgeSeq = std::vector<std::vector<uint32_t>>;
 
 EdgeSeq Enumerate(const Annotation& ann, const ResumableIndex& idx,
@@ -109,7 +133,10 @@ EdgeSeq Enumerate(const Annotation& ann, const ResumableIndex& idx,
 // and checks the repaired structures against from-scratch rebuilds
 // after every one. The reverse CSR is carried forward the way the
 // engine carries it: each step derives its context from the previous
-// step's.
+// step's. Each repair's changed lists must name exactly the vertices
+// whose level set moved: an over-reported vertex would still trim
+// bit-identically (DeltaTrim re-trims a clean vertex to the same slot),
+// so only this check sees it.
 void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
                  uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -138,6 +165,7 @@ void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
     ctx = DeltaContext(ns, ctx);
 
     Annotation fresh = Annotate(ns, query, inst.source, inst.target);
+    const Annotation before = carried;
     AnnotationRepair rep = DeltaAnnotate(ns, delta, &carried);
     if (!rep.ok) {
       // The only unrepairable state is an unreachable old annotation
@@ -148,6 +176,12 @@ void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
       continue;
     }
     ExpectAnnotationsEqual(carried, fresh);
+    ASSERT_EQ(rep.changed.size(), carried.levels.size());
+    for (size_t i = 0; i < rep.changed.size(); ++i)
+      ASSERT_EQ(rep.changed[i],
+                DiffLevel(before.levels[i], carried.levels[i],
+                          carried.words_per_set()))
+          << "changed list of level " << i;
 
     TrimmedIndex fresh_trim(ns, fresh);
     carried_trim =
@@ -199,8 +233,9 @@ TEST(DeltaAnnotateOracleTest, NoisyBubblesEpsilonNfa) {
 }
 
 // Multi-word repair: the same families with the query's states spread
-// over two and three words (SpreadStates), so DeltaAnnotate's staging
-// and level diffs and DeltaTrim's B-list copies run on several words.
+// over two and three words (SpreadStates), so the resumed BFS's marking
+// of kept pairs, its level merges and DeltaTrim's B-list copies run on
+// several words.
 TEST(DeltaAnnotateOracleTest, BubbleChainSpreadStaircase) {
   RunScenario(BubbleChain(6, 2), SpreadStates(StaircaseNfa(2, 2), 2), 30,
               606);

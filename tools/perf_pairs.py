@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+  perf_pairs.py --parent DIR --change DIR --workload W --pairs N \\
+      --seconds S --seed-base B
+  perf_pairs.py --self-test
+
+Pair i runs `perfbench/run.py --seed B+i --trace 0` in both checkouts,
+the parent first in even pairs, without CARGO_TARGET_DIR so that each
+checkout builds into its own .bench_build. Exits nonzero when a pair's
+digest or failed count differ. For each end-to-end metric of
+BENCHMARK.json it prints the parent's median [q1, q3], the change's
+median, the change in percent and in how many pairs the change was
+better; "unresolved" marks a parent interquartile range wider, relative
+to its median, than the metric's bound.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_side(tree, workload, seed, seconds):
+    """One untraced run in tree: its digest, failed count and metrics."""
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                         text=True, check=True).stdout
+    row = {}
+    for line in out.splitlines():
+        if line.startswith('{"end_to_end"'):
+            e2e = json.loads(line)["end_to_end"]
+            row["metrics"] = {k: v["value"] for k, v in e2e.items()}
+        elif line.startswith('{"digest"'):
+            done = json.loads(line)
+            row["digest"] = done["digest"]
+            row["failed"] = done["requests_failed"]
+    return row
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def table(pairs, metrics):
+    """Returns the report lines for (parent, change) rows and whether every
+    pair did the same work."""
+    lines, same_work = [], True
+    for i, (p, c) in enumerate(pairs):
+        if (p["digest"], p["failed"]) != (c["digest"], c["failed"]):
+            same_work = False
+            lines.append(f"pair {i}: parent {p['digest']} failed {p['failed']}"
+                         f" != change {c['digest']} failed {c['failed']}")
+    lines.append("| metric | parent median [q1, q3] | change median | change "
+                 "| change better |")
+    lines.append("|---|---|---|---|---|")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pv = [p["metrics"][name] for p, _ in pairs]
+        cv = [c["metrics"][name] for _, c in pairs]
+        q1, pm, q3 = quartiles(pv)
+        cm = statistics.median(cv)
+        pct = (cm - pm) / pm * 100 if pm else 0.0
+        better = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
+        note = " unresolved" if pm and (q3 - q1) / pm > m["bound"] else ""
+        lines.append(f"| `{name}` | {pm:.4g} [{q1:.4g}, {q3:.4g}] | {cm:.4g} "
+                     f"| {pct:+.1f}% | {better}/{len(pairs)}{note} |")
+    return lines, same_work
+
+
+def self_test():
+    metrics = [{"name": "t_ms", "better": "lower", "bound": 0.2}]
+
+    def row(value, digest="d0", failed=0):
+        return {"digest": digest, "failed": failed, "metrics": {"t_ms": value}}
+
+    clean = [(row(10.0 + i % 2), row(8.0)) for i in range(4)]
+    wide = [(row(v), row(8.0)) for v in (10.0, 12.0, 18.0, 24.0)]
+    cases = [
+        # (label, pairs, same work expected, text the table must hold)
+        ("a clean table", clean, True,
+         "| `t_ms` | 10.5 [10, 11] | 8 | -23.8% | 4/4 |"),
+        ("a digest mismatch", clean + [(row(10.0), row(8.0, "d1"))], False,
+         "pair 4: parent d0 failed 0 != change d1 failed 0"),
+        ("a failed-count mismatch",
+         clean + [(row(10.0), row(8.0, failed=1))], False, "pair 4:"),
+        ("an unresolved metric", wide, True, "4/4 unresolved |"),
+    ]
+    failures = 0
+    for label, pairs, want_same, want_text in cases:
+        lines, same = table(pairs, metrics)
+        text = "\n".join(lines)
+        if same != want_same or want_text not in text:
+            failures += 1
+            print(f"SELF-TEST FAIL: {label}:\n{text}")
+    print(f"self-test: {len(cases) - failures}/{len(cases)} cases passed")
+    return 1 if failures else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent")
+    parser.add_argument("--change")
+    parser.add_argument("--workload")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seed-base", type=int, default=1)
+    parser.add_argument("--self-test", action="store_true")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if not (args.parent and args.change and args.workload):
+        parser.error("--parent, --change and --workload are required")
+
+    with open(ROOT / "BENCHMARK.json") as f:
+        metrics = json.load(f)["end_to_end"]
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        rows = {side: run_side(getattr(args, side), args.workload, seed,
+                               args.seconds) for side in order}
+        pairs.append((rows["parent"], rows["change"]))
+        print(f"pair {i} seed {seed}: {json.dumps(pairs[-1])}",
+              file=sys.stderr)
+    lines, same_work = table(pairs, metrics)
+    last = args.seed_base + args.pairs - 1
+    print(f"{args.workload}, seeds {args.seed_base}-{last}, "
+          f"{args.seconds:g} s, --trace 0")
+    print("\n".join(lines))
+    return 0 if same_work else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
