@@ -11,15 +11,14 @@ namespace {
 
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
-// The product BFS, templated over the word kernel (the
-// execution-tier layer, util/word_kernel.h): MultiWordKernel is the
-// pre-tier loop structure verbatim, SingleWordKernel collapses every
-// per-set loop to one uint64_t op for |Q| <= 64. ann->levels holds
-// level 0 on entry; \p old holds the previous generation's levels
-// (empty for a build from scratch, where every pair is new) and edges
-// [first_new_edge, num_edges) are the ones inserted since. Fills
-// ann->levels and ann->lambda, and, when \p changed is not null, the
-// vertices of each level whose state set differs from the old level's.
+// The product BFS, templated over the word kernel (util/word_kernel.h):
+// SingleWordKernel collapses every per-set loop to one uint64_t op for
+// |Q| <= 64. ann->levels holds level 0 on entry; \p old holds the
+// previous generation's levels (empty for a build from scratch, where
+// every pair is new) and edges [first_new_edge, num_edges) are the ones
+// inserted since. Fills ann->levels and ann->lambda, and, when \p
+// changed is not null, the vertices of each level whose state set
+// differs from the old level's.
 template <typename Kernel>
 void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
                 uint32_t first_new_edge, Annotation* out,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <list>
 #include <unordered_map>
 #include <utility>
 
@@ -13,18 +12,18 @@
 
 namespace dsw {
 
-// Bounded per-worker enumerator LRU. Holds the shared_ptr alongside the
-// enumerator: a cached enumerator must never outlive its prepared
-// query, even after the engine's own query table dropped it. The cap
-// (EngineOptions::worker_cache_entries) keeps a long-lived worker from
-// accumulating one enumerator per distinct prepared query within a
+// Bounded per-worker enumerator LRU, one vector in recency order. Holds
+// the shared_ptr alongside the enumerator: a cached enumerator must
+// never outlive its prepared query, even after the engine's query table
+// dropped it. The cap (EngineOptions::worker_cache_entries, 8 by
+// default, small enough for a linear scan) keeps a long-lived worker
+// from accumulating one enumerator per distinct prepared query within a
 // generation; sessions are memoryless, so an eviction costs one rebuild
 // on the victim's next pump, never a wrong resume.
 struct QueryEngine::WorkerCache {
   struct Entry {
     std::shared_ptr<const PreparedQuery> query;
     std::unique_ptr<ResumableEnumerator> en;
-    std::list<const PreparedQuery*>::iterator lru_it;
   };
 
   WorkerCache(uint32_t capacity, std::atomic<uint64_t>* evictions)
@@ -32,46 +31,36 @@ struct QueryEngine::WorkerCache {
 
   uint32_t capacity;
   std::atomic<uint64_t>* evictions;
-  std::unordered_map<const PreparedQuery*, Entry> entries;
-  std::list<const PreparedQuery*> lru;  // front = hottest
+  std::vector<Entry> entries;  // front = hottest
 
   ResumableEnumerator& Get(const std::shared_ptr<const PreparedQuery>& q) {
-    auto it = entries.find(q.get());
+    auto it = std::find_if(entries.begin(), entries.end(),
+                           [&q](const Entry& e) { return e.query == q; });
     if (it != entries.end()) {
-      lru.splice(lru.begin(), lru, it->second.lru_it);
-      return *it->second.en;
+      std::rotate(entries.begin(), it, it + 1);
+      return *entries.front().en;
     }
-    // Construct BEFORE touching the map: if the constructor throws
-    // (e.g. bad_alloc), default-inserting first would leave a poisoned
-    // entry — null `en`, dangling `lru_it` — that the next hit on this
-    // query dereferences.
+    // Construct BEFORE touching the entries: if the constructor throws
+    // (e.g. bad_alloc), evicting or inserting first would leave the cache
+    // short an entry, or holding one with a null `en` that the next hit
+    // on this query dereferences.
     auto en = std::make_unique<ResumableEnumerator>(
         q->ann, q->index, q->ann.source, q->ann.target);
     if (entries.size() >= capacity) {
-      entries.erase(lru.back());
-      lru.pop_back();
+      entries.pop_back();
       evictions->fetch_add(1, std::memory_order_relaxed);
     }
-    Entry& e = entries[q.get()];
-    e.query = q;
-    e.en = std::move(en);
-    lru.push_front(q.get());
-    e.lru_it = lru.begin();
-    return *e.en;
+    entries.insert(entries.begin(), Entry{q, std::move(en)});
+    return *entries.front().en;
   }
 
   // Retired queries never run again; drop their enumerators so a
   // long-lived engine does not accumulate one per old generation.
   void EvictOtherGenerations(const Database* db, uint64_t gen) {
-    for (auto it = entries.begin(); it != entries.end();) {
-      const Snapshot& s = it->second.query->index.snapshot();
-      if (&s.db() != db || s.generation() != gen) {
-        lru.erase(it->second.lru_it);
-        it = entries.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(entries, [db, gen](const Entry& e) {
+      const Snapshot& s = e.query->index.snapshot();
+      return &s.db() != db || s.generation() != gen;
+    });
   }
 };
 
@@ -99,31 +88,22 @@ QueryEngine::~QueryEngine() {
 
 namespace {
 
-// One plan-cache entry run through the delta-repair pipeline.
-// value == nullptr means the plan was dropped (unrepairable: the old
-// annotation was unreachable, so it carries no levels to repair — and
-// the inserts may well have made it reachable, so a fresh build on the
-// next Prepare miss is also the semantically required outcome).
-// order_preserved means lambda did not change, so old answers keep
-// their relative enumeration order and a parked walk is still a valid
-// SeekAfter anchor.
-struct RepairedPlan {
-  std::shared_ptr<const PreparedQuery> value;
-  bool order_preserved = false;
-};
-
-RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
-                        const DeltaContext& ctx, const PreparedQuery& old) {
-  RepairedPlan out;
+// One plan-cache entry run through the delta-repair pipeline, or null
+// when the plan is dropped: unrepairable, because the old annotation was
+// unreachable and carries no levels to repair — and the inserts may well
+// have made it reachable, so a fresh build on the next Prepare miss is
+// also the semantically required outcome.
+std::shared_ptr<const PreparedQuery> RepairPlan(const Snapshot& snap,
+                                                const EdgeDelta& delta,
+                                                const DeltaContext& ctx,
+                                                const PreparedQuery& old) {
   Annotation ann = old.ann;
   AnnotationRepair rep = DeltaAnnotate(snap, delta, &ann);
-  if (!rep.ok) return out;
+  if (!rep.ok) return nullptr;
   TrimmedIndex trimmed =
       DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, ctx);
-  out.value = std::make_shared<const PreparedQuery>(snap, std::move(ann),
-                                                    std::move(trimmed));
-  out.order_preserved = !rep.lambda_changed;
-  return out;
+  return std::make_shared<const PreparedQuery>(snap, std::move(ann),
+                                               std::move(trimmed));
 }
 
 }  // namespace
@@ -138,10 +118,9 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     std::lock_guard<std::mutex> lock(mu_);
     prev = snapshot_;
     snapshot_ = snap;
-    // Sessions pinned to older generations are retired lazily, at their
-    // next pump — the (db, generation) compare in the worker is the
-    // whole mechanism. The incremental path below re-points the sessions
-    // it saves BEFORE they can reach a worker again.
+    // Sessions on plans of older generations retire at their next pump:
+    // the worker checks each session's plan against snapshot_. The
+    // incremental path below re-points the queries it upgrades.
     if (!prev || &prev.db() != db || prev.generation() != gen)
       prev_ctx = std::move(context_);  // it describes prev, not snap
   }
@@ -172,19 +151,19 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
                       : std::make_shared<const DeltaContext>(snap);
   // Repair each extracted plan against the new snapshot and re-insert
   // it under the new generation's key. Old plan -> its repaired upgrade.
-  std::unordered_map<const PreparedQuery*, RepairedPlan> remap;
+  std::unordered_map<const PreparedQuery*,
+                     std::shared_ptr<const PreparedQuery>>
+      remap;
   for (auto& [key, old] : old_entries) {
-    RepairedPlan repaired = RepairPlan(snap, delta, *ctx, *old);
-    if (!repaired.value) continue;
+    std::shared_ptr<const PreparedQuery> repaired =
+        RepairPlan(snap, delta, *ctx, *old);
+    if (!repaired) continue;
     PlanKey new_key = std::move(key);
     new_key.generation = gen;
-    cache_.InsertUpgraded(std::move(new_key), repaired.value);
+    cache_.InsertUpgraded(std::move(new_key), repaired);
     remap.emplace(old.get(), std::move(repaired));
   }
 
-  // Plans taken from sessions below; declared before the lock so that
-  // the last references drop after mu_ is released.
-  std::vector<std::shared_ptr<const PreparedQuery>> released;
   std::lock_guard<std::mutex> lock(mu_);
   // Keep the context for the next install, unless a concurrent install
   // has already replaced the snapshot it describes.
@@ -192,34 +171,14 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     context_ = std::move(ctx);
   if (remap.empty()) return;
   plans_upgraded_ += remap.size();
-  // Re-point the query table: future OpenSession calls on an existing
-  // QueryId get the upgraded plan (new sessions Rewind, so this is safe
-  // even when the enumeration order changed).
+  // Re-point the query table, the engine's only table of plans. Sessions
+  // resolve their plan through it at every pump, where the worker decides
+  // whether a parked walk still anchors the upgraded order. The replaced
+  // plans stay alive in old_entries until after mu_ is released.
   for (auto& q : queries_) {
     auto it = remap.find(q.get());
-    if (it != remap.end()) q = it->second.value;
+    if (it != remap.end()) q = it->second;
   }
-  // Re-point sessions. A session that already emitted answers needs its
-  // parked walk to stay a valid order anchor, which only holds when
-  // lambda is unchanged — otherwise take its plan away, so that it pins
-  // no old generation, and let the worker retire it at its next pump.
-  for (Session& s : sessions_) {
-    if (!s.query) continue;
-    auto it = remap.find(s.query.get());
-    if (it == remap.end()) continue;
-    if (s.started && !it->second.order_preserved) {
-      released.push_back(std::move(s.query));
-      continue;
-    }
-    s.query = it->second.value;
-    if (s.state == SessionState::kParked) ++sessions_upgraded_;
-  }
-}
-
-QueryId QueryEngine::RegisterLocked(
-    std::shared_ptr<const PreparedQuery> prepared) {
-  queries_.push_back(std::move(prepared));
-  return static_cast<QueryId>(queries_.size() - 1);
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
@@ -246,7 +205,8 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
   (prepared->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
       .fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  return RegisterLocked(std::move(prepared));
+  queries_.push_back(std::move(prepared));
+  return static_cast<QueryId>(queries_.size() - 1);
 }
 
 PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
@@ -274,9 +234,7 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
 SessionId QueryEngine::OpenSession(QueryId query) {
   std::lock_guard<std::mutex> lock(mu_);
   assert(query < queries_.size() && "OpenSession: unknown query");
-  Session s;
-  s.query = queries_[query];
-  sessions_.push_back(std::move(s));
+  sessions_.emplace_back().query = query;
   return static_cast<SessionId>(sessions_.size() - 1);
 }
 
@@ -369,8 +327,9 @@ PumpResult QueryEngine::RunBatch(
   if (!started) {
     en.Rewind();
   } else if (!en.SeekAfter(last)) {
-    // last was emitted by this very pipeline, so SeekAfter can only
-    // reject it if the session state was corrupted externally.
+    // last was emitted by this plan, or by one it was upgraded from with
+    // lambda unchanged (WorkerLoop retires every other started session),
+    // so SeekAfter can only reject it if the session state was corrupted.
     assert(false && "RunBatch: parked walk is not an answer");
     result.status = PumpStatus::kExhausted;
     return result;
@@ -406,14 +365,20 @@ void QueryEngine::WorkerLoop() {
       queue_.pop_front();
 
       Session& s = sessions_[job.session];
-      const Snapshot* pinned = s.query ? &s.query->index.snapshot() : nullptr;
-      if (!pinned || &pinned->db() != &snapshot_.db() ||
-          pinned->generation() != snapshot_.generation()) {
-        // Graceful rejection: the old plan is never run, and its last
-        // session reference drops once mu_ is released.
+      const std::shared_ptr<const PreparedQuery>& plan = queries_[s.query];
+      const Snapshot& pinned = plan->index.snapshot();
+      // The one retirement rule. A plan of another (db, generation) was
+      // not upgraded by the installs since; and inserts only ever shorten
+      // lambda, so a parked walk that is not lambda edges long was parked
+      // before an upgrade shortened it and anchors nothing in the new
+      // order.
+      if (&pinned.db() != &snapshot_.db() ||
+          pinned.generation() != snapshot_.generation() ||
+          (s.started &&
+           s.last.length() != static_cast<size_t>(plan->ann.lambda))) {
+        // Graceful rejection: the stale plan is never run.
         s.state = SessionState::kRetired;
         ++sessions_retired_;
-        query = std::move(s.query);
         const Database* live_db = &snapshot_.db();
         uint64_t live_gen = snapshot_.generation();
         lock.unlock();
@@ -421,7 +386,11 @@ void QueryEngine::WorkerLoop() {
         job.promise.set_value(PumpResult{PumpStatus::kRetired, {}});
         continue;
       }
-      query = s.query;
+      // The parked walk is reused as an anchor on a plan upgraded since.
+      if (s.started && s.generation != pinned.generation())
+        ++sessions_upgraded_;
+      s.generation = pinned.generation();
+      query = plan;
       last = s.last;
       started = s.started;
     }

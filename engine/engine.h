@@ -21,14 +21,15 @@
 //    textually different but equivalent patterns hit one cache entry.
 //  - OpenSession()/Pump() run enumeration in batches on the worker
 //    pool. A session is a *parked memoryless cursor*: between pumps the
-//    engine stores only (prepared query, last answer) — Theorem 18's
-//    SeekAfter recomputes the position from the last answer alone, so a
-//    session can resume on ANY worker thread, not just the one that
-//    produced the previous batch.
-//  - Installing a new snapshot retires the sessions (and prepared
-//    queries) pinned to an older generation that it did not upgrade:
-//    their next pump returns PumpStatus::kRetired instead of answers
-//    from a generation the engine no longer serves.
+//    engine stores only (QueryId, last answer) — Theorem 18's SeekAfter
+//    recomputes the position from the last answer alone, so a session
+//    can resume on ANY worker thread, not just the one that produced the
+//    previous batch, and on whatever plan its QueryId names by then.
+//  - A pump retires its session — PumpStatus::kRetired instead of
+//    answers from a generation the engine no longer serves — when the
+//    session's query was not upgraded to the installed snapshot, or when
+//    the session has emitted answers and an upgrade shortened lambda
+//    since, so that its last answer anchors nothing in the new order.
 //  - Stats() exposes the cache and scheduling counters (hits, misses,
 //    evictions, single-flight waits, session retirements, front-end
 //    choices) for tests and benchmarks to assert on.
@@ -115,9 +116,11 @@ struct EngineOptions {
 /// Observability counters; a consistent point-in-time copy via Stats().
 struct EngineStats {
   PlanCacheStats plan_cache;
-  uint64_t sessions_retired = 0;        // pumps rejected on stale snapshots
+  uint64_t sessions_retired = 0;        // sessions a pump retired
   uint64_t plans_upgraded = 0;          // plans delta-repaired at install
-  uint64_t sessions_upgraded = 0;       // parked sessions that survived one
+  // Pumps that resumed a parked walk on a plan upgraded since the
+  // session's previous pump; a session never pumped again counts nothing.
+  uint64_t sessions_upgraded = 0;
   uint64_t worker_cache_evictions = 0;  // enumerators dropped by the LRU cap
   uint64_t frontend_thompson = 0;       // PrepareRegex picks, per front-end
   uint64_t frontend_glushkov = 0;
@@ -150,8 +153,8 @@ class QueryEngine {
 
   /// Publishes the snapshot subsequent Prepare() calls build against,
   /// and invalidates plan cache entries of any other (db, generation).
-  /// Sessions and prepared queries of any older install are retired:
-  /// their next pump returns PumpStatus::kRetired.
+  /// Prepared queries of any older install are retired: the next pump of
+  /// each of their sessions returns PumpStatus::kRetired.
   ///
   /// Incremental path (EngineOptions::incremental_install): when the new
   /// snapshot is a later generation of the SAME database and its delta
@@ -160,19 +163,18 @@ class QueryEngine {
   /// are *upgraded* — annotation repaired by the resumed product BFS,
   /// trimmed/B-list structure patched, rank arrays rebuilt — and
   /// re-inserted under the new generation's keys instead of dropped.
-  /// Prepared queries and sessions are re-pointed at the upgraded plans;
-  /// a parked session survives when its plan's enumeration order is an
-  /// anchor across the delta (lambda unchanged: old answers keep their
-  /// relative order, so one SeekAfter on the parked walk resumes the
-  /// correct suffix of the NEW answer order). Plans whose lambda shrank
-  /// still upgrade — new sessions enumerate the new order — but their
-  /// started sessions drop the old plan at once and retire at their
-  /// next pump (a retired session holds no plan). Repairs run on the
-  /// calling (control) thread; a pump a worker starts while they run
-  /// retires its session, as if its plan had not been upgraded. The
-  /// reverse CSR they share (DeltaContext) is derived from the previous
-  /// install's, which the engine keeps, so an install costs the write
-  /// rather than a pass over every edge.
+  /// Prepared queries are re-pointed at the upgraded plans; sessions
+  /// follow their QueryId, so the install touches none of them. A parked
+  /// session resumes on the upgraded plan while lambda is unchanged: old
+  /// answers keep their relative order, so one SeekAfter on the parked
+  /// walk resumes the correct suffix of the NEW answer order. Once an
+  /// upgrade shortened lambda, a session that has emitted answers retires
+  /// at its next pump, while new sessions enumerate the new order.
+  /// Repairs run on the calling (control) thread; a pump a worker starts
+  /// while they run retires its session, as if its plan had not been
+  /// upgraded. The reverse CSR they share (DeltaContext) is derived from
+  /// the previous install's, which the engine keeps, so an install costs
+  /// the write rather than a pass over every edge.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -225,13 +227,14 @@ class QueryEngine {
  private:
   enum class SessionState : uint8_t { kParked, kQueued, kExhausted, kRetired };
 
+  // A cursor over its QueryId: each pump runs on queries_[query], so an
+  // install that re-points the query moves every session on it.
   struct Session {
-    // Null once the session can never run again: retired, or started
-    // on a plan whose lambda an install shrank (the worker retires it).
-    std::shared_ptr<const PreparedQuery> query;
+    QueryId query = 0;
     Walk last;                  // the parked cursor: last emitted answer
     bool started = false;       // false until the first batch ran
     SessionState state = SessionState::kParked;
+    uint64_t generation = 0;    // of the plan its last pump ran on
   };
 
   struct Job {
@@ -245,10 +248,6 @@ class QueryEngine {
   // ResumableEnumerator per hot prepared query per worker, reused
   // across batches so steady-state pumping performs no allocation.
   struct WorkerCache;
-
-  // Registers a cache-resolved prepared query in the session-facing
-  // query table; returns its QueryId.
-  QueryId RegisterLocked(std::shared_ptr<const PreparedQuery> prepared);
 
   void WorkerLoop();
   // Runs one batch against the prepared query, entirely outside the
@@ -279,6 +278,8 @@ class QueryEngine {
   // incremental install derives its own instead of building one.
   std::shared_ptr<const DeltaContext> context_;
 
+  // QueryId -> its plan: the engine's only table of plans, re-pointed
+  // when an install upgrades one.
   std::vector<std::shared_ptr<const PreparedQuery>> queries_;
   std::vector<Session> sessions_;
   std::vector<int64_t> first_answer_ns_;

@@ -10,11 +10,12 @@
 //     test for the lazy-rebuild data race the snapshot layer removed —
 //     the read path performs no lazy work, so TSan stays silent.
 //  3. Retirement vs. upgrade: InstallSnapshot with an insert-only delta
-//     that preserves lambda upgrades plans and parked sessions in place
-//     (they resume the correct suffix of the NEW enumeration, no
+//     that preserves lambda upgrades plans in place, and parked sessions
+//     resume on them (the correct suffix of the NEW enumeration, no
 //     kRetired); a delta that shortens lambda breaks the enumeration
 //     order anchor, so started sessions are rejected gracefully
-//     (PumpStatus::kRetired, stale index untouched).
+//     (PumpStatus::kRetired, stale index untouched), even one whose
+//     first batch was still running when the install came.
 //  4. The snapshot layer itself: raw reader threads sharing one
 //     Snapshot build annotations/indexes/enumerators concurrently with
 //     no engine and no synchronization.
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <random>
@@ -60,6 +62,22 @@ EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
        en.Next())
     out.push_back(en.walk().edges);
   return out;
+}
+
+// Duplicates existing edges [first, first + count) as parallel edges,
+// which adds answers but keeps lambda.
+void DuplicateEdges(Instance& inst, uint32_t first, uint32_t count) {
+  for (uint32_t id = first; id < first + count; ++id)
+    inst.db.AddEdge(inst.db.src(id), inst.db.edge(id).label,
+                    inst.db.dst(id));
+}
+
+// A two-edge source -> target shortcut: StaircaseNfa(2, 2) accepts any
+// word of length >= 2, so lambda drops to 2.
+void AddShortcut(Instance& inst) {
+  const uint32_t mid = inst.db.AddVertex();
+  inst.db.AddEdge(inst.source, 0u, mid);
+  inst.db.AddEdge(mid, 0u, inst.target);
 }
 
 TEST(QueryEngineTest, DrainMatchesOracle) {
@@ -218,9 +236,7 @@ TEST(QueryEngineTest, RetiredSessionsAreRejectedGracefully) {
   // accepts any word of length >= 2). The shorter lambda breaks the
   // enumeration-order anchor, so the incremental install must NOT
   // upgrade this started session — it is retired.
-  uint32_t mid = inst.db.AddVertex();
-  inst.db.AddEdge(inst.source, 0u, mid);
-  inst.db.AddEdge(mid, 0u, inst.target);
+  AddShortcut(inst);
   Snapshot snap2 = inst.db.Freeze();
   engine.InstallSnapshot(snap2);
 
@@ -238,11 +254,9 @@ TEST(QueryEngineTest, RetiredSessionsAreRejectedGracefully) {
   EXPECT_EQ(all.status, PumpStatus::kExhausted);
   EXPECT_EQ(Edges(all.walks), expected);
 
-  // A second shortcut keeps lambda at 2. The retired session holds no
-  // plan; the next install skips it and counts no further retirement.
-  uint32_t mid2 = inst.db.AddVertex();
-  inst.db.AddEdge(inst.source, 0u, mid2);
-  inst.db.AddEdge(mid2, 0u, inst.target);
+  // A second shortcut keeps lambda at 2. The install touches no session
+  // and counts no further retirement.
+  AddShortcut(inst);
   Snapshot snap3 = inst.db.Freeze();
   engine.InstallSnapshot(snap3);
   EXPECT_EQ(engine.Stats().sessions_retired, 1u);
@@ -324,16 +338,13 @@ TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
 
   // Insert-only, lambda-preserving mutation: duplicate three existing
   // edges and grow the vertex set; freeze and publish incrementally.
-  for (uint32_t id = 0; id < 3; ++id)
-    inst.db.AddEdge(inst.db.src(id), inst.db.edge(id).label,
-                    inst.db.dst(id));
+  DuplicateEdges(inst, 0, 3);
   inst.db.AddVertices(2);
   Snapshot snap2 = inst.db.Freeze();
   engine.InstallSnapshot(snap2);
 
   EngineStats stats = engine.Stats();
   EXPECT_GT(stats.plans_upgraded, 0u);
-  EXPECT_GT(stats.sessions_upgraded, 0u);
   EXPECT_EQ(stats.sessions_retired, 0u);
 
   // Suffix check against the new-snapshot oracle: everything after the
@@ -350,6 +361,113 @@ TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
   EXPECT_EQ(rest.status, PumpStatus::kExhausted);
   EXPECT_EQ(Edges(rest.walks), want);
   EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+  // The upgrade is counted where the parked walk is reused: at the first
+  // pump after the install, once.
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 1u);
+}
+
+// A session resolves its plan through its QueryId at every pump, so it
+// may stay parked across any number of installs. Across two
+// lambda-preserving ones it resumes the newest order after its last
+// walk, and the upgrade is counted once, at that pump; a session that
+// is never pumped again counts nothing. Across a lambda-shrinking
+// install followed by a lambda-preserving one, a started session
+// retires, while a fresh session on the same QueryId serves the newest
+// snapshot.
+TEST(QueryEngineTest, SessionsStayParkedAcrossChainedInstalls) {
+  Instance inst = BubbleChain(6, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  QueryEngine engine(2);
+  engine.InstallSnapshot(inst.db.Freeze());
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  SessionId parked = engine.OpenSession(q);
+  PumpResult first = engine.Pump(parked, 5);
+  ASSERT_EQ(first.status, PumpStatus::kOk);
+  SessionId abandoned = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(abandoned, 3).status, PumpStatus::kOk);
+
+  Snapshot snap;
+  for (uint32_t k = 0; k < 2; ++k) {
+    DuplicateEdges(inst, 3 * k, 3);
+    snap = inst.db.Freeze();
+    engine.InstallSnapshot(snap);
+  }
+  EXPECT_EQ(engine.Stats().plans_upgraded, 2u);
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 0u);
+
+  EdgeSeq newest = Oracle(snap, query, inst.source, inst.target);
+  auto anchor = std::find(newest.begin(), newest.end(),
+                          first.walks.back().edges);
+  ASSERT_NE(anchor, newest.end());
+  PumpResult rest = engine.Drain(parked, 7);
+  EXPECT_EQ(rest.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(rest.walks), EdgeSeq(anchor + 1, newest.end()));
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 1u);
+  EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+
+  SessionId shortened = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(shortened, 4).status, PumpStatus::kOk);
+  for (int i = 0; i < 2; ++i) {  // lambda 12 -> 2, then 2 -> 2
+    AddShortcut(inst);
+    snap = inst.db.Freeze();
+    engine.InstallSnapshot(snap);
+  }
+  EXPECT_EQ(engine.Stats().plans_upgraded, 4u);
+
+  PumpResult retired = engine.Pump(shortened, 4);
+  EXPECT_EQ(retired.status, PumpStatus::kRetired);
+  EXPECT_TRUE(retired.walks.empty());
+  EdgeSeq expected = Oracle(snap, query, inst.source, inst.target);
+  ASSERT_EQ(expected.size(), 2u);
+  PumpResult fresh = engine.Drain(engine.OpenSession(q), 8);
+  EXPECT_EQ(fresh.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(fresh.walks), expected);
+  EXPECT_EQ(engine.Stats().sessions_retired, 1u);
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 1u);
+}
+
+// A session's first batch may still run on the old plan when an install
+// shortens lambda. The batch parks the session on an old-length walk,
+// which anchors nothing in the new order, so the session's next pump
+// must retire it rather than seek the new plan to that walk. The worker
+// normally takes the batch at once; a round in which it started only
+// after the install published the new snapshot (the batch retired) or
+// re-pointed the query (the batch ran on the new plan) checks nothing,
+// so a loaded host can make the test pass without checking, never fail.
+TEST(QueryEngineTest, FirstBatchInFlightAcrossLambdaShrinkingInstallRetires) {
+  constexpr uint32_t kBatch = 65000;
+  const Nfa query = StaircaseNfa(2, 2);
+  EdgeSeq old_prefix;
+  {
+    Instance inst = BubbleChain(16, 2);
+    old_prefix = Oracle(inst.db.Freeze(), query, inst.source, inst.target);
+  }
+  ASSERT_EQ(old_prefix.size(), 65536u);  // 2^16 bubbles, lambda = 32
+  old_prefix.resize(kBatch);
+
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    Instance inst = BubbleChain(16, 2);
+    QueryEngine engine(1);
+    engine.InstallSnapshot(inst.db.Freeze());
+    SessionId s =
+        engine.OpenSession(engine.Prepare(query, inst.source, inst.target));
+    std::future<PumpResult> pending = engine.PumpAsync(s, kBatch);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    AddShortcut(inst);
+    engine.InstallSnapshot(inst.db.Freeze());
+
+    PumpResult batch = pending.get();
+    if (batch.status == PumpStatus::kRetired ||
+        (!batch.walks.empty() &&
+         batch.walks[0].length() != old_prefix[0].size()))
+      continue;  // the worker took the batch after the install began
+    EXPECT_EQ(batch.status, PumpStatus::kOk);
+    EXPECT_EQ(Edges(batch.walks), old_prefix);
+    PumpResult next = engine.Pump(s, 4);
+    EXPECT_EQ(next.status, PumpStatus::kRetired);
+    EXPECT_TRUE(next.walks.empty());
+  }
 }
 
 // The engine keeps the reverse CSR of its installed generation and

@@ -1,4 +1,4 @@
-// Kernel policies behind the execution-tier layer (core/query_traits.h).
+// Word-width kernel policies for the pipeline's hot loops.
 //
 // Every hot loop of the pipeline — the product-BFS frontier move in
 // core/annotate.cc, the trim reverse sweep in core/trimmed_index.cc, the
@@ -9,9 +9,7 @@
 // the single OR/AND they guard. The policies here let each hot function
 // be written once, templated over a kernel, and instantiated twice:
 //
-//  - MultiWordKernel carries the runtime word count; its instantiation
-//    is the exact loop structure the pipeline always had, so the general
-//    tier is bit-identical to the pre-tier code by construction.
+//  - MultiWordKernel carries the runtime word count.
 //  - SingleWordKernel's wps() is a compile-time 1: after inlining, every
 //    loop below folds to one scalar uint64_t operation — the
 //    "one-uint64_t kernels" of the single-word tier.
