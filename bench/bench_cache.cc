@@ -2,13 +2,15 @@
 //
 // Arms:
 //  - BM_Cache_PrepareCold / BM_Cache_PrepareWarm: one Prepare of the
-//    hot query, cache disabled (byte budget 0 — every call pays the
-//    full annotate + trim build) vs cache enabled and warmed (pure key
-//    lookup + shared_ptr). CI gates warm being >10x faster than cold.
+//    hot query, cache disabled (byte budget 0 and each handle released,
+//    so the entry dies with it and every call pays the full annotate +
+//    trim build) vs cache enabled and warmed (pure key lookup +
+//    handle). CI gates warm being >10x faster than cold.
 //  - BM_Cache_ZipfPrepareMix/warm:{0,1}: a stream of PrepareRegex
 //    calls over textually-varied spellings of a small shape set with
-//    Zipf(1.0) popularity, each followed by one pumped batch — the
-//    "millions of users, a handful of query shapes" serving loop.
+//    Zipf(1.0) popularity, each followed by one pumped batch, closing
+//    the session and releasing the handle — the "millions of users, a
+//    handful of query shapes" serving loop.
 //    Headlines: answers_per_sec, p50/p99 Prepare-call latency, and the
 //    cache hit rate (hit_rate counter; 0 in the cold arm by
 //    construction, textual variants collide via canonicalization in
@@ -111,6 +113,7 @@ void BM_Cache_PrepareCold(benchmark::State& state) {
   for (auto _ : state) {
     QueryId q = engine.Prepare(query, w.inst.source, w.inst.target);
     benchmark::DoNotOptimize(q);
+    engine.ReleaseQuery(q);  // the entry dies with its last handle
   }
   state.counters["misses"] =
       static_cast<double>(engine.Stats().plan_cache.misses);
@@ -171,8 +174,10 @@ void BM_Cache_ZipfPrepareMix(benchmark::State& state) {
               std::chrono::steady_clock::now() - p0)
               .count());
       if (!r.ok) continue;
-      PumpResult batch = engine.Pump(engine.OpenSession(r.id), kBatch);
-      answers += batch.walks.size();
+      SessionId session = engine.OpenSession(r.id);
+      answers += engine.Pump(session, kBatch).walks.size();
+      engine.CloseSession(session);
+      engine.ReleaseQuery(r.id);  // at budget 0 the entry dies here
     }
   }
   double secs = std::chrono::duration<double>(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <utility>
 
 #include "automaton/canonical_hash.h"
@@ -14,8 +13,8 @@ namespace dsw {
 
 // Bounded per-worker enumerator LRU, one vector in recency order. Holds
 // the shared_ptr alongside the enumerator: a cached enumerator must
-// never outlive its prepared query, even after the engine's query table
-// dropped it. The cap (EngineOptions::worker_cache_entries, 8 by
+// never outlive its prepared query, even after an install replaced it
+// in the plan table. The cap (EngineOptions::worker_cache_entries, 8 by
 // default, small enough for a linear scan) keeps a long-lived worker
 // from accumulating one enumerator per distinct prepared query within a
 // generation; sessions are memoryless, so an eviction costs one rebuild
@@ -66,7 +65,6 @@ struct QueryEngine::WorkerCache {
 
 QueryEngine::QueryEngine(const EngineOptions& options)
     : worker_cache_entries_(std::max(options.worker_cache_entries, 1u)),
-      incremental_install_(options.incremental_install),
       cache_(options.plan_cache_bytes) {
   uint32_t num_threads = std::max(options.num_threads, 1u);
   workers_.reserve(num_threads);
@@ -88,8 +86,8 @@ QueryEngine::~QueryEngine() {
 
 namespace {
 
-// One plan-cache entry run through the delta-repair pipeline, or null
-// when the plan is dropped: unrepairable, because the old annotation was
+// One plan run through the delta-repair pipeline, or null when the plan
+// is dropped: unrepairable, because the old annotation was
 // unreachable and carries no levels to repair — and the inserts may well
 // have made it reachable, so a fresh build on the next Prepare miss is
 // also the semantically required outcome.
@@ -110,103 +108,54 @@ std::shared_ptr<const PreparedQuery> RepairPlan(const Snapshot& snap,
 
 void QueryEngine::InstallSnapshot(Snapshot snap) {
   assert(static_cast<bool>(snap) && "InstallSnapshot: null snapshot");
-  const Database* db = &snap.db();
-  const uint64_t gen = snap.generation();
-  Snapshot prev;
-  std::shared_ptr<const DeltaContext> prev_ctx;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    prev = snapshot_;
-    snapshot_ = snap;
-    // Sessions on plans of older generations retire at their next pump:
-    // the worker checks each session's plan against snapshot_. The
-    // incremental path below re-points the queries it upgrades.
-    if (!prev || &prev.db() != db || prev.generation() != gen)
-      prev_ctx = std::move(context_);  // it describes prev, not snap
+  const Snapshot prev = cache_.installed();
+  const bool same_db = prev && &prev.db() == &snap.db();
+  if (same_db && prev.generation() == snap.generation()) return;
+  const EdgeDelta delta =
+      same_db ? snap.DeltaFrom(prev.generation()) : EdgeDelta{};
+  if (!delta.known) {  // nothing to repair from: detach every entry
+    context_ = nullptr;
+    cache_.Install(std::move(snap), nullptr);
+    return;
   }
-
-  // Incremental path: when the previous install was an earlier frozen
-  // generation of the same database and the delta between the two is a
-  // known insert-only suffix, extract the old generation's completed
-  // plans for repair instead of letting Invalidate drop them.
-  std::vector<std::pair<PlanKey, PlanCache::Value>> old_entries;
-  EdgeDelta delta;
-  if (incremental_install_ && prev && &prev.db() == db &&
-      prev.generation() != gen) {
-    delta = snap.DeltaFrom(prev.generation());
-    if (delta.known)
-      old_entries = cache_.TakeGeneration(db, prev.generation());
-  }
-
-  // Plan entries of other generations can never be served again (keys
-  // carry the generation); drop them eagerly. Outside mu_ — the cache
-  // has its own lock and the two are never held together.
-  cache_.Invalidate(db, gen);
-  if (!delta.known) return;
-
   // One reverse CSR serves every repair. It is derived from the previous
   // install's, and built from empty only when the engine holds none —
   // the first incremental install after a full one.
-  auto ctx = prev_ctx ? std::make_shared<const DeltaContext>(snap, *prev_ctx)
-                      : std::make_shared<const DeltaContext>(snap);
-  // Repair each extracted plan against the new snapshot and re-insert
-  // it under the new generation's key. Old plan -> its repaired upgrade.
-  std::unordered_map<const PreparedQuery*,
-                     std::shared_ptr<const PreparedQuery>>
-      remap;
-  for (auto& [key, old] : old_entries) {
-    std::shared_ptr<const PreparedQuery> repaired =
-        RepairPlan(snap, delta, *ctx, *old);
-    if (!repaired) continue;
-    PlanKey new_key = std::move(key);
-    new_key.generation = gen;
-    cache_.InsertUpgraded(std::move(new_key), repaired);
-    remap.emplace(old.get(), std::move(repaired));
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // Keep the context for the next install, unless a concurrent install
-  // has already replaced the snapshot it describes.
-  if (&snapshot_.db() == db && snapshot_.generation() == gen)
-    context_ = std::move(ctx);
-  if (remap.empty()) return;
-  plans_upgraded_ += remap.size();
-  // Re-point the query table, the engine's only table of plans. Sessions
-  // resolve their plan through it at every pump, where the worker decides
-  // whether a parked walk still anchors the upgraded order. The replaced
-  // plans stay alive in old_entries until after mu_ is released.
-  for (auto& q : queries_) {
-    auto it = remap.find(q.get());
-    if (it != remap.end()) q = it->second;
-  }
+  auto ctx = context_ ? std::make_unique<const DeltaContext>(snap, *context_)
+                      : std::make_unique<const DeltaContext>(snap);
+  cache_.Install(snap, [&](const PreparedQuery& old) {
+    return RepairPlan(snap, delta, *ctx, old);
+  });
+  context_ = std::move(ctx);  // only once snap is installed
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
                              uint32_t target) {
-  Snapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    assert(static_cast<bool>(snapshot_) &&
-           "Prepare: no snapshot installed");
-    snap = snapshot_;
-  }
   CanonicalAutomaton canon = CanonicalizeAutomaton(query);
-  PlanKey key{&snap.db(), snap.generation(), canon.hash,
-              std::move(canon.bytes), source, target};
+  const PlanKey key{canon.hash, source, target, std::move(canon.bytes)};
   // The expensive build (annotate + trim + queue construction) runs
-  // outside both the engine and the cache lock: misses on different
-  // keys proceed in parallel, all against the same frozen snapshot;
-  // misses on the SAME key build once (single-flight).
-  std::shared_ptr<const PreparedQuery> prepared = cache_.GetOrBuild(
-      key, [&snap, &query, source, target] {
-        return std::make_shared<const PreparedQuery>(snap, query, source,
-                                                     target);
-      });
-  (prepared->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
-      .fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  queries_.push_back(std::move(prepared));
-  return static_cast<QueryId>(queries_.size() - 1);
+  // outside every lock: misses on different keys proceed in parallel,
+  // all against the installed snapshot; misses on the SAME key build
+  // once (single-flight).
+  const PlanCache::Builder build = [&query, source, target](
+                                       const Snapshot& snap) {
+    return std::make_shared<const PreparedQuery>(snap, query, source,
+                                                 target);
+  };
+  for (;;) {
+    const QueryId id = cache_.Acquire(key, build);
+    const PlanCache::Resolved r = cache_.Resolve(id);
+    if (r.plan != nullptr && !r.current()) {
+      // An install detached the entry while this call built its plan:
+      // the session's first pump would retire, so build again.
+      cache_.Release(id);
+      continue;
+    }
+    if (r.plan != nullptr)
+      (r.plan->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
+          .fetch_add(1, std::memory_order_relaxed);
+    return id;
+  }
 }
 
 PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
@@ -214,6 +163,10 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
                                              uint32_t source,
                                              uint32_t target) {
   PrepareRegexResult result;
+  if (!cache_.installed()) {  // snapshots are never uninstalled
+    result.error = "no snapshot installed";
+    return result;
+  }
   RegexParseResult parsed = ParseRegex(pattern);
   if (!parsed.ok()) {
     result.error = parsed.error();
@@ -231,11 +184,16 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
   return result;
 }
 
+void QueryEngine::ReleaseQuery(QueryId query) { cache_.Release(query); }
+
 SessionId QueryEngine::OpenSession(QueryId query) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(query < queries_.size() && "OpenSession: unknown query");
-  sessions_.emplace_back().query = query;
-  return static_cast<SessionId>(sessions_.size() - 1);
+  return sessions_.Add(Session{.query = query});
+}
+
+void QueryEngine::CloseSession(SessionId session) {
+  std::lock_guard<std::mutex> lock(mu_);
+  sessions_.Remove(session);
 }
 
 std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
@@ -244,9 +202,8 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
   std::future<PumpResult> future = promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    assert(session < sessions_.size() && "PumpAsync: unknown session");
-    Session& s = sessions_[session];
-    switch (s.state) {
+    Session* s = sessions_.Find(session);
+    switch (s != nullptr ? s->state : SessionState::kRetired) {
       case SessionState::kQueued:
         promise.set_value(PumpResult{PumpStatus::kBusy, {}});
         return future;
@@ -259,7 +216,7 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
       case SessionState::kParked:
         break;
     }
-    s.state = SessionState::kQueued;
+    s->state = SessionState::kQueued;
     queue_.push_back(Job{session, std::max(max_answers, 1u),
                          std::move(promise),
                          std::chrono::steady_clock::now()});
@@ -300,6 +257,8 @@ std::vector<int64_t> QueryEngine::FirstAnswerLatenciesNs() const {
 EngineStats QueryEngine::Stats() const {
   EngineStats stats;
   stats.plan_cache = cache_.Stats();
+  stats.plans_upgraded = stats.plan_cache.upgrades;
+  stats.open_queries = cache_.open_handles();
   stats.worker_cache_evictions =
       worker_cache_evictions_.load(std::memory_order_relaxed);
   stats.frontend_thompson =
@@ -311,8 +270,8 @@ EngineStats QueryEngine::Stats() const {
   stats.tier_general = tier_general_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   stats.sessions_retired = sessions_retired_;
-  stats.plans_upgraded = plans_upgraded_;
   stats.sessions_upgraded = sessions_upgraded_;
+  stats.open_sessions = sessions_.size();
   return stats;
 }
 
@@ -364,35 +323,34 @@ void QueryEngine::WorkerLoop() {
       job = std::move(queue_.front());
       queue_.pop_front();
 
-      Session& s = sessions_[job.session];
-      const std::shared_ptr<const PreparedQuery>& plan = queries_[s.query];
-      const Snapshot& pinned = plan->index.snapshot();
-      // The one retirement rule. A plan of another (db, generation) was
-      // not upgraded by the installs since; and inserts only ever shorten
-      // lambda, so a parked walk that is not lambda edges long was parked
-      // before an upgrade shortened it and anchors nothing in the new
-      // order.
-      if (&pinned.db() != &snapshot_.db() ||
-          pinned.generation() != snapshot_.generation() ||
-          (s.started &&
-           s.last.length() != static_cast<size_t>(plan->ann.lambda))) {
+      Session* s = sessions_.Find(job.session);  // null once closed
+      PlanCache::Resolved r = cache_.Resolve(s ? s->query : kNoQuery);
+      // The one retirement rule. A plan that is not of the installed
+      // snapshot was not upgraded by the installs since (its entry was
+      // detached), and an unknown or released QueryId names no plan at
+      // all; and inserts only ever shorten lambda, so a parked walk that
+      // is not lambda edges long was parked before an upgrade shortened
+      // it and anchors nothing in the new order.
+      if (!r.current() ||
+          (s->started &&
+           s->last.length() != static_cast<size_t>(r.plan->ann.lambda))) {
         // Graceful rejection: the stale plan is never run.
-        s.state = SessionState::kRetired;
-        ++sessions_retired_;
-        const Database* live_db = &snapshot_.db();
-        uint64_t live_gen = snapshot_.generation();
+        if (s != nullptr) {
+          s->state = SessionState::kRetired;
+          ++sessions_retired_;
+        }
         lock.unlock();
-        cache.EvictOtherGenerations(live_db, live_gen);
+        cache.EvictOtherGenerations(r.db, r.generation);
         job.promise.set_value(PumpResult{PumpStatus::kRetired, {}});
         continue;
       }
       // The parked walk is reused as an anchor on a plan upgraded since.
-      if (s.started && s.generation != pinned.generation())
-        ++sessions_upgraded_;
-      s.generation = pinned.generation();
-      query = plan;
-      last = s.last;
-      started = s.started;
+      const uint64_t generation = r.plan->index.snapshot().generation();
+      if (s->started && s->generation != generation) ++sessions_upgraded_;
+      s->generation = generation;
+      query = std::move(r.plan);
+      last = s->last;
+      started = s->started;
     }
 
     int64_t first_ns = -1;
@@ -401,13 +359,14 @@ void QueryEngine::WorkerLoop() {
 
     {
       std::lock_guard<std::mutex> lock(mu_);
-      Session& s = sessions_[job.session];
-      if (!result.walks.empty()) {
-        s.last = result.walks.back();
-        s.started = true;
+      if (Session* s = sessions_.Find(job.session)) {  // unless closed
+        if (!result.walks.empty()) {
+          s->last = result.walks.back();
+          s->started = true;
+        }
+        s->state = result.status == PumpStatus::kOk ? SessionState::kParked
+                                                    : SessionState::kExhausted;
       }
-      s.state = result.status == PumpStatus::kOk ? SessionState::kParked
-                                                 : SessionState::kExhausted;
       if (first_ns >= 0) first_answer_ns_.push_back(first_ns);
     }
     job.promise.set_value(std::move(result));

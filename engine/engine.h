@@ -7,32 +7,33 @@
 //  - InstallSnapshot() publishes the Snapshot queries run against; the
 //    control thread owns mutation and freezing, workers only ever see
 //    sealed snapshots, so the graph may keep growing while they run.
-//    Installing also invalidates the plan cache's entries from older
-//    generations.
-//  - Prepare() resolves a query's prepared structure (Annotation +
-//    ResumableIndex) through the shared PlanCache (engine/plan_cache.h):
-//    repeated (automaton, source, target) shapes hit the cached
-//    structure with zero annotate/trim work; misses build once —
-//    concurrent misses on one key build once total (single-flight) —
-//    and the result is shared (read-only) by every session and worker.
+//  - Prepare() returns a QueryId: a handle on an entry of the plan table
+//    (engine/plan_cache.h), the engine's one table of plans, keyed by
+//    (canonical automaton, source, target). Repeated shapes hit the
+//    entry's plan (Annotation + ResumableIndex) with zero annotate/trim
+//    work; misses build once — concurrent misses on one key build once
+//    total (single-flight) — and the plan is shared (read-only) by every
+//    session and worker. ReleaseQuery() frees the handle.
 //  - PrepareRegex() goes in at the source level: parse, canonicalize
 //    (regex/canonical.h), pick Thompson vs Glushkov per query from the
 //    E9 size heuristic (automaton/frontend.h), then Prepare — so
-//    textually different but equivalent patterns hit one cache entry.
+//    textually different but equivalent patterns hit one entry.
 //  - OpenSession()/Pump() run enumeration in batches on the worker
-//    pool. A session is a *parked memoryless cursor*: between pumps the
-//    engine stores only (QueryId, last answer) — Theorem 18's SeekAfter
-//    recomputes the position from the last answer alone, so a session
-//    can resume on ANY worker thread, not just the one that produced the
-//    previous batch, and on whatever plan its QueryId names by then.
+//    pool; CloseSession() frees a session. A session is a *parked
+//    memoryless cursor*: between pumps the engine stores only (QueryId,
+//    last answer) — Theorem 18's SeekAfter recomputes the position from
+//    the last answer alone, so a session can resume on ANY worker
+//    thread, and on whatever plan its QueryId's entry holds by then.
 //  - A pump retires its session — PumpStatus::kRetired instead of
-//    answers from a generation the engine no longer serves — when the
-//    session's query was not upgraded to the installed snapshot, or when
-//    the session has emitted answers and an upgrade shortened lambda
-//    since, so that its last answer anchors nothing in the new order.
-//  - Stats() exposes the cache and scheduling counters (hits, misses,
-//    evictions, single-flight waits, session retirements, front-end
-//    choices) for tests and benchmarks to assert on.
+//    answers from a generation the engine no longer serves — when its
+//    QueryId is unknown or released or names an entry an install
+//    detached, or when the session has emitted answers and an upgrade
+//    shortened lambda since, so that its last answer anchors nothing in
+//    the new order. Stale ids are ordinary input: a pump on an unknown
+//    or closed session returns kRetired too.
+//  - Stats() exposes the plan-table and scheduling counters (hits,
+//    misses, evictions, single-flight waits, session retirements,
+//    front-end choices, open handles) for tests and benchmarks.
 //
 // Workers keep a small per-thread LRU cache of ResumableEnumerators
 // keyed by prepared query (EngineOptions::worker_cache_entries), so
@@ -78,8 +79,8 @@ namespace dsw {
 
 class DeltaContext;  // core/delta_annotate.h
 
-using QueryId = uint32_t;
-using SessionId = uint32_t;
+/// Handle on an open session (a SlotTable id, never 0).
+using SessionId = uint64_t;
 
 enum class PumpStatus : uint8_t {
   kOk,         // batch filled; more answers may remain
@@ -103,21 +104,16 @@ struct EngineOptions {
   /// per-thread memory across distinct prepared queries; evicted
   /// enumerators are rebuilt on demand (sessions are memoryless).
   uint32_t worker_cache_entries = 8;
-  /// When true (the default), InstallSnapshot upgrades same-database
-  /// plan-cache entries across an insert-only delta by delta repair
-  /// (core/delta_annotate.h) instead of dropping them, and parked
-  /// sessions whose enumeration order survived (lambda unchanged)
-  /// resume via SeekAfter rather than being retired. False restores the
-  /// drop-everything behavior; only a test (plan_cache_test) sets it,
-  /// and nothing selects it by mutation rate.
-  bool incremental_install = true;
+  /// InstallSnapshot always repairs the plan table across an insert-only
+  /// delta (core/delta_annotate.h); a constant, not a setting.
+  static constexpr bool incremental_install = true;
 };
 
 /// Observability counters; a consistent point-in-time copy via Stats().
 struct EngineStats {
   PlanCacheStats plan_cache;
   uint64_t sessions_retired = 0;        // sessions a pump retired
-  uint64_t plans_upgraded = 0;          // plans delta-repaired at install
+  uint64_t plans_upgraded = 0;          // = plan_cache.upgrades
   // Pumps that resumed a parked walk on a plan upgraded since the
   // session's previous pump; a session never pumped again counts nothing.
   uint64_t sessions_upgraded = 0;
@@ -130,14 +126,16 @@ struct EngineStats {
   // handed out, not the number built.
   uint64_t tier_single_word = 0;
   uint64_t tier_general = 0;
+  size_t open_queries = 0;   // QueryIds issued and not released
+  size_t open_sessions = 0;  // SessionIds opened and not closed
 };
 
 /// Status-or result of PrepareRegex.
 struct PrepareRegexResult {
   bool ok = false;
-  QueryId id = 0;
+  QueryId id = kNoQuery;
   Frontend frontend = Frontend::kThompson;
-  std::string error;  // parse failure; set iff !ok
+  std::string error;  // parse failure or no snapshot; set iff !ok
 };
 
 class QueryEngine {
@@ -151,58 +149,68 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Publishes the snapshot subsequent Prepare() calls build against,
-  /// and invalidates plan cache entries of any other (db, generation).
-  /// Prepared queries of any older install are retired: the next pump of
-  /// each of their sessions returns PumpStatus::kRetired.
+  /// Publishes the snapshot subsequent Prepare() calls build against.
+  /// Installing the installed (db, generation) again changes nothing.
   ///
-  /// Incremental path (EngineOptions::incremental_install): when the new
-  /// snapshot is a later generation of the SAME database and its delta
-  /// against the previous install is a known insert-only suffix
-  /// (Snapshot::DeltaFrom), the previous generation's plan-cache entries
-  /// are *upgraded* — annotation repaired by the resumed product BFS,
-  /// trimmed/B-list structure patched, rank arrays rebuilt — and
-  /// re-inserted under the new generation's keys instead of dropped.
-  /// Prepared queries are re-pointed at the upgraded plans; sessions
-  /// follow their QueryId, so the install touches none of them. A parked
-  /// session resumes on the upgraded plan while lambda is unchanged: old
-  /// answers keep their relative order, so one SeekAfter on the parked
-  /// walk resumes the correct suffix of the NEW answer order. Once an
-  /// upgrade shortened lambda, a session that has emitted answers retires
-  /// at its next pump, while new sessions enumerate the new order.
-  /// Repairs run on the calling (control) thread; a pump a worker starts
-  /// while they run retires its session, as if its plan had not been
-  /// upgraded. The reverse CSR they share (DeltaContext) is derived from
-  /// the previous install's, which the engine keeps, so an install costs
-  /// the write rather than a pass over every edge.
+  /// When the new snapshot is a later generation of the SAME database
+  /// and its delta against the installed one is a known insert-only
+  /// suffix (Snapshot::DeltaFrom), every plan in the plan table is
+  /// *upgraded* — annotation repaired by the resumed product BFS,
+  /// trimmed/B-list structure patched, rank arrays rebuilt — on the
+  /// calling (control) thread while pumps keep running on the old
+  /// plans; the table then publishes the snapshot and the repaired
+  /// plans at once (engine/plan_cache.h), touching no session or
+  /// handle. A parked session resumes on the upgraded plan while lambda
+  /// is unchanged: old answers keep their relative order, so one
+  /// SeekAfter on the parked walk resumes the correct suffix of the NEW
+  /// answer order. Once an upgrade shortened lambda, a session that has
+  /// emitted answers retires at its next pump, while new sessions
+  /// enumerate the new order. Sessions on an entry left without a plan
+  /// of the new snapshot (unrepairable, still building, or any entry
+  /// when the database differs or the delta is unknown) retire at
+  /// their next pump. The reverse CSR the repairs share (DeltaContext)
+  /// is derived from the previous install's, which the engine keeps, so
+  /// an install costs the write rather than a pass over every edge.
+  /// Calls must not overlap.
   void InstallSnapshot(Snapshot snap);
 
-  /// Resolves the prepared structure for (query, source, target)
-  /// against the installed snapshot through the plan cache: a warm hit
-  /// returns the shared structure with no annotate/trim work; a miss
-  /// builds once on the calling thread (concurrent misses on the same
-  /// key wait for the one build). Requires a snapshot to be installed.
+  /// Returns a handle on the plan of (query, source, target) against the
+  /// installed snapshot: a warm hit shares the entry's plan with no
+  /// annotate/trim work; a miss builds once on the calling thread
+  /// (concurrent misses on the same key wait for the one build). With no
+  /// snapshot installed, returns kNoQuery, on which sessions retire.
   QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target);
 
   /// Source-level Prepare: parses \p pattern, canonicalizes, picks the
   /// front-end per the E9 size heuristic (recorded in Stats()), and
-  /// resolves through the cache. Labels are interned via \p dict —
+  /// resolves through the plan table. Labels are interned via \p dict —
   /// normally the engine database's mutable_dict(); interning does not
   /// perturb the adjacency or the generation, and concurrent calls
-  /// take turns at it. Parse failures are reported in the result, not
-  /// thrown.
+  /// take turns at it. Parse failures and a missing snapshot are
+  /// reported in the result, not thrown.
   PrepareRegexResult PrepareRegex(std::string_view pattern,
                                   LabelDictionary* dict, uint32_t source,
                                   uint32_t target);
 
+  /// Frees \p query. Its sessions retire at their next pump; an entry no
+  /// handle names stays cached only within the plan-cache byte budget.
+  /// An unknown or released id is ignored.
+  void ReleaseQuery(QueryId query);
+
   /// Opens a parked cursor over a prepared query. Cheap; many sessions
-  /// may share one prepared query.
+  /// may share one prepared query. On an unknown or released \p query,
+  /// the session's first pump returns kRetired.
   SessionId OpenSession(QueryId query);
+
+  /// Frees \p session; a pump already in flight still delivers its
+  /// batch. An unknown or closed id is ignored.
+  void CloseSession(SessionId session);
 
   /// Schedules up to \p max_answers further answers for \p session on
   /// the worker pool. At most one pump per session may be in flight
-  /// (kBusy otherwise). The future's PumpResult holds the batch; the
-  /// session re-parks on its last answer when the batch fills.
+  /// (kBusy otherwise); an unknown or closed session gets kRetired. The
+  /// future's PumpResult holds the batch; the session re-parks on its
+  /// last answer when the batch fills.
   std::future<PumpResult> PumpAsync(SessionId session, uint32_t max_answers);
 
   /// Blocking convenience wrapper around PumpAsync.
@@ -227,11 +235,11 @@ class QueryEngine {
  private:
   enum class SessionState : uint8_t { kParked, kQueued, kExhausted, kRetired };
 
-  // A cursor over its QueryId: each pump runs on queries_[query], so an
-  // install that re-points the query moves every session on it.
+  // A cursor over its QueryId: each pump runs on the plan its entry holds
+  // then, so an install that upgrades the entry moves every session on it.
   struct Session {
-    QueryId query = 0;
-    Walk last;                  // the parked cursor: last emitted answer
+    QueryId query = kNoQuery;
+    Walk last{};                // the parked cursor: last emitted answer
     bool started = false;       // false until the first batch ran
     SessionState state = SessionState::kParked;
     uint64_t generation = 0;    // of the plan its last pump ran on
@@ -261,8 +269,10 @@ class QueryEngine {
                       int64_t* first_answer_ns);
 
   const uint32_t worker_cache_entries_;
-  const bool incremental_install_;
 
+  // Guards the queue and the sessions. A worker resolves a session's
+  // plan through cache_, whose own lock it takes inside mu_ (never the
+  // reverse).
   mutable std::mutex mu_;
   std::condition_variable cv_;
   // Serializes CompileRegex, which interns into the caller's
@@ -270,27 +280,17 @@ class QueryEngine {
   std::mutex compile_mu_;
   bool stop_ = false;
   std::deque<Job> queue_;
-
-  // The installed snapshot; its (db, generation) pair is compared so
-  // generations of different Database objects never alias.
-  Snapshot snapshot_;
-  // Null or the reverse CSR of snapshot_, kept so that the next
-  // incremental install derives its own instead of building one.
-  std::shared_ptr<const DeltaContext> context_;
-
-  // QueryId -> its plan: the engine's only table of plans, re-pointed
-  // when an install upgrades one.
-  std::vector<std::shared_ptr<const PreparedQuery>> queries_;
-  std::vector<Session> sessions_;
+  SlotTable<Session> sessions_;
   std::vector<int64_t> first_answer_ns_;
   uint64_t sessions_retired_ = 0;   // guarded by mu_
-  uint64_t plans_upgraded_ = 0;     // guarded by mu_
   uint64_t sessions_upgraded_ = 0;  // guarded by mu_
 
-  // Own lock discipline: never held together with mu_ (Prepare resolves
-  // through the cache before taking mu_; InstallSnapshot invalidates
-  // after releasing it).
+  // The plan table, the QueryIds and the installed snapshot.
   PlanCache cache_;
+  // Null or the reverse CSR of the installed snapshot, kept so that the
+  // next incremental install derives its own instead of building one.
+  // Only InstallSnapshot touches it.
+  std::unique_ptr<const DeltaContext> context_;
 
   // Lock-free counters: bumped outside mu_ (workers, PrepareRegex).
   std::atomic<uint64_t> worker_cache_evictions_{0};

@@ -1,190 +1,176 @@
 #include "engine/plan_cache.h"
 
-#include <cassert>
-
 namespace dsw {
 
+namespace {
+
+bool BuiltOn(const PreparedQuery& plan, const Database* db,
+             uint64_t generation) {
+  const Snapshot& s = plan.index.snapshot();
+  return &s.db() == db && s.generation() == generation;
+}
+
+}  // namespace
+
+bool PlanCache::Resolved::current() const {
+  return plan != nullptr && BuiltOn(*plan, db, generation);
+}
+
 // ---------------------------------------------------------------- locked
-// helpers. The building-marker lifecycle: ClaimLocked inserts (or
-// repurposes) a valueless entry stamped with a fresh ticket; the claim
-// is later resolved by exactly one of FillLocked (success — the ticket
-// still matches, so CompleteLocked lands the value and joins it to the
-// LRU) or EraseClaimLocked (failure). A claim whose entry was erased or
-// re-claimed in the meantime (Invalidate does both) resolves to a
-// no-op: the builder's value goes to its callers but not the cache.
+// helpers. An entry's life: Acquire claims it (attached, no plan), fills
+// it and names it by the claimant's handle. While unnamed it sits on the
+// LRU. It leaves the key map by eviction, by an install, or by its
+// claimant's build throwing; a detached entry lives on while handles
+// name it. stats_ charges every plan from its fill until it dies.
 
-uint64_t PlanCache::ClaimLocked(Map::iterator it) {
-  uint64_t ticket = ++next_ticket_;
-  it->second.value = nullptr;
-  it->second.bytes = 0;
-  it->second.ticket = ticket;
-  ++stats_.misses;
-  return ticket;
+QueryId PlanCache::HandleLocked(std::shared_ptr<Entry> e) {
+  ++e->handles;
+  return handles_.Add(std::move(e));
 }
 
-void PlanCache::FillLocked(const PlanKey& key, uint64_t ticket,
-                           const Value& value) {
-  auto it = map_.find(key);
-  if (it == map_.end() || !it->second.building() ||
-      it->second.ticket != ticket)
-    return;  // claim was invalidated mid-build; value stays uncached
-  CompleteLocked(it, value);
-}
-
-void PlanCache::CompleteLocked(Map::iterator it, Value value) {
-  Entry& e = it->second;
-  e.value = std::move(value);
-  e.bytes = e.value->ApproxBytes();
-  lru_.push_front(&it->first);
-  e.lru_it = lru_.begin();
-  stats_.bytes_used += e.bytes;
-  ++stats_.entries;
-  EvictOverBudgetLocked(&it->first);
-}
-
-void PlanCache::EraseClaimLocked(const PlanKey& key, uint64_t ticket) {
-  auto it = map_.find(key);
-  if (it != map_.end() && it->second.building() &&
-      it->second.ticket == ticket)
-    map_.erase(it);
-}
-
-void PlanCache::EvictOverBudgetLocked(const PlanKey* protect) {
-  while (stats_.bytes_used > byte_budget_ && !lru_.empty()) {
-    const PlanKey* victim = lru_.back();
-    if (victim == protect) break;  // an oversized entry lives alone
-    auto it = map_.find(*victim);
-    assert(it != map_.end() && !it->second.building());
-    stats_.bytes_used -= it->second.bytes;
+PlanCache::Map::iterator PlanCache::DetachLocked(Map::iterator it) {
+  Entry& e = *it->second;
+  e.key = nullptr;
+  if (e.plan != nullptr && e.handles == 0) {
+    lru_.erase(e.lru);
+    stats_.bytes_used -= e.bytes;
     --stats_.entries;
+  }
+  return map_.erase(it);
+}
+
+void PlanCache::EvictOverBudgetLocked(const PlanKey* keep) {
+  while (stats_.bytes_used > byte_budget_ && !lru_.empty() &&
+         lru_.back() != keep) {
     ++stats_.evictions;
-    lru_.pop_back();
-    map_.erase(it);
+    DetachLocked(map_.find(*lru_.back()));
   }
 }
 
 // ------------------------------------------------------------ public API
 
-PlanCache::Value PlanCache::GetOrBuild(const PlanKey& key,
-                                       const Builder& build) {
-  if (byte_budget_ == 0) {  // caching disabled: every call builds
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.misses;
+QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!snapshot_) return kNoQuery;
+  for (bool waited = false;;) {
+    auto it = map_.find(key);
+    if (it == map_.end()) break;
+    std::shared_ptr<Entry> e = it->second;
+    if (e->plan != nullptr) {
+      ++stats_.hits;
+      if (e->handles == 0) lru_.erase(e->lru);  // named: not evictable
+      return HandleLocked(std::move(e));
     }
-    return build();
+    if (!waited) {
+      waited = true;
+      ++stats_.single_flight_waits;
+    }
+    cv_.wait(lock, [&e] { return e->plan != nullptr || e->key == nullptr; });
   }
 
-  uint64_t ticket;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    bool waited = false;
-    for (;;) {
-      auto it = map_.find(key);
-      if (it == map_.end()) {
-        ticket = ClaimLocked(map_.emplace(key, Entry{}).first);
-        break;
-      }
-      if (!it->second.building()) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // touch
-        return it->second.value;
-      }
-      if (!waited) {
-        waited = true;
-        ++stats_.single_flight_waits;
-      }
-      cv_.wait(lock);  // wake on fill, erase, or invalidate; re-check
-    }
-  }
-
-  Value value;
+  ++stats_.misses;
+  auto e = std::make_shared<Entry>();
+  e->key = &map_.emplace(key, e).first->first;
+  const Snapshot snap = snapshot_;
+  lock.unlock();
+  Value plan;
   try {
-    value = build();
+    plan = build(snap);
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      EraseClaimLocked(key, ticket);
-    }
+    lock.lock();
+    if (e->key != nullptr) DetachLocked(map_.find(key));
+    lock.unlock();
     cv_.notify_all();
     throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FillLocked(key, ticket, value);
-  }
+  lock.lock();
+  e->bytes = plan->ApproxBytes();
+  e->plan = std::move(plan);
+  stats_.bytes_used += e->bytes;
+  ++stats_.entries;
+  const QueryId id = HandleLocked(e);
+  EvictOverBudgetLocked(nullptr);
+  lock.unlock();
   cv_.notify_all();
-  return value;
+  return id;
 }
 
-std::vector<std::pair<PlanKey, PlanCache::Value>> PlanCache::TakeGeneration(
-    const Database* db, uint64_t generation) {
-  std::vector<std::pair<PlanKey, Value>> out;
-  if (byte_budget_ == 0) return out;
+void PlanCache::Release(QueryId id) {
+  std::shared_ptr<Entry> e;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.db != db || it->first.generation != generation ||
-        it->second.building()) {
-      ++it;
-      continue;
-    }
-    stats_.bytes_used -= it->second.bytes;
+  e = handles_.Remove(id);
+  if (e == nullptr || --e->handles > 0) return;
+  if (e->key == nullptr) {  // detached: its last handle is gone
+    stats_.bytes_used -= e->bytes;
     --stats_.entries;
-    lru_.erase(it->second.lru_it);
-    out.emplace_back(it->first, std::move(it->second.value));
-    it = map_.erase(it);
+    return;
   }
-  return out;
+  lru_.push_front(e->key);
+  e->lru = lru_.begin();
+  EvictOverBudgetLocked(byte_budget_ > 0 ? e->key : nullptr);
 }
 
-void PlanCache::InsertUpgraded(PlanKey key, Value value) {
-  if (byte_budget_ == 0) return;
+PlanCache::Resolved PlanCache::Resolve(QueryId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Resolved r;
+  if (const std::shared_ptr<Entry>* e = handles_.Find(id)) r.plan = (*e)->plan;
+  if (snapshot_) {
+    r.db = &snapshot_.db();
+    r.generation = snapshot_.generation();
+  }
+  return r;
+}
+
+void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
+  // Each entry's plan, replaced by its repair (null if it has none); the
+  // replaced plans are freed after the lock is released.
+  std::vector<std::pair<std::shared_ptr<Entry>, Value>> plans;
+  if (upgrade) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [key, e] : map_)
+      if (e->plan != nullptr) plans.emplace_back(e, e->plan);
+  }
+  for (auto& [e, plan] : plans) plan = upgrade(*plan);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      it = map_.emplace(std::move(key), Entry{}).first;
-    } else if (!it->second.building()) {
-      return;  // a concurrent Prepare already built this key; keep it
+    snapshot_ = std::move(snap);
+    for (auto& [e, plan] : plans) {
+      if (plan == nullptr || e->key == nullptr) continue;  // or evicted
+      const size_t bytes = plan->ApproxBytes();
+      stats_.bytes_used = stats_.bytes_used - e->bytes + bytes;
+      e->bytes = bytes;
+      std::swap(e->plan, plan);
+      ++stats_.upgrades;
     }
-    // Filling a building claim in place resolves it: the claimant's
-    // eventual FillLocked sees a completed entry and no-ops, exactly as
-    // if it had been invalidated — but its waiters are released now,
-    // by the upgraded value.
-    ++stats_.upgrades;
-    CompleteLocked(it, std::move(value));
-  }
-  cv_.notify_all();
-}
-
-void PlanCache::Invalidate(const Database* db, uint64_t generation) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+    // Unrepaired plans, plans filled during the repairs and claims.
     for (auto it = map_.begin(); it != map_.end();) {
-      const PlanKey& k = it->first;
-      if (k.db == db && k.generation == generation) {
+      const Entry& e = *it->second;
+      if (e.plan != nullptr &&
+          BuiltOn(*e.plan, &snapshot_.db(), snapshot_.generation())) {
         ++it;
-        continue;
+      } else {
+        ++stats_.invalidations;
+        it = DetachLocked(it);
       }
-      if (!it->second.building()) {
-        stats_.bytes_used -= it->second.bytes;
-        --stats_.entries;
-        lru_.erase(it->second.lru_it);
-      }
-      // Erasing a building entry orphans its claim: the builder's
-      // FillLocked ticket check turns into a no-op, and any waiters
-      // wake below, find the key vacant, and re-claim against whatever
-      // snapshot *they* hold.
-      ++stats_.invalidations;
-      it = map_.erase(it);
     }
+    EvictOverBudgetLocked(nullptr);
   }
-  cv_.notify_all();
+  cv_.notify_all();  // waiters on detached claims re-claim
+}
+
+Snapshot PlanCache::installed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_;
 }
 
 PlanCacheStats PlanCache::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+size_t PlanCache::open_handles() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return handles_.size();
 }
 
 }  // namespace dsw

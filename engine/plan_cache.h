@@ -1,47 +1,47 @@
-// Cross-query plan cache: prepared structures keyed by what they are a
-// pure function of. The paper's preprocessing/enumeration split makes a
-// PreparedQuery (Annotation + ResumableIndex) fully determined by
-// (graph snapshot, automaton, source, target) — nothing else — so it is
-// safely shareable across every client that asks the same shape, and
-// "millions of users, a handful of query shapes" stops paying the
-// O(|D| x |A|) annotate + trim cost per Prepare.
+// The engine's one table of plans. The paper's preprocessing/enumeration
+// split makes a PreparedQuery (Annotation + ResumableIndex) fully
+// determined by (graph snapshot, automaton, source, target), so one plan
+// serves every client that asks the same shape, and "millions of users,
+// a handful of query shapes" stops paying the O(|D| x |A|) annotate +
+// trim cost per Prepare.
 //
-// Key design: the cache key carries the snapshot identity as a
-// (Database*, generation) pair — generations of different Database
-// objects never alias, mirroring the engine's session retirement check —
-// plus the *canonical automaton serialization* from
-// automaton/canonical_hash.h and the (source, target) endpoints. The
-// serialization's FNV hash buckets the entry; equality compares the
-// bytes exactly, so a 64-bit hash collision costs one string compare,
-// never a wrong plan. Textually different but equivalent regexes reach
-// the same bytes through regex/canonical.h + the deterministic
-// front-end, and therefore the same entry. The target is part of the
-// key because a plan depends on it: the annotation stops at the level
-// where the target first accepts, and the trim keeps only walks into
-// the target, so one source with two targets has two plans.
+// Keys: an entry is keyed by the *canonical automaton serialization* of
+// automaton/canonical_hash.h and the (source, target) endpoints, not by
+// a snapshot: it holds the plan of the installed snapshot, and an
+// install replaces that plan in place. The serialization's FNV hash
+// buckets the entry; equality compares the bytes exactly, so a 64-bit
+// hash collision costs one string compare, never a wrong plan.
+// Textually different but equivalent regexes reach the same bytes
+// through regex/canonical.h + the deterministic front-end, and
+// therefore the same entry. The target is part of the key because a
+// plan depends on it: the annotation stops at the level where the
+// target first accepts, and the trim keeps only walks into the target.
 //
-// Concurrency: single-flight build dedup. The first thread to miss on a
-// key claims it (a "building" marker entry) and builds OUTSIDE the
-// cache lock; concurrent requests for the same key block on a condvar
-// until the value lands, instead of burning cores on identical builds.
-// Requests for other keys proceed unhindered. If a claim dies (builder
-// exception) or is invalidated mid-build, waiters wake, find the key
-// vacant, and re-claim — no request is ever lost or served a stale
-// marker.
+// Handles: Acquire returns a QueryId naming an entry, each session
+// resolves its plan through it at every pump (Resolve), Release frees it.
 //
-// Budget: completed entries sit on an LRU list charged with
-// PreparedQuery::ApproxBytes(); inserting past the byte budget evicts
-// from the cold end. Building markers and the entry being inserted are
-// never evicted. Eviction only drops the cache's reference — sessions
-// holding the shared_ptr keep their prepared structure alive for as
-// long as they need it. A byte_budget of 0 disables caching entirely
-// (every call builds; the bench's cold arm), and a single entry larger
-// than the whole budget is kept alone rather than thrashed.
+// Single flight: the first Acquire to miss on a key claims it (an entry
+// without a plan) and builds OUTSIDE the lock against the installed
+// snapshot; concurrent Acquires of that key wait for the plan instead
+// of burning cores on identical builds. If the build throws or an
+// install detaches the claim, the waiters wake, find the key vacant and
+// re-claim, so no request is lost or served a stale marker.
 //
-// Invalidation: InstallSnapshot forwards the new (db, generation) to
-// Invalidate(), which drops every entry built against anything else.
-// In-flight builds for dropped keys complete, hand their value to their
-// waiting callers, and are discarded rather than cached.
+// Budget: an entry named by a handle is never evicted. Unnamed entries
+// sit on an LRU list, and while the resident plans
+// (PreparedQuery::ApproxBytes) exceed the byte budget the coldest is
+// evicted. A nonzero budget keeps the entry released last even if it
+// alone exceeds the budget, so a tiny budget still serves repeats of one
+// key; a budget of 0 keeps nothing unnamed: an entry dies with its last
+// handle. The resident plans are thus the named entries plus the budget.
+//
+// Install: Install() takes the entries under the lock and repairs each
+// plan outside it. Then, in one critical section, it publishes the new
+// snapshot and swaps in the repaired plans, so a pump never pairs the
+// new snapshot with an old plan. Every entry or claim that does not then
+// hold a plan of the new snapshot is detached from the key map: its
+// handles keep it alive (their sessions retire at the next pump), and
+// the next Acquire of its key builds afresh.
 
 #ifndef DSW_ENGINE_PLAN_CACHE_H_
 #define DSW_ENGINE_PLAN_CACHE_H_
@@ -66,9 +66,8 @@ namespace dsw {
 
 /// Everything a query needs at run time, built once and then strictly
 /// read-only — the index's snapshot (index.snapshot()) keeps the frozen
-/// LabelIndex alive and carries the generation this query is pinned
-/// to. Shared by the plan cache, the engine's query table, and every
-/// session.
+/// LabelIndex alive and carries the generation this plan is of. Shared
+/// by its plan-table entry and every worker running it.
 struct PreparedQuery {
   /// Builds from scratch: one annotate + trim.
   PreparedQuery(const Snapshot& snap, const Nfa& query, uint32_t src,
@@ -85,37 +84,85 @@ struct PreparedQuery {
   Annotation ann;  // ann.source and ann.target are the endpoints
   ResumableIndex index;
 
-  /// Heap footprint estimate — the plan cache's byte-budget charge.
+  /// Heap footprint estimate — the plan table's byte-budget charge.
   size_t ApproxBytes() const {
     return sizeof(PreparedQuery) + ann.ApproxBytes() + index.ApproxBytes();
   }
 };
 
+/// A free-list table of values under 64-bit ids: the slot + 1 in the
+/// low half, the slot's generation in the high half. A slot's
+/// generation is odd while it is live and bumped when it is freed, so a
+/// freed id never aliases a later one, and no id is 0.
+template <typename T>
+class SlotTable {
+ public:
+  uint64_t Add(T value) {
+    if (free_.empty()) {
+      free_.push_back(static_cast<uint32_t>(slots_.size()));
+      slots_.emplace_back();
+    }
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    ++slots_[slot].generation;
+    slots_[slot].value = std::move(value);
+    return uint64_t{slots_[slot].generation} << 32 | (uint64_t{slot} + 1);
+  }
+
+  /// The value of a live id, or null.
+  T* Find(uint64_t id) {
+    const uint64_t slot = (id & 0xffffffffu) - 1;  // id 0 wraps past all
+    if (slot >= slots_.size() || slots_[slot].generation != id >> 32)
+      return nullptr;
+    return &slots_[slot].value;
+  }
+  const T* Find(uint64_t id) const {
+    return const_cast<SlotTable*>(this)->Find(id);
+  }
+
+  /// Frees a live id's slot and returns its value; T{} for any other id.
+  T Remove(uint64_t id) {
+    T* value = Find(id);
+    if (value == nullptr) return T{};
+    const uint32_t slot = static_cast<uint32_t>(id) - 1;
+    ++slots_[slot].generation;
+    free_.push_back(slot);
+    return std::exchange(*value, T{});
+  }
+
+  size_t size() const { return slots_.size() - free_.size(); }
+
+ private:
+  struct Slot {
+    uint32_t generation = 0;  // odd while live
+    T value{};
+  };
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
+};
+
+/// Handle on a plan-table entry (PlanCache::Acquire). kNoQuery is never
+/// issued: a Prepare with no snapshot installed returns it, and every
+/// session on it retires at its first pump.
+using QueryId = uint64_t;
+inline constexpr QueryId kNoQuery = 0;
+
 struct PlanKey {
-  const Database* db = nullptr;
-  uint64_t generation = 0;
   uint64_t automaton_hash = 0;   // bucketing only
-  std::string automaton_bytes;   // canonical serialization; equality key
   uint32_t source = 0;
   uint32_t target = 0;
+  std::string automaton_bytes;   // canonical serialization; equality key
 
-  friend bool operator==(const PlanKey& a, const PlanKey& b) {
-    return a.db == b.db && a.generation == b.generation &&
-           a.automaton_hash == b.automaton_hash && a.source == b.source &&
-           a.target == b.target && a.automaton_bytes == b.automaton_bytes;
-  }
+  // Member order: the bytes are compared last.
+  friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
 
 struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
-    // The canonical bytes are already FNV-hashed; fold in the rest.
+    // The canonical bytes are already FNV-hashed; fold in the endpoints.
     uint64_t h = k.automaton_hash;
-    auto mix = [&h](uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    };
-    mix(reinterpret_cast<uintptr_t>(k.db));
-    mix(k.generation);
-    mix((static_cast<uint64_t>(k.source) << 32) | k.target);
+    h ^= ((uint64_t{k.source} << 32) | k.target) + 0x9e3779b97f4a7c15ull +
+         (h << 6) + (h >> 2);
     return static_cast<size_t>(h);
   }
 };
@@ -124,80 +171,86 @@ struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;                // each miss is one build claimed
   uint64_t evictions = 0;             // budget-driven LRU drops
-  uint64_t invalidations = 0;         // entries dropped by Invalidate()
+  uint64_t invalidations = 0;         // entries an install detached
   uint64_t single_flight_waits = 0;   // calls that blocked on a peer build
-  uint64_t upgrades = 0;              // entries re-keyed by InsertUpgraded
-  size_t bytes_used = 0;
-  size_t entries = 0;                 // completed entries resident
+  uint64_t upgrades = 0;              // plans an install repaired in place
+  size_t bytes_used = 0;              // of the resident plans
+  size_t entries = 0;                 // resident plans: in the table or named
 };
 
 class PlanCache {
  public:
   using Value = std::shared_ptr<const PreparedQuery>;
-  using Builder = std::function<Value()>;
+  /// Builds a missing plan against the snapshot installed at the claim.
+  using Builder = std::function<Value(const Snapshot&)>;
+  /// Repairs a plan of the installed snapshot against the one being
+  /// installed; returns null when it cannot.
+  using Upgrade = std::function<Value(const PreparedQuery&)>;
 
-  /// \p byte_budget bounds the resident completed entries (approximate,
-  /// see header comment); 0 disables caching.
+  /// What a pump needs, read under one lock: the plan an id names (null
+  /// for an unknown or released id) and the installed snapshot.
+  struct Resolved {
+    Value plan;
+    const Database* db = nullptr;  // the installed snapshot's, if any
+    uint64_t generation = 0;
+    /// The plan is of the installed snapshot (its entry is attached).
+    bool current() const;
+  };
+
+  /// \p byte_budget bounds the unnamed entries (see header comment).
   explicit PlanCache(size_t byte_budget) : byte_budget_(byte_budget) {}
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached value for \p key, or claims the key and calls
-  /// \p build (outside the lock) to fill it. Concurrent calls for the
-  /// same key build once; the rest wait. \p build must not re-enter the
-  /// cache. Never returns null (assuming \p build doesn't).
-  Value GetOrBuild(const PlanKey& key, const Builder& build);
+  /// Returns a new handle on \p key's entry. A missing plan is built by
+  /// \p build, outside the lock, against the installed snapshot;
+  /// concurrent calls for the key build once and the rest wait. A build
+  /// whose claim an install detached goes to its own caller only, on the
+  /// detached entry. Returns kNoQuery when no snapshot is installed.
+  /// \p build must not re-enter the table.
+  QueryId Acquire(const PlanKey& key, const Builder& build);
 
-  /// Drops every entry not built against (\p db, \p generation) — the
-  /// InstallSnapshot hook. In-flight builds for dropped keys complete
-  /// for their callers but are not cached.
-  void Invalidate(const Database* db, uint64_t generation);
+  /// Frees \p id; an unknown or released id is ignored.
+  void Release(QueryId id);
 
-  /// Removes and returns every *completed* entry built against
-  /// (\p db, \p generation) — the incremental InstallSnapshot path
-  /// extracts the old generation's plans for delta repair instead of
-  /// letting Invalidate drop them. Building markers stay (their claims
-  /// resolve against Invalidate as usual); extraction is not counted as
-  /// invalidation. Empty in pass-through (byte_budget 0) mode.
-  std::vector<std::pair<PlanKey, Value>> TakeGeneration(const Database* db,
-                                                        uint64_t generation);
+  Resolved Resolve(QueryId id) const;
 
-  /// Inserts a repaired plan under its re-keyed (new-generation) key.
-  /// A completed entry already present wins (a concurrent Prepare beat
-  /// the upgrade; keep the entry hits are being served from); a building
-  /// claim is resolved in place — the claimant's own fill then no-ops —
-  /// so its waiters are released by the upgraded value. Dropped in
-  /// pass-through mode.
-  void InsertUpgraded(PlanKey key, Value value);
+  /// Publishes \p snap, repairing every entry's plan by \p upgrade (if
+  /// set) as the header comment describes. Calls must not overlap.
+  void Install(Snapshot snap, const Upgrade& upgrade);
+
+  /// The installed snapshot (null before the first Install).
+  Snapshot installed() const;
 
   PlanCacheStats Stats() const;
+  size_t open_handles() const;
 
  private:
   struct Entry {
-    Value value;                       // null while building
-    size_t bytes = 0;
-    uint64_t ticket = 0;               // claim identity while building
-    std::list<const PlanKey*>::iterator lru_it;  // valid iff value
-    bool building() const { return value == nullptr; }
+    const PlanKey* key = nullptr;  // its key in map_; null once detached
+    Value plan;                    // null while its claim builds
+    size_t bytes = 0;              // plan->ApproxBytes(), in stats_
+    uint32_t handles = 0;          // QueryIds naming it
+    std::list<const PlanKey*>::iterator lru;  // valid iff key, plan and
+                                              // no handles
   };
-  using Map = std::unordered_map<PlanKey, Entry, PlanKeyHash>;
+  using Map = std::unordered_map<PlanKey, std::shared_ptr<Entry>, PlanKeyHash>;
 
   // All private helpers require mu_ held.
-  uint64_t ClaimLocked(Map::iterator it);
-  void FillLocked(const PlanKey& key, uint64_t ticket, const Value& value);
-  // Stores \p value in the entry, charges it to the budget at the LRU's
-  // hot end and evicts over budget (never the entry itself).
-  void CompleteLocked(Map::iterator it, Value value);
-  void EraseClaimLocked(const PlanKey& key, uint64_t ticket);
-  void EvictOverBudgetLocked(const PlanKey* protect);
+  QueryId HandleLocked(std::shared_ptr<Entry> e);
+  // Removes the entry from map_; an unnamed plan dies with it.
+  Map::iterator DetachLocked(Map::iterator it);
+  // Evicts the coldest unnamed entries while over budget, except \p keep.
+  void EvictOverBudgetLocked(const PlanKey* keep);
 
   const size_t byte_budget_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // a claim was filled or detached
+  Snapshot snapshot_;           // the installed snapshot
   Map map_;
-  std::list<const PlanKey*> lru_;  // front = hottest; completed entries only
-  uint64_t next_ticket_ = 0;
+  std::list<const PlanKey*> lru_;  // unnamed entries; front = hottest
+  SlotTable<std::shared_ptr<Entry>> handles_;
   PlanCacheStats stats_;
 };
 

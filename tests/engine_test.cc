@@ -1,4 +1,4 @@
-// The concurrent query engine, pinned from four sides:
+// The concurrent query engine, pinned from five sides:
 //
 //  1. Correctness: batches pumped through the worker pool concatenate
 //     to exactly the single-threaded ResumableEnumerator sequence (order
@@ -19,6 +19,10 @@
 //  4. The snapshot layer itself: raw reader threads sharing one
 //     Snapshot build annotations/indexes/enumerators concurrently with
 //     no engine and no synchronization.
+//  5. Bounds and misuse: unknown, closed and released ids answer with a
+//     status (in release builds too), and a long churn of installs,
+//     prepares, sessions, closes and releases leaves the plan table
+//     within a fixed bound and no handle or session open.
 
 #include <gtest/gtest.h>
 
@@ -431,9 +435,9 @@ TEST(QueryEngineTest, SessionsStayParkedAcrossChainedInstalls) {
 // which anchors nothing in the new order, so the session's next pump
 // must retire it rather than seek the new plan to that walk. The worker
 // normally takes the batch at once; a round in which it started only
-// after the install published the new snapshot (the batch retired) or
-// re-pointed the query (the batch ran on the new plan) checks nothing,
-// so a loaded host can make the test pass without checking, never fail.
+// after the install published the new snapshot and plan (the batch ran
+// on the new plan) checks nothing, so a loaded host can make the test
+// pass without checking, never fail.
 TEST(QueryEngineTest, FirstBatchInFlightAcrossLambdaShrinkingInstallRetires) {
   constexpr uint32_t kBatch = 65000;
   const Nfa query = StaircaseNfa(2, 2);
@@ -568,11 +572,12 @@ TEST(QueryEngineTest, ConcurrentPrepareRegexInternsNewLabels) {
 // grows the graph, freezes and installs while two clients keep
 // preparing and draining, with their pumps in flight. The new edges run
 // among new vertices and from noise vertices into them, which changes
-// no answer and no answer order: every drain that runs to exhaustion —
-// on a plan built before or after an install, or upgraded in the middle
-// of the drain — equals the first snapshot's oracle. Drains whose
-// session an install retired end kRetired and are not compared. Run
-// under ThreadSanitizer in CI.
+// no answer and no answer order. An install publishes the new snapshot
+// together with the repaired plans, so a pump sees either the old
+// snapshot and plans or the new ones: every drain — on a plan built
+// before or after an install, or upgraded in the middle of the drain —
+// runs to exhaustion, equals the first snapshot's oracle, and no
+// session retires. Run under ThreadSanitizer in CI.
 TEST(QueryEngineTest, MutationWhilePumpingServesOneAnswerSet) {
   constexpr uint32_t kNoise = 40;
   Instance inst = EmbedInNoise(BubbleChain(5, 2), kNoise, 160, 5);
@@ -586,7 +591,7 @@ TEST(QueryEngineTest, MutationWhilePumpingServesOneAnswerSet) {
   engine.InstallSnapshot(snap);
   std::atomic<bool> done{false};
   std::atomic<int> drains{0};
-  std::atomic<int> exhausted{0};
+  std::atomic<int> unexhausted{0};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
   for (uint32_t c = 0; c < 2; ++c)
@@ -595,10 +600,10 @@ TEST(QueryEngineTest, MutationWhilePumpingServesOneAnswerSet) {
         SessionId s = engine.OpenSession(
             engine.Prepare(query, inst.source, inst.target));
         PumpResult all = engine.Drain(s, 3 + c);
-        if (all.status == PumpStatus::kExhausted) {
-          ++exhausted;
-          if (Edges(all.walks) != expected) ++mismatches;
-        }
+        if (all.status != PumpStatus::kExhausted)
+          ++unexhausted;
+        else if (Edges(all.walks) != expected)
+          ++mismatches;
         ++drains;
       }
     });
@@ -610,20 +615,135 @@ TEST(QueryEngineTest, MutationWhilePumpingServesOneAnswerSet) {
     inst.db.AddEdge(first, static_cast<uint32_t>(rng() % 2), first + 1);
     inst.db.AddEdge(noise, static_cast<uint32_t>(rng() % 2), first);
     engine.InstallSnapshot(inst.db.Freeze());
-    // Wait for a drain to run to exhaustion, so the installs land
-    // between and inside drains instead of all before the first. A
-    // session pumped while an install repairs retires, so some drains
-    // end kRetired; the bound turns a regression that retires them all
-    // into a failure instead of a hang.
-    const int seen = exhausted.load();
+    // Wait for a drain to end, so the installs land between and inside
+    // drains instead of all before the first.
     const int ended = drains.load();
-    while (exhausted.load() == seen && drains.load() < ended + 100)
-      std::this_thread::yield();
+    while (drains.load() == ended) std::this_thread::yield();
   }
   done = true;
   for (std::thread& t : clients) t.join();
+  EXPECT_EQ(unexhausted.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(exhausted.load(), 10);
+  EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+  EXPECT_GE(drains.load(), 200);
+}
+
+// Stale and unknown ids are ordinary input. A pump on a session id the
+// engine never issued, or on a closed one, returns kRetired — also once
+// a new session reuses the closed one's slot under a fresh id.
+TEST(QueryEngineTest, PumpOnUnknownOrClosedSessionRetires) {
+  Instance inst = BubbleChain(3, 2);
+  QueryEngine engine(1);
+  engine.InstallSnapshot(inst.db.Freeze());
+  EXPECT_EQ(engine.Pump(0, 4).status, PumpStatus::kRetired);
+  EXPECT_EQ(engine.Pump(12345, 4).status, PumpStatus::kRetired);
+
+  QueryId q = engine.Prepare(StaircaseNfa(1, 2), inst.source, inst.target);
+  SessionId closed = engine.OpenSession(q);
+  engine.CloseSession(closed);
+  EXPECT_EQ(engine.Pump(closed, 4).status, PumpStatus::kRetired);
+  SessionId reused = engine.OpenSession(q);
+  EXPECT_NE(reused, closed);
+  EXPECT_EQ(engine.Pump(closed, 4).status, PumpStatus::kRetired);
+  engine.CloseSession(closed);  // ignored: reused stays open
+  EXPECT_EQ(engine.Drain(reused).status, PumpStatus::kExhausted);
+  EXPECT_EQ(engine.Stats().open_sessions, 1u);
+  EXPECT_EQ(engine.Stats().sessions_retired, 0u);  // no session retired
+}
+
+// A session opened on a QueryId the engine never issued, or on a
+// released one, retires at its first pump; a session opened before the
+// release retires at its next.
+TEST(QueryEngineTest, SessionOnUnknownOrReleasedQueryRetires) {
+  Instance inst = BubbleChain(3, 2);
+  QueryEngine engine(1);
+  engine.InstallSnapshot(inst.db.Freeze());
+  EXPECT_EQ(engine.Pump(engine.OpenSession(987654321), 4).status,
+            PumpStatus::kRetired);
+
+  QueryId q = engine.Prepare(StaircaseNfa(1, 2), inst.source, inst.target);
+  SessionId before = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(before, 1).status, PumpStatus::kOk);
+  engine.ReleaseQuery(q);
+  EXPECT_EQ(engine.Pump(before, 1).status, PumpStatus::kRetired);
+  EXPECT_EQ(engine.Pump(engine.OpenSession(q), 1).status,
+            PumpStatus::kRetired);
+  engine.ReleaseQuery(q);  // ignored
+  EXPECT_EQ(engine.Stats().open_queries, 0u);
+  EXPECT_EQ(engine.Stats().sessions_retired, 3u);
+}
+
+// With no snapshot installed, Prepare returns kNoQuery, which no
+// Prepare ever issues, so its sessions retire; PrepareRegex reports the
+// missing snapshot in its result before it interns or compiles
+// anything. Nothing is built.
+TEST(QueryEngineTest, PrepareWithoutSnapshotReturnsAStatus) {
+  Instance inst = BubbleChain(3, 2);
+  QueryEngine engine(1);
+  QueryId q = engine.Prepare(StaircaseNfa(1, 2), inst.source, inst.target);
+  EXPECT_EQ(q, kNoQuery);
+  EXPECT_EQ(engine.Pump(engine.OpenSession(q), 4).status,
+            PumpStatus::kRetired);
+  const uint32_t labels = inst.db.mutable_dict()->size();
+  PrepareRegexResult r = engine.PrepareRegex(
+      "new0 new1", inst.db.mutable_dict(), inst.source, inst.target);
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(r.id, kNoQuery);
+  EXPECT_EQ(inst.db.mutable_dict()->size(), labels);
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.frontend_thompson + stats.frontend_glushkov, 0u);
+  EXPECT_EQ(stats.plan_cache.misses, 0u);
+  EXPECT_EQ(stats.open_queries, 0u);
+}
+
+// The engine stays bounded however long it runs. Each of 200 cycles
+// makes a lambda-preserving insert and installs it, prepares six keys,
+// pumps a session on each, then closes every session and releases every
+// handle. After every cycle the plan table holds at most the six keys
+// within the byte budget, and no handle or session is open. Run under
+// ASan+UBSan and ThreadSanitizer in CI.
+TEST(QueryEngineSoakTest, ChurnStaysBounded) {
+  constexpr uint32_t kNoise = 30;
+  constexpr size_t kBudget = size_t{8} << 10;
+  Instance inst = EmbedInNoise(BubbleChain(4, 2), kNoise, 90, 3);
+  const uint32_t first_noise = inst.db.num_vertices() - kNoise;
+  const std::vector<Nfa> queries = {StaircaseNfa(2, 2), StaircaseNfa(1, 2),
+                                    CompleteNfa(3, 2)};
+  EngineOptions opts;
+  opts.num_threads = 2;
+  opts.plan_cache_bytes = kBudget;
+  QueryEngine engine(opts);
+  engine.InstallSnapshot(inst.db.Freeze());
+  std::mt19937 rng(7);
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    SCOPED_TRACE(testing::Message() << "cycle " << cycle);
+    const uint32_t first = inst.db.AddVertices(2);
+    const uint32_t noise = first_noise + static_cast<uint32_t>(rng() % kNoise);
+    inst.db.AddEdge(first, static_cast<uint32_t>(rng() % 2), first + 1);
+    inst.db.AddEdge(noise, static_cast<uint32_t>(rng() % 2), first);
+    engine.InstallSnapshot(inst.db.Freeze());
+
+    std::vector<QueryId> ids;
+    std::vector<SessionId> sessions;
+    for (const Nfa& query : queries)
+      for (uint32_t source : {inst.source, first_noise}) {
+        ids.push_back(engine.Prepare(query, source, inst.target));
+        sessions.push_back(engine.OpenSession(ids.back()));
+        ASSERT_NE(engine.Pump(sessions.back(), 3).status,
+                  PumpStatus::kRetired);
+      }
+    for (SessionId s : sessions) engine.CloseSession(s);
+    for (QueryId q : ids) engine.ReleaseQuery(q);
+
+    const EngineStats stats = engine.Stats();
+    EXPECT_EQ(stats.open_queries, 0u);
+    EXPECT_EQ(stats.open_sessions, 0u);
+    EXPECT_LE(stats.plan_cache.entries, ids.size());
+    EXPECT_LE(stats.plan_cache.bytes_used, kBudget);
+  }
+  EXPECT_GT(engine.Stats().plan_cache.evictions, 0u);
+  EXPECT_GT(engine.Stats().plan_cache.upgrades, 0u);
 }
 
 // No engine: the snapshot layer alone must let raw threads share one

@@ -9,15 +9,16 @@
 //  - Single-flight: concurrent cold Prepares of one key build once;
 //    everyone else blocks and shares the one result. Run under TSan in
 //    CI, this doubles as the race regression test for the cache.
-//  - Invalidation: with incremental install disabled, InstallSnapshot
-//    drops entries of other generations and stale sessions retire
-//    gracefully (and are counted); with it enabled (the default), an
-//    insert-only delta upgrades entries in place instead (counted as
-//    upgrades, served as warm hits). A building claim invalidated
-//    mid-wait is re-claimed and rebuilt, never lost.
-//  - Byte-budget LRU: a tiny budget keeps the cache bounded and
-//    evicting; budget 0 disables caching outright (the bench's cold
-//    arm) with every call building.
+//  - One table: an insert-only delta upgrades every entry in place
+//    (counted as upgrades, served as warm hits), so a parked session
+//    survives the install at any byte budget; an install of another
+//    database detaches the entries and stale sessions retire gracefully
+//    (and are counted). A claim detached mid-build, or whose build
+//    throws, is re-claimed and rebuilt by its waiter, never lost.
+//  - Byte-budget LRU over the entries no handle names: a tiny budget
+//    keeps the table bounded and evicting; at budget 0 an entry dies
+//    with its last handle (the bench's cold arm: every Prepare after a
+//    release builds).
 //  - The per-worker enumerator LRU is bounded by worker_cache_entries
 //    and evictions are visible in EngineStats.
 //
@@ -27,9 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,49 +136,48 @@ TEST(PlanCacheTest, EquivalentRegexesShareOneEntry) {
   }
 }
 
-// The drop-everything install path, kept reachable by the
-// incremental_install kill-switch: with delta repair disabled, a new
-// generation invalidates every cached plan and retires every started
-// session — the pre-incremental contract, verbatim.
+// The drop-everything install path: a snapshot of another database
+// detaches every entry, and every session on one retires — the
+// pre-incremental contract. A detached entry stays resident while a
+// handle names it and dies with its last handle.
 TEST(PlanCacheTest, InstallSnapshotInvalidatesAndRetires) {
   Instance inst = BubbleChain(5, 2);
+  Instance other = BubbleChain(4, 2);
   Nfa query = StaircaseNfa(2, 2);
-  EngineOptions opts;
-  opts.num_threads = 2;
-  opts.incremental_install = false;
-  QueryEngine engine(opts);
+  QueryEngine engine(2);
   engine.InstallSnapshot(inst.db.Freeze());
   QueryId q_old = engine.Prepare(query, inst.source, inst.target);
   SessionId s_old = engine.OpenSession(q_old);
   ASSERT_EQ(engine.Pump(s_old, 4).status, PumpStatus::kOk);
   ASSERT_EQ(engine.Stats().plan_cache.entries, 1u);
 
-  inst.db.AddEdge(inst.source, 0u, inst.target);
-  Snapshot snap2 = inst.db.Freeze();
+  Snapshot snap2 = other.db.Freeze();
   engine.InstallSnapshot(snap2);
 
   EngineStats after = engine.Stats();
   EXPECT_EQ(after.plan_cache.invalidations, 1u);
-  EXPECT_EQ(after.plan_cache.entries, 0u);
-  EXPECT_EQ(after.plan_cache.bytes_used, 0u);
+  EXPECT_EQ(after.plan_cache.upgrades, 0u);
+  EXPECT_EQ(after.plan_cache.entries, 1u);  // q_old still names it
 
   // The retired session still fails gracefully — and is counted.
   EXPECT_EQ(engine.Pump(s_old, 4).status, PumpStatus::kRetired);
   EXPECT_GE(engine.Stats().sessions_retired, 1u);
+  engine.ReleaseQuery(q_old);
+  EXPECT_EQ(engine.Stats().plan_cache.entries, 0u);
+  EXPECT_EQ(engine.Stats().plan_cache.bytes_used, 0u);
 
   // Re-preparing against the new snapshot is a fresh build with fresh
   // answers.
-  QueryId q_new = engine.Prepare(query, inst.source, inst.target);
+  QueryId q_new = engine.Prepare(query, other.source, other.target);
   EXPECT_EQ(engine.Stats().plan_cache.misses, 2u);
   EXPECT_EQ(DrainAll(engine, q_new),
-            Oracle(snap2, query, inst.source, inst.target));
+            Oracle(snap2, query, other.source, other.target));
 }
 
 // The incremental install path: an insert-only, lambda-preserving
-// delta re-keys the cached plan to the new generation by delta repair
-// (TakeGeneration + InsertUpgraded) instead of dropping it. The
-// upgraded entry serves warm hits, the remapped QueryId enumerates the
-// new snapshot's answers, and nothing was invalidated.
+// delta repairs the entry's plan in place instead of dropping it. The
+// upgraded entry serves warm hits, the old QueryId enumerates the new
+// snapshot's answers, and nothing was invalidated.
 TEST(PlanCacheTest, IncrementalInstallUpgradesEntriesInPlace) {
   Instance inst = BubbleChain(5, 2);
   Nfa query = StaircaseNfa(2, 2);
@@ -204,122 +206,239 @@ TEST(PlanCacheTest, IncrementalInstallUpgradesEntriesInPlace) {
   EXPECT_EQ(warm.plan_cache.hits, after.plan_cache.hits + 1);
 
   EdgeSeq expected = Oracle(snap2, query, inst.source, inst.target);
-  EXPECT_EQ(DrainAll(engine, q), expected);  // old QueryId was remapped
+  EXPECT_EQ(DrainAll(engine, q), expected);  // same entry, new plan
   EXPECT_EQ(DrainAll(engine, q2), expected);
 }
 
-// A GetOrBuild waiter whose awaited claim is dropped by Invalidate
-// mid-wait must wake, re-claim the vacant key, and rebuild — its value
-// is never null, and the builder's orphaned value goes to its own
-// caller only. The deterministic schedule: thread B claims the key and
-// parks inside its builder; thread A waits on B's claim; Invalidate
-// then erases B's building marker before B is released.
-TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
-  Instance inst = BubbleChain(3, 2);
-  Nfa query = StaircaseNfa(1, 2);
-  Snapshot snap = inst.db.Freeze();
-  std::atomic<int> builds{0};
-  auto make_value = [&]() -> PlanCache::Value {
-    ++builds;
-    return std::make_shared<const PreparedQuery>(snap, query, inst.source,
-                                                 inst.target);
-  };
+// Whether a parked session survives an install no longer depends on the
+// byte budget: its QueryId names the entry, the install repairs every
+// entry, and a named entry is never evicted. A session pumped 4 answers
+// before a second key is prepared and a lambda-preserving install lands
+// drains exactly the new order's suffix after its last walk, at the
+// default budget, at 1 byte and at 0.
+TEST(PlanCacheTest, SessionSurvivesInstallAtAnyBudget) {
+  for (size_t budget : {size_t{64} << 20, size_t{1}, size_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    Instance inst = BubbleChain(5, 2);
+    Nfa query = StaircaseNfa(2, 2);
+    EngineOptions opts;
+    opts.num_threads = 2;
+    opts.plan_cache_bytes = budget;
+    QueryEngine engine(opts);
+    engine.InstallSnapshot(inst.db.Freeze());
+    SessionId s =
+        engine.OpenSession(engine.Prepare(query, inst.source, inst.target));
+    PumpResult first = engine.Pump(s, 4);
+    ASSERT_EQ(first.status, PumpStatus::kOk);
+    ASSERT_EQ(first.walks.size(), 4u);
+    // A second key: a small budget must not cost the first its plan.
+    engine.Prepare(StaircaseNfa(1, 2), inst.source, inst.target);
 
-  PlanCache cache(size_t{64} << 20);
-  PlanKey key{&inst.db, 1, 0x2222, "b", inst.source, inst.target};
+    inst.db.AddEdge(inst.db.src(0), inst.db.edge(0).label, inst.db.dst(0));
+    Snapshot snap2 = inst.db.Freeze();
+    engine.InstallSnapshot(snap2);
 
-  std::promise<void> builder_entered, release_builder;
-  PlanCache::Value got_b;
-  std::thread b([&] {
-    got_b = cache.GetOrBuild(key, [&] {
-      builder_entered.set_value();
-      release_builder.get_future().wait();
-      return make_value();
-    });
-  });
-  builder_entered.get_future().wait();
-
-  PlanCache::Value got_a;
-  std::thread a([&] { got_a = cache.GetOrBuild(key, make_value); });
-  // The wait is counted under the cache lock that cv_.wait releases, so
-  // once it shows, A is parked on B's claim.
-  while (cache.Stats().single_flight_waits < 1) std::this_thread::yield();
-
-  // A new generation drops B's building marker.
-  cache.Invalidate(&inst.db, 2);
-  release_builder.set_value();
-  b.join();
-  a.join();
-
-  EXPECT_NE(got_a, nullptr);    // re-claimed, rebuilt, not lost
-  EXPECT_NE(got_b, nullptr);    // the orphaned build reaches its caller
-  EXPECT_EQ(builds.load(), 2);  // B's orphaned build + A's rebuild
-  EXPECT_EQ(cache.Stats().invalidations, 1u);
-  // The cache serves A's rebuild, never B's orphan.
-  EXPECT_EQ(cache.GetOrBuild(key, make_value), got_a);
-  EXPECT_EQ(builds.load(), 2);
+    EdgeSeq newest = Oracle(snap2, query, inst.source, inst.target);
+    auto anchor = std::find(newest.begin(), newest.end(),
+                            first.walks.back().edges);
+    ASSERT_NE(anchor, newest.end());
+    PumpResult rest = engine.Drain(s, 3);
+    EXPECT_EQ(rest.status, PumpStatus::kExhausted);
+    EXPECT_EQ(Edges(rest.walks), EdgeSeq(anchor + 1, newest.end()));
+    EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+    EXPECT_EQ(engine.Stats().plan_cache.upgrades, 2u);
+  }
 }
 
-// The same re-claim when the waiter is part-way through a batch of keys
-// prepared one GetOrBuild at a time, as a batch of sources is: one
-// Invalidate sweep erases both the entry A completed and the claim A
-// waits on. The deterministic schedule: thread B claims k2 and parks
-// inside its builder; thread A builds k1, then waits on B's claim;
-// Invalidate drops k1's entry and k2's building marker before B is
-// released.
-TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
+// Plans built straight through the table, as the engine builds them.
+struct TableFixture {
   Instance inst = BubbleChain(3, 2);
   Nfa query = StaircaseNfa(1, 2);
-  Snapshot snap = inst.db.Freeze();
   std::atomic<int> builds{0};
-  auto make_value = [&]() -> PlanCache::Value {
+  PlanCache cache{size_t{64} << 20};
+
+  PlanCache::Value Build(const Snapshot& snap) {
     ++builds;
     return std::make_shared<const PreparedQuery>(snap, query, inst.source,
                                                  inst.target);
-  };
+  }
+  PlanKey Key(const std::string& bytes) {
+    return PlanKey{0x2222, inst.source, inst.target, bytes};
+  }
+};
 
-  PlanCache cache(size_t{64} << 20);
-  PlanKey k1{&inst.db, 1, 0x1111, "a", inst.source, inst.target};
-  PlanKey k2{&inst.db, 1, 0x2222, "b", inst.source, inst.target};
+// An install during a build detaches the claim: an Acquire waiter
+// whose awaited claim is detached mid-wait must wake, re-claim the
+// vacant key and build against the new snapshot; its plan is never
+// null, and the builder's orphaned plan goes to its own caller only.
+// The deterministic schedule: thread B claims the key and parks inside
+// its builder; thread A waits on B's claim; an install of a new
+// generation (no delta, so nothing repairs) then detaches B's claim. A
+// re-claims and builds while B is still parked.
+TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
+  TableFixture t;
+  const PlanCache::Builder build = [&t](const Snapshot& s) {
+    return t.Build(s);
+  };
+  t.cache.Install(t.inst.db.Freeze(), nullptr);
+  const PlanKey key = t.Key("b");
 
   std::promise<void> builder_entered, release_builder;
-  PlanCache::Value got_b;
+  QueryId b_id = kNoQuery;
   std::thread b([&] {
-    got_b = cache.GetOrBuild(k2, [&] {
+    b_id = t.cache.Acquire(key, [&](const Snapshot& s) {
       builder_entered.set_value();
       release_builder.get_future().wait();
-      return make_value();
+      return t.Build(s);
     });
   });
   builder_entered.get_future().wait();
 
-  std::vector<PlanCache::Value> got;
+  QueryId a_id = kNoQuery;
+  std::thread a([&] { a_id = t.cache.Acquire(key, build); });
+  // The wait is counted under the table lock that the wait releases, so
+  // once it shows, A is parked on B's claim.
+  while (t.cache.Stats().single_flight_waits < 1) std::this_thread::yield();
+
+  t.inst.db.AddVertices(1);
+  const Snapshot snap2 = t.inst.db.Freeze();
+  t.cache.Install(snap2, nullptr);
+  a.join();  // A rebuilt the key without waiting for B
+  release_builder.set_value();
+  b.join();
+
+  const PlanCache::Resolved a_plan = t.cache.Resolve(a_id);
+  const PlanCache::Resolved b_plan = t.cache.Resolve(b_id);
+  ASSERT_NE(a_plan.plan, nullptr);  // re-claimed, rebuilt, not lost
+  EXPECT_TRUE(a_plan.current());
+  EXPECT_EQ(a_plan.plan->index.snapshot().generation(), snap2.generation());
+  ASSERT_NE(b_plan.plan, nullptr);  // the orphaned build reaches its caller
+  EXPECT_FALSE(b_plan.current());
+  EXPECT_EQ(t.builds.load(), 2);  // B's orphaned build + A's rebuild
+  EXPECT_EQ(t.cache.Stats().invalidations, 1u);
+  EXPECT_EQ(t.cache.Stats().entries, 2u);  // every handle's plan
+
+  // The table serves A's rebuild, never B's orphan.
+  EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(key, build)).plan, a_plan.plan);
+  EXPECT_EQ(t.builds.load(), 2);
+}
+
+// The same re-claim when the waiter is part-way through a sequence of
+// keys, each acquired in turn: one install detaches both the entry A
+// completed (which A's handle keeps alive) and the claim A waits on.
+// The deterministic schedule: thread B claims k2 and parks inside its
+// builder; thread A builds k1, then waits on B's claim; an install of a
+// new generation detaches k1's entry and B's claim. A wakes, re-claims
+// k2 and builds against the new snapshot while B is still parked; B's
+// orphaned build goes to B only.
+TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
+  TableFixture t;
+  const PlanCache::Builder build = [&t](const Snapshot& s) {
+    return t.Build(s);
+  };
+  t.cache.Install(t.inst.db.Freeze(), nullptr);
+  const PlanKey k1 = t.Key("a"), k2 = t.Key("b");
+
+  std::promise<void> builder_entered, release_builder;
+  QueryId b_id = kNoQuery;
+  std::thread b([&] {
+    b_id = t.cache.Acquire(k2, [&](const Snapshot& s) {
+      builder_entered.set_value();
+      release_builder.get_future().wait();
+      return t.Build(s);
+    });
+  });
+  builder_entered.get_future().wait();
+
+  std::vector<QueryId> a_ids;
   std::thread a([&] {
     for (const PlanKey& k : {k1, k2})
-      got.push_back(cache.GetOrBuild(k, make_value));
+      a_ids.push_back(t.cache.Acquire(k, build));
   });
   // k1 is filled before A reaches k2, so once the wait shows, k1 is a
   // completed entry and A is parked on B's claim.
-  while (cache.Stats().single_flight_waits < 1) std::this_thread::yield();
+  while (t.cache.Stats().single_flight_waits < 1) std::this_thread::yield();
 
-  // A new generation drops everything: k1's completed entry and k2's
-  // building marker.
-  cache.Invalidate(&inst.db, 2);
+  t.inst.db.AddVertices(1);
+  const Snapshot snap2 = t.inst.db.Freeze();
+  t.cache.Install(snap2, nullptr);
+  a.join();  // A rebuilt k2 without waiting for B
+  release_builder.set_value();
+  b.join();
+
+  ASSERT_EQ(a_ids.size(), 2u);
+  const PlanCache::Resolved a1 = t.cache.Resolve(a_ids[0]);
+  const PlanCache::Resolved a2 = t.cache.Resolve(a_ids[1]);
+  const PlanCache::Resolved b2 = t.cache.Resolve(b_id);
+  ASSERT_NE(a1.plan, nullptr);  // detached, held by its handle
+  EXPECT_FALSE(a1.current());
+  ASSERT_NE(a2.plan, nullptr);  // re-claimed, rebuilt, not lost
+  EXPECT_TRUE(a2.current());
+  EXPECT_EQ(a2.plan->index.snapshot().generation(), snap2.generation());
+  ASSERT_NE(b2.plan, nullptr);  // the orphaned build reaches its caller
+  EXPECT_FALSE(b2.current());
+  EXPECT_EQ(t.builds.load(), 3);  // A's k1, B's orphan, A's rebuild of k2
+  EXPECT_EQ(t.cache.Stats().invalidations, 2u);
+  EXPECT_EQ(t.cache.Stats().entries, 3u);  // every handle's plan
+
+  // The table serves A's rebuild of k2, never B's orphan; k1 rebuilds.
+  EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(k2, build)).plan, a2.plan);
+  EXPECT_EQ(t.builds.load(), 3);
+  EXPECT_TRUE(t.cache.Resolve(t.cache.Acquire(k1, build)).current());
+  EXPECT_EQ(t.builds.load(), 4);
+}
+
+// No test elsewhere throws, so this one drives the table's failure path:
+// a builder throws while a second caller waits on its claim. The
+// deterministic schedule: thread B claims the key and parks inside a
+// builder that will throw; thread A waits on B's claim. B's caller sees
+// the exception, A re-claims and builds, the key serves A's build, and
+// the failed build leaves no handle behind.
+TEST(PlanCacheFaultTest, ThrowingBuildHandsTheClaimToItsWaiter) {
+  TableFixture t;
+  const PlanCache::Builder build = [&t](const Snapshot& s) {
+    return t.Build(s);
+  };
+  t.cache.Install(t.inst.db.Freeze(), nullptr);
+  const PlanKey key = t.Key("b");
+
+  std::promise<void> builder_entered, release_builder;
+  bool b_threw = false;
+  std::thread b([&] {
+    try {
+      t.cache.Acquire(key, [&](const Snapshot&) -> PlanCache::Value {
+        builder_entered.set_value();
+        release_builder.get_future().wait();
+        throw std::runtime_error("injected build failure");
+      });
+    } catch (const std::runtime_error&) {
+      b_threw = true;
+    }
+  });
+  builder_entered.get_future().wait();
+
+  QueryId a_id = kNoQuery;
+  std::thread a([&] { a_id = t.cache.Acquire(key, build); });
+  while (t.cache.Stats().single_flight_waits < 1) std::this_thread::yield();
   release_builder.set_value();
   b.join();
   a.join();
 
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_NE(got[0], nullptr);   // held across the invalidation
-  EXPECT_NE(got[1], nullptr);   // re-claimed, rebuilt, not lost
-  EXPECT_NE(got_b, nullptr);    // the orphaned build reaches its caller
-  EXPECT_EQ(builds.load(), 3);  // A's k1, B's orphan, A's rebuild of k2
-  EXPECT_EQ(cache.Stats().invalidations, 2u);
-  // The cache serves A's rebuild of k2; k1's entry is gone and rebuilds.
-  EXPECT_EQ(cache.GetOrBuild(k2, make_value), got[1]);
-  EXPECT_EQ(builds.load(), 3);
-  EXPECT_NE(cache.GetOrBuild(k1, make_value), got[0]);
-  EXPECT_EQ(builds.load(), 4);
+  EXPECT_TRUE(b_threw);
+  const PlanCache::Resolved a_plan = t.cache.Resolve(a_id);
+  ASSERT_NE(a_plan.plan, nullptr);
+  EXPECT_TRUE(a_plan.current());
+  EXPECT_EQ(t.builds.load(), 1);
+  EXPECT_EQ(t.cache.Stats().misses, 2u);  // B's claim and A's re-claim
+  EXPECT_EQ(t.cache.open_handles(), 1u);  // A's; the throw issued none
+
+  const QueryId again = t.cache.Acquire(key, build);
+  EXPECT_EQ(t.cache.Resolve(again).plan, a_plan.plan);
+  EXPECT_EQ(t.builds.load(), 1);
+  t.cache.Release(again);
+  t.cache.Release(a_id);
+  EXPECT_EQ(t.cache.open_handles(), 0u);
+  EXPECT_EQ(t.cache.Stats().entries, 1u);  // unnamed, cached
 }
 
 // Concurrent cold misses on ONE key: exactly one build, everyone shares
@@ -364,17 +483,18 @@ TEST(PlanCacheTest, TinyBudgetEvictsLru) {
   engine.InstallSnapshot(snap);
 
   Nfa query = StaircaseNfa(0, 1);
-  // An oversized entry lives alone (never thrashes itself out)...
-  engine.Prepare(query, inst.source, inst.target);
+  // An oversized entry lives alone once released (never thrashes itself
+  // out)...
+  engine.ReleaseQuery(engine.Prepare(query, inst.source, inst.target));
   EXPECT_EQ(engine.Stats().plan_cache.entries, 1u);
   EXPECT_EQ(engine.Stats().plan_cache.evictions, 0u);
   // ...until the next insert displaces it.
-  engine.Prepare(query, 1, inst.target);
+  engine.ReleaseQuery(engine.Prepare(query, 1, inst.target));
   EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.plan_cache.entries, 1u);
   EXPECT_EQ(stats.plan_cache.evictions, 1u);
   // The displaced key must rebuild: 3 misses, no hits.
-  engine.Prepare(query, inst.source, inst.target);
+  engine.ReleaseQuery(engine.Prepare(query, inst.source, inst.target));
   EXPECT_EQ(engine.Stats().plan_cache.misses, 3u);
   EXPECT_EQ(engine.Stats().plan_cache.hits, 0u);
 }
@@ -390,15 +510,17 @@ TEST(PlanCacheTest, ZeroBudgetDisablesCaching) {
   opts.plan_cache_bytes = 0;  // the bench's cold arm
   QueryEngine engine(opts);
   engine.InstallSnapshot(snap);
-  QueryId q1 = engine.Prepare(query, inst.source, inst.target);
-  QueryId q2 = engine.Prepare(query, inst.source, inst.target);
+  // An entry dies with its last handle, so each Prepare builds.
+  for (int i = 0; i < 2; ++i) {
+    QueryId q = engine.Prepare(query, inst.source, inst.target);
+    EXPECT_EQ(DrainAll(engine, q), expected);
+    engine.ReleaseQuery(q);
+  }
   EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.plan_cache.misses, 2u);
   EXPECT_EQ(stats.plan_cache.hits, 0u);
   EXPECT_EQ(stats.plan_cache.entries, 0u);
   EXPECT_EQ(stats.plan_cache.bytes_used, 0u);
-  EXPECT_EQ(DrainAll(engine, q1), expected);
-  EXPECT_EQ(DrainAll(engine, q2), expected);
 }
 
 TEST(PlanCacheTest, WorkerEnumeratorCacheIsBounded) {
