@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "bench_util.h"
 #include "core/annotate.h"
 #include "core/trimmed_index.h"
@@ -120,6 +122,39 @@ void BM_Preprocess_EmbedInNoise(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_Preprocess_EmbedInNoise)->Arg(512)->Arg(2048)->Arg(8192);
+
+// E1l: a BubbleChain(8, 2) core beside N extra vertices with 4N random
+// edges among themselves, none touching the core, so the BFS reaches
+// the same pairs at every N. The product BFS takes its V-sized seen and
+// slot tables from a per-thread scratch that each call leaves zeroed
+// along the levels it built, so annotate + trim should cost the same at
+// both sizes; CI gates the large arm at under 3x the small one. Arg:
+// extra vertex count.
+void BM_Annotate_LocalInLargeGraph(benchmark::State& state) {
+  Instance inst = BubbleChain(8, 2);
+  const uint32_t extra = static_cast<uint32_t>(state.range(0));
+  const uint32_t first = inst.db.AddVertices(extra);
+  std::mt19937_64 rng(41);
+  for (uint32_t i = 0; i < 4 * extra; ++i) {
+    const uint32_t src = first + static_cast<uint32_t>(rng() % extra);
+    const uint32_t label = static_cast<uint32_t>(rng() % 2);
+    const uint32_t dst = first + static_cast<uint32_t>(rng() % extra);
+    inst.db.AddEdge(src, label, dst);
+  }
+  Nfa query = StaircaseNfa(2, 2);
+
+  Snapshot snap = inst.db.Freeze();
+  for (auto _ : state) {
+    Annotation ann = Annotate(snap, query, inst.source, inst.target);
+    TrimmedIndex index(snap, ann);
+    benchmark::DoNotOptimize(index.num_slots());
+  }
+  state.counters["vertices"] = static_cast<double>(inst.db.num_vertices());
+}
+BENCHMARK(BM_Annotate_LocalInLargeGraph)
+    ->ArgName("extra_vertices")
+    ->Arg(4096)
+    ->Arg(262144);
 
 // E2b: densest possible query (complete automaton) to stress |Delta|.
 void BM_Preprocess_CompleteQuery(benchmark::State& state) {

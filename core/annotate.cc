@@ -11,6 +11,71 @@ namespace {
 
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
+// The product BFS's two dense per-vertex tables, kept per thread so
+// that a BFS costs the pairs it reaches rather than |V|: seen, the flat
+// V x ceil(|Q|/64) bit matrix of product pairs already assigned a
+// level, and slot, the new-pair accumulator's per-vertex slot table.
+// Between calls seen is all zero and slot all kNoSlot. The tables grow,
+// and never shrink, to the largest V x ceil(|Q|/64) words and V slots
+// the thread has met, and each call reads seen's rows at its own word
+// stride, which an all-zero table allows.
+struct BfsScratch {
+  std::vector<uint64_t> seen;
+  std::vector<uint32_t> slot;
+  bool busy = false;  // a BFS on this thread holds the tables
+};
+
+thread_local BfsScratch tls_scratch;
+
+// Lends the thread's scratch to one BFS. Return() restores the
+// invariant; a BFS that throws instead leaves bits set and slots taken,
+// so the lease then drops the tables and the next BFS reallocates them
+// zeroed.
+class ScratchLease {
+ public:
+  ScratchLease(uint32_t num_vertices, uint32_t wps) : s_(tls_scratch) {
+    const size_t words = static_cast<size_t>(num_vertices) * wps;
+#if !defined(NDEBUG)
+    assert(!s_.busy && "a product BFS on this thread holds the scratch");
+    assert(std::all_of(s_.seen.begin(),
+                       s_.seen.begin() + std::min(words, s_.seen.size()),
+                       [](uint64_t w) { return w == 0; }));
+    assert(std::all_of(
+        s_.slot.begin(),
+        s_.slot.begin() + std::min<size_t>(num_vertices, s_.slot.size()),
+        [](uint32_t s) { return s == kNoSlot; }));
+#endif
+    if (s_.seen.size() < words) s_.seen.assign(words, 0);
+    if (s_.slot.size() < num_vertices) s_.slot.assign(num_vertices, kNoSlot);
+    s_.busy = true;
+  }
+  ~ScratchLease() {
+    if (!returned_) s_ = BfsScratch();
+    s_.busy = false;
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  uint64_t* seen() { return s_.seen.data(); }
+  uint32_t* slot() { return s_.slot.data(); }
+
+  // Zeroes the seen rows of every vertex on \p levels, the levels the
+  // BFS built. Every bit it set marks a pair on one of them (an old
+  // pair that lost to a lower level is on that lower level), so this
+  // costs O(pairs). The BFS has already reset each slot it took.
+  template <typename Kernel>
+  void Return(Kernel ker, const std::vector<LevelSets>& levels) {
+    for (const LevelSets& level : levels)
+      for (uint32_t v : level.vertices())
+        ker.Zero(seen() + static_cast<size_t>(v) * ker.wps());
+    returned_ = true;
+  }
+
+ private:
+  BfsScratch& s_;
+  bool returned_ = false;
+};
+
 // The product BFS, templated over the word kernel (util/word_kernel.h):
 // SingleWordKernel collapses every per-set loop to one uint64_t op for
 // |Q| <= 64. ann->levels holds level 0 on entry; \p old holds the
@@ -35,12 +100,12 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   const std::vector<uint32_t> new_sources =
       NewEdgeSources(snap, first_new_edge);
 
-  // seen: flat V x |Q| bit matrix of product pairs already assigned a
-  // level. One zeroed calloc-style allocation; the BFS itself touches
-  // only visited rows.
-  std::vector<uint64_t> seen(static_cast<size_t>(num_vertices) * wps, 0);
+  // seen and slot come from the thread's scratch, all zero and all
+  // kNoSlot, so the BFS touches only the rows of the pairs it reaches.
+  ScratchLease scratch(num_vertices, wps);
+  uint64_t* const seen = scratch.seen();
   auto seen_row = [&](uint32_t v) {
-    return &seen[static_cast<size_t>(v) * wps];
+    return seen + static_cast<size_t>(v) * wps;
   };
 
   // New-pair accumulator: dense per-vertex slot table + touched
@@ -48,7 +113,7 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   // sorts the touched vertices when they are sparse and linear-scans the
   // slot table when they are dense (>= 1/16 of V) — the scan is cheaper
   // than the sort's branchy compares at that density.
-  std::vector<uint32_t> slot(num_vertices, kNoSlot);
+  uint32_t* const slot = scratch.slot();
   std::vector<uint32_t> touched;
   std::vector<uint32_t> sorted;
   std::vector<uint64_t> slot_words;
@@ -78,6 +143,7 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
     if (StateSetView at_target = current.Find(target);
         at_target && at_target.Intersects(ann.final_states)) {
       ann.lambda = static_cast<int32_t>(i);
+      scratch.Return(ker, ann.levels);
       return;
     }
 
@@ -224,6 +290,7 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   }
 
   // Product exhausted without reaching (target, final): no answer.
+  scratch.Return(ker, ann.levels);
   ann.levels.clear();
   ann.lambda = -1;
 }

@@ -51,6 +51,12 @@
 // dictionary it is given under an engine lock, so nothing else may
 // intern into that dictionary (AddEdge by label name,
 // LabelDictionary::Intern) while a PrepareRegex runs.
+//
+// Memory outside the plan-cache budget: a plan is built on the thread
+// whose Prepare missed and repaired on the installing thread, and each
+// such thread keeps the product BFS's scratch (core/annotate.h) for its
+// lifetime: V x (8 ceil(|Q|/64) + 4) bytes at the largest graph and
+// query it has annotated. plan_cache_bytes does not count it.
 
 #ifndef DSW_ENGINE_ENGINE_H_
 #define DSW_ENGINE_ENGINE_H_

@@ -1,13 +1,17 @@
 // Unit tests for the annotation stage: lambda computation, unreachable
-// instances, self-loops, parallel multi-label edges, and epsilon-closure
-// saturation for epsilon-NFA queries (Section 5.1).
+// instances, self-loops, parallel multi-label edges, epsilon-closure
+// saturation for epsilon-NFA queries (Section 5.1), and the product
+// BFS's per-thread scratch across calls.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/annotate.h"
 #include "core/resumable_index.h"
+#include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace dsw {
@@ -244,6 +248,114 @@ TEST(AnnotateTest, AnnotationSnapshotsTheQuery) {
   ASSERT_TRUE(en.Valid());
   en.Next();
   EXPECT_FALSE(en.Valid());
+}
+
+// An annotation as plain values: lambda, then each level's vertices and
+// state words.
+struct LevelsDump {
+  int32_t lambda = -1;
+  std::vector<std::vector<uint32_t>> vertices;
+  std::vector<std::vector<uint64_t>> words;
+  bool operator==(const LevelsDump&) const = default;
+};
+
+LevelsDump Dump(const Annotation& ann) {
+  LevelsDump out;
+  out.lambda = ann.lambda;
+  const uint32_t wps = ann.words_per_set();
+  for (const LevelSets& level : ann.levels) {
+    out.vertices.push_back(level.vertices());
+    std::vector<uint64_t>& words = out.words.emplace_back();
+    for (size_t k = 0; k < level.size(); ++k)
+      words.insert(words.end(), level.states(k).words(),
+                   level.states(k).words() + wps);
+  }
+  return out;
+}
+
+// Runs \p call on a new thread, whose product-BFS scratch no call has
+// used yet.
+template <typename Call>
+LevelsDump OnFreshThread(Call call) {
+  LevelsDump out;
+  std::thread([&] { out = call(); }).join();
+  return out;
+}
+
+// The product BFS keeps its seen bitmap and slot table per thread and
+// zeroes them on exit along the levels it built. Each call below runs
+// on this one thread after calls that left the scratch sized for other
+// graphs and word strides, and must equal the same call on a fresh
+// thread.
+TEST(AnnotateTest, ScratchReuseMatchesAFreshThread) {
+  // A 3-word query that floods a noisy graph and exhausts the product:
+  // its target is an isolated vertex.
+  Instance noisy = EmbedInNoise(BubbleChain(8, 2), 2048, 8192, 7);
+  const uint32_t isolated = noisy.db.AddVertex();
+  const Snapshot noisy_snap = noisy.db.Freeze();
+  const Nfa three_words = SpreadStates(StaircaseNfa(2, 2), 3);
+  ASSERT_EQ(three_words.num_states(), 192u);
+  auto exhausted = [&] {
+    return Dump(Annotate(noisy_snap, three_words, noisy.source, isolated));
+  };
+  const LevelsDump flood = exhausted();
+  EXPECT_EQ(flood.lambda, -1);
+  EXPECT_EQ(flood, OnFreshThread(exhausted));
+
+  // lambda = 0: the one-state staircase accepts the empty walk.
+  auto empty_walk = [&] {
+    return Dump(
+        Annotate(noisy_snap, StaircaseNfa(0, 2), noisy.source, noisy.source));
+  };
+  const LevelsDump at_source = empty_walk();
+  EXPECT_EQ(at_source.lambda, 0);
+  EXPECT_EQ(at_source, OnFreshThread(empty_walk));
+
+  // One word on a smaller graph: rows at stride 1 of a table last used
+  // at stride 3.
+  Instance small = BubbleChain(4, 2);
+  const Snapshot small_snap = small.db.Freeze();
+  auto on_small = [&] {
+    return Dump(
+        Annotate(small_snap, StaircaseNfa(2, 2), small.source, small.target));
+  };
+  const LevelsDump small_levels = on_small();
+  EXPECT_EQ(small_levels.lambda, 8);
+  EXPECT_EQ(small_levels, OnFreshThread(on_small));
+
+  // One word on a graph larger than any before: both tables grow, the
+  // bitmap past the flood's 3-word rows.
+  Instance large = EmbedInNoise(BubbleChain(8, 2), 16384, 65536, 11);
+  ASSERT_GT(large.db.num_vertices(), 3 * noisy_snap.num_vertices());
+  const Snapshot large_snap = large.db.Freeze();
+  auto on_large = [&] {
+    return Dump(
+        Annotate(large_snap, StaircaseNfa(2, 2), large.source, large.target));
+  };
+  const LevelsDump large_levels = on_large();
+  EXPECT_EQ(large_levels.lambda, 16);
+  EXPECT_EQ(large_levels, OnFreshThread(on_large));
+
+  // A repair across an insert that shortens lambda: a two-edge
+  // source -> target shortcut.
+  Instance chain = BubbleChain(8, 2);
+  const Snapshot before = chain.db.Freeze();
+  const Annotation old_ann =
+      Annotate(before, StaircaseNfa(2, 2), chain.source, chain.target);
+  ASSERT_EQ(old_ann.lambda, 16);
+  const uint32_t mid = chain.db.AddVertex();
+  chain.db.AddEdge(chain.source, 0u, mid);
+  chain.db.AddEdge(mid, 0u, chain.target);
+  const Snapshot after = chain.db.Freeze();
+  const EdgeDelta delta = after.DeltaFrom(before.generation());
+  auto repaired = [&] {
+    Annotation ann = old_ann;
+    EXPECT_TRUE(DeltaAnnotate(after, delta, &ann).lambda_changed);
+    return Dump(ann);
+  };
+  const LevelsDump shortened = repaired();
+  EXPECT_EQ(shortened.lambda, 2);
+  EXPECT_EQ(shortened, OnFreshThread(repaired));
 }
 
 }  // namespace

@@ -747,30 +747,42 @@ TEST(QueryEngineSoakTest, ChurnStaysBounded) {
 }
 
 // No engine: the snapshot layer alone must let raw threads share one
-// frozen snapshot — each thread builds its own annotation, index and
-// enumerator concurrently. Before the snapshot refactor the first
+// frozen snapshot — each thread builds its own annotations, indexes and
+// enumerators concurrently. Before the snapshot refactor the first
 // label_index() access rebuilt a mutable cache and this raced; now the
-// build happened in Freeze() and the read path is const. TSan (CI
-// matrix) verifies the absence of the race, the EXPECTs verify the
-// shared data was not corrupted.
+// build happened in Freeze() and the read path is const. Each thread
+// annotates several queries in sequence, starting at a different one,
+// so every product BFS after its first reuses the thread's scratch
+// across one-, two- and three-word queries. TSan (CI matrix) verifies
+// the absence of the race, the EXPECTs verify the shared data was not
+// corrupted.
 TEST(SnapshotConcurrencyTest, ReadersShareOneSnapshotWithoutLocks) {
   Instance inst = EmbedInNoise(BubbleChain(6, 2), 40, 160, 7);
   Snapshot snap = inst.db.Freeze();
-  Nfa query = StaircaseNfa(2, 2);
-  EdgeSeq expected = Oracle(snap, query, inst.source, inst.target);
-  ASSERT_GT(expected.size(), 0u);
+  const std::vector<Nfa> queries = {
+      StaircaseNfa(2, 2), SpreadStates(StaircaseNfa(2, 2), 3),
+      CompleteNfa(3, 2), SpreadStates(StaircaseNfa(1, 2), 2)};
+  std::vector<EdgeSeq> expected;
+  for (const Nfa& query : queries) {
+    expected.push_back(Oracle(snap, query, inst.source, inst.target));
+    ASSERT_GT(expected.back().size(), 0u);
+  }
 
   constexpr int kReaders = 4;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> readers;
   for (int i = 0; i < kReaders; ++i) {
-    readers.emplace_back([&] {
-      Annotation ann = Annotate(snap, query, inst.source, inst.target);
-      ResumableIndex index(snap, ann);
-      ResumableEnumerator en(ann, index, inst.source, inst.target);
-      EdgeSeq got;
-      for (; en.Valid(); en.Next()) got.push_back(en.walk().edges);
-      if (got != expected) ++mismatches;
+    readers.emplace_back([&, i] {
+      for (size_t k = 0; k < queries.size(); ++k) {
+        const size_t j = (static_cast<size_t>(i) + k) % queries.size();
+        Annotation ann =
+            Annotate(snap, queries[j], inst.source, inst.target);
+        ResumableIndex index(snap, ann);
+        ResumableEnumerator en(ann, index, inst.source, inst.target);
+        EdgeSeq got;
+        for (; en.Valid(); en.Next()) got.push_back(en.walk().edges);
+        if (got != expected[j]) ++mismatches;
+      }
     });
   }
   for (std::thread& t : readers) t.join();

@@ -11,6 +11,8 @@ Usage:
   check_bench_ratio.py --self-test
 
 SLOW and FAST are exact benchmark names (aggregate rows are ignored).
+A MIN below 1 bounds a slowdown instead of requiring a speedup: FAST
+must take less than 1/MIN times SLOW's real_time.
 A missing arm or a non-positive time is an error. --self-test runs the
 gate against synthetic fixtures and exits nonzero on any surprise; CI
 runs it so the gate itself is guarded.
@@ -84,6 +86,11 @@ def self_test():
          [("BM_Slow", it, 1000.0)], 3.0, 1),
         ("a zero time is an error",
          [("BM_Slow", it, 1000.0), ("BM_Fast", it, 0.0)], 3.0, 1),
+        # MIN below 1 bounds how much slower FAST may be: here under 3x.
+        ("a MIN below 1 passes a FAST arm 2.5x slower",
+         [("BM_Slow", it, 100.0), ("BM_Fast", it, 250.0)], 0.33, 0),
+        ("a MIN below 1 fails a FAST arm 10x slower",
+         [("BM_Slow", it, 100.0), ("BM_Fast", it, 1000.0)], 0.33, 1),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,7 +12,10 @@ digest or failed count differ. For each end-to-end metric of
 BENCHMARK.json it prints the parent's median [q1, q3], the change's
 median, the change in percent and in how many pairs the change was
 better; "unresolved" marks a parent interquartile range wider, relative
-to its median, than the metric's bound.
+to its median, than the metric's bound. Last it prints each side's
+median `measured_s` from the runs' digest lines: the wall time of the
+measured phase, which moves with the host's speed, so two sides that
+did the same work in clearly different times ran on a drifting host.
 """
 
 import argparse
@@ -42,6 +45,7 @@ def run_side(tree, workload, seed, seconds):
             done = json.loads(line)
             row["digest"] = done["digest"]
             row["failed"] = done["requests_failed"]
+            row["measured_s"] = done["measured_s"]
     return row
 
 
@@ -74,14 +78,19 @@ def table(pairs, metrics):
         note = " unresolved" if pm and (q3 - q1) / pm > m["bound"] else ""
         lines.append(f"| `{name}` | {pm:.4g} [{q1:.4g}, {q3:.4g}] | {cm:.4g} "
                      f"| {pct:+.1f}% | {better}/{len(pairs)}{note} |")
+    walls = [statistics.median(side["measured_s"] for side in sides)
+             for sides in zip(*pairs)]
+    lines.append(f"`measured_s` median: parent {walls[0]:.4g} s, "
+                 f"change {walls[1]:.4g} s")
     return lines, same_work
 
 
 def self_test():
     metrics = [{"name": "t_ms", "better": "lower", "bound": 0.2}]
 
-    def row(value, digest="d0", failed=0):
-        return {"digest": digest, "failed": failed, "metrics": {"t_ms": value}}
+    def row(value, digest="d0", failed=0, wall=30.0):
+        return {"digest": digest, "failed": failed, "measured_s": wall,
+                "metrics": {"t_ms": value}}
 
     clean = [(row(10.0 + i % 2), row(8.0)) for i in range(4)]
     wide = [(row(v), row(8.0)) for v in (10.0, 12.0, 18.0, 24.0)]
@@ -94,6 +103,10 @@ def self_test():
         ("a failed-count mismatch",
          clean + [(row(10.0), row(8.0, failed=1))], False, "pair 4:"),
         ("an unresolved metric", wide, True, "4/4 unresolved |"),
+        ("the median wall time of each side",
+         [(row(10.0, wall=w), row(8.0, wall=w + 5.0))
+          for w in (30.0, 31.0, 40.0)], True,
+         "`measured_s` median: parent 31 s, change 36 s"),
     ]
     failures = 0
     for label, pairs, want_same, want_text in cases:
