@@ -30,6 +30,17 @@
 // The CI perf-smoke job fails unless FreezeFromScratch takes more than
 // 2x as long as Freeze at permille = 10, so a silent fallback to full
 // builds cannot pass.
+//
+// Install times the engine's whole InstallSnapshot of a permille-1
+// batch (DeltaContext derivation plus 16 plan repairs) with the engine's
+// worker count as its argument: the repairs run on the installing
+// thread and every worker, 2 threads at threads:1 and 4 at threads:3.
+// CalibrateSpinLoop runs fixed, independent integer work on 1 and on 3
+// benchmark threads, so its threads:1 / threads:3 real-time ratio says
+// how many cores this run really had. The CI perf-smoke job requires
+// Install at threads:1 to take >1.3x as long as at threads:3, unless
+// the same run's spin loop scaled by 2.5x or less, when it reports the
+// gate as not measurable.
 
 #include <benchmark/benchmark.h>
 
@@ -40,6 +51,7 @@
 #include "core/database.h"
 #include "core/delta_annotate.h"
 #include "core/resumable_index.h"
+#include "engine/engine.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -80,9 +92,10 @@ struct Fixture {
   }
 
   // Applies the deterministic insertion batch to \p db (noise-region
-  // endpoints; identical across arms and iterations).
-  void Mutate(Database* db, uint32_t k) const {
-    std::mt19937_64 rng(4242);
+  // endpoints; identical across arms, and across iterations unless a
+  // \p seed tells them apart).
+  void Mutate(Database* db, uint32_t k, uint64_t seed = 4242) const {
+    std::mt19937_64 rng(seed);
     auto noise_vertex = [&] {
       return noise_first + static_cast<uint32_t>(rng() % noise_count);
     };
@@ -196,6 +209,50 @@ BENCHMARK(BM_Mutation_FreezeFromScratch)
     ->Arg(1)
     ->Arg(10)
     ->Arg(50);
+
+// The engine holds 16 entries: StaircaseNfa widths 16..31 from the
+// fixture's endpoints, each lambda 32 through the core with levels that
+// flood the noise. Each iteration inserts a fresh permille-1 batch (6
+// edges) and freezes untimed, then installs, so the graph grows by
+// under 10% over a 0.1 s run.
+void BM_Mutation_Install(benchmark::State& state) {
+  const Fixture& fx = Fixture::Get();
+  const uint32_t k = fx.NumInserts(1);
+  Database db = fx.pristine.db;
+  QueryEngine engine(static_cast<uint32_t>(state.range(0)));
+  engine.InstallSnapshot(db.Freeze());
+  for (uint32_t width = 16; width < 32; ++width)
+    engine.Prepare(StaircaseNfa(width, 2), fx.pristine.source,
+                   fx.pristine.target);
+  const uint64_t upgraded = engine.Stats().plans_upgraded;
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fx.Mutate(&db, k, ++seed);
+    Snapshot snap = db.Freeze();
+    state.ResumeTiming();
+
+    engine.InstallSnapshot(std::move(snap));
+  }
+  state.counters["inserted_edges"] = k;
+  state.counters["plans_per_install"] = benchmark::Counter(
+      static_cast<double>(engine.Stats().plans_upgraded - upgraded),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Mutation_Install)->ArgName("threads")->Arg(1)->Arg(3);
+
+// Fixed, independent integer work on every benchmark thread: a real
+// time per iteration that falls 3x from 1 to 3 threads means the run
+// had 3 free cores.
+void BM_Calibrate_SpinLoop(benchmark::State& state) {
+  uint64_t x = static_cast<uint64_t>(state.thread_index()) + 1;
+  for (auto _ : state) {
+    for (int i = 0; i < (1 << 20); ++i)
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Calibrate_SpinLoop)->Threads(1)->Threads(3);
 
 }  // namespace
 }  // namespace dsw

@@ -311,6 +311,12 @@ void RunProductBfs(const Snapshot& snap, std::vector<LevelSets> old,
 
 }  // namespace
 
+void ReleaseAnnotateScratch() {
+  assert(!tls_scratch.busy &&
+         "a product BFS on this thread holds the scratch");
+  tls_scratch = BfsScratch();
+}
+
 std::vector<uint32_t> NewEdgeSources(const Snapshot& snap,
                                      uint32_t first_new_edge) {
   std::vector<uint32_t> sources;

@@ -45,8 +45,11 @@
 // and never shrinks, to the largest graph and word count its thread has
 // annotated: V x (8 ceil(|Q|/64) + 4) bytes per thread that builds or
 // repairs annotations (0.78 MiB at 68,172 vertices and one word),
-// outside any plan-cache budget. A BFS that throws drops its thread's
-// scratch, and the next one reallocates it zeroed.
+// outside any plan-cache budget, until the thread ends or calls
+// ReleaseAnnotateScratch — as a thread that annotates only now and then
+// should (the engine's workers after helping an install's repairs). A
+// BFS that throws drops its thread's scratch, and the next one
+// reallocates it zeroed.
 //
 // Epsilon-NFAs (Section 5.1, the Thompson front-end) are handled "for
 // free": CompiledDelta composes the after-side epsilon-closure into
@@ -170,6 +173,11 @@ struct AnnotationRepair {
 /// bit-identical to Annotate() against \p snap; lambda can only shrink.
 AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
                                Annotation* ann);
+
+/// Frees the calling thread's product-BFS scratch (the header comment's
+/// Cost paragraph); the thread's next Annotate or DeltaAnnotate
+/// reallocates it zeroed.
+void ReleaseAnnotateScratch();
 
 /// The sorted distinct sources of edges [first_new_edge, num_edges) of
 /// \p snap: the vertices an insert-only delta gave new out-edges.

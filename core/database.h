@@ -130,11 +130,16 @@ class LabelIndex {
     return {targets_.data() + g.begin, targets_.data() + g.end};
   }
 
-  /// Position of \p edge in the target pool — its rank in the global
-  /// (src, label, insertion) order. Within one vertex this is exactly
-  /// the order the enumerator tries candidate edges in, which makes it
-  /// the seek key of the resumable candidate queues.
+  /// Rank of \p edge among its source's out-edges in (label, insertion)
+  /// order: its target-pool position minus that of the source's first
+  /// out-edge. This is exactly the order the enumerator tries candidate
+  /// edges in, which makes it the seek key of the resumable candidate
+  /// queues. A rank does not move when other vertices' edges do, so a
+  /// derived Freeze rewrites only the ranks of the vertices it touched.
   uint32_t PositionOf(uint32_t edge) const { return edge_pos_[edge]; }
+
+  /// The (edge id, dst) pair at target-pool position \p pos.
+  const Target& TargetAt(uint32_t pos) const { return targets_[pos]; }
 
   /// Number of vertices frozen into this index (ids [0, num_vertices())).
   /// Unlike Database::num_vertices(), it does not grow with later inserts.
@@ -151,7 +156,7 @@ class LabelIndex {
   std::vector<uint32_t> group_offsets_ = {0};  // vertex -> first group; V+1
   std::vector<Group> groups_;
   std::vector<Target> targets_;  // grouped by (src, label)
-  std::vector<uint32_t> edge_pos_;  // edge id -> position in targets_
+  std::vector<uint32_t> edge_pos_;  // edge id -> rank in its source's span
 };
 
 class Snapshot;
@@ -244,10 +249,11 @@ class Database {
   // [0, prev.num_vertices()) and edges [0, prev.num_edges()), and a
   // vertex's groups differ from prev's only if it is new or the source
   // of a new edge. Each run of other vertices is block-copied, its group
-  // and target positions shifted by the targets inserted before it; the
-  // touched vertices are re-emitted from their targets in prev plus
-  // their new edges. The layout is a function of the edge list alone,
-  // so the result equals a build from empty.
+  // and target positions shifted by the targets inserted before it, and
+  // keeps its edges' ranks; the touched vertices are re-emitted from
+  // their targets in prev plus their new edges. The layout is a
+  // function of the edge list alone, so the result equals a build from
+  // empty.
   std::shared_ptr<const LabelIndex> BuildLabelIndex(
       const LabelIndex& prev) const {
     const uint32_t v_count = num_vertices();
@@ -270,8 +276,8 @@ class Database {
     ix->group_offsets_.resize(static_cast<size_t>(v_count) + 1);
     ix->groups_.reserve(prev.groups_.size() + (e_count - old_e));
     ix->targets_.reserve(e_count);
-    // Right for every edge up to the first moved target; the copies
-    // below rewrite the rest.
+    // Ranks within a source's span: right for every vertex the batch did
+    // not touch, wherever its span moves; emit rewrites the rest.
     ix->edge_pos_.reserve(e_count);
     ix->edge_pos_.assign(prev.edge_pos_.begin(), prev.edge_pos_.end());
     ix->edge_pos_.resize(e_count);
@@ -282,6 +288,7 @@ class Database {
     std::vector<uint64_t> keys;
     auto emit = [&](uint32_t v) {
       const uint32_t first_group = static_cast<uint32_t>(ix->groups_.size());
+      const uint32_t first_target = static_cast<uint32_t>(ix->targets_.size());
       ix->group_offsets_[v] = first_group;
       keys.clear();
       if (v < old_v)
@@ -298,7 +305,7 @@ class Database {
         if (ix->groups_.size() == first_group ||
             ix->groups_.back().label != label)
           ix->groups_.push_back(LabelIndex::Group{label, pos, pos});
-        ix->edge_pos_[id] = pos;
+        ix->edge_pos_[id] = pos - first_target;
         ix->targets_.push_back(LabelIndex::Target{id, edges_[id].dst});
         ++ix->groups_.back().end;
       }
@@ -329,9 +336,6 @@ class Database {
         ix->targets_.insert(ix->targets_.end(),
                             prev.targets_.begin() + t_begin,
                             prev.targets_.begin() + t_end);
-        if (target_shift != 0)
-          for (uint32_t t = t_begin; t < t_end; ++t)
-            ix->edge_pos_[prev.targets_[t].edge] = t + target_shift;
       }
       if (next < old_v) emit(next);
       v = next + 1;

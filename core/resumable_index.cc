@@ -47,17 +47,17 @@ void ResumableIndex::BuildRanks() {
       span_begin_[s] = sb;
       rank_off_[s + 1] = rank_off_[s] + len;
 
-      // rank[k] = #candidates with (rank - sb) < k: one merge over the
+      // rank[k] = #candidates whose rank is < k: one merge over the
       // span, O(out-degree) per slot. The trimmed candidate list is
-      // already ascending in target-pool rank: the sweep walks groups
-      // in label order and targets in pool order.
+      // already ascending in rank: the sweep walks groups in label
+      // order and targets in pool order.
       std::span<const TrimmedIndex::CandidateEdge> cand =
           trimmed_.CandidatesAt(i, vi);
       uint32_t k = 0;
       for (uint32_t c = 0; c < cand.size(); ++c) {
-        const uint32_t key = adj.PositionOf(cand[c].edge) - sb;
+        const uint32_t key = adj.PositionOf(cand[c].edge);
         assert(k <= key && key < len &&
-               "candidate list not ascending in target-pool rank");
+               "candidate list not ascending in rank");
         for (; k <= key; ++k) rank_pool_.push_back(c);
       }
       for (; k < len; ++k)

@@ -10,22 +10,21 @@
 // thin seek layer over data that already exists. It owns the
 // TrimmedIndex and holds the Snapshot it was built from. Each trimmed
 // candidate list of a useful (level, vertex) is the queue of that
-// choice point as is: it is ascending in the global target-pool rank
-// (LabelIndex::PositionOf — within one vertex, exactly the order the
+// choice point as is: it is ascending in each edge's rank among its
+// source's out-edges (LabelIndex::PositionOf — exactly the order the
 // enumerator tries candidates in). On top, each queue gets a flat rank
 // array over the vertex's out-edge span:
 //
-//   rank[k] = #candidates of the queue whose (PositionOf - span_begin) < k
+//   rank[k] = #candidates of the queue whose PositionOf < k
 //
 // so SeekGe(edge) — "position of the first candidate at or after this
-// edge" — is one subtraction and one load, O(1), instead of the linear
-// queue re-advance that costs an extra in-degree factor d (the E8
-// strawman). Rank arrays cost O(sum of out-degrees over useful
-// (level, vertex) pairs) <= O(|D| x |A|) words, within the paper's
-// index budget; nothing here is sized by |V| or |E| — the seek key is
-// read from the snapshot's LabelIndex, which the held Snapshot keeps
-// alive, so the plan answers for its own generation however the
-// Database grows afterwards.
+// edge" — is one load, O(1), instead of the linear queue re-advance
+// that costs an extra in-degree factor d (the E8 strawman). Rank arrays
+// cost O(sum of out-degrees over useful (level, vertex) pairs) <=
+// O(|D| x |A|) words, within the paper's index budget; nothing here is
+// sized by |V| or |E| — the seek key is read from the snapshot's
+// LabelIndex, which the held Snapshot keeps alive, so the plan answers
+// for its own generation however the Database grows afterwards.
 
 #ifndef DSW_CORE_RESUMABLE_INDEX_H_
 #define DSW_CORE_RESUMABLE_INDEX_H_
@@ -72,22 +71,25 @@ class ResumableIndex {
   bool SpanContains(uint32_t level, uint32_t pos, uint32_t edge) const {
     const LabelIndex& adj = snap_.label_index();
     const uint32_t s = level_base_[level] + pos;
-    return edge < adj.num_edges() &&
-           adj.PositionOf(edge) - span_begin_[s] <
-               rank_off_[s + 1] - rank_off_[s];
+    if (edge >= adj.num_edges()) return false;
+    // Every vertex has an edge of each rank below its out-degree, so the
+    // rank alone cannot tell whose edge this is: the span's target at
+    // that rank must be the edge itself.
+    const uint32_t rank = adj.PositionOf(edge);
+    return rank < rank_off_[s + 1] - rank_off_[s] &&
+           adj.TargetAt(span_begin_[s] + rank).edge == edge;
   }
 
   /// Position in trimmed().CandidatesAt(level, pos) of the first
-  /// candidate whose target-pool rank is >= that of \p edge (== the
-  /// candidate \p edge itself when it is one); the queue's size when
-  /// all candidates precede it. O(1): one rank-array load.
+  /// candidate whose rank (LabelIndex::PositionOf) is >= that of \p edge
+  /// (== the candidate \p edge itself when it is one); the queue's size
+  /// when all candidates precede it. O(1): one rank-array load.
   /// Precondition: SpanContains(level, pos, edge).
   uint32_t SeekGe(uint32_t level, uint32_t pos, uint32_t edge) const {
     assert(SpanContains(level, pos, edge) &&
            "SeekGe: edge is not an out-edge of the queue's vertex");
     const uint32_t s = level_base_[level] + pos;
-    return rank_pool_[rank_off_[s] + snap_.label_index().PositionOf(edge) -
-                      span_begin_[s]];
+    return rank_pool_[rank_off_[s] + snap_.label_index().PositionOf(edge)];
   }
 
   /// Heap footprint estimate (including the owned TrimmedIndex), for
@@ -114,7 +116,7 @@ class ResumableIndex {
   // out level-major in useful-level order: slot == level_base_[level] +
   // position-in-level, and every array below is indexed by slot.
   std::vector<uint32_t> level_base_;  // level -> first slot; size lambda+1
-  std::vector<uint32_t> span_begin_;  // vertex's first target-pool rank
+  std::vector<uint32_t> span_begin_;  // vertex's first target position
   // Slot s's rank array is rank_pool_[rank_off_[s], rank_off_[s + 1]),
   // one entry per out-edge of its vertex; size #slots + 1.
   std::vector<uint32_t> rank_off_;

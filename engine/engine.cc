@@ -123,8 +123,24 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   // the first incremental install after a full one.
   auto ctx = context_ ? std::make_unique<const DeltaContext>(snap, *context_)
                       : std::make_unique<const DeltaContext>(snap);
-  cache_.Install(snap, [&](const PreparedQuery& old) {
-    return RepairPlan(snap, delta, *ctx, old);
+  cache_.Install(snap, [&](std::vector<PlanCache::Value>& plans) {
+    if (plans.empty()) return;
+    auto repairs = std::make_shared<PlanRepairs>(plans.size(), [&](size_t i) {
+      plans[i] = RepairPlan(snap, delta, *ctx, *plans[i]);
+    });
+    // One helper job per worker, behind the pumps already queued; the
+    // repairs need at most one fewer than there are plans.
+    const size_t helpers = std::min(workers_.size(), plans.size() - 1);
+    if (helpers > 0) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (size_t i = 0; i < helpers; ++i)
+          queue_.push_back(Job{0, 0, {}, {}, repairs});
+      }
+      cv_.notify_all();
+    }
+    repairs->Run();
+    repairs->Finish();
   });
   context_ = std::move(ctx);  // only once snap is installed
 }
@@ -219,7 +235,7 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
     s->state = SessionState::kQueued;
     queue_.push_back(Job{session, std::max(max_answers, 1u),
                          std::move(promise),
-                         std::chrono::steady_clock::now()});
+                         std::chrono::steady_clock::now(), nullptr});
   }
   cv_.notify_one();
   return future;
@@ -247,6 +263,10 @@ PumpResult QueryEngine::Drain(SessionId session, uint32_t batch) {
                      std::make_move_iterator(r.walks.end()));
     if (r.status != PumpStatus::kOk) return all;
   }
+}
+
+std::shared_ptr<const PreparedQuery> QueryEngine::Plan(QueryId query) const {
+  return cache_.Resolve(query).plan;
 }
 
 std::vector<int64_t> QueryEngine::FirstAnswerLatenciesNs() const {
@@ -322,6 +342,13 @@ void QueryEngine::WorkerLoop() {
       if (stop_) return;  // ~QueryEngine fails whatever is still queued
       job = std::move(queue_.front());
       queue_.pop_front();
+      if (job.repairs != nullptr) {
+        lock.unlock();
+        job.repairs->Run();
+        // Workers build no plans otherwise, so they keep no BFS scratch.
+        ReleaseAnnotateScratch();
+        continue;
+      }
 
       Session* s = sessions_.Find(job.session);  // null once closed
       PlanCache::Resolved r = cache_.Resolve(s ? s->query : kNoQuery);

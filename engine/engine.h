@@ -47,16 +47,19 @@
 // snapshots, so one control thread may call AddVertex/AddVertices,
 // AddEdge by label id, Freeze() and InstallSnapshot() while they run,
 // as long as no other thread makes any of these calls (an install's
-// repairs read the live edge table). PrepareRegex interns into the
+// repairs, on the workers too, read the live edge table until
+// InstallSnapshot returns). PrepareRegex interns into the
 // dictionary it is given under an engine lock, so nothing else may
 // intern into that dictionary (AddEdge by label name,
 // LabelDictionary::Intern) while a PrepareRegex runs.
 //
 // Memory outside the plan-cache budget: a plan is built on the thread
-// whose Prepare missed and repaired on the installing thread, and each
-// such thread keeps the product BFS's scratch (core/annotate.h) for its
-// lifetime: V x (8 ceil(|Q|/64) + 4) bytes at the largest graph and
-// query it has annotated. plan_cache_bytes does not count it.
+// whose Prepare missed and repaired on the installing thread or a
+// worker. Only the threads that build plans (Prepare callers and the
+// installing thread) keep the product BFS's scratch (core/annotate.h)
+// for their lifetime: V x (8 ceil(|Q|/64) + 4) bytes at the largest
+// graph and query each has annotated. A worker frees it once it has
+// helped an install. plan_cache_bytes does not count it.
 
 #ifndef DSW_ENGINE_ENGINE_H_
 #define DSW_ENGINE_ENGINE_H_
@@ -162,22 +165,25 @@ class QueryEngine {
   /// and its delta against the installed one is a known insert-only
   /// suffix (Snapshot::DeltaFrom), every plan in the plan table is
   /// *upgraded* — annotation repaired by the resumed product BFS,
-  /// trimmed/B-list structure patched, rank arrays rebuilt — on the
-  /// calling (control) thread while pumps keep running on the old
-  /// plans; the table then publishes the snapshot and the repaired
-  /// plans at once (engine/plan_cache.h), touching no session or
-  /// handle. A parked session resumes on the upgraded plan while lambda
-  /// is unchanged: old answers keep their relative order, so one
-  /// SeekAfter on the parked walk resumes the correct suffix of the NEW
-  /// answer order. Once an upgrade shortened lambda, a session that has
-  /// emitted answers retires at its next pump, while new sessions
-  /// enumerate the new order. Sessions on an entry left without a plan
-  /// of the new snapshot (unrepairable, still building, or any entry
-  /// when the database differs or the delta is unknown) retire at
-  /// their next pump. The reverse CSR the repairs share (DeltaContext)
-  /// is derived from the previous install's, which the engine keeps, so
-  /// an install costs the write rather than a pass over every edge.
-  /// Calls must not overlap.
+  /// trimmed/B-list structure patched, rank arrays rebuilt — while pumps
+  /// keep running on the old plans. The repairs run on the calling
+  /// (control) thread and on the workers at once: one helper job per
+  /// worker joins them, queued behind the pending pumps, so a busy pool
+  /// leaves most of them to the caller. The table then publishes the
+  /// snapshot and the repaired plans at once (engine/plan_cache.h),
+  /// touching no session or handle. If a repair throws, the install
+  /// rethrows it and publishes nothing. A parked session resumes on the
+  /// upgraded plan while lambda is unchanged: old answers keep their
+  /// relative order, so one SeekAfter on the parked walk resumes the
+  /// correct suffix of the NEW answer order. Once an upgrade shortened
+  /// lambda, a session that has emitted answers retires at its next
+  /// pump, while new sessions enumerate the new order. Sessions on an
+  /// entry left without a plan of the new snapshot (unrepairable, still
+  /// building, or any entry when the database differs or the delta is
+  /// unknown) retire at their next pump. The reverse CSR the repairs
+  /// share (DeltaContext) is derived from the previous install's, which
+  /// the engine keeps, so an install costs the write rather than a pass
+  /// over every edge. Calls must not overlap.
   void InstallSnapshot(Snapshot snap);
 
   /// Returns a handle on the plan of (query, source, target) against the
@@ -226,6 +232,10 @@ class QueryEngine {
   /// retired); returns everything collected with the final status.
   PumpResult Drain(SessionId session, uint32_t batch = 64);
 
+  /// The plan \p query names now (its index's snapshot says which
+  /// generation it is of); null for an unknown or released id.
+  std::shared_ptr<const PreparedQuery> Plan(QueryId query) const;
+
   /// Nanoseconds from pump enqueue to the batch's first answer being
   /// available, one sample per non-empty batch — the engine's
   /// first-answer latency distribution (p99 is the bench headline).
@@ -251,11 +261,14 @@ class QueryEngine {
     uint64_t generation = 0;    // of the plan its last pump ran on
   };
 
+  // A pump, or, when repairs is set, a worker's share of an install's
+  // plan repairs.
   struct Job {
     SessionId session = 0;
     uint32_t max_answers = 0;
     std::promise<PumpResult> promise;
     std::chrono::steady_clock::time_point enqueued;
+    std::shared_ptr<PlanRepairs> repairs;
   };
 
   // Per-worker bounded enumerator LRU (defined in engine.cc): one

@@ -47,6 +47,30 @@ void PlanCache::EvictOverBudgetLocked(const PlanKey* keep) {
   }
 }
 
+// ------------------------------------------------------------ repairs
+
+void PlanRepairs::Run() {
+  for (;;) {
+    const size_t i = next_++;
+    if (i >= count_) return;
+    std::exception_ptr error;
+    try {
+      repair_(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (error && !error_) error_ = std::move(error);
+    if (++done_ == count_) cv_.notify_all();
+  }
+}
+
+void PlanRepairs::Finish() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return done_ == count_; });
+  if (error_) std::rethrow_exception(error_);
+}
+
 // ------------------------------------------------------------ public API
 
 QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
@@ -84,6 +108,10 @@ QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
     throw;
   }
   lock.lock();
+  // The plan is of the installed snapshot unless an install is repairing
+  // the table: then it is of the snapshot that install replaces, and its
+  // publish detaches the claim, so fill it only after that.
+  cv_.wait(lock, [this] { return !repairing_; });
   e->bytes = plan->ApproxBytes();
   e->plan = std::move(plan);
   stats_.bytes_used += e->bytes;
@@ -124,22 +152,38 @@ PlanCache::Resolved PlanCache::Resolve(QueryId id) const {
 void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
   // Each entry's plan, replaced by its repair (null if it has none); the
   // replaced plans are freed after the lock is released.
-  std::vector<std::pair<std::shared_ptr<Entry>, Value>> plans;
+  std::vector<std::shared_ptr<Entry>> entries;
+  std::vector<Value> plans;
   if (upgrade) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, e] : map_)
-      if (e->plan != nullptr) plans.emplace_back(e, e->plan);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& [key, e] : map_)
+        if (e->plan != nullptr) {
+          entries.push_back(e);
+          plans.push_back(e->plan);
+        }
+      repairing_ = true;
+    }
+    try {
+      upgrade(plans);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      repairing_ = false;
+      cv_.notify_all();  // builds waiting to fill go ahead
+      throw;
+    }
   }
-  for (auto& [e, plan] : plans) plan = upgrade(*plan);
   {
     std::lock_guard<std::mutex> lock(mu_);
+    repairing_ = false;
     snapshot_ = std::move(snap);
-    for (auto& [e, plan] : plans) {
-      if (plan == nullptr || e->key == nullptr) continue;  // or evicted
-      const size_t bytes = plan->ApproxBytes();
-      stats_.bytes_used = stats_.bytes_used - e->bytes + bytes;
-      e->bytes = bytes;
-      std::swap(e->plan, plan);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      Entry& e = *entries[i];
+      if (plans[i] == nullptr || e.key == nullptr) continue;  // or evicted
+      const size_t bytes = plans[i]->ApproxBytes();
+      stats_.bytes_used = stats_.bytes_used - e.bytes + bytes;
+      e.bytes = bytes;
+      std::swap(e.plan, plans[i]);
       ++stats_.upgrades;
     }
     // Unrepaired plans, plans filled during the repairs and claims.
@@ -155,7 +199,7 @@ void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
     }
     EvictOverBudgetLocked(nullptr);
   }
-  cv_.notify_all();  // waiters on detached claims re-claim
+  cv_.notify_all();  // waiters on detached claims re-claim; builds fill
 }
 
 Snapshot PlanCache::installed() const {

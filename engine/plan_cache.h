@@ -35,19 +35,27 @@
 // key; a budget of 0 keeps nothing unnamed: an entry dies with its last
 // handle. The resident plans are thus the named entries plus the budget.
 //
-// Install: Install() takes the entries under the lock and repairs each
-// plan outside it. Then, in one critical section, it publishes the new
-// snapshot and swaps in the repaired plans, so a pump never pairs the
-// new snapshot with an old plan. Every entry or claim that does not then
-// hold a plan of the new snapshot is detached from the key map: its
-// handles keep it alive (their sessions retire at the next pump), and
-// the next Acquire of its key builds afresh.
+// Install: Install() takes the entries under the lock and hands every
+// plan to its upgrade in one call, outside the lock; the upgrade may
+// spread the repairs over several threads (PlanRepairs). Then, in one
+// critical section, it publishes the new snapshot and swaps in the
+// repaired plans, so a pump never pairs the new snapshot with an old
+// plan. Every entry or claim that does not then hold a plan of the new
+// snapshot is detached from the key map: its handles keep it alive
+// (their sessions retire at the next pump), and the next Acquire of its
+// key builds afresh. A build that returns while the repairs run is of
+// the snapshot being replaced, so its claim fills only after the
+// publish, detached: its caller sees the plan stale and can build
+// again, instead of being handed a plan the publish is about to detach.
+// An upgrade that throws leaves the table as it was.
 
 #ifndef DSW_ENGINE_PLAN_CACHE_H_
 #define DSW_ENGINE_PLAN_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
 #include <memory>
@@ -167,6 +175,33 @@ struct PlanKeyHash {
   }
 };
 
+/// The repairs of one install, shared by the installing thread and any
+/// helper threads. Every thread that calls Run claims indices in [0,
+/// count) from one atomic counter and repairs them until none is left.
+/// Finish, on the installing thread after its own Run, waits for the
+/// claimed repairs only (a helper whose Run starts after the last claim
+/// touches nothing but the counter) and rethrows the first repair's
+/// exception, if any. Helpers hold it by shared_ptr, so a late one
+/// outlives the install safely; \p repair runs only for claimed
+/// indices, so it may refer to the installing thread's stack.
+class PlanRepairs {
+ public:
+  PlanRepairs(size_t count, std::function<void(size_t)> repair)
+      : count_(count), repair_(std::move(repair)) {}
+
+  void Run();
+  void Finish();
+
+ private:
+  const size_t count_;
+  const std::function<void(size_t)> repair_;
+  std::atomic<size_t> next_{0};  // the next unclaimed index
+  std::mutex mu_;
+  std::condition_variable cv_;  // the last repair returned
+  size_t done_ = 0;             // repairs returned; guarded by mu_
+  std::exception_ptr error_;    // the first repair's; guarded by mu_
+};
+
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;                // each miss is one build claimed
@@ -183,9 +218,10 @@ class PlanCache {
   using Value = std::shared_ptr<const PreparedQuery>;
   /// Builds a missing plan against the snapshot installed at the claim.
   using Builder = std::function<Value(const Snapshot&)>;
-  /// Repairs a plan of the installed snapshot against the one being
-  /// installed; returns null when it cannot.
-  using Upgrade = std::function<Value(const PreparedQuery&)>;
+  /// Replaces each plan of the installed snapshot in its argument by
+  /// the plan's repair against the snapshot being installed, or by null
+  /// when it has none.
+  using Upgrade = std::function<void(std::vector<Value>&)>;
 
   /// What a pump needs, read under one lock: the plan an id names (null
   /// for an unknown or released id) and the installed snapshot.
@@ -206,9 +242,10 @@ class PlanCache {
   /// Returns a new handle on \p key's entry. A missing plan is built by
   /// \p build, outside the lock, against the installed snapshot;
   /// concurrent calls for the key build once and the rest wait. A build
-  /// whose claim an install detached goes to its own caller only, on the
-  /// detached entry. Returns kNoQuery when no snapshot is installed.
-  /// \p build must not re-enter the table.
+  /// that returns while an install repairs waits for that install to
+  /// publish. A build whose claim an install detached goes to its own
+  /// caller only, on the detached entry. Returns kNoQuery when no
+  /// snapshot is installed. \p build must not re-enter the table.
   QueryId Acquire(const PlanKey& key, const Builder& build);
 
   /// Frees \p id; an unknown or released id is ignored.
@@ -217,7 +254,8 @@ class PlanCache {
   Resolved Resolve(QueryId id) const;
 
   /// Publishes \p snap, repairing every entry's plan by \p upgrade (if
-  /// set) as the header comment describes. Calls must not overlap.
+  /// set) as the header comment describes. If \p upgrade throws,
+  /// Install rethrows and publishes nothing. Calls must not overlap.
   void Install(Snapshot snap, const Upgrade& upgrade);
 
   /// The installed snapshot (null before the first Install).
@@ -246,8 +284,10 @@ class PlanCache {
 
   const size_t byte_budget_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;  // a claim was filled or detached
+  std::condition_variable cv_;  // a claim was filled or detached, or
+                                // an install published
   Snapshot snapshot_;           // the installed snapshot
+  bool repairing_ = false;      // an Install's upgrade is running
   Map map_;
   std::list<const PlanKey*> lru_;  // unnamed entries; front = hottest
   SlotTable<std::shared_ptr<Entry>> handles_;

@@ -15,7 +15,9 @@
 //     kRetired); a delta that shortens lambda breaks the enumeration
 //     order anchor, so started sessions are rejected gracefully
 //     (PumpStatus::kRetired, stale index untouched), even one whose
-//     first batch was still running when the install came.
+//     first batch was still running when the install came. The repairs
+//     run on the installing thread and the workers, and equal serial
+//     repairs bit for bit.
 //  4. The snapshot layer itself: raw reader threads sharing one
 //     Snapshot build annotations/indexes/enumerators concurrently with
 //     no engine and no synchronization.
@@ -37,9 +39,11 @@
 #include <vector>
 
 #include "core/annotate.h"
+#include "core/delta_annotate.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
 #include "engine/engine.h"
+#include "tests/plan_equality.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -532,6 +536,118 @@ TEST(QueryEngineTest, ChainedInstallsRepairThroughDerivedContexts) {
     expect_oracle(inst, snap);
   }
   EXPECT_GE(incremental, 6);
+}
+
+// An install repairs its plans on the installing thread and on every
+// worker at once. Nine entries (the three queries above from three
+// sources on the chain) go through 24 chained incremental installs at
+// 1, 2 and 4 workers while two clients drain them, one batch per
+// session. Every drain equals the oracle of a snapshot that was
+// installed while it ran, every install upgrades every entry, and each
+// repaired plan equals, bit for bit, the serial DeltaAnnotate +
+// DeltaTrim of the plan it replaced. Run under ThreadSanitizer in CI.
+TEST(QueryEngineTest, RepairsOnEveryThreadMatchSerialRepairs) {
+  constexpr int kInstalls = 24;
+  constexpr uint32_t kBatch = 1u << 20;  // one batch holds every answer
+  const std::vector<Nfa> queries = {StaircaseNfa(2, 2), StaircaseNfa(1, 2),
+                                    CompleteNfa(3, 2)};
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    Instance inst = EmbedInNoise(BubbleChain(5, 2), 30, 90, 11);
+    QueryEngine engine(threads);
+    Snapshot snap = inst.db.Freeze();
+    engine.InstallSnapshot(snap);
+
+    struct Key {
+      const Nfa* query;
+      uint32_t source;
+      QueryId id;
+    };
+    std::vector<Key> keys;
+    for (const Nfa& query : queries)
+      for (uint32_t source : {0u, 3u, 6u}) {  // hubs after 0, 1, 2 bubbles
+        keys.push_back({&query, source,
+                        engine.Prepare(query, source, inst.target)});
+        ASSERT_TRUE(engine.Plan(keys.back().id)->ann.reachable());
+      }
+    // oracles[i][k]: key k's answers on the snapshot of install i.
+    std::vector<std::vector<EdgeSeq>> oracles(kInstalls + 1);
+    auto oracles_of = [&](const Snapshot& s) {
+      std::vector<EdgeSeq> out;
+      for (const Key& key : keys)
+        out.push_back(Oracle(s, *key.query, key.source, inst.target));
+      return out;
+    };
+    oracles[0] = oracles_of(snap);
+
+    // A drain that starts after install `installed` and ends before
+    // install `installing` + 1 runs on the plan of one of them.
+    std::atomic<int> installing{0}, installed{0};
+    std::atomic<bool> done{false};
+    std::atomic<int> drains{0}, mismatches{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < 2; ++c)
+      clients.emplace_back([&, c] {
+        for (size_t k = c; !done.load(); k = (k + 1) % keys.size()) {
+          const int lo = installed.load();
+          const SessionId s = engine.OpenSession(keys[k].id);
+          const PumpResult r = engine.Pump(s, kBatch);
+          engine.CloseSession(s);
+          const int hi = installing.load();
+          bool match = false;
+          for (int i = lo; i <= hi && !match; ++i)
+            match = Edges(r.walks) == oracles[i][k];
+          if (r.status != PumpStatus::kExhausted || !match) ++mismatches;
+          ++drains;
+        }
+      });
+
+    std::mt19937_64 rng(2026 + threads);
+    for (int i = 1; i <= kInstalls; ++i) {
+      SCOPED_TRACE(testing::Message() << "install " << i);
+      if (rng() % 3 == 0) inst.db.AddVertices(1);
+      for (int e = 0; e < 4; ++e)
+        inst.db.AddEdge(static_cast<uint32_t>(rng() % inst.db.num_vertices()),
+                        static_cast<uint32_t>(rng() % 2),
+                        static_cast<uint32_t>(rng() % inst.db.num_vertices()));
+      const Snapshot next = inst.db.Freeze();
+      const EdgeDelta delta = next.DeltaFrom(snap.generation());
+      const DeltaContext ctx(next);
+      std::vector<std::shared_ptr<const PreparedQuery>> old;
+      for (const Key& key : keys) old.push_back(engine.Plan(key.id));
+      oracles[i] = oracles_of(next);
+
+      installing.store(i);
+      const uint64_t upgraded = engine.Stats().plans_upgraded;
+      engine.InstallSnapshot(next);
+      installed.store(i);
+      EXPECT_EQ(engine.Stats().plans_upgraded, upgraded + keys.size());
+
+      // No ASSERT while the clients run: they must be joined.
+      for (size_t k = 0; k < keys.size(); ++k) {
+        Annotation ann = old[k]->ann;
+        const AnnotationRepair rep = DeltaAnnotate(next, delta, &ann);
+        const std::shared_ptr<const PreparedQuery> plan =
+            engine.Plan(keys[k].id);
+        EXPECT_TRUE(rep.ok);
+        EXPECT_NE(plan, nullptr);
+        if (!rep.ok || plan == nullptr) continue;
+        EXPECT_EQ(plan->index.snapshot().generation(), next.generation());
+        ExpectAnnotationsEqual(plan->ann, ann);
+        ExpectTrimsEqual(
+            plan->index.trimmed(),
+            DeltaTrim(next, ann, old[k]->index.trimmed(), rep, delta, ctx));
+      }
+      snap = next;
+      // Let a drain end, so the installs land between and inside drains.
+      const int ended = drains.load();
+      while (drains.load() == ended) std::this_thread::yield();
+    }
+    done = true;
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_GE(drains.load(), kInstalls);
+  }
 }
 
 // PrepareRegex interns every atom into the caller's dictionary, which

@@ -14,7 +14,10 @@
 //    survives the install at any byte budget; an install of another
 //    database detaches the entries and stale sessions retire gracefully
 //    (and are counted). A claim detached mid-build, or whose build
-//    throws, is re-claimed and rebuilt by its waiter, never lost.
+//    throws, is re-claimed and rebuilt by its waiter, never lost. A
+//    build that returns while an install repairs fills only after the
+//    publish, and a repair that throws on any of the threads sharing
+//    an install's repairs leaves the table as it was.
 //  - Byte-budget LRU over the entries no handle names: a tiny budget
 //    keeps the table bounded and evicting; at budget 0 an entry dies
 //    with its last handle (the bench's cold arm: every Prepare after a
@@ -30,6 +33,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <stdexcept>
@@ -38,6 +42,7 @@
 #include <vector>
 
 #include "core/annotate.h"
+#include "core/delta_annotate.h"
 #include "core/resumable_index.h"
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
@@ -63,6 +68,15 @@ EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
   EdgeSeq out;
   for (ResumableEnumerator en(ann, index, source, target); en.Valid();
        en.Next())
+    out.push_back(en.walk().edges);
+  return out;
+}
+
+EdgeSeq EnumeratePlan(const PreparedQuery& plan) {
+  EdgeSeq out;
+  for (ResumableEnumerator en(plan.ann, plan.index, plan.ann.source,
+                              plan.ann.target);
+       en.Valid(); en.Next())
     out.push_back(en.walk().edges);
   return out;
 }
@@ -388,6 +402,47 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   EXPECT_EQ(t.builds.load(), 4);
 }
 
+// A build that returns while an install repairs the table is of the
+// snapshot that install replaces. Filled at once, its caller would
+// resolve it as current until the publish detached it, and a session
+// on it would retire at its first pump (engine Prepare checks exactly
+// this). So the claim fills only after the publish, and its caller sees
+// the plan stale. The schedule: thread B claims a key and parks in its
+// builder; an install's upgrade releases B and gives it 50 ms to fill
+// and return. A loaded host can keep B from returning within them, so
+// the test can pass without checking, never fail.
+TEST(PlanCacheTest, BuildReturningDuringRepairsFillsAfterThePublish) {
+  TableFixture t;
+  t.cache.Install(t.inst.db.Freeze(), nullptr);
+
+  std::promise<void> builder_entered, release_builder;
+  bool current_at_return = false;
+  QueryId b_id = kNoQuery;
+  std::thread b([&] {
+    b_id = t.cache.Acquire(t.Key("b"), [&](const Snapshot& s) {
+      builder_entered.set_value();
+      release_builder.get_future().wait();
+      return t.Build(s);
+    });
+    current_at_return = t.cache.Resolve(b_id).current();
+  });
+  builder_entered.get_future().wait();
+
+  t.inst.db.AddEdge(t.inst.db.src(0), t.inst.db.edge(0).label,
+                    t.inst.db.dst(0));
+  const Snapshot snap2 = t.inst.db.Freeze();
+  t.cache.Install(snap2, [&](std::vector<PlanCache::Value>& plans) {
+    EXPECT_TRUE(plans.empty());  // B's claim had no plan to repair
+    release_builder.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  b.join();
+
+  EXPECT_FALSE(current_at_return);
+  EXPECT_FALSE(t.cache.Resolve(b_id).current());
+  EXPECT_EQ(t.cache.Stats().invalidations, 1u);  // the claim, at publish
+}
+
 // No test elsewhere throws, so this one drives the table's failure path:
 // a builder throws while a second caller waits on its claim. The
 // deterministic schedule: thread B claims the key and parks inside a
@@ -439,6 +494,82 @@ TEST(PlanCacheFaultTest, ThrowingBuildHandsTheClaimToItsWaiter) {
   t.cache.Release(a_id);
   EXPECT_EQ(t.cache.open_handles(), 0u);
   EXPECT_EQ(t.cache.Stats().entries, 1u);  // unnamed, cached
+}
+
+// An install's upgrade may spread the repairs over several threads, as
+// the engine does, and one repair may throw. Four helper threads and the
+// installing thread share the repairs of six entries through
+// PlanRepairs, and the repair of the fourth entry's plan throws,
+// whichever thread claims it. Install rethrows and changes nothing: the
+// old snapshot stays installed, and every entry keeps its plan, which
+// still enumerates the old snapshot's answers. A later install whose
+// repairs all succeed upgrades every entry.
+TEST(PlanCacheFaultTest, ThrowingRepairAcrossThreadsChangesNothing) {
+  TableFixture t;
+  const PlanCache::Builder build = [&t](const Snapshot& s) {
+    return t.Build(s);
+  };
+  const Snapshot snap1 = t.inst.db.Freeze();
+  t.cache.Install(snap1, nullptr);
+  std::vector<QueryId> ids;
+  std::vector<PlanCache::Value> before;
+  for (const char* bytes : {"a", "b", "c", "d", "e", "f"}) {
+    ids.push_back(t.cache.Acquire(t.Key(bytes), build));
+    before.push_back(t.cache.Resolve(ids.back()).plan);
+  }
+
+  // A parallel duplicate of an existing edge keeps lambda.
+  t.inst.db.AddEdge(t.inst.db.src(0), t.inst.db.edge(0).label,
+                    t.inst.db.dst(0));
+  const Snapshot snap2 = t.inst.db.Freeze();
+  const EdgeDelta delta = snap2.DeltaFrom(snap1.generation());
+  const DeltaContext ctx(snap2);
+  auto upgrade = [&](const PreparedQuery* failing) {
+    return [&, failing](std::vector<PlanCache::Value>& plans) {
+      auto repairs = std::make_shared<PlanRepairs>(plans.size(), [&](size_t i) {
+        if (plans[i].get() == failing)
+          throw std::runtime_error("injected repair failure");
+        Annotation ann = plans[i]->ann;
+        const AnnotationRepair rep = DeltaAnnotate(snap2, delta, &ann);
+        TrimmedIndex trimmed = DeltaTrim(
+            snap2, ann, plans[i]->index.trimmed(), rep, delta, ctx);
+        plans[i] = std::make_shared<const PreparedQuery>(snap2, std::move(ann),
+                                                         std::move(trimmed));
+      });
+      std::vector<std::jthread> helpers;  // joined as Finish rethrows, too
+      for (int h = 0; h < 4; ++h)
+        helpers.emplace_back([repairs] { repairs->Run(); });
+      repairs->Run();
+      repairs->Finish();
+    };
+  };
+
+  EXPECT_THROW(t.cache.Install(snap2, upgrade(before[3].get())),
+               std::runtime_error);
+  EXPECT_EQ(t.cache.installed().generation(), snap1.generation());
+  const EdgeSeq old_answers =
+      Oracle(snap1, t.query, t.inst.source, t.inst.target);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const PlanCache::Resolved r = t.cache.Resolve(ids[i]);
+    EXPECT_EQ(r.plan, before[i]);
+    ASSERT_TRUE(r.current());
+    EXPECT_EQ(EnumeratePlan(*r.plan), old_answers);
+  }
+  EXPECT_EQ(t.cache.Stats().upgrades, 0u);
+  EXPECT_EQ(t.cache.Stats().invalidations, 0u);
+
+  t.cache.Install(snap2, upgrade(nullptr));
+  EXPECT_EQ(t.cache.installed().generation(), snap2.generation());
+  const EdgeSeq new_answers =
+      Oracle(snap2, t.query, t.inst.source, t.inst.target);
+  ASSERT_GT(new_answers.size(), old_answers.size());
+  for (QueryId id : ids) {
+    const PlanCache::Resolved r = t.cache.Resolve(id);
+    ASSERT_TRUE(r.current());
+    EXPECT_EQ(EnumeratePlan(*r.plan), new_answers);
+  }
+  EXPECT_EQ(t.cache.Stats().upgrades, ids.size());
+  EXPECT_EQ(t.builds.load(), 6);  // the repairs built nothing
 }
 
 // Concurrent cold misses on ONE key: exactly one build, everyone shares

@@ -190,7 +190,7 @@ TEST(ResumableCrossOracleTest, UnreachableTargetHasNoAnswers) {
 
 // Structural invariants of the seek layer, on a noisy random instance:
 // every queue (the trimmed candidate list of a useful (level, vertex))
-// holds out-edges of its vertex, ascending in target-pool rank; SeekGe
+// holds out-edges of its vertex, ascending in rank (PositionOf); SeekGe
 // lands exactly on each member and on the first entry at-or-after any
 // other out-edge of the vertex; SpanContains accepts exactly the
 // vertex's out-edges.

@@ -12,7 +12,11 @@ digest or failed count differ. For each end-to-end metric of
 BENCHMARK.json it prints the parent's median [q1, q3], the change's
 median, the change in percent and in how many pairs the change was
 better; "unresolved" marks a parent interquartile range wider, relative
-to its median, than the metric's bound. Last it prints each side's
+to its median, than the metric's bound. A second table, marked
+unbounded, gives the same columns for the runs' other end-to-end
+metrics (the page and request latencies, the tails and answers_per_s,
+where higher is better), so that a side effect outside the bounds
+shows in the pairs too. Last it prints each side's
 median `measured_s` from the runs' digest lines: the wall time of the
 measured phase, which moves with the host's speed, so two sides that
 did the same work in clearly different times ran on a drifting host.
@@ -55,6 +59,30 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def row_line(pairs, m):
+    """One metric's table row; "unresolved" needs a bound to compare."""
+    name, lower = m["name"], m["better"] == "lower"
+    pv = [p["metrics"][name] for p, _ in pairs]
+    cv = [c["metrics"][name] for _, c in pairs]
+    q1, pm, q3 = quartiles(pv)
+    cm = statistics.median(cv)
+    pct = (cm - pm) / pm * 100 if pm else 0.0
+    better = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
+    wide = m["bound"] is not None and pm and (q3 - q1) / pm > m["bound"]
+    note = " unresolved" if wide else ""
+    return (f"| `{name}` | {pm:.4g} [{q1:.4g}, {q3:.4g}] | {cm:.4g} "
+            f"| {pct:+.1f}% | {better}/{len(pairs)}{note} |")
+
+
+def unbounded(pairs, metrics):
+    """The runs' end-to-end metrics that BENCHMARK.json does not bound, in
+    the runs' order; a rate (a name ending in _per_s) is better higher."""
+    bounded = {m["name"] for m in metrics}
+    return [{"name": n, "bound": None,
+             "better": "higher" if n.endswith("_per_s") else "lower"}
+            for n in pairs[0][0]["metrics"] if n not in bounded]
+
+
 def table(pairs, metrics):
     """Returns the report lines for (parent, change) rows and whether every
     pair did the same work."""
@@ -64,20 +92,11 @@ def table(pairs, metrics):
             same_work = False
             lines.append(f"pair {i}: parent {p['digest']} failed {p['failed']}"
                          f" != change {c['digest']} failed {c['failed']}")
-    lines.append("| metric | parent median [q1, q3] | change median | change "
-                 "| change better |")
-    lines.append("|---|---|---|---|---|")
-    for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
-        pv = [p["metrics"][name] for p, _ in pairs]
-        cv = [c["metrics"][name] for _, c in pairs]
-        q1, pm, q3 = quartiles(pv)
-        cm = statistics.median(cv)
-        pct = (cm - pm) / pm * 100 if pm else 0.0
-        better = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
-        note = " unresolved" if pm and (q3 - q1) / pm > m["bound"] else ""
-        lines.append(f"| `{name}` | {pm:.4g} [{q1:.4g}, {q3:.4g}] | {cm:.4g} "
-                     f"| {pct:+.1f}% | {better}/{len(pairs)}{note} |")
+    header = ["| metric | parent median [q1, q3] | change median | change "
+              "| change better |", "|---|---|---|---|---|"]
+    lines += header + [row_line(pairs, m) for m in metrics]
+    lines += ["unbounded:"] + header
+    lines += [row_line(pairs, m) for m in unbounded(pairs, metrics)]
     walls = [statistics.median(side["measured_s"] for side in sides)
              for sides in zip(*pairs)]
     lines.append(f"`measured_s` median: parent {walls[0]:.4g} s, "
@@ -88,9 +107,9 @@ def table(pairs, metrics):
 def self_test():
     metrics = [{"name": "t_ms", "better": "lower", "bound": 0.2}]
 
-    def row(value, digest="d0", failed=0, wall=30.0):
+    def row(value, digest="d0", failed=0, wall=30.0, **others):
         return {"digest": digest, "failed": failed, "measured_s": wall,
-                "metrics": {"t_ms": value}}
+                "metrics": {"t_ms": value, **others}}
 
     clean = [(row(10.0 + i % 2), row(8.0)) for i in range(4)]
     wide = [(row(v), row(8.0)) for v in (10.0, 12.0, 18.0, 24.0)]
@@ -107,6 +126,16 @@ def self_test():
          [(row(10.0, wall=w), row(8.0, wall=w + 5.0))
           for w in (30.0, 31.0, 40.0)], True,
          "`measured_s` median: parent 31 s, change 36 s"),
+        # Unbounded metrics: a rate is better higher, and no bound means
+        # no "unresolved" note however wide the parent's runs spread.
+        ("the unbounded table",
+         [(row(10.0, answers_per_s=100.0 + v, page_us_p50=v),
+           row(8.0, answers_per_s=90.0, page_us_p50=2.0 * v))
+          for v in (10.0, 20.0, 40.0, 80.0)], True,
+         "unbounded:\n| metric | parent median [q1, q3] | change median "
+         "| change | change better |\n|---|---|---|---|---|\n"
+         "| `answers_per_s` | 130 [117.5, 150] | 90 | -30.8% | 0/4 |\n"
+         "| `page_us_p50` | 30 [17.5, 50] | 60 | +100.0% | 0/4 |"),
     ]
     failures = 0
     for label, pairs, want_same, want_text in cases:
