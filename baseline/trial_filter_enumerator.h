@@ -105,7 +105,7 @@ class TrialFilterEnumerator {
                 index_->UsefulStates(depth_ + 1, ce.next_pos), &next.states,
                 &stats_.row_ors))
           continue;  // no run of the prefix fits
-        next.vertex = ce.dst;
+        next.vertex = index_->UsefulLevel(depth_ + 1).vertex(ce.next_pos);
         next.edge_pos = 0;
         walk_.edges.push_back(ce.edge);
         ++depth_;

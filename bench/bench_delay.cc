@@ -12,6 +12,9 @@
 // E4:  star-of-chains with depth sweep — delay grows linearly in lambda.
 // E5:  fixed data, staircase query width sweep — delay grows linearly in
 //      |Delta|.
+// E3g: n x n grids with the exact-length any-word DFA, a one-word query
+//      on the single-word kernels — the per-answer delay, per-Next and
+//      batched over a whole drain.
 //
 // The certificate enumerator is the served ResumableEnumerator, run as
 // a full scan. Enumerator construction (which performs the search for
@@ -141,6 +144,33 @@ void BM_Delay_VsAutomatonSize(benchmark::State& state) {
   RunDelayBench<ResumableEnumerator>(state, inst, query);
 }
 BENCHMARK(BM_Delay_VsAutomatonSize)->RangeMultiplier(2)->Range(2, 32)
+    ->Unit(benchmark::kMillisecond);
+
+// E3g: annotate + trim + a drain of an n x n grid under AnyKDfa(2(n-1),
+// 1), whose answers are the grid's corner-to-corner shortest walks
+// (lambda = 2(n-1), |Q| = 2n-1: one word up to n = 32). Arg: n. Besides
+// the per-Next profile, batch_mean_delay_ns times whole drains, free of
+// the per-sample clock floor.
+void BM_Delay_GridSingleWord(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  Instance inst = Grid(n, n);
+  Snapshot snap = inst.db.Freeze();
+  Nfa dfa = AnyKDfa(2 * (n - 1), 1);
+  bench::DelayProfile profile;
+  for (auto _ : state) {
+    Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
+    profile = bench::MeasureDelays(&en);
+  }
+  bench::ReportDelays(state, profile);
+  Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
+  ResumableIndex index(snap, ann);
+  state.counters["batch_mean_delay_ns"] = bench::BatchedMeanDelayNs([&] {
+    return ResumableEnumerator(ann, index, inst.source, inst.target);
+  });
+}
+BENCHMARK(BM_Delay_GridSingleWord)->DenseRange(6, 14, 2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

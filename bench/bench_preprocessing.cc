@@ -4,6 +4,9 @@
 //     edge to stay roughly constant (linearity in |D|).
 // E2: fixed database, query automata with |Delta| doubling — expect time
 //     per transition to stay roughly constant (linearity in |A|).
+//
+// Every arm that builds a TrimmedIndex times the seek ranks of the
+// memoryless enumeration too: the one backward sweep lays them out.
 
 #include <benchmark/benchmark.h>
 
@@ -155,6 +158,24 @@ BENCHMARK(BM_Annotate_LocalInLargeGraph)
     ->ArgName("extra_vertices")
     ->Arg(4096)
     ->Arg(262144);
+
+// E1s: n x n grids with the exact-length any-word DFA AnyKDfa(2(n-1),
+// 1), a one-word query (|Q| = 2n-1), so annotate + trim run the
+// single-word kernels. Arg: n.
+void BM_Preprocess_GridSingleWord(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  Instance inst = Grid(n, n);
+  Nfa dfa = AnyKDfa(2 * (n - 1), 1);
+
+  Snapshot snap = inst.db.Freeze();
+  for (auto _ : state) {
+    Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
+    TrimmedIndex index(snap, ann);
+    benchmark::DoNotOptimize(index.num_slots());
+  }
+}
+BENCHMARK(BM_Preprocess_GridSingleWord)->DenseRange(6, 14, 4)
+    ->Unit(benchmark::kMillisecond);
 
 // E2b: densest possible query (complete automaton) to stress |Delta|.
 void BM_Preprocess_CompleteQuery(benchmark::State& state) {

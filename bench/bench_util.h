@@ -9,7 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "util/stopwatch.h"
@@ -74,6 +76,33 @@ DelayProfile MeasureConstructionAndDelays(uint64_t max_outputs,
   DelayProfile profile = MeasureDelays(&en, max_outputs);
   profile.setup_ns = setup_ns;
   return profile;
+}
+
+/// \brief Mean delay over one whole drain, a single clock pair, best of
+/// three drains. The per-Next stopwatch in MeasureDelays puts a
+/// ~30-40ns clock-read floor under every sample, more than a one-word
+/// answer costs. Best-of-3 is the standard noise-robust timing estimator
+/// (a scheduler hiccup inflates a drain, never deflates it). \p make
+/// constructs a fresh enumerator per drain.
+template <typename MakeEnumerator>
+double BatchedMeanDelayNs(MakeEnumerator make) {
+  constexpr uint64_t kMaxOutputs = 200000;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    auto en = make();
+    uint64_t outputs = 0;
+    Stopwatch total;
+    while (en.Valid() && outputs < kMaxOutputs) {
+      benchmark::DoNotOptimize(en.walk().edges.data());
+      ++outputs;
+      en.Next();
+    }
+    int64_t ns = total.ElapsedNs();
+    if (outputs > 0)
+      best = std::min(best, static_cast<double>(ns) /
+                                static_cast<double>(outputs));
+  }
+  return std::isfinite(best) ? best : 0.0;
 }
 
 /// \brief Publishes a delay profile as benchmark counters.

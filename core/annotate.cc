@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 
 #include "util/word_kernel.h"
@@ -80,13 +81,15 @@ class ScratchLease {
 // SingleWordKernel collapses every per-set loop to one uint64_t op for
 // |Q| <= 64. ann->levels holds level 0 on entry; \p old holds the
 // previous generation's levels (empty for a build from scratch, where
-// every pair is new) and edges [first_new_edge, num_edges) are the ones
-// inserted since. Fills ann->levels and ann->lambda, and, when \p
-// changed is not null, the vertices of each level whose state set
-// differs from the old level's.
+// every pair is new), edges [first_new_edge, num_edges) are the ones
+// inserted since and \p new_sources their sorted distinct sources.
+// Fills ann->levels and ann->lambda, and, when \p changed is not null,
+// the vertices of each level whose state set differs from the old
+// level's.
 template <typename Kernel>
 void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
-                uint32_t first_new_edge, Annotation* out,
+                uint32_t first_new_edge,
+                std::span<const uint32_t> new_sources, Annotation* out,
                 std::vector<std::vector<uint32_t>>* changed) {
   Annotation& ann = *out;
   const uint32_t target = ann.target;
@@ -94,11 +97,6 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   const CompiledDelta& delta = ann.delta;
   const uint32_t num_vertices = snap.num_vertices();
   const uint32_t wps = ker.wps();
-
-  // The new edges' sources move their pairs through the groups that
-  // hold a new edge, at every level they appear on.
-  const std::vector<uint32_t> new_sources =
-      NewEdgeSources(snap, first_new_edge);
 
   // seen and slot come from the thread's scratch, all zero and all
   // kNoSlot, so the BFS touches only the rows of the pairs it reaches.
@@ -165,9 +163,9 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
     }
 
     // Moves out of level i that can reach a new pair: those of the new
-    // pairs, through every group, and those of a new edge's source,
-    // through the groups that hold a new edge (the last edge of a group
-    // is its newest).
+    // pairs, through every group, and those of a new edge's source, at
+    // every level it appears on, through the groups that hold a new
+    // edge (the last edge of a group is its newest).
     const LevelSets& movers = fresh_is_level ? current : fresh;
     touched.clear();
     slot_words.clear();
@@ -298,15 +296,16 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
 // Kernel dispatch on the word count: one-word queries run the
 // collapsed single-word kernels.
 void RunProductBfs(const Snapshot& snap, std::vector<LevelSets> old,
-                   uint32_t first_new_edge, Annotation* ann,
+                   uint32_t first_new_edge,
+                   std::span<const uint32_t> new_sources, Annotation* ann,
                    std::vector<std::vector<uint32_t>>* changed) {
   const uint32_t wps = ann->words_per_set();
   if (wps == 1)
-    ProductBfs(snap, SingleWordKernel(), std::move(old), first_new_edge, ann,
-               changed);
+    ProductBfs(snap, SingleWordKernel(), std::move(old), first_new_edge,
+               new_sources, ann, changed);
   else
     ProductBfs(snap, MultiWordKernel(wps), std::move(old), first_new_edge,
-               ann, changed);
+               new_sources, ann, changed);
 }
 
 }  // namespace
@@ -315,16 +314,6 @@ void ReleaseAnnotateScratch() {
   assert(!tls_scratch.busy &&
          "a product BFS on this thread holds the scratch");
   tls_scratch = BfsScratch();
-}
-
-std::vector<uint32_t> NewEdgeSources(const Snapshot& snap,
-                                     uint32_t first_new_edge) {
-  std::vector<uint32_t> sources;
-  for (uint32_t e = first_new_edge; e < snap.num_edges(); ++e)
-    sources.push_back(snap.db().src(e));
-  std::sort(sources.begin(), sources.end());
-  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-  return sources;
 }
 
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
@@ -352,7 +341,7 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
     init = std::move(saturated);
   }
   ann.levels.emplace_back(ann.num_states).Append(source, init.words());
-  RunProductBfs(snap, {}, static_cast<uint32_t>(snap.num_edges()), &ann,
+  RunProductBfs(snap, {}, static_cast<uint32_t>(snap.num_edges()), {}, &ann,
                 nullptr);
   return ann;
 }
@@ -369,8 +358,8 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   const int32_t old_lambda = ann->lambda;
   std::vector<LevelSets> old = std::move(ann->levels);  // leaves it empty
   ann->levels.push_back(std::move(old[0]));  // no insertion changes it
-  RunProductBfs(snap, std::move(old), delta.first_new_edge, ann,
-                &rep.changed);
+  RunProductBfs(snap, std::move(old), delta.first_new_edge,
+                delta.new_sources, ann, &rep.changed);
   assert(ann->lambda >= 0 && ann->lambda <= old_lambda &&
          "insertions can only shorten the shortest accepting walk");
   rep.lambda_changed = ann->lambda != old_lambda;

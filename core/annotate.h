@@ -179,11 +179,6 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
 /// reallocates it zeroed.
 void ReleaseAnnotateScratch();
 
-/// The sorted distinct sources of edges [first_new_edge, num_edges) of
-/// \p snap: the vertices an insert-only delta gave new out-edges.
-std::vector<uint32_t> NewEdgeSources(const Snapshot& snap,
-                                     uint32_t first_new_edge);
-
 }  // namespace dsw
 
 #endif  // DSW_CORE_ANNOTATE_H_

@@ -172,6 +172,10 @@ struct EdgeDelta {
   bool known = false;
   uint32_t first_new_vertex = 0;
   uint32_t first_new_edge = 0;
+  /// The sorted distinct sources of the new edges: the vertices the
+  /// delta gave new out-edges. Read off the edge table once, so that a
+  /// repair reads only the snapshot and the delta.
+  std::vector<uint32_t> new_sources;
 };
 
 class Database {
@@ -397,9 +401,10 @@ class Snapshot {
 
   /// Insert-only delta between \p prev_generation (an earlier frozen
   /// generation of the same Database) and this snapshot, from the
-  /// freeze-time mark log. Unknown (never-frozen or aged-out)
-  /// generations return known == false — the caller's cue to rebuild
-  /// instead of repair. Defined after Database.
+  /// freeze-time mark log, with the new edges' sources read off the
+  /// edge table (O(k log k) for k new edges). Unknown (never-frozen or
+  /// aged-out) generations return known == false — the caller's cue to
+  /// rebuild instead of repair. Defined after Database.
   EdgeDelta DeltaFrom(uint64_t prev_generation) const;
 
   /// The underlying database, for identity checks and the live tables.
@@ -448,14 +453,21 @@ inline Snapshot Database::Freeze() {
 }
 
 inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
-  if (prev_generation == generation_)
-    return EdgeDelta{true, index_->num_vertices(),
-                     static_cast<uint32_t>(index_->num_edges())};
-  if (prev_generation > generation_) return EdgeDelta{};
-  for (const Database::FreezeMark& mark : db_->freeze_marks_)
-    if (mark.generation == prev_generation)
-      return EdgeDelta{true, mark.num_vertices, mark.num_edges};
-  return EdgeDelta{};
+  EdgeDelta delta;
+  if (prev_generation == generation_) {
+    delta = {true, num_vertices(), static_cast<uint32_t>(num_edges()), {}};
+  } else if (prev_generation < generation_) {
+    for (const Database::FreezeMark& mark : db_->freeze_marks_)
+      if (mark.generation == prev_generation)
+        delta = {true, mark.num_vertices, mark.num_edges, {}};
+  }
+  if (!delta.known) return delta;
+  std::vector<uint32_t>& sources = delta.new_sources;
+  for (uint32_t e = delta.first_new_edge; e < num_edges(); ++e)
+    sources.push_back(src(e));
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  return delta;
 }
 
 }  // namespace dsw

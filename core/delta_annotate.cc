@@ -58,17 +58,14 @@ TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
   // from an empty index (still no product BFS).
   if (rep.lambda_changed || old_index.empty()) return TrimmedIndex(snap, ann);
 
-  // Sources of the inserted edges: their candidate lists gained an edge
-  // at every level they appear on, so they are dirty everywhere.
-  const std::vector<uint32_t> new_sources =
-      NewEdgeSources(snap, delta.first_new_edge);
-
   // A vertex must be re-trimmed when its own annotation changed, when
   // an out-neighbor's useful set one level up changed (membership
   // included — positions shift for everyone, but *content* changes only
-  // reach in-neighbors), or when it gained an out-edge. Every other
-  // vertex re-trims to its old slot modulo the next-position shift,
-  // which the builder's copy remaps.
+  // reach in-neighbors), or when it gained an out-edge: the sources of
+  // the inserted edges gained a candidate at every level they appear
+  // on, so they are dirty everywhere. Every other vertex re-trims to its
+  // old slot modulo the next-position shift, which the builder's copy
+  // remaps.
   std::vector<uint32_t> dirty;
   return TrimmedIndex(
       snap, ann, old_index,
@@ -76,7 +73,8 @@ TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
         dirty = rep.changed[i];
         for (uint32_t w : changed_next)
           for (uint32_t u : ctx.InNeighbors(w)) dirty.push_back(u);
-        dirty.insert(dirty.end(), new_sources.begin(), new_sources.end());
+        dirty.insert(dirty.end(), delta.new_sources.begin(),
+                     delta.new_sources.end());
         std::sort(dirty.begin(), dirty.end());
         dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
         return std::span<const uint32_t>(dirty);

@@ -90,8 +90,8 @@ void ResumableEnumerator::FindNext() {
         valid_ = true;
         return;
       }
-      // ce.dst is useful at depth_ (< lambda), so its queue exists;
-      // next_pos locates it in O(1), no binary search.
+      // ce's destination is useful at depth_ (< lambda), so its queue
+      // exists; next_pos locates it in O(1), no binary search.
       Enter(next, depth_, ce.next_pos, 0);
       continue;
     }

@@ -6,14 +6,13 @@
 // answer to a client, drop the query's enumeration state entirely, and
 // resume from the answer echoed back later.
 //
-// ResumableIndex is the structure that makes the guided run cheap, as a
-// thin seek layer over data that already exists. It owns the
-// TrimmedIndex and holds the Snapshot it was built from. Each trimmed
-// candidate list of a useful (level, vertex) is the queue of that
-// choice point as is: it is ascending in each edge's rank among its
+// ResumableIndex is the structure that makes the guided run cheap. It
+// holds only the Snapshot it was built from and the TrimmedIndex it
+// owns, which already keeps, per queue (useful (level, vertex) below
+// lambda), the candidate list, ascending in each edge's rank among its
 // source's out-edges (LabelIndex::PositionOf — exactly the order the
-// enumerator tries candidates in). On top, each queue gets a flat rank
-// array over the vertex's out-edge span:
+// enumerator tries candidates in), and a flat rank array over the
+// vertex's out-edge span:
 //
 //   rank[k] = #candidates of the queue whose PositionOf < k
 //
@@ -31,7 +30,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "core/annotate.h"
 #include "core/database.h"
@@ -41,22 +40,23 @@ namespace dsw {
 
 class ResumableIndex {
  public:
-  /// Builds the trimmed structure (one backward sweep) and the rank
-  /// arrays on top; a pure read of the snapshot, safe to run
-  /// concurrently with other readers.
-  ResumableIndex(const Snapshot& snap, const Annotation& ann);
+  /// Builds the trimmed structure, seek ranks included (one backward
+  /// sweep); a pure read of the snapshot, safe to run concurrently with
+  /// other readers.
+  ResumableIndex(const Snapshot& snap, const Annotation& ann)
+      : snap_(snap), trimmed_(snap, ann) {}
 
-  /// Same rank arrays on top of an already-built trimmed structure
-  /// (taken by value; move it in). This is the delta-repair path:
-  /// DeltaTrim patched the old TrimmedIndex against an insert-only
-  /// delta and only the rank arrays remain to be rebuilt. \p trimmed
-  /// must describe \p ann against \p snap.
-  ResumableIndex(const Snapshot& snap, const Annotation& ann,
-                 TrimmedIndex trimmed);
+  /// Wraps an already-built trimmed structure (taken by value; move it
+  /// in). This is the delta-repair path: DeltaTrim patched the old
+  /// TrimmedIndex against an insert-only delta. \p trimmed must
+  /// describe \p ann against \p snap.
+  ResumableIndex(const Snapshot& snap, const Annotation& /*ann*/,
+                 TrimmedIndex trimmed)
+      : snap_(snap), trimmed_(std::move(trimmed)) {}
 
   /// The underlying trimmed structure: useful sets, and per useful
-  /// (level, position) the candidate queue (CandidatesAt) and its
-  /// certificate structure (BListAt).
+  /// (level, position) the candidate queue (CandidatesAt), its
+  /// certificate structure (BListAt) and its seek ranks (RanksAt).
   const TrimmedIndex& trimmed() const { return trimmed_; }
   bool empty() const { return trimmed_.empty(); }
 
@@ -70,14 +70,13 @@ class ResumableIndex {
   /// does not know (garbage, or inserted after the freeze) are rejected.
   bool SpanContains(uint32_t level, uint32_t pos, uint32_t edge) const {
     const LabelIndex& adj = snap_.label_index();
-    const uint32_t s = level_base_[level] + pos;
     if (edge >= adj.num_edges()) return false;
     // Every vertex has an edge of each rank below its out-degree, so the
     // rank alone cannot tell whose edge this is: the span's target at
     // that rank must be the edge itself.
     const uint32_t rank = adj.PositionOf(edge);
-    return rank < rank_off_[s + 1] - rank_off_[s] &&
-           adj.TargetAt(span_begin_[s] + rank).edge == edge;
+    return rank < trimmed_.RanksAt(level, pos).size() &&
+           adj.TargetAt(trimmed_.SpanBeginAt(level, pos) + rank).edge == edge;
   }
 
   /// Position in trimmed().CandidatesAt(level, pos) of the first
@@ -88,39 +87,20 @@ class ResumableIndex {
   uint32_t SeekGe(uint32_t level, uint32_t pos, uint32_t edge) const {
     assert(SpanContains(level, pos, edge) &&
            "SeekGe: edge is not an out-edge of the queue's vertex");
-    const uint32_t s = level_base_[level] + pos;
-    return rank_pool_[rank_off_[s] + snap_.label_index().PositionOf(edge)];
+    return trimmed_.RanksAt(level, pos)[snap_.label_index().PositionOf(edge)];
   }
 
   /// Heap footprint estimate (including the owned TrimmedIndex), for
   /// the plan cache's byte budget. The shared LabelIndex is the
   /// snapshot's, not the plan's, and is not counted.
   size_t ApproxBytes() const {
-    auto u32 = [](const std::vector<uint32_t>& v) {
-      return v.capacity() * sizeof(uint32_t);
-    };
     return sizeof(ResumableIndex) - sizeof(TrimmedIndex) +
-           trimmed_.ApproxBytes() + u32(level_base_) + u32(span_begin_) +
-           u32(rank_off_) + u32(rank_pool_);
+           trimmed_.ApproxBytes();
   }
 
  private:
-  // Lays out the rank arrays from trimmed_ (shared tail of both
-  // constructors).
-  void BuildRanks();
-
   Snapshot snap_;
   TrimmedIndex trimmed_;
-
-  // One queue ("slot") per useful (level, vertex) below lambda, laid
-  // out level-major in useful-level order: slot == level_base_[level] +
-  // position-in-level, and every array below is indexed by slot.
-  std::vector<uint32_t> level_base_;  // level -> first slot; size lambda+1
-  std::vector<uint32_t> span_begin_;  // vertex's first target position
-  // Slot s's rank array is rank_pool_[rank_off_[s], rank_off_[s + 1]),
-  // one entry per out-edge of its vertex; size #slots + 1.
-  std::vector<uint32_t> rank_off_;
-  std::vector<uint32_t> rank_pool_;
 };
 
 }  // namespace dsw

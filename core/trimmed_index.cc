@@ -14,6 +14,7 @@ struct Scratch {
   StateSet useful_here;
   StateSet edge_q;
   std::vector<uint64_t> cand_src;
+  std::vector<uint32_t> cand_rank;  // each candidate's PositionOf
 };
 
 // The kernel-generic body of TrimVertex (see util/word_kernel.h): one
@@ -24,22 +25,28 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
                     StateSetView states, const LevelSets& next_useful,
                     Scratch* scratch,
                     std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                    std::vector<uint32_t>* nxt_pool) {
+                    std::vector<uint32_t>* nxt_pool,
+                    std::vector<uint32_t>* rank_pool) {
   const uint32_t wps = ker.wps();
   StateSet& useful_here = scratch->useful_here;
   StateSet& edge_q = scratch->edge_q;
   std::vector<uint64_t>& cand_src = scratch->cand_src;
+  std::vector<uint32_t>& cand_rank = scratch->cand_rank;
   uint64_t* uhw = useful_here.mutable_words();
   uint64_t* eqw = edge_q.mutable_words();
   ker.Zero(uhw);
   cand_src.clear();
-  const size_t cand_begin = cand_pool->size();
-  for (const LabelIndex::Group& group : adj.GroupsOf(v)) {
+  cand_rank.clear();
+  const std::span<const LabelIndex::Group> groups = adj.GroupsOf(v);
+  if (groups.empty()) return false;
+  const uint32_t span_begin = groups.front().begin;
+  for (const LabelIndex::Group& group : groups) {
     if (!delta.HasLabel(group.label)) continue;
     uint32_t last_dst = UINT32_MAX;
     uint32_t last_pos = 0;
     bool last_ok = false;
-    for (const LabelIndex::Target& t : adj.Targets(group)) {
+    for (uint32_t k = group.begin; k < group.end; ++k) {
+      const LabelIndex::Target& t = adj.TargetAt(k);
       if (t.dst != last_dst) {  // parallel edges share the move set
         last_dst = t.dst;
         size_t pos = next_useful.FindIndex(t.dst);
@@ -56,8 +63,9 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
         }
       }
       if (!last_ok) continue;
-      cand_pool->push_back(TrimmedIndex::CandidateEdge{t.edge, t.dst,
-                                                       group.label, last_pos});
+      cand_pool->push_back(
+          TrimmedIndex::CandidateEdge{t.edge, group.label, last_pos});
+      cand_rank.push_back(k - span_begin);
       cand_src.insert(cand_src.end(), edge_q.words(), edge_q.words() + wps);
       ker.Or(uhw, edge_q.words());
     }
@@ -68,7 +76,7 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
   // useful_here is exactly the union of the candidates' usable-source
   // sets, so every row has >= 1 usable candidate. O(|useful| x ncand) —
   // the same order as the block itself.
-  const uint32_t ncand = static_cast<uint32_t>(cand_pool->size() - cand_begin);
+  const uint32_t ncand = static_cast<uint32_t>(cand_rank.size());
   const size_t block_off = nxt_pool->size();
   nxt_pool->resize(block_off + static_cast<size_t>(useful_here.Count()) *
                                    (ncand + 1));
@@ -85,25 +93,37 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
     }
     ++j;
   });
+
+  // The queue's seek ranks, one per out-edge: rank[k] is the number of
+  // candidates ranked below k. The loop above met the out-edges in rank
+  // order, so the candidates are ascending in rank.
+  const uint32_t degree = groups.back().end - span_begin;
+  uint32_t c = 0;
+  for (uint32_t k = 0; k < degree; ++k) {
+    rank_pool->push_back(c);
+    if (c < ncand && cand_rank[c] == k) ++c;
+  }
   return true;
 }
 
 // The per-vertex unit of the backward sweep. Appends the candidate
 // edges of annotated vertex v (state set `states`) to *cand_pool, and —
-// iff v turns out useful — its B-list block to *nxt_pool; returns that
-// usefulness, with the useful set left in scratch->useful_here.
-// CandidateEdge::next_pos is a position into next_useful. Dispatches to
-// the single-word kernel when wps == 1.
+// iff v turns out useful — its B-list block to *nxt_pool and its seek
+// ranks to *rank_pool; returns that usefulness, with the useful set left
+// in scratch->useful_here. CandidateEdge::next_pos is a position into
+// next_useful. Dispatches to the single-word kernel when wps == 1.
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,
                 std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                std::vector<uint32_t>* nxt_pool) {
+                std::vector<uint32_t>* nxt_pool,
+                std::vector<uint32_t>* rank_pool) {
   if (wps == 1)
     return TrimVertexImpl(SingleWordKernel(), adj, delta, v, states,
-                          next_useful, scratch, cand_pool, nxt_pool);
+                          next_useful, scratch, cand_pool, nxt_pool,
+                          rank_pool);
   return TrimVertexImpl(MultiWordKernel(wps), adj, delta, v, states,
-                        next_useful, scratch, cand_pool, nxt_pool);
+                        next_useful, scratch, cand_pool, nxt_pool, rank_pool);
 }
 
 // Diffs a useful level of the previous index against the one just
@@ -155,8 +175,7 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
          "the previous index must be empty or share lambda");
   wps_ = ann.words_per_set();
   useful_.assign(lambda + 1, LevelSets(ann.num_states));
-  cand_ranges_.resize(lambda);
-  blist_off_.resize(lambda);
+  slot_base_.resize(lambda);
   const LevelSets none;
   auto old_level = [&](uint32_t i) -> const LevelSets& {
     return old.useful_.empty() ? none : old.useful_[i];
@@ -189,6 +208,7 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
   DiffLevels(old_level(lambda), useful_[lambda], wps_, &changed_next,
              &pos_map);
   for (uint32_t i = lambda; i-- > 0;) {
+    slot_base_[i] = static_cast<uint32_t>(queues_.size());
     const LevelSets& level = ann.levels[i];
     const LevelSets& old_useful = old_level(i);
     const LevelSets& next_useful = useful_[i + 1];
@@ -203,8 +223,9 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
             oi < old_useful.size() ? old_useful.vertex(oi) : UINT32_MAX;
         const uint32_t dv = di < dirty.size() ? dirty[di] : UINT32_MAX;
         const uint32_t v = std::min(ov, dv);
-        const uint32_t cand_begin = static_cast<uint32_t>(cand_pool_.size());
         const size_t block_off = nxt_pool_.size();
+        const uint32_t cand_begin = static_cast<uint32_t>(cand_pool_.size());
+        const uint32_t rank_begin = static_cast<uint32_t>(rank_pool_.size());
         const uint64_t* words;
         if (dv == v) {
           ++di;
@@ -212,12 +233,14 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
           while (ai < level.size() && level.vertex(ai) < v) ++ai;
           if (ai == level.size() || level.vertex(ai) != v) continue;
           if (!TrimVertex(adj, ann.delta, wps_, v, level.states(ai),
-                          next_useful, &scratch, &cand_pool_, &nxt_pool_))
+                          next_useful, &scratch, &cand_pool_, &nxt_pool_,
+                          &rank_pool_))
             continue;
           words = scratch.useful_here.words();
         } else {
-          // Clean: same useful set, candidates and B-list block as in
-          // the previous index; only the next-level positions shift.
+          // Clean: same useful set, candidates, B-list block and ranks
+          // as in the previous index; only the next-level positions
+          // shift, and the span start is re-read below.
           for (CandidateEdge ce : old.CandidatesAt(i, oi)) {
             assert(ce.next_pos < pos_map.size() &&
                    pos_map[ce.next_pos] != UINT32_MAX &&
@@ -229,17 +252,21 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
           nxt_pool_.insert(nxt_pool_.end(), b.nxt,
                            b.nxt + b.useful.Count() *
                                        (static_cast<size_t>(b.num_cand) + 1));
+          const std::span<const uint32_t> ranks = old.RanksAt(i, oi);
+          rank_pool_.insert(rank_pool_.end(), ranks.begin(), ranks.end());
           words = old_useful.states(oi).words();
           ++oi;
         }
         useful_[i].Append(v, words);
-        cand_ranges_[i].emplace_back(cand_begin,
-                                     static_cast<uint32_t>(cand_pool_.size()));
-        blist_off_[i].push_back(block_off);
+        queues_.push_back(Queue{block_off, cand_begin, rank_begin,
+                                adj.GroupsOf(v).front().begin});
       }
     }
     DiffLevels(old_useful, useful_[i], wps_, &changed_next, &pos_map);
   }
+  queues_.push_back(Queue{nxt_pool_.size(),
+                          static_cast<uint32_t>(cand_pool_.size()),
+                          static_cast<uint32_t>(rank_pool_.size()), 0});
 
   for (const LevelSets& level : useful_)
     for (size_t i = 0; i < level.size(); ++i)

@@ -5,15 +5,20 @@
 // per level:
 //
 //  - useful(i, v): the useful states of v at level i, and
-//  - candidate edges: for each v at level i < lambda, the data edges e
-//    out of v that appear in at least one answer at position i, each
-//    carrying its label and the position of its destination's useful
-//    set at level i + 1. The enumerator advances a reachable-state set
-//    across a candidate edge by ORing the annotation's precompiled
-//    delta rows and masking with that useful set — O(|A|) per edge with
-//    no per-edge move storage, and no reference back to the Nfa (whose
-//    lifetime it does not control; the Annotation snapshot carries the
-//    delta).
+//  - for each useful v at level i < lambda, one *queue*: the candidate
+//    edges, i.e. the data edges e out of v that appear in at least one
+//    answer at position i, each carrying its label and the position of
+//    its destination's useful set at level i + 1. The enumerator
+//    advances a reachable-state set across a candidate edge by ORing
+//    the annotation's precompiled delta rows and masking with that
+//    useful set — O(|A|) per edge with no per-edge move storage, and no
+//    reference back to the Nfa (whose lifetime it does not control; the
+//    Annotation snapshot carries the delta).
+//
+// Each queue is numbered once, slot_base_[level] + position in the
+// useful level, and every per-queue structure sits in a flat pool under
+// that number: the candidates, the B-list block, the seek ranks and the
+// span start (below).
 //
 // Construction is one backward sweep over the annotation, on the same
 // label-stratified structures as the forward BFS: the CSR LabelIndex
@@ -24,18 +29,18 @@
 // with the same destination. There is one builder: per level it
 // re-trims the vertices a dirty set names and copies every other
 // useful slot of a previous index, remapping only the next-level
-// positions. A build from scratch is that sweep from an empty index
-// with every annotated vertex dirty; DeltaTrim (core/delta_annotate.h)
-// passes the previous generation's index and the vertices an
-// insert-only delta can have changed. Every other vertex would re-trim
-// to its old slot, so a repaired index is bit-identical to a rebuilt
-// one.
+// positions and re-reading the span start. A build from scratch is
+// that sweep from an empty index with every annotated vertex dirty;
+// DeltaTrim (core/delta_annotate.h) passes the previous generation's
+// index and the vertices an insert-only delta can have changed. Every
+// other vertex would re-trim to its old slot, so a repaired index is
+// bit-identical to a rebuilt one.
 //
 // All useful sets live in contiguous word pools (LevelSets); the
-// useful sets and the candidate pool stay O(|D| x |A|) in cost and
-// size. The certificate blocks below are the one structure that does
-// not: they are *dense* per-state next-usable arrays, so they cost
-// sum over useful (level, v) of |useful states| x (num_cand + 1)
+// useful sets, the candidate pool and the rank pool stay O(|D| x |A|)
+// in cost and size. The certificate blocks below are the one structure
+// that does not: they are *dense* per-state next-usable arrays, so they
+// cost sum over useful (level, v) of |useful states| x (num_cand + 1)
 // entries — O(|D| x |A| x |Q|) worst case — trading a |Q| space factor
 // for O(1) probes in the enumerator's hot loop. (A sparse per-state
 // B-list with binary-searched seeks would restore O(|D| x |A|) space
@@ -58,6 +63,20 @@
 // never touch a dead candidate, which is what makes their delay the
 // honest O(lambda x |A|) of Theorem 2 instead of degrading with the
 // dead-candidate fanout.
+//
+// The seek ranks serve the memoryless enumeration of Theorem 18
+// (core/resumable_index.h). A queue is ascending in each edge's rank
+// among its source's out-edges (LabelIndex::PositionOf), the order the
+// sweep walks them in, and it keeps one entry per out-edge of its
+// vertex:
+//
+//   rank[k] = #candidates of the queue whose PositionOf < k
+//
+// so "first candidate at or after this out-edge" is one load. The span
+// start is the target-pool position of the vertex's first out-edge,
+// which tells whether an edge id is one of those out-edges. Ranks are
+// per source, so a repair copies a clean vertex's ranks as they are
+// and re-reads only its span start, which a derived Freeze moves.
 
 #ifndef DSW_CORE_TRIMMED_INDEX_H_
 #define DSW_CORE_TRIMMED_INDEX_H_
@@ -66,7 +85,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/annotate.h"
@@ -81,13 +99,13 @@ class DeltaContext;
 
 class TrimmedIndex {
  public:
-  /// A data edge appearing in >= 1 answer at its level. dst and label
-  /// denormalize the edge record; next_pos is the position of dst's
-  /// useful set in level + 1 (see UsefulStates), resolved at build time
-  /// so the enumerator's hot loop does no lookups at all.
+  /// A data edge appearing in >= 1 answer at its level. label
+  /// denormalizes the edge record; next_pos is the position of the
+  /// edge's destination in useful level + 1 (see UsefulStates,
+  /// UsefulLevel), resolved at build time so the enumerator's hot loop
+  /// does no lookups at all.
   struct CandidateEdge {
     uint32_t edge;
-    uint32_t dst;
     uint32_t label;
     uint32_t next_pos;
   };
@@ -95,8 +113,7 @@ class TrimmedIndex {
   /// The Theorem 2 certificate view of one useful (level, vertex): the
   /// per-state next-usable-candidate arrays, with the useful set as the
   /// slot domain. Positions are relative to the vertex's candidate list
-  /// (Candidates/CandidatesAt spans, which ResumableIndex::SeekGe also
-  /// indexes).
+  /// (Candidates/CandidatesAt spans, which RanksAt also indexes).
   struct BList {
     const uint32_t* nxt = nullptr;  // useful.Count() rows, num_cand+1 each
     uint32_t num_cand = 0;
@@ -183,8 +200,8 @@ class TrimmedIndex {
   uint32_t num_levels() const { return static_cast<uint32_t>(useful_.size()); }
 
   /// The whole useful level — sorted vertices with their state sets.
-  /// Positions in it address CandidatesAt/BListAt; ResumableIndex walks
-  /// these to lay out its per-(level, vertex) rank arrays.
+  /// Below lambda, position pos in it is the queue CandidatesAt,
+  /// BListAt, RanksAt and SpanBeginAt address.
   const LevelSets& UsefulLevel(uint32_t level) const {
     return useful_[level];
   }
@@ -194,28 +211,47 @@ class TrimmedIndex {
   /// Candidates() for callers already iterating UsefulLevel(level).
   std::span<const CandidateEdge> CandidatesAt(uint32_t level,
                                               size_t pos) const {
-    const auto& [begin, end] = cand_ranges_[level][pos];
-    return {cand_pool_.data() + begin, cand_pool_.data() + end};
+    const size_t s = slot_base_[level] + pos;
+    return {cand_pool_.data() + queues_[s].cand,
+            cand_pool_.data() + queues_[s + 1].cand};
   }
 
   /// Certificate (B-list) structure of the vertex at position \p pos of
   /// useful level \p level (level < lambda); O(1), same positions as
   /// CandidatesAt.
   BList BListAt(uint32_t level, size_t pos) const {
-    const auto& [begin, end] = cand_ranges_[level][pos];
-    return BList{nxt_pool_.data() + blist_off_[level][pos], end - begin,
+    const size_t s = slot_base_[level] + pos;
+    return BList{nxt_pool_.data() + queues_[s].blist,
+                 queues_[s + 1].cand - queues_[s].cand,
                  useful_[level].states(pos)};
+  }
+
+  /// Seek ranks of the queue at position \p pos of useful level
+  /// \p level (level < lambda): one entry per out-edge of its vertex,
+  /// entry k the number of its candidates whose LabelIndex::PositionOf
+  /// is below k.
+  std::span<const uint32_t> RanksAt(uint32_t level, size_t pos) const {
+    const size_t s = slot_base_[level] + pos;
+    return {rank_pool_.data() + queues_[s].rank,
+            rank_pool_.data() + queues_[s + 1].rank};
+  }
+
+  /// Target-pool position (LabelIndex::TargetAt) of the first out-edge
+  /// of the vertex at position \p pos of useful level \p level
+  /// (level < lambda), in the snapshot the index was built from.
+  uint32_t SpanBeginAt(uint32_t level, size_t pos) const {
+    return queues_[slot_base_[level] + pos].span;
   }
 
   /// Heap footprint estimate, for the plan cache's byte budget.
   size_t ApproxBytes() const {
     size_t bytes = sizeof(TrimmedIndex) +
+                   slot_base_.capacity() * sizeof(uint32_t) +
+                   queues_.capacity() * sizeof(Queue) +
                    cand_pool_.capacity() * sizeof(CandidateEdge) +
-                   nxt_pool_.capacity() * sizeof(uint32_t);
+                   nxt_pool_.capacity() * sizeof(uint32_t) +
+                   rank_pool_.capacity() * sizeof(uint32_t);
     for (const LevelSets& lvl : useful_) bytes += lvl.ApproxBytes();
-    for (const auto& r : cand_ranges_)
-      bytes += r.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
-    for (const auto& o : blist_off_) bytes += o.capacity() * sizeof(size_t);
     return bytes;
   }
 
@@ -223,11 +259,10 @@ class TrimmedIndex {
   /// vertices with no useful states.
   std::span<const CandidateEdge> Candidates(uint32_t level,
                                             uint32_t v) const {
-    if (level >= cand_ranges_.size()) return {};
+    if (level >= slot_base_.size()) return {};
     size_t i = useful_[level].FindIndex(v);
     if (i == LevelSets::npos) return {};
-    const auto& [begin, end] = cand_ranges_[level][i];
-    return {cand_pool_.data() + begin, cand_pool_.data() + end};
+    return CandidatesAt(level, i);
   }
 
  private:
@@ -250,22 +285,31 @@ class TrimmedIndex {
   /// vertices dirty_at names and copying every other useful slot of
   /// \p old. Bit-identical to a build from scratch whenever every vertex
   /// left clean would re-trim to its slot in \p old (same useful set,
-  /// candidates and B-list block); \p old must be empty or have the
-  /// same lambda as \p ann.
+  /// candidates, B-list block and ranks); \p old must be empty or have
+  /// the same lambda as \p ann.
   TrimmedIndex(const Snapshot& snap, const Annotation& ann,
                const TrimmedIndex& old, const DirtyAt& dirty_at);
 
+  /// Where one queue's structures start in the pools; each ends where
+  /// the next queue's start, and queues_ ends with a sentinel entry.
+  struct Queue {
+    size_t blist;   // first entry of the B-list block in nxt_pool_
+    uint32_t cand;  // first candidate in cand_pool_
+    uint32_t rank;  // first seek rank in rank_pool_
+    uint32_t span;  // target-pool position of the vertex's first out-edge
+  };
+
   uint32_t wps_ = 0;
   std::vector<LevelSets> useful_;  // per level, sorted vertices
-  // Per level, parallel to useful_[level]'s vertices: the vertex's
-  // [begin, end) range in cand_pool_. (Level lambda has no candidates.)
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> cand_ranges_;
+  // Level -> number of its first queue; size lambda. The sweep lays the
+  // levels out from lambda - 1 down to 0.
+  std::vector<uint32_t> slot_base_;
+  std::vector<Queue> queues_;  // #queues + 1
   std::vector<CandidateEdge> cand_pool_;
-  // B-lists, parallel to cand_ranges_: per (level, pos) the offset of
-  // the vertex's block in nxt_pool_ (useful-state-major rows of
-  // num_cand + 1 next-usable entries each; see BList).
-  std::vector<std::vector<size_t>> blist_off_;
+  // B-list blocks: useful-state-major rows of num_cand + 1 next-usable
+  // entries each (see BList).
   std::vector<uint32_t> nxt_pool_;
+  std::vector<uint32_t> rank_pool_;  // one entry per queue out-edge
   size_t num_slots_ = 0;
 };
 

@@ -46,11 +46,9 @@
 // Prepare, PrepareRegex, OpenSession and Pump read only sealed
 // snapshots, so one control thread may call AddVertex/AddVertices,
 // AddEdge by label id, Freeze() and InstallSnapshot() while they run,
-// as long as no other thread makes any of these calls (an install's
-// repairs, on the workers too, read the live edge table until
-// InstallSnapshot returns). PrepareRegex interns into the
-// dictionary it is given under an engine lock, so nothing else may
-// intern into that dictionary (AddEdge by label name,
+// as long as no other thread makes any of these calls. PrepareRegex
+// interns into the dictionary it is given under an engine lock, so
+// nothing else may intern into that dictionary (AddEdge by label name,
 // LabelDictionary::Intern) while a PrepareRegex runs.
 //
 // Memory outside the plan-cache budget: a plan is built on the thread
@@ -165,7 +163,7 @@ class QueryEngine {
   /// and its delta against the installed one is a known insert-only
   /// suffix (Snapshot::DeltaFrom), every plan in the plan table is
   /// *upgraded* — annotation repaired by the resumed product BFS,
-  /// trimmed/B-list structure patched, rank arrays rebuilt — while pumps
+  /// trimmed structure (B-lists and seek ranks) patched — while pumps
   /// keep running on the old plans. The repairs run on the calling
   /// (control) thread and on the workers at once: one helper job per
   /// worker joins them, queued behind the pending pumps, so a busy pool

@@ -84,8 +84,8 @@ struct PreparedQuery {
 
   /// Builds on repaired structures — the incremental InstallSnapshot
   /// path: \p a and \p trimmed were patched by core/delta_annotate
-  /// against an insert-only edge delta, so only the resumable rank
-  /// arrays are rebuilt here; no product BFS, no backward sweep.
+  /// against an insert-only edge delta, so nothing is rebuilt here; no
+  /// product BFS, no backward sweep.
   PreparedQuery(const Snapshot& snap, Annotation a, TrimmedIndex trimmed)
       : ann(std::move(a)), index(snap, ann, std::move(trimmed)) {}
 

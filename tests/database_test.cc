@@ -140,12 +140,14 @@ TEST(SnapshotTest, DeltaFromTracksInsertOnlyFreezes) {
   ASSERT_TRUE(d.known);
   EXPECT_EQ(d.first_new_vertex, 4u);
   EXPECT_EQ(d.first_new_edge, 1u);
+  EXPECT_EQ(d.new_sources, (std::vector<uint32_t>{1, 2}));
 
   // Same-generation delta: known and empty (suffixes start at the end).
   EdgeDelta same = second.DeltaFrom(second.generation());
   ASSERT_TRUE(same.known);
   EXPECT_EQ(same.first_new_vertex, 6u);
   EXPECT_EQ(same.first_new_edge, 3u);
+  EXPECT_TRUE(same.new_sources.empty());
 
   // A generation that was never frozen — or lies in the future — is
   // unknown: callers must rebuild from scratch.

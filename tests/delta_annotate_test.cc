@@ -237,6 +237,65 @@ TEST(DeltaAnnotateTest, VertexOnlyDeltaIsANoOpRepair) {
   ExpectTrimsEqual(repaired, fresh_trim);
 }
 
+// An insert that grows existing useful vertices' states while lambda
+// and every level's membership hold: u -a-> m -b-> w -c-> t, and two
+// initial states start tracks that share "a b" and end in c or in d,
+// q0 q1 q2 -c-> F and r0 p1 p2 -d-> F. Inserting w -d-> t changes no
+// annotated level, so at first only its source w is dirty. The useful
+// states of w, m and u grow, and u is dirty only because m's useful
+// *content* changed one level up: no vertex enters or leaves a level.
+TEST(DeltaAnnotateTest, InsertGrowsUsefulStatesWhileLambdaHolds) {
+  Database db;
+  const uint32_t a = db.labels().Intern("a"), b = db.labels().Intern("b"),
+                 c = db.labels().Intern("c"), d = db.labels().Intern("d");
+  const uint32_t u = db.AddVertex(), m = db.AddVertex(), w = db.AddVertex(),
+                 t = db.AddVertex();
+  db.AddEdge(u, a, m);
+  db.AddEdge(m, b, w);
+  db.AddEdge(w, c, t);
+  constexpr uint32_t q0 = 0, q1 = 1, q2 = 2, r0 = 3, p1 = 4, p2 = 5, f = 6;
+  Nfa query(7);
+  query.AddInitial(q0);
+  query.AddInitial(r0);
+  query.AddFinal(f);
+  query.AddTransition(q0, a, q1);
+  query.AddTransition(q1, b, q2);
+  query.AddTransition(q2, c, f);
+  query.AddTransition(r0, a, p1);
+  query.AddTransition(p1, b, p2);
+  query.AddTransition(p2, d, f);
+
+  Snapshot snap = db.Freeze();
+  Annotation carried = Annotate(snap, query, u, t);
+  TrimmedIndex carried_trim(snap, carried);
+  ASSERT_EQ(carried.lambda, 3);
+  ASSERT_EQ(carried_trim.num_slots(), 4u);  // the c track only
+
+  db.AddEdge(w, d, t);
+  Snapshot ns = db.Freeze();
+  const EdgeDelta delta = ns.DeltaFrom(snap.generation());
+  ASSERT_TRUE(delta.known);
+  EXPECT_EQ(delta.new_sources, std::vector<uint32_t>{w});
+  AnnotationRepair rep = DeltaAnnotate(ns, delta, &carried);
+  ASSERT_TRUE(rep.ok);
+  EXPECT_FALSE(rep.lambda_changed);
+  for (const auto& level : rep.changed) EXPECT_TRUE(level.empty());
+  Annotation fresh = Annotate(ns, query, u, t);
+  ExpectAnnotationsEqual(carried, fresh);
+
+  TrimmedIndex repaired =
+      DeltaTrim(ns, carried, carried_trim, rep, delta, DeltaContext(ns));
+  TrimmedIndex fresh_trim(ns, fresh);
+  ASSERT_EQ(fresh_trim.num_slots(), 7u);  // both tracks
+  ExpectTrimsEqual(repaired, fresh_trim);
+
+  ResumableIndex repaired_idx(ns, carried, std::move(repaired));
+  ResumableIndex fresh_idx(ns, fresh);
+  const EdgeSeq want = Enumerate(fresh, fresh_idx, u, t);
+  EXPECT_EQ(want.size(), 2u);
+  EXPECT_EQ(Enumerate(carried, repaired_idx, u, t), want);
+}
+
 TEST(DeltaAnnotateTest, UnknownDeltaIsRejected) {
   Instance inst = BubbleChain(3, 2);
   Snapshot snap = inst.db.Freeze();

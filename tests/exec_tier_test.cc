@@ -85,10 +85,14 @@ void ExpectTrimmedSpread(const TrimmedIndex& one, const TrimmedIndex& spread,
       ASSERT_EQ(ca.size(), cb.size()) << "level " << l << " pos " << p;
       for (size_t c = 0; c < ca.size(); ++c) {
         EXPECT_EQ(ca[c].edge, cb[c].edge);
-        EXPECT_EQ(ca[c].dst, cb[c].dst);
         EXPECT_EQ(ca[c].label, cb[c].label);
         EXPECT_EQ(ca[c].next_pos, cb[c].next_pos);
       }
+      auto ra = one.RanksAt(l, p);
+      auto rb = spread.RanksAt(l, p);
+      EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+          << "seek ranks at level " << l << " pos " << p;
+      EXPECT_EQ(one.SpanBeginAt(l, p), spread.SpanBeginAt(l, p));
       TrimmedIndex::BList ba = one.BListAt(l, p);
       TrimmedIndex::BList bb = spread.BListAt(l, p);
       ASSERT_EQ(ba.num_cand, bb.num_cand);

@@ -1,12 +1,14 @@
 // Bit-for-bit comparison of two plans' structures, shared by the
 // repair oracles: an Annotation's levels and a TrimmedIndex's useful
-// sets, candidate queues and B-list blocks.
+// sets and, per queue, its candidates, B-list block, seek ranks and
+// span start.
 
 #ifndef DSW_TESTS_PLAN_EQUALITY_H_
 #define DSW_TESTS_PLAN_EQUALITY_H_
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -58,7 +60,6 @@ inline void ExpectTrimsEqual(const TrimmedIndex& got,
           << "candidates at level " << i << " vertex " << w.vertex(vi);
       for (size_t c = 0; c < wc.size(); ++c) {
         EXPECT_EQ(gc[c].edge, wc[c].edge);
-        EXPECT_EQ(gc[c].dst, wc[c].dst);
         EXPECT_EQ(gc[c].label, wc[c].label);
         EXPECT_EQ(gc[c].next_pos, wc[c].next_pos)
             << "level " << i << " vertex " << w.vertex(vi) << " cand " << c;
@@ -71,6 +72,12 @@ inline void ExpectTrimsEqual(const TrimmedIndex& got,
                             rows * (wb.num_cand + 1) * sizeof(uint32_t)),
                 0)
           << "B-list block at level " << i << " vertex " << w.vertex(vi);
+      auto gr = got.RanksAt(i, vi);
+      auto wr = want.RanksAt(i, vi);
+      ASSERT_TRUE(std::equal(gr.begin(), gr.end(), wr.begin(), wr.end()))
+          << "seek ranks at level " << i << " vertex " << w.vertex(vi);
+      ASSERT_EQ(got.SpanBeginAt(i, vi), want.SpanBeginAt(i, vi))
+          << "span start at level " << i << " vertex " << w.vertex(vi);
     }
   }
 }
