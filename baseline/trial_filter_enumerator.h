@@ -27,6 +27,7 @@
 
 #include "core/annotate.h"
 #include "core/database.h"
+#include "core/level_sets.h"
 #include "core/resumable_enumerator.h"  // enumerator_detail::AdvanceStates
 #include "core/trimmed_index.h"
 #include "core/walk.h"
@@ -51,19 +52,20 @@ class TrialFilterEnumerator {
     (void)source;
     (void)target;
     if (!ann.reachable() || index.empty()) return;
-    StateSetView r0 = index.Useful(0, ann.source);
-    if (!r0 || r0.None()) return;
+    const size_t pos = index.UsefulLevel(0).FindIndex(ann.source);
+    if (pos == LevelSets::npos) return;
+    StateSetView r0 = index.UsefulStates(0, pos);
+    if (r0.None()) return;
 
     stack_.resize(static_cast<size_t>(lambda_) + 1);
     for (Frame& f : stack_) f.states = StateSet(ann.num_states);
-    stack_[0].vertex = ann.source;
     stack_[0].states.Assign(r0);
     depth_ = 0;
     if (lambda_ == 0) {
       valid_ = true;
       return;
     }
-    stack_[0].cand = index.Candidates(0, ann.source);
+    stack_[0].cand = index.CandidatesAt(0, pos);
     FindNext();
   }
 
@@ -85,7 +87,6 @@ class TrialFilterEnumerator {
 
  private:
   struct Frame {
-    uint32_t vertex = 0;
     StateSet states;
     size_t edge_pos = 0;
     std::span<const TrimmedIndex::CandidateEdge> cand;
@@ -105,12 +106,11 @@ class TrialFilterEnumerator {
                 index_->UsefulStates(depth_ + 1, ce.next_pos), &next.states,
                 &stats_.row_ors))
           continue;  // no run of the prefix fits
-        next.vertex = index_->UsefulLevel(depth_ + 1).vertex(ce.next_pos);
         next.edge_pos = 0;
         walk_.edges.push_back(ce.edge);
         ++depth_;
         if (static_cast<int32_t>(depth_) < lambda_)
-          next.cand = index_->Candidates(depth_, next.vertex);
+          next.cand = index_->CandidatesAt(depth_, ce.next_pos);
         pushed = true;
         break;
       }

@@ -162,15 +162,14 @@ class LabelIndex {
 class Snapshot;
 
 /// Insert-only difference between two frozen generations of one
-/// Database, as recorded by the freeze-time delta log: vertices
-/// [first_new_vertex, num_vertices) and edges [first_new_edge,
-/// num_edges) were inserted after the older generation, and nothing
-/// else changed (the mutation API is append-only). known == false means
-/// the older generation was never frozen or its mark aged out of the
-/// bounded log — callers must fall back to a full rebuild.
+/// Database, as recorded by the freeze-time delta log: edges
+/// [first_new_edge, num_edges) were inserted after the older
+/// generation, possibly with vertices, and nothing else changed (the
+/// mutation API is append-only). known == false means the older
+/// generation was never frozen or its mark aged out of the bounded log
+/// — callers must fall back to a full rebuild.
 struct EdgeDelta {
   bool known = false;
-  uint32_t first_new_vertex = 0;
   uint32_t first_new_edge = 0;
   /// The sorted distinct sources of the new edges: the vertices the
   /// delta gave new out-edges. Read off the edge table once, so that a
@@ -349,15 +348,14 @@ class Database {
     return ix;
   }
 
-  // One entry per frozen generation: the vertex/edge counts as of that
-  // freeze. Since the mutation API is append-only, the delta between
-  // two marks is exactly "the suffix inserted in between" — which is
-  // what Snapshot::DeltaFrom serves to the incremental-maintenance
-  // layer. Bounded: only the most recent kMaxFreezeMarks freezes stay
+  // One entry per frozen generation: the edge count as of that freeze.
+  // Since the mutation API is append-only, the delta between two marks
+  // is exactly "the suffix inserted in between" — which is what
+  // Snapshot::DeltaFrom serves to the incremental-maintenance layer.
+  // Bounded: only the most recent kMaxFreezeMarks freezes stay
   // repairable; older generations fall back to a full rebuild.
   struct FreezeMark {
     uint64_t generation;
-    uint32_t num_vertices;
     uint32_t num_edges;
   };
   static constexpr size_t kMaxFreezeMarks = 64;
@@ -446,8 +444,8 @@ inline Snapshot Database::Freeze() {
   if (freeze_marks_.empty() || freeze_marks_.back().generation != generation_) {
     if (freeze_marks_.size() >= kMaxFreezeMarks)
       freeze_marks_.erase(freeze_marks_.begin());
-    freeze_marks_.push_back(FreezeMark{generation_, num_vertices(),
-                                       static_cast<uint32_t>(num_edges())});
+    freeze_marks_.push_back(
+        FreezeMark{generation_, static_cast<uint32_t>(num_edges())});
   }
   return Snapshot(this, frozen_index_, generation_);
 }
@@ -455,11 +453,11 @@ inline Snapshot Database::Freeze() {
 inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
   EdgeDelta delta;
   if (prev_generation == generation_) {
-    delta = {true, num_vertices(), static_cast<uint32_t>(num_edges()), {}};
+    delta = {true, static_cast<uint32_t>(num_edges()), {}};
   } else if (prev_generation < generation_) {
     for (const Database::FreezeMark& mark : db_->freeze_marks_)
       if (mark.generation == prev_generation)
-        delta = {true, mark.num_vertices, mark.num_edges, {}};
+        delta = {true, mark.num_edges, {}};
   }
   if (!delta.known) return delta;
   std::vector<uint32_t>& sources = delta.new_sources;

@@ -6,28 +6,39 @@ namespace dsw {
 
 ResumableEnumerator::ResumableEnumerator(const Annotation& ann,
                                          const ResumableIndex& index,
-                                         uint32_t source, uint32_t target)
-    : index_(&index),
-      delta_(&ann.delta),
-      lambda_(ann.lambda),
-      wps_(ann.words_per_set()) {
+                                         uint32_t source, uint32_t target) {
   // The endpoints are baked into the annotation and index; the
   // parameters exist for symmetry with the rest of the pipeline and a
   // mismatch is a caller bug, not a valid different query.
   assert(source == ann.source && target == ann.target);
   (void)source;
   (void)target;
+  Reset(ann, index);
+  Rewind();
+}
+
+void ResumableEnumerator::Reset(const Annotation& ann,
+                                const ResumableIndex& index) {
+  index_ = &index;
+  delta_ = &ann.delta;
+  lambda_ = ann.lambda;
+  wps_ = ann.words_per_set();
+  has_answers_ = false;
+  valid_ = false;
+  depth_ = 0;
+  walk_.edges.clear();
   if (!ann.reachable() || index.empty()) return;
   const LevelSets& level0 = index.trimmed().UsefulLevel(0);
   const size_t pos = level0.FindIndex(ann.source);
   if (pos == LevelSets::npos) return;
   source_pos_ = static_cast<uint32_t>(pos);
   r0_.Assign(level0.states(pos));
-  has_answers_ = true;
-
-  stack_.resize(static_cast<size_t>(lambda_) + 1);
-  for (Frame& f : stack_) f.states = StateSet(ann.num_states);
-  Rewind();
+  // StateSet::Resize keeps its storage when it shrinks, so neither a
+  // shorter lambda nor fewer words frees what a larger plan allocated.
+  const size_t frames = static_cast<size_t>(lambda_) + 1;
+  if (stack_.size() < frames) stack_.resize(frames);
+  for (size_t i = 0; i < frames; ++i) stack_[i].states.Resize(ann.num_states);
+  has_answers_ = true;  // only once the frames fit (an allocation may throw)
 }
 
 void ResumableEnumerator::Enter(Frame& f, uint32_t level, uint32_t pos,

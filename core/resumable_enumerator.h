@@ -124,19 +124,27 @@ class ResumableEnumerator {
     uint64_t total() const { return seeks + cells + row_ors + probes; }
   };
 
-  /// The annotation and index must outlive the enumerator; \p source
-  /// and \p target must match the annotation's. Positions on the first
-  /// answer. The database is not consulted — the index denormalizes
-  /// everything — so any number of enumerators can run concurrently
-  /// over one shared (annotation, index) pair.
+  /// An enumerator over no plan: Valid() is false until Reset() points
+  /// it at one.
+  ResumableEnumerator() = default;
+
+  /// Reset(ann, index) and then Rewind(): positions on the first answer.
+  /// \p source and \p target must match the annotation's.
   ResumableEnumerator(const Annotation& ann, const ResumableIndex& index,
                       uint32_t source, uint32_t target);
 
-  /// Repositions on the first answer, exactly as if freshly
-  /// constructed (stats are kept). Lets a long-lived worker reuse one
-  /// enumerator across many jobs against the same prepared query
-  /// instead of reconstructing: Rewind() for a fresh enumeration,
-  /// SeekAfter() to resume a parked session.
+  /// Points the enumerator at the plan (ann, index), which must stay
+  /// alive while the enumerator runs on it; positions on nothing
+  /// (Valid() false) until Rewind() or SeekAfter(). Stats are kept.
+  /// The frames only grow, so an enumerator reused across plans stops
+  /// allocating once it has seen its largest lambda and word count.
+  /// The database is not consulted — the index denormalizes
+  /// everything — so any number of enumerators can run concurrently
+  /// over one shared (annotation, index) pair.
+  void Reset(const Annotation& ann, const ResumableIndex& index);
+
+  /// Repositions on the first answer (stats are kept): a fresh
+  /// enumeration of the current plan, where SeekAfter() resumes one.
   void Rewind();
 
   /// True while positioned on an answer.
@@ -177,17 +185,17 @@ class ResumableEnumerator {
   bool RejectSeek();
   void FindNext();
 
-  const ResumableIndex* index_;
-  const CompiledDelta* delta_;
-  int32_t lambda_;
+  const ResumableIndex* index_ = nullptr;
+  const CompiledDelta* delta_ = nullptr;
+  int32_t lambda_ = 0;
   uint32_t wps_ = 0;
   uint32_t source_pos_ = 0;  // source's position in useful level 0
   StateSet r0_;  // useful(0, source), the root of every (re)run
   bool has_answers_ = false;
-  // All lambda + 1 frames are allocated up front and reused in place,
-  // so steady-state enumeration performs no heap allocation (the
-  // per-output delay must not depend on the allocator). stack_[i] is
-  // the position after i edges; frames above depth_ are scratch.
+  // Reset allocates the lambda + 1 frames up front and never shrinks
+  // them, so enumeration performs no heap allocation (the per-output
+  // delay must not depend on the allocator). stack_[i] is the position
+  // after i edges; frames above depth_ are scratch.
   std::vector<Frame> stack_;
   uint32_t depth_ = 0;
   Walk walk_;

@@ -113,7 +113,7 @@ class TrimmedIndex {
   /// The Theorem 2 certificate view of one useful (level, vertex): the
   /// per-state next-usable-candidate arrays, with the useful set as the
   /// slot domain. Positions are relative to the vertex's candidate list
-  /// (Candidates/CandidatesAt spans, which RanksAt also indexes).
+  /// (the CandidatesAt span, which RanksAt also indexes).
   struct BList {
     const uint32_t* nxt = nullptr;  // useful.Count() rows, num_cand+1 each
     uint32_t num_cand = 0;
@@ -185,13 +185,8 @@ class TrimmedIndex {
   bool empty() const { return num_slots_ == 0; }
   uint32_t words_per_set() const { return wps_; }
 
-  /// Useful states at (level, v); null view if none.
-  StateSetView Useful(uint32_t level, uint32_t v) const {
-    return level < useful_.size() ? useful_[level].Find(v) : StateSetView();
-  }
-
-  /// Useful states at a (level, position) slot — the O(1) variant for
-  /// positions recorded in CandidateEdge::next_pos.
+  /// Useful states at a (level, position) slot, e.g. a position
+  /// recorded in CandidateEdge::next_pos; O(1).
   StateSetView UsefulStates(uint32_t level, uint32_t pos) const {
     return useful_[level].states(pos);
   }
@@ -207,8 +202,7 @@ class TrimmedIndex {
   }
 
   /// Candidates of the vertex at position \p pos of useful level
-  /// \p level (level < lambda) — the O(1) positional variant of
-  /// Candidates() for callers already iterating UsefulLevel(level).
+  /// \p level (level < lambda); O(1).
   std::span<const CandidateEdge> CandidatesAt(uint32_t level,
                                               size_t pos) const {
     const size_t s = slot_base_[level] + pos;
@@ -253,16 +247,6 @@ class TrimmedIndex {
                    rank_pool_.capacity() * sizeof(uint32_t);
     for (const LevelSets& lvl : useful_) bytes += lvl.ApproxBytes();
     return bytes;
-  }
-
-  /// Candidate edges out of \p v at \p level (level < lambda). Empty for
-  /// vertices with no useful states.
-  std::span<const CandidateEdge> Candidates(uint32_t level,
-                                            uint32_t v) const {
-    if (level >= slot_base_.size()) return {};
-    size_t i = useful_[level].FindIndex(v);
-    if (i == LevelSets::npos) return {};
-    return CandidatesAt(level, i);
   }
 
  private:

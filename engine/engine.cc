@@ -11,61 +11,8 @@
 
 namespace dsw {
 
-// Bounded per-worker enumerator LRU, one vector in recency order. Holds
-// the shared_ptr alongside the enumerator: a cached enumerator must
-// never outlive its prepared query, even after an install replaced it
-// in the plan table. The cap (EngineOptions::worker_cache_entries, 8 by
-// default, small enough for a linear scan) keeps a long-lived worker
-// from accumulating one enumerator per distinct prepared query within a
-// generation; sessions are memoryless, so an eviction costs one rebuild
-// on the victim's next pump, never a wrong resume.
-struct QueryEngine::WorkerCache {
-  struct Entry {
-    std::shared_ptr<const PreparedQuery> query;
-    std::unique_ptr<ResumableEnumerator> en;
-  };
-
-  WorkerCache(uint32_t capacity, std::atomic<uint64_t>* evictions)
-      : capacity(std::max(capacity, 1u)), evictions(evictions) {}
-
-  uint32_t capacity;
-  std::atomic<uint64_t>* evictions;
-  std::vector<Entry> entries;  // front = hottest
-
-  ResumableEnumerator& Get(const std::shared_ptr<const PreparedQuery>& q) {
-    auto it = std::find_if(entries.begin(), entries.end(),
-                           [&q](const Entry& e) { return e.query == q; });
-    if (it != entries.end()) {
-      std::rotate(entries.begin(), it, it + 1);
-      return *entries.front().en;
-    }
-    // Construct BEFORE touching the entries: if the constructor throws
-    // (e.g. bad_alloc), evicting or inserting first would leave the cache
-    // short an entry, or holding one with a null `en` that the next hit
-    // on this query dereferences.
-    auto en = std::make_unique<ResumableEnumerator>(
-        q->ann, q->index, q->ann.source, q->ann.target);
-    if (entries.size() >= capacity) {
-      entries.pop_back();
-      evictions->fetch_add(1, std::memory_order_relaxed);
-    }
-    entries.insert(entries.begin(), Entry{q, std::move(en)});
-    return *entries.front().en;
-  }
-
-  // Retired queries never run again; drop their enumerators so a
-  // long-lived engine does not accumulate one per old generation.
-  void EvictOtherGenerations(const Database* db, uint64_t gen) {
-    std::erase_if(entries, [db, gen](const Entry& e) {
-      const Snapshot& s = e.query->index.snapshot();
-      return &s.db() != db || s.generation() != gen;
-    });
-  }
-};
-
 QueryEngine::QueryEngine(const EngineOptions& options)
-    : worker_cache_entries_(std::max(options.worker_cache_entries, 1u)),
-      cache_(options.plan_cache_bytes) {
+    : cache_(options.plan_cache_bytes) {
   uint32_t num_threads = std::max(options.num_threads, 1u);
   workers_.reserve(num_threads);
   for (uint32_t i = 0; i < num_threads; ++i)
@@ -279,8 +226,6 @@ EngineStats QueryEngine::Stats() const {
   stats.plan_cache = cache_.Stats();
   stats.plans_upgraded = stats.plan_cache.upgrades;
   stats.open_queries = cache_.open_handles();
-  stats.worker_cache_evictions =
-      worker_cache_evictions_.load(std::memory_order_relaxed);
   stats.frontend_thompson =
       frontend_thompson_.load(std::memory_order_relaxed);
   stats.frontend_glushkov =
@@ -296,13 +241,13 @@ EngineStats QueryEngine::Stats() const {
 }
 
 PumpResult QueryEngine::RunBatch(
-    WorkerCache& cache, const std::shared_ptr<const PreparedQuery>& query,
-    const Walk& last, bool started, uint32_t max_answers,
+    ResumableEnumerator& en, const PreparedQuery& query, const Walk& last,
+    bool started, uint32_t max_answers,
     std::chrono::steady_clock::time_point enqueued,
     int64_t* first_answer_ns) {
   PumpResult result;
   *first_answer_ns = -1;
-  ResumableEnumerator& en = cache.Get(query);
+  en.Reset(query.ann, query.index);
   if (!started) {
     en.Rewind();
   } else if (!en.SeekAfter(last)) {
@@ -330,7 +275,10 @@ PumpResult QueryEngine::RunBatch(
 }
 
 void QueryEngine::WorkerLoop() {
-  WorkerCache cache(worker_cache_entries_, &worker_cache_evictions_);
+  // Reset onto the plan of every job. Between jobs its pointers may name
+  // a freed plan; nothing reads them before the next Reset overwrites
+  // them.
+  ResumableEnumerator en;
   for (;;) {
     Job job;
     std::shared_ptr<const PreparedQuery> query;
@@ -367,7 +315,6 @@ void QueryEngine::WorkerLoop() {
           ++sessions_retired_;
         }
         lock.unlock();
-        cache.EvictOtherGenerations(r.db, r.generation);
         job.promise.set_value(PumpResult{PumpStatus::kRetired, {}});
         continue;
       }
@@ -381,8 +328,9 @@ void QueryEngine::WorkerLoop() {
     }
 
     int64_t first_ns = -1;
-    PumpResult result = RunBatch(cache, query, last, started,
-                                 job.max_answers, job.enqueued, &first_ns);
+    PumpResult result = RunBatch(en, *query, last, started, job.max_answers,
+                                 job.enqueued, &first_ns);
+    query.reset();  // a worker holds no plan between jobs
 
     {
       std::lock_guard<std::mutex> lock(mu_);

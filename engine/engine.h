@@ -35,12 +35,13 @@
 //    misses, evictions, single-flight waits, session retirements,
 //    front-end choices, open handles) for tests and benchmarks.
 //
-// Workers keep a small per-thread LRU cache of ResumableEnumerators
-// keyed by prepared query (EngineOptions::worker_cache_entries), so
-// steady-state pumping over the hot query set allocates nothing: a
-// fresh session Rewind()s the cached enumerator, a parked one
-// SeekAfter()s. Sessions are memoryless, so an evicted enumerator costs
-// only a rebuild on the next pump, never a wrong resume.
+// Each worker keeps one ResumableEnumerator and Reset()s it onto the
+// plan of every job it runs: a fresh session Rewind()s, a parked one
+// SeekAfter()s. Sessions are memoryless, so a pump rebuilds the whole
+// cursor either way and nothing of one job's plan is worth keeping for
+// the next; the worker holds a job's plan only while the job runs, so
+// no worker keeps a plan, or the snapshot it pins, alive past an
+// install.
 //
 // Thread-safety: every public method is safe to call from any thread.
 // Prepare, PrepareRegex, OpenSession and Pump read only sealed
@@ -57,7 +58,9 @@
 // installing thread) keep the product BFS's scratch (core/annotate.h)
 // for their lifetime: V x (8 ceil(|Q|/64) + 4) bytes at the largest
 // graph and query each has annotated. A worker frees it once it has
-// helped an install. plan_cache_bytes does not count it.
+// helped an install. Each worker keeps its enumerator's frames:
+// (lambda + 1) x ceil(|Q|/64) words at the largest query it has run.
+// plan_cache_bytes counts neither.
 
 #ifndef DSW_ENGINE_ENGINE_H_
 #define DSW_ENGINE_ENGINE_H_
@@ -84,7 +87,8 @@
 
 namespace dsw {
 
-class DeltaContext;  // core/delta_annotate.h
+class DeltaContext;         // core/delta_annotate.h
+class ResumableEnumerator;  // core/resumable_enumerator.h
 
 /// Handle on an open session (a SlotTable id, never 0).
 using SessionId = uint64_t;
@@ -107,10 +111,9 @@ struct EngineOptions {
   /// 0 disables cross-query caching: every Prepare builds from scratch
   /// — the benchmark's cold arm.
   size_t plan_cache_bytes = size_t{64} << 20;
-  /// Per-worker enumerator LRU capacity (clamped to >= 1). Bounds the
-  /// per-thread memory across distinct prepared queries; evicted
-  /// enumerators are rebuilt on demand (sessions are memoryless).
-  uint32_t worker_cache_entries = 8;
+  /// Each worker keeps one enumerator and re-points it at every job's
+  /// plan; a constant, not a setting.
+  static constexpr uint32_t worker_cache_entries = 1;
   /// InstallSnapshot always repairs the plan table across an insert-only
   /// delta (core/delta_annotate.h); a constant, not a setting.
   static constexpr bool incremental_install = true;
@@ -124,7 +127,7 @@ struct EngineStats {
   // Pumps that resumed a parked walk on a plan upgraded since the
   // session's previous pump; a session never pumped again counts nothing.
   uint64_t sessions_upgraded = 0;
-  uint64_t worker_cache_evictions = 0;  // enumerators dropped by the LRU cap
+  uint64_t worker_cache_evictions = 0;  // always 0: workers cache nothing
   uint64_t frontend_thompson = 0;       // PrepareRegex picks, per front-end
   uint64_t frontend_glushkov = 0;
   // Execution tier of each resolved Prepare plan (the kernels its
@@ -269,23 +272,15 @@ class QueryEngine {
     std::shared_ptr<PlanRepairs> repairs;
   };
 
-  // Per-worker bounded enumerator LRU (defined in engine.cc): one
-  // ResumableEnumerator per hot prepared query per worker, reused
-  // across batches so steady-state pumping performs no allocation.
-  struct WorkerCache;
-
   void WorkerLoop();
-  // Runs one batch against the prepared query, entirely outside the
-  // engine lock (the prepared structures are read-only). Writes the
-  // enqueue-to-first-answer latency into *first_answer_ns (-1 when the
-  // batch produced nothing).
-  PumpResult RunBatch(WorkerCache& cache,
-                      const std::shared_ptr<const PreparedQuery>& query,
+  // Runs one batch against the prepared query on the worker's
+  // enumerator \p en, entirely outside the engine lock (the prepared
+  // structures are read-only). Writes the enqueue-to-first-answer
+  // latency into *first_answer_ns (-1 when the batch produced nothing).
+  PumpResult RunBatch(ResumableEnumerator& en, const PreparedQuery& query,
                       const Walk& last, bool started, uint32_t max_answers,
                       std::chrono::steady_clock::time_point enqueued,
                       int64_t* first_answer_ns);
-
-  const uint32_t worker_cache_entries_;
 
   // Guards the queue and the sessions. A worker resolves a session's
   // plan through cache_, whose own lock it takes inside mu_ (never the
@@ -310,7 +305,6 @@ class QueryEngine {
   std::unique_ptr<const DeltaContext> context_;
 
   // Lock-free counters: bumped outside mu_ (workers, PrepareRegex).
-  std::atomic<uint64_t> worker_cache_evictions_{0};
   std::atomic<uint64_t> frontend_thompson_{0};
   std::atomic<uint64_t> frontend_glushkov_{0};
   std::atomic<uint64_t> tier_single_word_{0};

@@ -119,7 +119,6 @@ TEST(DatabaseTest, ZeroVertexAddIsGenerationNeutral) {
   EXPECT_EQ(again.generation(), snap.generation());
   EdgeDelta delta = again.DeltaFrom(snap.generation());
   EXPECT_TRUE(delta.known);
-  EXPECT_EQ(delta.first_new_vertex, 3u);
   EXPECT_EQ(delta.first_new_edge, 1u);
 }
 
@@ -135,17 +134,17 @@ TEST(SnapshotTest, DeltaFromTracksInsertOnlyFreezes) {
   db.AddEdge(2, "l0", 5);
   Snapshot second = db.Freeze();
 
-  // Known delta: exactly the vertex and edge suffixes added since gen1.
+  // Known delta: exactly the edge suffix added since gen1, and the
+  // sources of its edges.
   EdgeDelta d = second.DeltaFrom(gen1);
   ASSERT_TRUE(d.known);
-  EXPECT_EQ(d.first_new_vertex, 4u);
   EXPECT_EQ(d.first_new_edge, 1u);
   EXPECT_EQ(d.new_sources, (std::vector<uint32_t>{1, 2}));
 
-  // Same-generation delta: known and empty (suffixes start at the end).
+  // Same-generation delta: known and empty (the suffix starts at the
+  // end).
   EdgeDelta same = second.DeltaFrom(second.generation());
   ASSERT_TRUE(same.known);
-  EXPECT_EQ(same.first_new_vertex, 6u);
   EXPECT_EQ(same.first_new_edge, 3u);
   EXPECT_TRUE(same.new_sources.empty());
 

@@ -90,7 +90,7 @@ TEST_F(Figure1Test, TrimmingRemovesTheDeadEndVertex) {
   // carl is reachable in the product at level 1 but on no shortest
   // answer, so no level may keep it.
   for (uint32_t level = 0; level <= Figure1::kLambda; ++level)
-    EXPECT_FALSE(index_.trimmed().Useful(level, fig_.carl))
+    EXPECT_FALSE(index_.trimmed().UsefulLevel(level).Find(fig_.carl))
         << "level " << level;
   EXPECT_GT(index_.trimmed().num_slots(), 0u);
 }

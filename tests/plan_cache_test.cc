@@ -22,8 +22,8 @@
 //    keeps the table bounded and evicting; at budget 0 an entry dies
 //    with its last handle (the bench's cold arm: every Prepare after a
 //    release builds).
-//  - The per-worker enumerator LRU is bounded by worker_cache_entries
-//    and evictions are visible in EngineStats.
+//  - A worker's one enumerator serves every plan it pumps, and a worker
+//    keeps no plan alive once an install has replaced it.
 //
 // Everything is cross-checked against the single-threaded
 // annotate/trim/enumerate oracle: cache plumbing must never change
@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -654,27 +655,34 @@ TEST(PlanCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(stats.plan_cache.bytes_used, 0u);
 }
 
-TEST(PlanCacheTest, WorkerEnumeratorCacheIsBounded) {
+TEST(PlanCacheTest, OneWorkerEnumeratorServesEveryPlan) {
   Instance inst = Grid(4, 4);
-  Nfa query = AnyKDfa(3, 1);
   Snapshot snap = inst.db.Freeze();
 
-  EngineOptions opts;
-  opts.num_threads = 1;          // one worker owns one enumerator LRU
-  opts.worker_cache_entries = 2;
-  QueryEngine engine(opts);
+  QueryEngine engine(1);  // one worker, so one enumerator runs every pump
   engine.InstallSnapshot(snap);
 
-  // Four distinct prepared queries round-robin over a 2-entry LRU:
-  // every pump after the first cycle needs a rebuild, so evictions must
-  // show up — and answers must not change.
-  std::vector<uint32_t> sources = {0, 1, 4, 5};
+  // Four plans of different lambda (6, 3, 4, 5) and words per set
+  // (1, 3, 1, 2), pumped round-robin one answer at a time: every pump
+  // re-points the enumerator at another plan, and the drains must not
+  // change.
+  struct Plan {
+    Nfa query;
+    uint32_t source, target;
+  };
+  const std::vector<Plan> plans = {
+      {AnyKDfa(6, 1), 0, 15},
+      {SpreadStates(AnyKDfa(3, 1), 3), 0, 9},
+      {AnyKDfa(4, 1), 5, 15},
+      {SpreadStates(AnyKDfa(5, 1), 2), 1, 15},
+  };
   std::vector<SessionId> sessions;
-  std::vector<EdgeSeq> got(sources.size()), want;
-  for (uint32_t s : sources) {
+  std::vector<EdgeSeq> got(plans.size()), want;
+  for (const Plan& p : plans) {
     sessions.push_back(
-        engine.OpenSession(engine.Prepare(query, s, inst.target)));
-    want.push_back(Oracle(snap, query, s, inst.target));
+        engine.OpenSession(engine.Prepare(p.query, p.source, p.target)));
+    want.push_back(Oracle(snap, p.query, p.source, p.target));
+    ASSERT_FALSE(want.back().empty());
   }
 
   bool progress = true;
@@ -688,7 +696,30 @@ TEST(PlanCacheTest, WorkerEnumeratorCacheIsBounded) {
     }
   }
   for (size_t j = 0; j < sessions.size(); ++j) EXPECT_EQ(got[j], want[j]);
-  EXPECT_GT(engine.Stats().worker_cache_evictions, 0u);
+}
+
+// A plan an install replaced is freed once no handle, session or pump
+// uses it: the worker that ran it before the install keeps nothing of
+// it, so no worker pins a superseded snapshot's adjacency.
+TEST(PlanCacheTest, WorkersPinNoSupersededPlan) {
+  Instance inst = BubbleChain(5, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  QueryEngine engine(1);
+  engine.InstallSnapshot(inst.db.Freeze());
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  SessionId s = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(s, 4).status, PumpStatus::kOk);
+  std::weak_ptr<const PreparedQuery> old = engine.Plan(q);
+  ASSERT_FALSE(old.expired());
+
+  // Insert-only: an edge out of a new vertex, so the plan is repaired.
+  const uint32_t v = inst.db.AddVertex();
+  inst.db.AddEdge(v, 0u, inst.target);
+  engine.InstallSnapshot(inst.db.Freeze());
+  ASSERT_EQ(engine.Stats().plans_upgraded, 1u);
+
+  ASSERT_EQ(engine.Pump(s, 4).status, PumpStatus::kOk);
+  EXPECT_TRUE(old.expired());
 }
 
 TEST(PlanCacheTest, FrontendChoiceIsRecorded) {

@@ -8,17 +8,23 @@
 // recomputed from the previous one alone — must reproduce it again,
 // and a *fresh* enumerator SeekAfter'ed to any answer w must emit
 // exactly the suffix after w, with the last answer invalidating
-// cleanly. Adversarial walks (wrong length, non-candidate edges, dead
-// reachable-run sets) pin the rejection contract: release builds
-// return false, debug builds assert (death tests, mirroring
-// label_index_test). The delay-accounting test asserts the Theorem 18
-// bound as an operation-count proxy: per-output work of the SeekAfter
-// chain stays flat while the in-degree sweeps 4 -> 256.
+// cleanly. One enumerator per test is Reset onto every plan the test
+// builds, as an engine worker's is, and must agree with the fresh ones
+// on the full scan and on every SeekAfter; each plan is freed before
+// the next is built, so a field Reset fails to refresh reads a freed
+// plan (an error under ASan). Adversarial walks (wrong length,
+// non-candidate edges, dead reachable-run sets) pin the rejection
+// contract: release builds return false, debug builds assert (death
+// tests, mirroring label_index_test). The delay-accounting test
+// asserts the Theorem 18 bound as an operation-count proxy: per-output
+// work of the SeekAfter chain stays flat while the in-degree sweeps
+// 4 -> 256.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,21 +50,33 @@ WalkSeq Drain(Enumerator& en) {
   return out;
 }
 
-// The three properties of the harness header, on one (instance, query).
-void ExpectResumableMatchesOracle(Instance inst, const Nfa& query,
-                                  const char* what) {
+// The properties of the harness header, on one (instance, query);
+// \p reused is the enumerator the test Resets onto each of its plans.
+void ExpectResumableMatchesOracle(ResumableEnumerator& reused, Instance inst,
+                                  const Nfa& query, const char* what) {
   SCOPED_TRACE(what);
   Snapshot snap = inst.db.Freeze();
-  Annotation ann = Annotate(snap, query, inst.source, inst.target);
+  // The plan lives on the heap, so the next call's plan gets new
+  // addresses once this one is freed; on the stack it would sit where
+  // its predecessor sat, and a pointer Reset failed to refresh would
+  // still read a live plan.
+  const auto ann_ptr = std::make_unique<const Annotation>(
+      Annotate(snap, query, inst.source, inst.target));
+  const auto rindex_ptr =
+      std::make_unique<const ResumableIndex>(snap, *ann_ptr);
+  const Annotation& ann = *ann_ptr;
+  const ResumableIndex& rindex = *rindex_ptr;
   TrimmedIndex tindex(snap, ann);
-  ResumableIndex rindex(snap, ann);
 
   TrialFilterEnumerator ref_en(ann, tindex, inst.source, inst.target);
   const WalkSeq ref = Drain(ref_en);
 
-  // (a) full scan, order included.
+  // (a) full scan, order included, fresh and reused.
   ResumableEnumerator full(ann, rindex, inst.source, inst.target);
   ASSERT_EQ(Drain(full), ref);
+  reused.Reset(ann, rindex);
+  reused.Rewind();
+  ASSERT_EQ(Drain(reused), ref);
 
   // (a') the memoryless chain — every answer recomputed from its
   // predecessor alone — is the same sequence again.
@@ -76,7 +94,9 @@ void ExpectResumableMatchesOracle(Instance inst, const Nfa& query,
   }
 
   // (b) a fresh SeekAfter from every answer yields exactly its suffix;
-  // the last answer invalidates cleanly (empty suffix).
+  // the last answer invalidates cleanly (empty suffix). The reused
+  // enumerator, seeking from wherever the previous answer left it, must
+  // yield the same.
   for (size_t k = 0; k < ref.size(); ++k) {
     ResumableEnumerator en(ann, rindex, inst.source, inst.target);
     Walk w;
@@ -85,6 +105,8 @@ void ExpectResumableMatchesOracle(Instance inst, const Nfa& query,
     WalkSeq suffix = Drain(en);
     ASSERT_EQ(suffix, WalkSeq(ref.begin() + k + 1, ref.end()))
         << "wrong suffix after answer " << k;
+    ASSERT_TRUE(reused.SeekAfter(w)) << "answer " << k << " rejected";
+    ASSERT_EQ(Drain(reused), suffix) << "reused, after answer " << k;
   }
 }
 
@@ -96,33 +118,44 @@ Nfa CompileRegex(const std::string& pattern, Database* db, bool thompson) {
 }
 
 TEST(ResumableCrossOracleTest, GridsWithFixedNfas) {
+  ResumableEnumerator reused;
   for (uint32_t n = 2; n <= 4; ++n) {
     Instance inst = Grid(n, n);
-    ExpectResumableMatchesOracle(inst, StaircaseNfa(1, 1), "staircase1");
-    ExpectResumableMatchesOracle(inst, AnyKDfa(2 * (n - 1), 1), "anyk");
+    ExpectResumableMatchesOracle(reused, inst, StaircaseNfa(1, 1),
+                                 "staircase1");
+    ExpectResumableMatchesOracle(reused, inst, AnyKDfa(2 * (n - 1), 1),
+                                 "anyk");
   }
-  ExpectResumableMatchesOracle(Grid(3, 5), StaircaseNfa(2, 1),
+  // Spread over three words and back to one: the reused enumerator's
+  // frames change word count both ways.
+  ExpectResumableMatchesOracle(reused, Grid(3, 5),
+                               SpreadStates(StaircaseNfa(2, 1), 3),
+                               "grid3x5-staircase2-spread3");
+  ExpectResumableMatchesOracle(reused, Grid(3, 5), StaircaseNfa(2, 1),
                                "grid3x5-staircase2");
 }
 
 TEST(ResumableCrossOracleTest, GridsWithRegexFrontEnds) {
+  ResumableEnumerator reused;
   for (bool thompson : {false, true}) {
     Instance inst = Grid(3, 3);
     Nfa query = CompileRegex("l0 l0 l0 l0", &inst.db, thompson);
-    ExpectResumableMatchesOracle(inst, query,
+    ExpectResumableMatchesOracle(reused, inst, query,
                                  thompson ? "thompson" : "glushkov");
     Nfa plus = CompileRegex("(l0)+", &inst.db, thompson);
-    ExpectResumableMatchesOracle(inst, plus, "plus");
+    ExpectResumableMatchesOracle(reused, inst, plus, "plus");
   }
 }
 
 TEST(ResumableCrossOracleTest, StarOfChainsSweepsShapeAndQueries) {
+  ResumableEnumerator reused;
   for (uint32_t d : {1u, 2u, 5u, 9u}) {
     for (uint32_t depth : {1u, 2u, 5u}) {
       Instance inst = StarOfChains(d, depth, 2);
-      ExpectResumableMatchesOracle(inst, StaircaseNfa(1, 2),
+      ExpectResumableMatchesOracle(reused, inst, StaircaseNfa(1, 2),
                                    "staircase1");
-      ExpectResumableMatchesOracle(inst, CompleteNfa(3, 2), "complete3");
+      ExpectResumableMatchesOracle(reused, inst, CompleteNfa(3, 2),
+                                   "complete3");
     }
   }
   // "ends in l0" keeps only every other chain — trimming must drop the
@@ -130,27 +163,30 @@ TEST(ResumableCrossOracleTest, StarOfChainsSweepsShapeAndQueries) {
   for (bool thompson : {false, true}) {
     Instance inst = StarOfChains(6, 4, 2);
     Nfa query = CompileRegex("(l0|l1)* l0", &inst.db, thompson);
-    ExpectResumableMatchesOracle(inst, query, "ends-in-l0");
+    ExpectResumableMatchesOracle(reused, inst, query, "ends-in-l0");
   }
 }
 
 TEST(ResumableCrossOracleTest, NoiseEmbeddedRandomInstances) {
+  ResumableEnumerator reused;
   for (uint64_t seed : {5u, 17u, 29u, 47u}) {
     Instance core = BubbleChain(3 + seed % 2, 2);
     Instance inst =
         EmbedInNoise(core, 40, 160, seed);
-    ExpectResumableMatchesOracle(inst, StaircaseNfa(1, 2), "staircase1");
-    ExpectResumableMatchesOracle(inst, StaircaseNfa(2, 2), "staircase2");
+    ExpectResumableMatchesOracle(reused, inst, StaircaseNfa(1, 2),
+                                 "staircase1");
+    ExpectResumableMatchesOracle(reused, inst, StaircaseNfa(2, 2),
+                                 "staircase2");
     for (bool thompson : {false, true}) {
       Nfa query = CompileRegex("l0 (l0|l1)* l1?", &inst.db, thompson);
-      ExpectResumableMatchesOracle(inst, query, "regex");
+      ExpectResumableMatchesOracle(reused, inst, query, "regex");
     }
   }
   for (uint64_t seed : {7u, 13u}) {
     Instance inst = EmbedInNoise(StarOfChains(4, 3, 2), 30, 120, seed);
     for (bool thompson : {false, true}) {
       Nfa query = CompileRegex("(l0|l1)+", &inst.db, thompson);
-      ExpectResumableMatchesOracle(inst, query, "any-plus");
+      ExpectResumableMatchesOracle(reused, inst, query, "any-plus");
     }
   }
 }
@@ -158,11 +194,13 @@ TEST(ResumableCrossOracleTest, NoiseEmbeddedRandomInstances) {
 TEST(ResumableCrossOracleTest, LambdaZeroEmptyWalk) {
   // source == target and the query accepts the empty word: the single
   // empty walk is the answer; SeekAfter(empty) accepts it and reports
-  // no successor.
+  // no successor. The reused enumerator comes to it from lambda 2.
+  ResumableEnumerator reused;
   Instance inst = Grid(2, 2);
-  inst.target = inst.source;
   Nfa query = StaircaseNfa(0, 1);  // accepts every word incl. epsilon
-  ExpectResumableMatchesOracle(inst, query, "lambda0");
+  ExpectResumableMatchesOracle(reused, inst, query, "lambda2");
+  inst.target = inst.source;
+  ExpectResumableMatchesOracle(reused, inst, query, "lambda0");
 
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
@@ -177,8 +215,14 @@ TEST(ResumableCrossOracleTest, LambdaZeroEmptyWalk) {
 }
 
 TEST(ResumableCrossOracleTest, UnreachableTargetHasNoAnswers) {
+  // The reused enumerator comes to the unreachable plan from one with
+  // answers.
+  ResumableEnumerator reused;
   Instance inst = StarOfChains(3, 4, 2);
   Nfa query = AnyKDfa(3, 2);  // wrong length: no accepting walk
+  ExpectResumableMatchesOracle(reused, inst, StaircaseNfa(1, 2),
+                               "reachable");
+  ExpectResumableMatchesOracle(reused, inst, query, "unreachable");
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
   ASSERT_FALSE(ann.reachable());
@@ -327,7 +371,8 @@ struct AdversarialFixture {
 // cross-oracle harness and come out in the expected order.
 TEST(ResumableAdversarialTest, FixtureAnswersAreSane) {
   AdversarialFixture fx;
-  ExpectResumableMatchesOracle(fx.inst, fx.query, "ab-or-ba");
+  ResumableEnumerator reused;
+  ExpectResumableMatchesOracle(reused, fx.inst, fx.query, "ab-or-ba");
   TrialFilterEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
                             fx.inst.target);
   WalkSeq answers = Drain(ref);

@@ -1,11 +1,12 @@
 // Unit tests for the StateSet word-level API the label-stratified hot
-// paths lean on: UnionWith's changed-flag, IntersectInto, raw word
-// access, views over external word pools, and the Resize growth-path
-// regression (stale tail bits must never come back into range).
+// paths lean on: UnionWith's changed-flag, raw word access, views over
+// external word pools, the Resize growth-path regression (stale tail
+// bits must never come back into range), and the word kernels'
+// ForEachAnd, which the product BFS walks its frontier with.
 //
 // The randomized round-trip suites at the bottom hammer the same
 // view/pooled-word paths the resumable index leans on (StateSetView
-// over pool storage, IntersectInto, ForEachAnd, LevelSets) against
+// over pool storage, the kernels' ForEachAnd, LevelSets) against
 // std::set references, across capacities that straddle word
 // boundaries — the class of bug the Resize tail-clearing fix was.
 
@@ -19,6 +20,7 @@
 
 #include "core/level_sets.h"
 #include "util/state_set.h"
+#include "util/word_kernel.h"
 
 namespace dsw {
 namespace {
@@ -53,27 +55,6 @@ TEST(StateSetTest, UnionWithWordsChangedFlag) {
   EXPECT_FALSE(a.UnionWithWords(words, 2));
   EXPECT_TRUE(a.Test(1));
   EXPECT_TRUE(a.Test(3));
-}
-
-TEST(StateSetTest, IntersectInto) {
-  StateSet a(130), b(130), out;
-  a.Set(1);
-  a.Set(64);
-  a.Set(129);
-  b.Set(64);
-  b.Set(129);
-  b.Set(2);
-  a.IntersectInto(b, &out);
-  EXPECT_EQ(out.capacity(), 130u);
-  EXPECT_EQ(out.Count(), 2u);
-  EXPECT_TRUE(out.Test(64));
-  EXPECT_TRUE(out.Test(129));
-
-  // Reusing a dirty output must fully overwrite it.
-  StateSet c(130);
-  c.Set(5);
-  a.IntersectInto(c, &out);
-  EXPECT_TRUE(out.None());
 }
 
 TEST(StateSetTest, ResizeShrinkClearsStaleBits) {
@@ -131,17 +112,37 @@ TEST(StateSetTest, AssignFromView) {
   EXPECT_TRUE(s.Test(1));
 }
 
+// The bits of a & b, ascending, through each kernel that can hold a
+// set of \p cap bits: the multi-word kernel always, the single-word one
+// at cap <= 64.
+std::vector<std::vector<uint32_t>> KernelForEachAnd(const StateSet& a,
+                                                    const StateSet& b,
+                                                    uint32_t cap) {
+  std::vector<std::vector<uint32_t>> out(1);
+  const uint32_t wps = static_cast<uint32_t>(state_set_detail::WordsFor(cap));
+  MultiWordKernel(wps).ForEachAnd(a.words(), b.words(),
+                                  [&](uint32_t i) { out[0].push_back(i); });
+  if (wps == 1) {
+    out.emplace_back();
+    SingleWordKernel().ForEachAnd(a.words(), b.words(),
+                                  [&](uint32_t i) { out[1].push_back(i); });
+  }
+  return out;
+}
+
 TEST(StateSetTest, ForEachAndVisitsOnlyTheIntersection) {
-  StateSet a(200), mask(200);
-  a.Set(1);
-  a.Set(100);
-  a.Set(199);
-  mask.Set(100);
-  mask.Set(199);
-  mask.Set(7);
-  std::vector<uint32_t> bits;
-  ForEachAnd(a, mask, [&](uint32_t i) { bits.push_back(i); });
-  EXPECT_EQ(bits, (std::vector<uint32_t>{100, 199}));
+  for (uint32_t cap : {200u, 64u}) {
+    SCOPED_TRACE(cap);
+    StateSet a(cap), mask(cap);
+    a.Set(1);
+    a.Set(cap / 2);
+    a.Set(cap - 1);
+    mask.Set(cap / 2);
+    mask.Set(cap - 1);
+    mask.Set(7);
+    for (const std::vector<uint32_t>& bits : KernelForEachAnd(a, mask, cap))
+      EXPECT_EQ(bits, (std::vector<uint32_t>{cap / 2, cap - 1}));
+  }
 }
 
 // ------------------------------------- randomized round-trip suites
@@ -191,21 +192,15 @@ TEST(StateSetFuzzTest, SetOperationsMatchSetReference) {
       EXPECT_EQ(ToReference(u), runion);
       EXPECT_FALSE(u.UnionWith(b)) << "second union must be a no-op";
 
-      // Intersection three ways: &=, IntersectInto, ForEachAnd.
+      // Intersection two ways: &= and each kernel's ForEachAnd.
       std::set<uint32_t> rinter;
       std::set_intersection(ra.begin(), ra.end(), rb.begin(), rb.end(),
                             std::inserter(rinter, rinter.begin()));
       StateSet i1 = a;
       i1 &= b;
       EXPECT_EQ(ToReference(i1), rinter);
-      StateSet i2(7);  // dirty, wrong-capacity output must be overwritten
-      i2.Set(3);
-      a.IntersectInto(b, &i2);
-      EXPECT_EQ(i2.capacity(), cap);
-      EXPECT_EQ(ToReference(i2), rinter);
-      std::set<uint32_t> i3;
-      ForEachAnd(a, b, [&](uint32_t bit) { i3.insert(bit); });
-      EXPECT_EQ(i3, rinter);
+      for (const std::vector<uint32_t>& bits : KernelForEachAnd(a, b, cap))
+        EXPECT_EQ(bits, std::vector<uint32_t>(rinter.begin(), rinter.end()));
       EXPECT_EQ(a.Intersects(b), !rinter.empty());
     }
   }

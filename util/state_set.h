@@ -39,8 +39,6 @@ void ForEachBit(const uint64_t* words, size_t num_words, Fn&& fn) {
 
 }  // namespace state_set_detail
 
-class StateSet;
-
 /// Non-owning view of a bitset whose words live in someone else's pool.
 /// Null (default-constructed) views test false; they stand for "no set
 /// here" in level/index lookups.
@@ -85,9 +83,6 @@ class StateSetView {
       if (words_[i] & o.words_[i]) return true;
     return false;
   }
-
-  /// out = *this & o, word-parallel; out is resized to capacity().
-  inline void IntersectInto(StateSetView o, StateSet* out) const;
 
   /// Calls \p fn(state) for every set bit, in increasing order.
   template <typename Fn>
@@ -189,11 +184,6 @@ class StateSet {
     return changed != 0;
   }
 
-  /// out = *this & o, word-parallel; out is resized to capacity().
-  void IntersectInto(StateSetView o, StateSet* out) const {
-    view().IntersectInto(o, out);
-  }
-
   StateSet& operator|=(const StateSet& o) {
     UnionWith(o.view());
     return *this;
@@ -235,31 +225,6 @@ class StateSet {
   uint32_t num_bits_ = 0;
   std::vector<uint64_t> words_;
 };
-
-inline void StateSetView::IntersectInto(StateSetView o, StateSet* out) const {
-  out->Resize(num_bits_);
-  uint64_t* ow = out->mutable_words();
-  size_t n = num_words() < o.num_words() ? num_words() : o.num_words();
-  for (size_t i = 0; i < n; ++i) ow[i] = words_[i] & o.words()[i];
-  for (size_t i = n; i < out->num_words(); ++i) ow[i] = 0;
-}
-
-/// Calls \p fn(i) for every bit set in a & mask, in increasing order,
-/// without materializing the intersection — the hot paths use it to walk
-/// "frontier states that actually have a transition on this label".
-template <typename Fn>
-void ForEachAnd(StateSetView a, StateSetView mask, Fn&& fn) {
-  size_t n = a.num_words() < mask.num_words() ? a.num_words()
-                                              : mask.num_words();
-  for (size_t wi = 0; wi < n; ++wi) {
-    uint64_t w = a.words()[wi] & mask.words()[wi];
-    while (w) {
-      uint32_t bit = static_cast<uint32_t>(std::countr_zero(w));
-      fn(static_cast<uint32_t>(wi * 64 + bit));
-      w &= w - 1;
-    }
-  }
-}
 
 }  // namespace dsw
 
