@@ -6,13 +6,14 @@
 // The search is restricted to level-consistent product edges (the BFS
 // annotation), i.e. this is the strongest naive variant: it never
 // wanders off shortest paths, and still drowns in duplicates. It walks
-// the snapshot's LabelIndex and reads the same Annotation as the
-// trimmed pipeline (precompiled delta rows + epsilon-closures),
-// branching on closure-collapsed *effective* steps eps* . label . eps*:
-// distinct epsilon-paths between the same labeled steps count as one
-// run, for epsilon-free and epsilon-NFAs alike — which keeps the oracle
-// honest against the label-stratified pipeline without inheriting its
-// trimming.
+// the snapshot's LabelIndex and reads only lambda and the levels of the
+// trimmed pipeline's Annotation. Its steps and its acceptance test come
+// from the Nfa itself (its transitions and epsilon-closures), not from
+// the annotation's delta rows: it branches on closure-collapsed
+// *effective* steps eps* . label . eps*, so distinct epsilon-paths
+// between the same labeled steps count as one run, for epsilon-free and
+// epsilon-NFAs alike — which keeps the oracle honest against the
+// label-stratified pipeline's epsilon composition and trimming.
 
 #ifndef DSW_BASELINE_NAIVE_H_
 #define DSW_BASELINE_NAIVE_H_
@@ -43,6 +44,8 @@ namespace naive_detail {
 struct Search {
   const Snapshot* snap;
   const Annotation* ann;
+  const Nfa* query;
+  const std::vector<StateSet>* closures;  // per state, itself included
   uint32_t target;
   uint64_t max_paths;
   NaiveResult* res;
@@ -60,7 +63,8 @@ struct Search {
         return;
       }
       ++res->paths_generated;
-      if (v != target || !ann->AcceptsAt(q)) return;
+      if (v != target || !(*closures)[q].Intersects(query->final_states()))
+        return;
       if (seen->insert(*prefix).second)
         res->walks.push_back(Walk{*prefix});
       else
@@ -74,7 +78,10 @@ struct Search {
         if (!next) continue;
         StateSet& step = (*targets)[depth];
         step.ZeroAll();
-        ann->EffectiveSuccessorsInto(q, g.label, &step);
+        (*closures)[q].ForEach([&](uint32_t from) {
+          for (const auto& [label, to] : query->Transitions(from))
+            if (label == g.label) step.UnionWith((*closures)[to]);
+        });
         step &= next;
         step.ForEach([&](uint32_t to) {
           if (res->budget_exhausted) return;
@@ -105,12 +112,13 @@ inline NaiveResult NaiveDistinctShortestWalks(const Snapshot& snap,
   res.lambda = ann.lambda;
   if (!ann.reachable()) return res;
 
+  const std::vector<StateSet> closures = query.EpsilonClosures();
   std::set<std::vector<uint32_t>> seen;
   std::vector<uint32_t> prefix;
   std::vector<StateSet> targets(static_cast<size_t>(ann.lambda),
-                                StateSet(ann.num_states));
-  naive_detail::Search search{&snap, &ann,    target,  max_paths,
-                              &res,  &seen,   &prefix, &targets};
+                                StateSet(query.num_states()));
+  naive_detail::Search search{&snap,     &ann, &query, &closures, target,
+                              max_paths, &res, &seen,  &prefix,   &targets};
   // One search per initial state: a run fixes its starting state.
   query.initial().ForEach([&](uint32_t q0) {
     if (StateSetView l0 = ann.StatesAt(0, source); l0 && l0.Test(q0))

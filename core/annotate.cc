@@ -323,8 +323,9 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
   ann.source = source;
   ann.target = target;
   ann.final_states = query.final_states();
-  if (query.has_epsilon()) ann.eps_closure = query.EpsilonClosures();
-  ann.delta = CompiledDelta(query, ann.eps_closure);  // closures shared
+  std::vector<StateSet> closures;  // empty when the query is epsilon-free
+  if (query.has_epsilon()) closures = query.EpsilonClosures();
+  ann.delta = CompiledDelta(query, closures);  // closures shared
 
   if (source >= snap.num_vertices() || target >= snap.num_vertices() ||
       query.num_states() == 0 || query.initial().None())
@@ -334,10 +335,9 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
   // levels stay saturated by induction — delta rows compose the
   // after-side closure, and a union of closed sets is closed.
   StateSet init = query.initial();
-  if (ann.has_epsilon()) {
+  if (!closures.empty()) {
     StateSet saturated(ann.num_states);
-    init.ForEach(
-        [&](uint32_t q) { saturated.UnionWith(ann.eps_closure[q]); });
+    init.ForEach([&](uint32_t q) { saturated.UnionWith(closures[q]); });
     init = std::move(saturated);
   }
   ann.levels.emplace_back(ann.num_states).Append(source, init.words());

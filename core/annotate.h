@@ -62,10 +62,12 @@
 // inside the delta rows TrimmedIndex reuses, so the enumerator's
 // state-set propagation needs no change at all.
 //
-// The annotation also snapshots the compiled query (delta rows, final
-// states, per-state epsilon-closures) so the later stages (TrimmedIndex,
-// enumerators, whose bench-fixed constructors do not receive the Nfa)
-// need no reference back to it.
+// The annotation also snapshots the compiled query (delta rows and
+// final states) so the later stages (TrimmedIndex, enumerators, whose
+// bench-fixed constructors do not receive the Nfa) need no reference
+// back to it. The epsilon-closures are not kept: the delta rows compose
+// the after-side closure and the levels are saturated, so no later
+// stage reads them.
 
 #ifndef DSW_CORE_ANNOTATE_H_
 #define DSW_CORE_ANNOTATE_H_
@@ -99,37 +101,8 @@ struct Annotation {
   CompiledDelta delta;
   StateSet final_states;
 
-  /// Per-state epsilon-closures (each contains the state itself); empty
-  /// when the query is epsilon-free, in which case closure(q) = {q}.
-  std::vector<StateSet> eps_closure;
-
   bool reachable() const { return lambda >= 0; }
-  bool has_epsilon() const { return !eps_closure.empty(); }
   uint32_t words_per_set() const { return (num_states + 63) / 64; }
-
-  /// True iff q alone accepts, i.e. reaches a final state by epsilon
-  /// moves only (q itself included).
-  bool AcceptsAt(uint32_t q) const {
-    return has_epsilon() ? eps_closure[q].Intersects(final_states)
-                         : final_states.Test(q);
-  }
-
-  /// ORs into \p out every state reachable from \p q by one *effective*
-  /// labeled step eps* . label . eps* (out is not cleared; capacity must
-  /// be num_states). Used by the naive baseline; the trimmed pipeline
-  /// reads the delta rows directly.
-  void EffectiveSuccessorsInto(uint32_t q, uint32_t label,
-                               StateSet* out) const {
-    if (!delta.HasLabel(label)) return;
-    uint32_t wps = words_per_set();
-    if (!has_epsilon()) {
-      out->UnionWithWords(delta.SuccessorWords(label, q), wps);
-      return;
-    }
-    eps_closure[q].ForEach([&](uint32_t q1) {
-      out->UnionWithWords(delta.SuccessorWords(label, q1), wps);
-    });
-  }
 
   /// States annotated at (level, v); null view if none.
   StateSetView StatesAt(uint32_t level, uint32_t v) const {
@@ -141,8 +114,6 @@ struct Annotation {
     size_t bytes = sizeof(Annotation) + delta.ApproxBytes() +
                    final_states.num_words() * sizeof(uint64_t);
     for (const LevelSets& lvl : levels) bytes += lvl.ApproxBytes();
-    for (const StateSet& c : eps_closure)
-      bytes += sizeof(StateSet) + c.num_words() * sizeof(uint64_t);
     return bytes;
   }
 };

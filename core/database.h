@@ -18,20 +18,23 @@
 // Mutation and reads are split by an explicit freeze point: AddVertex/
 // AddEdge append to the edge table and bump the vertex count, and
 // Freeze() seals the current contents into an immutable Snapshot that
-// owns the built LabelIndex, the vertex and edge counts it covers, and
-// the generation stamp. Every read-path structure (Annotation,
-// TrimmedIndex, ResumableIndex, the query engine) is constructed from a
-// Snapshot and reads only its LabelIndex, so nothing on the read path
-// ever builds anything lazily — any number of threads can share one
-// Snapshot with no synchronization at all, and a later mutation changes
-// nothing they read: a snapshot and every plan built from it keep
-// answering for their own generation.
+// owns the built LabelIndex and the vertex and edge counts it covers.
+// Every read-path structure (Annotation, TrimmedIndex, ResumableIndex,
+// the query engine) is constructed from a Snapshot and reads only its
+// LabelIndex, so nothing on the read path ever builds anything lazily —
+// any number of threads can share one Snapshot with no synchronization
+// at all, and a later mutation changes nothing they read: a snapshot and
+// every plan built from it keep answering for their own generation.
 //
-// Since the mutation API is append-only, each Freeze() derives its
-// LabelIndex from the previous one (the first from an empty index): a
-// vertex's groups change only when it is new or gained an out-edge, so
-// every other vertex is block-copied with its run and only the touched
-// ones are re-emitted. An install costs the write, not the graph.
+// The mutation API is append-only, so a state of the database is named
+// by its counts: it holds vertices [0, |V|) and edges [0, |E|), and
+// every earlier state is a prefix of every later one. Its generation is
+// those two counts, and the delta from any earlier state is the edge
+// suffix past that state's count. Each Freeze() derives its LabelIndex
+// from the previous one (the first from an empty index): a vertex's
+// groups change only when it is new or gained an out-edge, so every
+// other vertex is block-copied with its run and only the touched ones
+// are re-emitted. An install costs the write, not the graph.
 
 #ifndef DSW_CORE_DATABASE_H_
 #define DSW_CORE_DATABASE_H_
@@ -161,13 +164,12 @@ class LabelIndex {
 
 class Snapshot;
 
-/// Insert-only difference between two frozen generations of one
-/// Database, as recorded by the freeze-time delta log: edges
-/// [first_new_edge, num_edges) were inserted after the older
+/// Insert-only difference between two generations of one Database:
+/// edges [first_new_edge, num_edges) were inserted after the older
 /// generation, possibly with vertices, and nothing else changed (the
 /// mutation API is append-only). known == false means the older
-/// generation was never frozen or its mark aged out of the bounded log
-/// — callers must fall back to a full rebuild.
+/// generation is not a prefix of the newer one — it has more vertices
+/// or edges — so callers must fall back to a full rebuild.
 struct EdgeDelta {
   bool known = false;
   uint32_t first_new_edge = 0;
@@ -179,40 +181,41 @@ struct EdgeDelta {
 
 class Database {
  public:
+  /// AddEdge's result when an endpoint is not a vertex.
+  static constexpr uint32_t kNoEdge = UINT32_MAX;
+
   uint32_t AddVertex() { return AddVertices(1); }
 
-  /// Adds \p n vertices; returns the id of the first. A zero-vertex
-  /// call changes nothing and is generation-neutral — bumping the
-  /// counter here would retire every snapshot, session and cached plan
-  /// for a mutation that never happened.
+  /// Adds \p n vertices; returns the id of the first.
   uint32_t AddVertices(uint32_t n) {
-    uint32_t first = num_vertices_;
-    if (n == 0) return first;
+    const uint32_t first = num_vertices_;
     num_vertices_ += n;
-    ++generation_;
     return first;
   }
 
-  /// Adds an edge with an already-interned label id; returns the edge id.
+  /// Adds an edge with an already-interned label id; returns the edge id,
+  /// or kNoEdge, changing nothing, when \p src or \p dst is not a vertex.
   uint32_t AddEdge(uint32_t src, uint32_t label, uint32_t dst) {
-    assert(src < num_vertices() && "AddEdge: src is not a vertex id");
-    assert(dst < num_vertices() && "AddEdge: dst is not a vertex id");
-    uint32_t id = static_cast<uint32_t>(edges_.size());
+    if (src >= num_vertices_ || dst >= num_vertices_) return kNoEdge;
     edges_.push_back(Edge{src, dst, label});
-    ++generation_;
-    return id;
+    return static_cast<uint32_t>(edges_.size() - 1);
   }
 
-  /// Adds an edge by label name, interning it on first use.
+  /// Adds an edge by label name, interning it on first use; kNoEdge, with
+  /// nothing interned, as above.
   uint32_t AddEdge(uint32_t src, std::string_view label, uint32_t dst) {
+    if (src >= num_vertices_ || dst >= num_vertices_) return kNoEdge;
     return AddEdge(src, labels_.Intern(label), dst);
   }
 
-  /// Monotonic mutation counter: bumped by every AddVertex/AddVertices/
-  /// AddEdge (label interning does not count — it never perturbs the
-  /// adjacency). Freeze() stamps it into the Snapshot; the engine and
-  /// the plan cache key plans and sessions on (database, generation).
-  uint64_t generation() const { return generation_; }
+  /// The current state's name: |V| << 32 | |E|. Every AddVertex/
+  /// AddVertices/AddEdge that adds something moves it; label interning
+  /// never perturbs the adjacency and does not. Unique within one
+  /// database only: the engine and the plan cache key plans and
+  /// sessions on (database, generation).
+  uint64_t generation() const {
+    return uint64_t{num_vertices_} << 32 | edges_.size();
+  }
 
   uint32_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return edges_.size(); }
@@ -227,7 +230,7 @@ class Database {
   /// label-stratified adjacency from the previous freeze's (one counting
   /// pass over the vertices and the k new edges, block copies of the
   /// untouched vertices, O(d log d) per touched vertex; O(1) when
-  /// nothing mutated since the last freeze) and stamps the generation.
+  /// nothing mutated since the last freeze).
   /// Deliberately non-const — building the index is a mutation-path
   /// operation, so it can never race with the read path; the returned
   /// Snapshot (and copies of it) can then be shared across any number
@@ -244,8 +247,6 @@ class Database {
   LabelDictionary* mutable_dict() { return &labels_; }
 
  private:
-  friend class Snapshot;  // DeltaFrom reads the freeze-mark log
-
   // The index of the current contents, derived from \p prev, the index
   // of an earlier state of this database (an empty index on the first
   // freeze). Append-only mutation means prev covers exactly vertices
@@ -348,44 +349,27 @@ class Database {
     return ix;
   }
 
-  // One entry per frozen generation: the edge count as of that freeze.
-  // Since the mutation API is append-only, the delta between two marks
-  // is exactly "the suffix inserted in between" — which is what
-  // Snapshot::DeltaFrom serves to the incremental-maintenance layer.
-  // Bounded: only the most recent kMaxFreezeMarks freezes stay
-  // repairable; older generations fall back to a full rebuild.
-  struct FreezeMark {
-    uint64_t generation;
-    uint32_t num_edges;
-  };
-  static constexpr size_t kMaxFreezeMarks = 64;
-
   std::vector<Edge> edges_;
   uint32_t num_vertices_ = 0;
   LabelDictionary labels_;
-  std::vector<FreezeMark> freeze_marks_;  // ascending generation
-  // The index built by the last Freeze() and the generation it captured;
-  // shared with every Snapshot handed out, so re-freezing an unchanged
-  // database is O(1) and the next freeze derives from it, while old
-  // snapshots keep their own.
+  // The index built by the last Freeze(); shared with every Snapshot
+  // handed out, so re-freezing an unchanged database is O(1) and the
+  // next freeze derives from it, while old snapshots keep their own.
   std::shared_ptr<const LabelIndex> frozen_index_;
-  uint64_t frozen_generation_ = UINT64_MAX;  // != any real generation
-  uint64_t generation_ = 0;
 };
 
 /// Immutable view of a Database as of one Freeze(): shares ownership of
-/// the built LabelIndex and carries the generation stamp. Copying is
+/// the built LabelIndex, whose counts are its generation. Copying is
 /// cheap (one shared_ptr); every member is const, so a Snapshot (and the
 /// Annotation/TrimmedIndex/ResumableIndex built from it) can be read
 /// from any number of threads concurrently — the read path performs no
 /// lazy work whatsoever. Later mutations of the Database do not change
 /// what a snapshot answers: its counts and adjacency come from the
 /// frozen index, and edge() reads the append-only edge table below the
-/// frozen count. edge(), labels() and DeltaFrom() (the bounded
-/// freeze-mark log) read the live Database through a back-pointer, so
-/// it must outlive every snapshot of it, and they are for the thread
-/// that mutates it (engine/engine.h); nothing built from a snapshot
-/// calls them on the read path.
+/// frozen count. edge(), labels() and DeltaFrom() read the live Database
+/// through a back-pointer, so it must outlive every snapshot of it, and
+/// they are for the thread that mutates it (engine/engine.h); nothing
+/// built from a snapshot calls them on the read path.
 class Snapshot {
  public:
   /// Null snapshot (tests false); assign a real one from Freeze().
@@ -393,16 +377,18 @@ class Snapshot {
 
   explicit operator bool() const { return db_ != nullptr; }
 
-  /// Generation of the Database when this snapshot was frozen — the
-  /// version key of the concurrent engine's session table.
-  uint64_t generation() const { return generation_; }
+  /// Database::generation() as of the freeze; 0 for a null snapshot.
+  uint64_t generation() const {
+    return index_ ? uint64_t{num_vertices()} << 32 | num_edges() : 0;
+  }
 
-  /// Insert-only delta between \p prev_generation (an earlier frozen
-  /// generation of the same Database) and this snapshot, from the
-  /// freeze-time mark log, with the new edges' sources read off the
-  /// edge table (O(k log k) for k new edges). Unknown (never-frozen or
-  /// aged-out) generations return known == false — the caller's cue to
-  /// rebuild instead of repair. Defined after Database.
+  /// Insert-only delta between \p prev_generation, an earlier state of
+  /// the same Database, and this snapshot, with the new edges' sources
+  /// read off the edge table (O(k log k) for k new edges). Any
+  /// generation with no more vertices and edges than this snapshot is
+  /// an earlier state, whether or not it was ever frozen; any other
+  /// returns known == false — the caller's cue to rebuild instead of
+  /// repair. Defined after Database.
   EdgeDelta DeltaFrom(uint64_t prev_generation) const;
 
   /// The underlying database, for identity checks and the live tables.
@@ -426,40 +412,27 @@ class Snapshot {
 
  private:
   friend class Database;
-  Snapshot(const Database* db, std::shared_ptr<const LabelIndex> index,
-           uint64_t generation)
-      : db_(db), index_(std::move(index)), generation_(generation) {}
+  Snapshot(const Database* db, std::shared_ptr<const LabelIndex> index)
+      : db_(db), index_(std::move(index)) {}
 
   const Database* db_ = nullptr;
   std::shared_ptr<const LabelIndex> index_;
-  uint64_t generation_ = 0;
 };
 
 inline Snapshot Database::Freeze() {
-  if (!frozen_index_ || frozen_generation_ != generation_) {
+  if (!frozen_index_ || frozen_index_->num_vertices() != num_vertices_ ||
+      frozen_index_->num_edges() != num_edges()) {
     static const LabelIndex kEmpty;
     frozen_index_ = BuildLabelIndex(frozen_index_ ? *frozen_index_ : kEmpty);
-    frozen_generation_ = generation_;
   }
-  if (freeze_marks_.empty() || freeze_marks_.back().generation != generation_) {
-    if (freeze_marks_.size() >= kMaxFreezeMarks)
-      freeze_marks_.erase(freeze_marks_.begin());
-    freeze_marks_.push_back(
-        FreezeMark{generation_, static_cast<uint32_t>(num_edges())});
-  }
-  return Snapshot(this, frozen_index_, generation_);
+  return Snapshot(this, frozen_index_);
 }
 
 inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
-  EdgeDelta delta;
-  if (prev_generation == generation_) {
-    delta = {true, static_cast<uint32_t>(num_edges()), {}};
-  } else if (prev_generation < generation_) {
-    for (const Database::FreezeMark& mark : db_->freeze_marks_)
-      if (mark.generation == prev_generation)
-        delta = {true, mark.num_edges, {}};
-  }
-  if (!delta.known) return delta;
+  const uint64_t prev_edges = prev_generation & UINT32_MAX;
+  if (prev_generation >> 32 > num_vertices() || prev_edges > num_edges())
+    return EdgeDelta{};
+  EdgeDelta delta{true, static_cast<uint32_t>(prev_edges), {}};
   std::vector<uint32_t>& sources = delta.new_sources;
   for (uint32_t e = delta.first_new_edge; e < num_edges(); ++e)
     sources.push_back(src(e));

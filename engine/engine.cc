@@ -53,17 +53,17 @@ std::shared_ptr<const PreparedQuery> RepairPlan(const Snapshot& snap,
 
 }  // namespace
 
-void QueryEngine::InstallSnapshot(Snapshot snap) {
-  assert(static_cast<bool>(snap) && "InstallSnapshot: null snapshot");
+bool QueryEngine::InstallSnapshot(Snapshot snap) {
+  if (!snap) return false;
   const Snapshot prev = cache_.installed();
   const bool same_db = prev && &prev.db() == &snap.db();
-  if (same_db && prev.generation() == snap.generation()) return;
+  if (same_db && prev.generation() == snap.generation()) return true;
   const EdgeDelta delta =
       same_db ? snap.DeltaFrom(prev.generation()) : EdgeDelta{};
   if (!delta.known) {  // nothing to repair from: detach every entry
     context_ = nullptr;
     cache_.Install(std::move(snap), nullptr);
-    return;
+    return true;
   }
   // One reverse CSR serves every repair. It is derived from the previous
   // install's, and built from empty only when the engine holds none —
@@ -90,6 +90,7 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     repairs->Finish();
   });
   context_ = std::move(ctx);  // only once snap is installed
+  return true;
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
@@ -105,20 +106,11 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
     return std::make_shared<const PreparedQuery>(snap, query, source,
                                                  target);
   };
-  for (;;) {
-    const QueryId id = cache_.Acquire(key, build);
-    const PlanCache::Resolved r = cache_.Resolve(id);
-    if (r.plan != nullptr && !r.current()) {
-      // An install detached the entry while this call built its plan:
-      // the session's first pump would retire, so build again.
-      cache_.Release(id);
-      continue;
-    }
-    if (r.plan != nullptr)
-      (r.plan->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
-          .fetch_add(1, std::memory_order_relaxed);
-    return id;
-  }
+  const QueryId id = cache_.Acquire(key, build);
+  if (const PlanCache::Value plan = cache_.Resolve(id).plan)
+    (plan->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
+        .fetch_add(1, std::memory_order_relaxed);
+  return id;
 }
 
 PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,

@@ -159,8 +159,9 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Publishes the snapshot subsequent Prepare() calls build against.
-  /// Installing the installed (db, generation) again changes nothing.
+  /// Publishes the snapshot subsequent Prepare() calls build against and
+  /// returns true. Installing the installed (db, generation) again
+  /// changes nothing; a null snapshot changes nothing and returns false.
   ///
   /// When the new snapshot is a later generation of the SAME database
   /// and its delta against the installed one is a known insert-only
@@ -179,13 +180,13 @@ class QueryEngine {
   /// correct suffix of the NEW answer order. Once an upgrade shortened
   /// lambda, a session that has emitted answers retires at its next
   /// pump, while new sessions enumerate the new order. Sessions on an
-  /// entry left without a plan of the new snapshot (unrepairable, still
-  /// building, or any entry when the database differs or the delta is
-  /// unknown) retire at their next pump. The reverse CSR the repairs
-  /// share (DeltaContext) is derived from the previous install's, which
-  /// the engine keeps, so an install costs the write rather than a pass
-  /// over every edge. Calls must not overlap.
-  void InstallSnapshot(Snapshot snap);
+  /// entry left without a plan of the new snapshot (unrepairable, or any
+  /// entry when the snapshot is of another database, or a snapshot older
+  /// than the installed one) retire at their next pump. The reverse CSR
+  /// the repairs share (DeltaContext) is derived from the previous
+  /// install's, which the engine keeps, so an install costs the write
+  /// rather than a pass over every edge. Calls must not overlap.
+  bool InstallSnapshot(Snapshot snap);
 
   /// Returns a handle on the plan of (query, source, target) against the
   /// installed snapshot: a warm hit shares the entry's plan with no

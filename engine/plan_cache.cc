@@ -74,53 +74,58 @@ void PlanRepairs::Finish() {
 // ------------------------------------------------------------ public API
 
 QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
+  Value plan;  // a build an install orphaned; freed outside the lock
   std::unique_lock<std::mutex> lock(mu_);
   if (!snapshot_) return kNoQuery;
   for (bool waited = false;;) {
     auto it = map_.find(key);
-    if (it == map_.end()) break;
-    std::shared_ptr<Entry> e = it->second;
-    if (e->plan != nullptr) {
-      ++stats_.hits;
-      if (e->handles == 0) lru_.erase(e->lru);  // named: not evictable
-      return HandleLocked(std::move(e));
+    if (it != map_.end()) {
+      std::shared_ptr<Entry> e = it->second;
+      if (e->plan != nullptr) {
+        ++stats_.hits;
+        if (e->handles == 0) lru_.erase(e->lru);  // named: not evictable
+        return HandleLocked(std::move(e));
+      }
+      if (!waited) {
+        waited = true;
+        ++stats_.single_flight_waits;
+      }
+      cv_.wait(lock, [&e] { return e->plan != nullptr || e->key == nullptr; });
+      continue;
     }
-    if (!waited) {
-      waited = true;
-      ++stats_.single_flight_waits;
-    }
-    cv_.wait(lock, [&e] { return e->plan != nullptr || e->key == nullptr; });
-  }
 
-  ++stats_.misses;
-  auto e = std::make_shared<Entry>();
-  e->key = &map_.emplace(key, e).first->first;
-  const Snapshot snap = snapshot_;
-  lock.unlock();
-  Value plan;
-  try {
-    plan = build(snap);
-  } catch (...) {
+    ++stats_.misses;
+    auto e = std::make_shared<Entry>();
+    e->key = &map_.emplace(key, e).first->first;
+    const Snapshot snap = snapshot_;
+    lock.unlock();
+    try {
+      plan = build(snap);
+    } catch (...) {
+      lock.lock();
+      if (e->key != nullptr) DetachLocked(map_.find(key));
+      lock.unlock();
+      cv_.notify_all();
+      throw;
+    }
     lock.lock();
-    if (e->key != nullptr) DetachLocked(map_.find(key));
+    // The plan is of the installed snapshot unless an install is
+    // repairing the table: then it is of the snapshot that install
+    // replaces, and its publish detaches the claim, so wait for that. A
+    // publish since the claim detached it: the plan is of a replaced
+    // snapshot, so claim the key again (or share a waiter's re-claim).
+    cv_.wait(lock, [this] { return !repairing_; });
+    if (e->key == nullptr) continue;
+    e->bytes = plan->ApproxBytes();
+    e->plan = std::move(plan);
+    stats_.bytes_used += e->bytes;
+    ++stats_.entries;
+    const QueryId id = HandleLocked(e);
+    EvictOverBudgetLocked(nullptr);
     lock.unlock();
     cv_.notify_all();
-    throw;
+    return id;
   }
-  lock.lock();
-  // The plan is of the installed snapshot unless an install is repairing
-  // the table: then it is of the snapshot that install replaces, and its
-  // publish detaches the claim, so fill it only after that.
-  cv_.wait(lock, [this] { return !repairing_; });
-  e->bytes = plan->ApproxBytes();
-  e->plan = std::move(plan);
-  stats_.bytes_used += e->bytes;
-  ++stats_.entries;
-  const QueryId id = HandleLocked(e);
-  EvictOverBudgetLocked(nullptr);
-  lock.unlock();
-  cv_.notify_all();
-  return id;
 }
 
 void PlanCache::Release(QueryId id) {
@@ -199,7 +204,7 @@ void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
     }
     EvictOverBudgetLocked(nullptr);
   }
-  cv_.notify_all();  // waiters on detached claims re-claim; builds fill
+  cv_.notify_all();  // detached claims are re-claimed; builds fill
 }
 
 Snapshot PlanCache::installed() const {

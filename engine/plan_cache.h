@@ -43,10 +43,11 @@
 // plan. Every entry or claim that does not then hold a plan of the new
 // snapshot is detached from the key map: its handles keep it alive
 // (their sessions retire at the next pump), and the next Acquire of its
-// key builds afresh. A build that returns while the repairs run is of
-// the snapshot being replaced, so its claim fills only after the
-// publish, detached: its caller sees the plan stale and can build
-// again, instead of being handed a plan the publish is about to detach.
+// key builds afresh. A build whose claim a publish detached is of a
+// replaced snapshot, and its caller never receives it: the caller
+// claims the key again, or takes the plan a waiter's re-claim filled. A
+// build that returns while the repairs run is of the snapshot they
+// replace, so its caller waits for the publish before it claims again.
 // An upgrade that throws leaves the table as it was.
 
 #ifndef DSW_ENGINE_PLAN_CACHE_H_
@@ -239,13 +240,15 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns a new handle on \p key's entry. A missing plan is built by
-  /// \p build, outside the lock, against the installed snapshot;
-  /// concurrent calls for the key build once and the rest wait. A build
-  /// that returns while an install repairs waits for that install to
-  /// publish. A build whose claim an install detached goes to its own
-  /// caller only, on the detached entry. Returns kNoQuery when no
-  /// snapshot is installed. \p build must not re-enter the table.
+  /// Returns a new handle on \p key's entry, whose plan is of the
+  /// snapshot installed when the handle is issued. A missing plan is
+  /// built by \p build, outside the lock, against the installed
+  /// snapshot; concurrent calls for the key build once and the rest
+  /// wait. A build that returns while an install repairs waits for that
+  /// install to publish; a build whose claim an install detached is
+  /// dropped, and the call resolves the key again, so \p build may run
+  /// more than once. Returns kNoQuery when no snapshot is installed.
+  /// \p build must not re-enter the table.
   QueryId Acquire(const PlanKey& key, const Builder& build);
 
   /// Frees \p id; an unknown or released id is ignored.

@@ -157,7 +157,7 @@ TEST(AnnotateTest, EpsilonBeforeFirstLabeledStep) {
   Annotation ann = Annotate(db.Freeze(), nfa, s, t);
   ASSERT_TRUE(ann.reachable());
   EXPECT_EQ(ann.lambda, 1);
-  EXPECT_TRUE(ann.has_epsilon());
+  EXPECT_TRUE(nfa.has_epsilon());
   EXPECT_EQ(CountAnswers(db, nfa, s, t), 1u);
 }
 

@@ -131,6 +131,7 @@ TEST(SnapshotTest, DeltaFromTracksInsertOnlyFreezes) {
 
   db.AddVertices(2);
   db.AddEdge(1, "l0", 2);
+  const uint64_t never_frozen = db.generation();
   db.AddEdge(2, "l0", 5);
   Snapshot second = db.Freeze();
 
@@ -148,29 +149,35 @@ TEST(SnapshotTest, DeltaFromTracksInsertOnlyFreezes) {
   EXPECT_EQ(same.first_new_edge, 3u);
   EXPECT_TRUE(same.new_sources.empty());
 
-  // A generation that was never frozen — or lies in the future — is
-  // unknown: callers must rebuild from scratch.
-  EXPECT_FALSE(second.DeltaFrom(gen1 + 1).known);
+  // A past state needs no freeze: its generation names its edge count.
+  EdgeDelta suffix = second.DeltaFrom(never_frozen);
+  ASSERT_TRUE(suffix.known);
+  EXPECT_EQ(suffix.first_new_edge, 2u);
+  EXPECT_EQ(suffix.new_sources, (std::vector<uint32_t>{2}));
+
+  // A generation in the future is unknown: callers must rebuild from
+  // scratch.
   EXPECT_FALSE(second.DeltaFrom(second.generation() + 100).known);
+  EXPECT_FALSE(first.DeltaFrom(second.generation()).known);
 }
 
-TEST(SnapshotTest, DeltaFromForgetsMarksBeyondTheBoundedLog) {
-  // The freeze-mark log keeps the most recent kMaxFreezeMarks (64)
-  // freezes; a generation older than that ages out and its delta
-  // becomes unknown — the fall-back-to-rebuild signal, not an error.
+// A generation is a state's counts, so a snapshot serves the delta from
+// every earlier state of its database however many freezes lie between
+// them.
+TEST(SnapshotTest, DeltaFromServesEveryEarlierState) {
   Database db;
-  db.AddVertices(2);
+  db.AddVertices(3);
   db.AddEdge(0, "l0", 1);
-  uint64_t oldest = db.Freeze().generation();
-  for (int i = 0; i < 70; ++i) {
-    db.AddEdge(0, "l0", 1);
+  const uint64_t oldest = db.Freeze().generation();
+  for (uint32_t i = 0; i < 70; ++i) {
+    db.AddEdge(1 + i % 2, "l0", 0);
     (void)db.Freeze();
   }
-  Snapshot latest = db.Freeze();
-  EXPECT_FALSE(latest.DeltaFrom(oldest).known);
-  // Recent marks are still served.
-  EdgeDelta recent = latest.DeltaFrom(latest.generation());
-  EXPECT_TRUE(recent.known);
+  const Snapshot latest = db.Freeze();
+  const EdgeDelta delta = latest.DeltaFrom(oldest);
+  ASSERT_TRUE(delta.known);
+  EXPECT_EQ(delta.first_new_edge, 1u);
+  EXPECT_EQ(delta.new_sources, (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(SnapshotTest, FreezeCapturesTheCurrentGeneration) {

@@ -16,15 +16,17 @@
 //     order anchor, so started sessions are rejected gracefully
 //     (PumpStatus::kRetired, stale index untouched), even one whose
 //     first batch was still running when the install came. The repairs
-//     run on the installing thread and the workers, and equal serial
-//     repairs bit for bit.
+//     run on the installing thread and the workers, equal serial
+//     repairs bit for bit, and reach across any number of freezes the
+//     engine never installed.
 //  4. The snapshot layer itself: raw reader threads sharing one
 //     Snapshot build annotations/indexes/enumerators concurrently with
 //     no engine and no synchronization.
-//  5. Bounds and misuse: unknown, closed and released ids answer with a
-//     status (in release builds too), and a long churn of installs,
-//     prepares, sessions, closes and releases leaves the plan table
-//     within a fixed bound and no handle or session open.
+//  5. Bounds and misuse: unknown, closed and released ids and a null
+//     snapshot answer with a status (in release builds too), and a
+//     long churn of installs, prepares, sessions, closes and releases
+//     leaves the plan table within a fixed bound and no handle or
+//     session open.
 
 #include <gtest/gtest.h>
 
@@ -434,6 +436,46 @@ TEST(QueryEngineTest, SessionsStayParkedAcrossChainedInstalls) {
   EXPECT_EQ(engine.Stats().sessions_upgraded, 1u);
 }
 
+// A generation names a database state by its counts, so an install
+// repairs from the installed snapshot across any number of freezes the
+// engine never saw. After 70 uninstalled freezes (one lambda-preserving
+// duplicate, then new vertices with edges out of them), one install
+// upgrades both entries and detaches none, and the session parked on
+// the first resumes the new order after its last walk.
+TEST(QueryEngineTest, InstallRepairsAcrossUninstalledFreezes) {
+  Instance inst = BubbleChain(6, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  QueryEngine engine(2);
+  engine.InstallSnapshot(inst.db.Freeze());
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  engine.Prepare(StaircaseNfa(1, 2), inst.source, inst.target);
+  SessionId s = engine.OpenSession(q);
+  PumpResult first = engine.Pump(s, 5);
+  ASSERT_EQ(first.status, PumpStatus::kOk);
+
+  DuplicateEdges(inst, 0, 1);
+  (void)inst.db.Freeze();
+  for (int i = 1; i < 70; ++i) {
+    inst.db.AddEdge(inst.db.AddVertex(), 0u, inst.target);
+    (void)inst.db.Freeze();
+  }
+  const Snapshot snap = inst.db.Freeze();
+  engine.InstallSnapshot(snap);
+  EXPECT_EQ(engine.Stats().plans_upgraded, 2u);
+  EXPECT_EQ(engine.Stats().plan_cache.invalidations, 0u);
+
+  EdgeSeq newest = Oracle(snap, query, inst.source, inst.target);
+  ASSERT_EQ(newest.size(), 96u);  // bubble 0 gained a third path
+  auto anchor = std::find(newest.begin(), newest.end(),
+                          first.walks.back().edges);
+  ASSERT_NE(anchor, newest.end());
+  PumpResult rest = engine.Drain(s, 7);
+  EXPECT_EQ(rest.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(rest.walks), EdgeSeq(anchor + 1, newest.end()));
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 1u);
+  EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+}
+
 // A session's first batch may still run on the old plan when an install
 // shortens lambda. The batch parks the session on an old-length walk,
 // which anchors nothing in the new order, so the session's next pump
@@ -811,6 +853,28 @@ TEST(QueryEngineTest, PrepareWithoutSnapshotReturnsAStatus) {
   EXPECT_EQ(stats.frontend_thompson + stats.frontend_glushkov, 0u);
   EXPECT_EQ(stats.plan_cache.misses, 0u);
   EXPECT_EQ(stats.open_queries, 0u);
+}
+
+// A null snapshot is ordinary input: InstallSnapshot returns false and
+// changes nothing, before the first install and after it. The engine
+// keeps its snapshot and its plans, and a prepared query drains to the
+// installed snapshot's oracle.
+TEST(QueryEngineTest, NullInstallReturnsFalseAndChangesNothing) {
+  Instance inst = BubbleChain(4, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  QueryEngine engine(1);
+  EXPECT_FALSE(engine.InstallSnapshot(Snapshot()));
+  EXPECT_EQ(engine.Prepare(query, inst.source, inst.target), kNoQuery);
+
+  const Snapshot snap = inst.db.Freeze();
+  EXPECT_TRUE(engine.InstallSnapshot(snap));
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  EXPECT_FALSE(engine.InstallSnapshot(Snapshot()));
+  EXPECT_EQ(engine.Stats().plan_cache.invalidations, 0u);
+  PumpResult all = engine.Drain(engine.OpenSession(q), 5);
+  EXPECT_EQ(all.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(all.walks), Oracle(snap, query, inst.source, inst.target));
+  EXPECT_EQ(engine.Stats().plan_cache.misses, 1u);  // the plan was kept
 }
 
 // The engine stays bounded however long it runs. Each of 200 cycles

@@ -5,8 +5,9 @@
 // the Section 5.1 claim that epsilon handling is free. The naive
 // product-path baseline over the Glushkov NFA (epsilon-free, so it uses
 // the original code path) is the independent oracle; running it over
-// the Thompson NFA additionally exercises the epsilon-aware effective
-// steps of the Annotation snapshot.
+// the Thompson NFA additionally checks the pipeline's epsilon
+// composition against the naive search's own steps, which it takes from
+// the Nfa's transitions and epsilon-closures.
 //
 // A size check pins the translation bounds: Thompson's transition count
 // (labeled + epsilon) grows linearly in the alphabet size m of the E9

@@ -4,7 +4,7 @@
 // reverse CSR of the delta-repair layer (DeltaContext), and the
 // precompiled CompiledDelta transition relation (forward rows with
 // after-side epsilon-closure composition, reverse rows, label/source
-// masks).
+// masks), and AddEdge's rejection of an edge the index could not hold.
 
 #include <gtest/gtest.h>
 
@@ -195,8 +195,7 @@ void ExpectSameIndex(const LabelIndex& got, const LabelIndex& want) {
 TEST(LabelIndexTest, DerivedFreezeMatchesFullBuild) {
   for (uint64_t seq = 0; seq < 24; ++seq) {
     SCOPED_TRACE(testing::Message() << "sequence " << seq);
-    // Sequence 0 outlives the 64-entry freeze-mark log: derivation
-    // chains through the previous index, not through the delta log.
+    // Sequence 0 runs 80 freezes: each derives from the one before.
     RunAppends(seq, seq == 0 ? 80 : 12,
                [](const Database& db, const Snapshot& snap) {
                  Database fresh;
@@ -337,15 +336,34 @@ TEST(CompiledDeltaTest, EpsilonCyclesAndRandomEpsilonNfas) {
   }
 }
 
-#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
-TEST(DatabaseDeathTest, AddEdgeAssertsOnBadVertexIds) {
-  Database db;
-  uint32_t v = db.AddVertex();
-  db.labels().Intern("a");
-  EXPECT_DEATH(db.AddEdge(v, 0u, v + 1), "dst is not a vertex id");
-  EXPECT_DEATH(db.AddEdge(v + 7, 0u, v), "src is not a vertex id");
+// An edge with an endpoint that is not a vertex is rejected in every
+// build type: AddEdge returns kNoEdge, appends nothing and interns
+// nothing, so the counts and the generation stay, and the next Freeze
+// derives the same index as a database that never saw the bad edges.
+TEST(DatabaseTest, AddEdgeRejectsBadVertexIds) {
+  Database db, clean;
+  for (Database* d : {&db, &clean}) {
+    d->AddVertices(4);
+    d->AddEdge(0, "a", 1);
+    d->AddEdge(1, "a", 2);
+    (void)d->Freeze();
+  }
+  const uint64_t generation = db.generation();
+  const uint32_t labels = db.labels().size();
+  EXPECT_EQ(db.AddEdge(9, 0u, 0), Database::kNoEdge);
+  EXPECT_EQ(db.AddEdge(0, 0u, 4), Database::kNoEdge);
+  EXPECT_EQ(db.AddEdge(4, "b", 0), Database::kNoEdge);
+  EXPECT_EQ(db.AddEdge(0, "b", UINT32_MAX), Database::kNoEdge);
+  EXPECT_EQ(db.num_vertices(), 4u);
+  EXPECT_EQ(db.num_edges(), 2u);
+  EXPECT_EQ(db.generation(), generation);
+  EXPECT_EQ(db.labels().size(), labels);
+  EXPECT_EQ(db.labels().Find("b"), LabelDictionary::kInvalid);
+
+  EXPECT_EQ(db.AddEdge(3, "a", 0), 2u);
+  clean.AddEdge(3, "a", 0);
+  ExpectSameIndex(db.Freeze().label_index(), clean.Freeze().label_index());
 }
-#endif
 
 }  // namespace
 }  // namespace dsw

@@ -14,10 +14,12 @@
 //    survives the install at any byte budget; an install of another
 //    database detaches the entries and stale sessions retire gracefully
 //    (and are counted). A claim detached mid-build, or whose build
-//    throws, is re-claimed and rebuilt by its waiter, never lost. A
-//    build that returns while an install repairs fills only after the
-//    publish, and a repair that throws on any of the threads sharing
-//    an install's repairs leaves the table as it was.
+//    throws, is re-claimed and rebuilt by its waiter, never lost, and
+//    a build an install orphaned reaches no caller: its own caller
+//    claims the key again or shares the waiter's rebuild. A build that
+//    returns while an install repairs waits for the publish, and a
+//    repair that throws on any of the threads sharing an install's
+//    repairs leaves the table as it was.
 //  - Byte-budget LRU over the entries no handle names: a tiny budget
 //    keeps the table bounded and evicting; at budget 0 an entry dies
 //    with its last handle (the bench's cold arm: every Prepare after a
@@ -280,12 +282,27 @@ struct TableFixture {
   PlanKey Key(const std::string& bytes) {
     return PlanKey{0x2222, inst.source, inst.target, bytes};
   }
+
+  // A builder whose first call parks until release is set; later calls
+  // build at once, as the caller's re-claim after an install does.
+  std::promise<void> entered, release;
+  std::atomic<int> parking_calls{0};
+  PlanCache::Builder Parking() {
+    return [this](const Snapshot& snap) {
+      if (parking_calls++ == 0) {
+        entered.set_value();
+        release.get_future().wait();
+      }
+      return Build(snap);
+    };
+  }
 };
 
 // An install during a build detaches the claim: an Acquire waiter
 // whose awaited claim is detached mid-wait must wake, re-claim the
 // vacant key and build against the new snapshot; its plan is never
-// null, and the builder's orphaned plan goes to its own caller only.
+// null. The builder's orphaned plan reaches no caller: its own caller
+// finds the key filled by the waiter's rebuild and shares it.
 // The deterministic schedule: thread B claims the key and parks inside
 // its builder; thread A waits on B's claim; an install of a new
 // generation (no delta, so nothing repairs) then detaches B's claim. A
@@ -298,16 +315,9 @@ TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
   t.cache.Install(t.inst.db.Freeze(), nullptr);
   const PlanKey key = t.Key("b");
 
-  std::promise<void> builder_entered, release_builder;
   QueryId b_id = kNoQuery;
-  std::thread b([&] {
-    b_id = t.cache.Acquire(key, [&](const Snapshot& s) {
-      builder_entered.set_value();
-      release_builder.get_future().wait();
-      return t.Build(s);
-    });
-  });
-  builder_entered.get_future().wait();
+  std::thread b([&] { b_id = t.cache.Acquire(key, t.Parking()); });
+  t.entered.get_future().wait();
 
   QueryId a_id = kNoQuery;
   std::thread a([&] { a_id = t.cache.Acquire(key, build); });
@@ -319,19 +329,21 @@ TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
   const Snapshot snap2 = t.inst.db.Freeze();
   t.cache.Install(snap2, nullptr);
   a.join();  // A rebuilt the key without waiting for B
-  release_builder.set_value();
+  t.release.set_value();
   b.join();
 
   const PlanCache::Resolved a_plan = t.cache.Resolve(a_id);
-  const PlanCache::Resolved b_plan = t.cache.Resolve(b_id);
   ASSERT_NE(a_plan.plan, nullptr);  // re-claimed, rebuilt, not lost
   EXPECT_TRUE(a_plan.current());
   EXPECT_EQ(a_plan.plan->index.snapshot().generation(), snap2.generation());
-  ASSERT_NE(b_plan.plan, nullptr);  // the orphaned build reaches its caller
-  EXPECT_FALSE(b_plan.current());
+  // B's orphaned build reaches no one: B's handle names A's rebuild.
+  EXPECT_EQ(t.cache.Resolve(b_id).plan, a_plan.plan);
   EXPECT_EQ(t.builds.load(), 2);  // B's orphaned build + A's rebuild
-  EXPECT_EQ(t.cache.Stats().invalidations, 1u);
-  EXPECT_EQ(t.cache.Stats().entries, 2u);  // every handle's plan
+  const PlanCacheStats stats = t.cache.Stats();
+  EXPECT_EQ(stats.misses, 2u);  // B's claim and A's re-claim
+  EXPECT_EQ(stats.hits, 1u);    // B, once its build was orphaned
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(stats.entries, 1u);  // A's rebuild, named by both handles
 
   // The table serves A's rebuild, never B's orphan.
   EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(key, build)).plan, a_plan.plan);
@@ -345,7 +357,7 @@ TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
 // builder; thread A builds k1, then waits on B's claim; an install of a
 // new generation detaches k1's entry and B's claim. A wakes, re-claims
 // k2 and builds against the new snapshot while B is still parked; B's
-// orphaned build goes to B only.
+// orphaned build reaches no one, and B shares A's rebuild of k2.
 TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   TableFixture t;
   const PlanCache::Builder build = [&t](const Snapshot& s) {
@@ -354,16 +366,9 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   t.cache.Install(t.inst.db.Freeze(), nullptr);
   const PlanKey k1 = t.Key("a"), k2 = t.Key("b");
 
-  std::promise<void> builder_entered, release_builder;
   QueryId b_id = kNoQuery;
-  std::thread b([&] {
-    b_id = t.cache.Acquire(k2, [&](const Snapshot& s) {
-      builder_entered.set_value();
-      release_builder.get_future().wait();
-      return t.Build(s);
-    });
-  });
-  builder_entered.get_future().wait();
+  std::thread b([&] { b_id = t.cache.Acquire(k2, t.Parking()); });
+  t.entered.get_future().wait();
 
   std::vector<QueryId> a_ids;
   std::thread a([&] {
@@ -378,23 +383,22 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   const Snapshot snap2 = t.inst.db.Freeze();
   t.cache.Install(snap2, nullptr);
   a.join();  // A rebuilt k2 without waiting for B
-  release_builder.set_value();
+  t.release.set_value();
   b.join();
 
   ASSERT_EQ(a_ids.size(), 2u);
   const PlanCache::Resolved a1 = t.cache.Resolve(a_ids[0]);
   const PlanCache::Resolved a2 = t.cache.Resolve(a_ids[1]);
-  const PlanCache::Resolved b2 = t.cache.Resolve(b_id);
   ASSERT_NE(a1.plan, nullptr);  // detached, held by its handle
   EXPECT_FALSE(a1.current());
   ASSERT_NE(a2.plan, nullptr);  // re-claimed, rebuilt, not lost
   EXPECT_TRUE(a2.current());
   EXPECT_EQ(a2.plan->index.snapshot().generation(), snap2.generation());
-  ASSERT_NE(b2.plan, nullptr);  // the orphaned build reaches its caller
-  EXPECT_FALSE(b2.current());
+  // B's orphaned build reaches no one: B's handle names A's rebuild.
+  EXPECT_EQ(t.cache.Resolve(b_id).plan, a2.plan);
   EXPECT_EQ(t.builds.load(), 3);  // A's k1, B's orphan, A's rebuild of k2
   EXPECT_EQ(t.cache.Stats().invalidations, 2u);
-  EXPECT_EQ(t.cache.Stats().entries, 3u);  // every handle's plan
+  EXPECT_EQ(t.cache.Stats().entries, 2u);  // k1's detached plan and k2's
 
   // The table serves A's rebuild of k2, never B's orphan; k1 rebuilds.
   EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(k2, build)).plan, a2.plan);
@@ -404,44 +408,48 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
 }
 
 // A build that returns while an install repairs the table is of the
-// snapshot that install replaces. Filled at once, its caller would
-// resolve it as current until the publish detached it, and a session
-// on it would retire at its first pump (engine Prepare checks exactly
-// this). So the claim fills only after the publish, and its caller sees
-// the plan stale. The schedule: thread B claims a key and parks in its
-// builder; an install's upgrade releases B and gives it 50 ms to fill
-// and return. A loaded host can keep B from returning within them, so
-// the test can pass without checking, never fail.
+// snapshot that install replaces, and the publish detaches its claim.
+// Filled at once, its caller would resolve it as current until the
+// publish, and a session on it would retire at its first pump. So the
+// caller waits for the publish, claims the key again and builds against
+// the new snapshot: the key fills after the publish, with a current
+// plan. The schedule: thread B claims a key and parks in its builder;
+// an install's upgrade releases B and gives it 50 ms to return. A
+// loaded host can keep B from returning within them; B's build then
+// returns after the publish and is rebuilt the same way without the
+// wait, so the test can pass without checking the wait, never fail.
 TEST(PlanCacheTest, BuildReturningDuringRepairsFillsAfterThePublish) {
   TableFixture t;
   t.cache.Install(t.inst.db.Freeze(), nullptr);
 
-  std::promise<void> builder_entered, release_builder;
   bool current_at_return = false;
   QueryId b_id = kNoQuery;
   std::thread b([&] {
-    b_id = t.cache.Acquire(t.Key("b"), [&](const Snapshot& s) {
-      builder_entered.set_value();
-      release_builder.get_future().wait();
-      return t.Build(s);
-    });
+    b_id = t.cache.Acquire(t.Key("b"), t.Parking());
     current_at_return = t.cache.Resolve(b_id).current();
   });
-  builder_entered.get_future().wait();
+  t.entered.get_future().wait();
 
   t.inst.db.AddEdge(t.inst.db.src(0), t.inst.db.edge(0).label,
                     t.inst.db.dst(0));
   const Snapshot snap2 = t.inst.db.Freeze();
   t.cache.Install(snap2, [&](std::vector<PlanCache::Value>& plans) {
     EXPECT_TRUE(plans.empty());  // B's claim had no plan to repair
-    release_builder.set_value();
+    t.release.set_value();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   });
   b.join();
 
-  EXPECT_FALSE(current_at_return);
-  EXPECT_FALSE(t.cache.Resolve(b_id).current());
-  EXPECT_EQ(t.cache.Stats().invalidations, 1u);  // the claim, at publish
+  EXPECT_TRUE(current_at_return);
+  const PlanCache::Resolved r = t.cache.Resolve(b_id);
+  ASSERT_NE(r.plan, nullptr);
+  EXPECT_TRUE(r.current());
+  EXPECT_EQ(r.plan->index.snapshot().generation(), snap2.generation());
+  EXPECT_EQ(t.builds.load(), 2);  // the orphan and the rebuild
+  const PlanCacheStats stats = t.cache.Stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.invalidations, 1u);  // the claim, at publish
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 // No test elsewhere throws, so this one drives the table's failure path:
