@@ -71,9 +71,9 @@ struct Search {
         ++res->duplicates;
       return;
     }
-    const LabelIndex& adj = snap->label_index();
-    for (const LabelIndex::Group& g : adj.GroupsOf(v))
-      for (const LabelIndex::Target& t : adj.Targets(g)) {
+    const LabelIndex::OutEdges out = snap->label_index().Out(v);
+    for (const LabelIndex::Group& g : out.groups)
+      for (const LabelIndex::Target& t : out.Targets(g)) {
         StateSetView next = ann->StatesAt(depth + 1, t.dst);
         if (!next) continue;
         StateSet& step = (*targets)[depth];

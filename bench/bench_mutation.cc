@@ -31,6 +31,16 @@
 // 2x as long as Freeze at permille = 10, so a silent fallback to full
 // builds cannot pass.
 //
+// WriteCost times what an install pays before any plan repair, the
+// derived Freeze plus the derived DeltaContext, for one fixed 100-edge
+// batch inside the first 4,096 noise vertices, on the fixture's core
+// with 4,096 (scale:1) or 65,536 (scale:16) noise vertices and four
+// edges per noise vertex in both. Both structures share every page the
+// batch did not touch, so the 16x graph must cost under 4x as much: the
+// CI perf-smoke job fails otherwise, as it does on a full copy, which
+// scales with the graph. BM_Mutation_Freeze cannot show this, because
+// its fixture has only 1,549 vertices.
+//
 // Install times the engine's whole InstallSnapshot of a permille-1
 // batch (DeltaContext derivation plus 16 plan repairs) with the engine's
 // worker count as its argument: the repairs run on the installing
@@ -45,7 +55,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <vector>
 
 #include "core/annotate.h"
 #include "core/database.h"
@@ -209,6 +221,47 @@ BENCHMARK(BM_Mutation_FreezeFromScratch)
     ->Arg(1)
     ->Arg(10)
     ->Arg(50);
+
+// Every 64 iterations the database starts again from its first
+// freeze, untimed, so the batch's vertices never grow far past four
+// edges each, whichever arm runs more iterations.
+void BM_Mutation_WriteCost(benchmark::State& state) {
+  const uint32_t noise = 4096 * static_cast<uint32_t>(state.range(0));
+  const Instance pristine =
+      EmbedInNoise(BubbleChain(16, 2), noise, 4 * noise, 33);
+  const uint32_t noise_first = pristine.db.num_vertices() - noise;
+  std::mt19937_64 rng(4242);
+  std::vector<Edge> batch(100);
+  for (Edge& e : batch)
+    e = Edge{noise_first + static_cast<uint32_t>(rng() % 4096),
+             noise_first + static_cast<uint32_t>(rng() % 4096),
+             static_cast<uint32_t>(rng() % 2)};
+  Database db;
+  Snapshot prev, next;
+  std::unique_ptr<DeltaContext> prev_ctx, next_ctx;
+  int64_t iteration = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (iteration++ % 64 == 0) {
+      next = Snapshot();
+      next_ctx = nullptr;
+      db = pristine.db;
+      prev = db.Freeze();
+      prev_ctx = std::make_unique<DeltaContext>(prev);
+    } else {  // the generation before dies here
+      prev = std::move(next);
+      prev_ctx = std::move(next_ctx);
+    }
+    for (const Edge& e : batch) db.AddEdge(e.src, e.label, e.dst);
+    state.ResumeTiming();
+
+    next = db.Freeze();
+    next_ctx = std::make_unique<DeltaContext>(next, *prev_ctx);
+    benchmark::DoNotOptimize(next_ctx);
+  }
+  state.counters["vertices"] = static_cast<double>(db.num_vertices());
+}
+BENCHMARK(BM_Mutation_WriteCost)->ArgName("scale")->Arg(1)->Arg(16);
 
 // The engine holds 16 entries: StaircaseNfa widths 16..31 from the
 // fixture's endpoints, each lambda 32 through the core with levels that

@@ -185,10 +185,11 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
           all_states = current.states(ci).words();
       }
       if (fresh_states == nullptr && all_states == nullptr) continue;
-      for (const LabelIndex::Group& group : adj.GroupsOf(v)) {
+      const LabelIndex::OutEdges out = adj.Out(v);
+      for (const LabelIndex::Group& group : out.groups) {
         if (!delta.HasLabel(group.label)) continue;
         const uint64_t* states =
-            all_states && adj.Targets(group).back().edge >= first_new_edge
+            all_states && out.Targets(group).back().edge >= first_new_edge
                 ? all_states
                 : fresh_states;
         if (states == nullptr) continue;
@@ -202,7 +203,7 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
                          ker.Or(mw, delta.SuccessorWords(group.label, q));
                        });
         if (!ker.Any(mw)) continue;
-        for (const LabelIndex::Target& t : adj.Targets(group)) {
+        for (const LabelIndex::Target& t : out.Targets(group)) {
           uint64_t* sw = seen_row(t.dst);
           if (ker.NewBits(buf.data(), mw, sw) == 0)
             continue;  // every pair already leveled

@@ -30,16 +30,18 @@
 // by its counts: it holds vertices [0, |V|) and edges [0, |E|), and
 // every earlier state is a prefix of every later one. Its generation is
 // those two counts, and the delta from any earlier state is the edge
-// suffix past that state's count. Each Freeze() derives its LabelIndex
-// from the previous one (the first from an empty index): a vertex's
-// groups change only when it is new or gained an out-edge, so every
-// other vertex is block-copied with its run and only the touched ones
-// are re-emitted. An install costs the write, not the graph.
+// suffix past that state's count. The LabelIndex is paged by vertex
+// range, and each Freeze() derives its index from the previous one (the
+// first from an empty index): a vertex's groups change only when it is
+// new or gained an out-edge, so the new index shares every page that
+// holds neither, copies only the page table, and rebuilds the pages the
+// write touched. An install costs the write, not the graph.
 
 #ifndef DSW_CORE_DATABASE_H_
 #define DSW_CORE_DATABASE_H_
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -49,6 +51,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "util/page_table.h"
 
 namespace dsw {
 
@@ -102,18 +106,34 @@ struct Edge {
   uint32_t label;
 };
 
-/// CSR-style label-stratified adjacency. For each vertex the distinct
-/// out-labels appear as Groups (sorted by label id); each group spans a
-/// contiguous range of (edge id, dst) pairs, in insertion order — so
-/// enumeration order stays deterministic and parallel edges sit next to
-/// each other. The destination is denormalized into the pair so the
-/// BFS/trim relax loops stream one array instead of chasing edge ids
-/// into the edge table.
+/// CSR-style label-stratified adjacency, paged by vertex. For each
+/// vertex the distinct out-labels appear as Groups (sorted by label id);
+/// each group spans a contiguous range of the vertex's (edge id, dst)
+/// pairs, in insertion order — so enumeration order stays deterministic
+/// and parallel edges sit next to each other. The destination is
+/// denormalized into the pair so the BFS/trim relax loops stream one
+/// array instead of chasing edge ids into the edge table.
+///
+/// The index is two page tables (util/page_table.h). A vertex page holds
+/// the groups, targets and insertion-to-rank permutation of 2^kPageBits
+/// consecutive vertices, with group bounds that are ranks within the
+/// vertex's own out-edges, so nothing in a page refers outside it. An
+/// edge chunk holds the source and insertion index (the edge's index
+/// among its source's out-edges in insertion order) of 2^kChunkBits
+/// consecutive edge ids; those never change once an edge exists, so the
+/// chunks are append-only. Pages and chunks are immutable once built,
+/// and a derived index (Database::Freeze) shares every one its write did
+/// not touch with the index it derives from.
 class LabelIndex {
  public:
+  /// Vertices per page and edges per chunk, as powers of two; constants,
+  /// not settings.
+  static constexpr uint32_t kPageBits = 6;
+  static constexpr uint32_t kChunkBits = 10;
+
   struct Group {
     uint32_t label;
-    uint32_t begin;  // into the target pool, see Targets()
+    uint32_t begin;  // ranks within the vertex's out-edges, see OutEdges
     uint32_t end;
   };
 
@@ -122,44 +142,87 @@ class LabelIndex {
     uint32_t dst;
   };
 
-  /// Distinct labels out of \p v, one Group per label.
-  std::span<const Group> GroupsOf(uint32_t v) const {
-    return {groups_.data() + group_offsets_[v],
-            groups_.data() + group_offsets_[v + 1]};
-  }
+  /// The out-edges of one vertex: its (edge id, dst) pairs in rank order,
+  /// and the groups that partition them, one per distinct label.
+  struct OutEdges {
+    std::span<const Group> groups;
+    std::span<const Target> targets;
 
-  /// (edge id, dst) pairs of one (vertex, label) group.
-  std::span<const Target> Targets(const Group& g) const {
-    return {targets_.data() + g.begin, targets_.data() + g.end};
+    /// The (edge id, dst) pairs of one of the vertex's groups.
+    std::span<const Target> Targets(const Group& g) const {
+      return targets.subspan(g.begin, g.end - g.begin);
+    }
+  };
+
+  /// The out-edges of \p v: one page lookup.
+  OutEdges Out(uint32_t v) const {
+    const Page& page = pages_.PageHolding(v);
+    const Bounds first = page.bounds[Pages::SlotOf(v)];
+    const Bounds last = page.bounds[Pages::SlotOf(v) + 1];
+    return OutEdges{{page.groups.data() + first.group, last.group - first.group},
+                    {page.targets.data() + first.target,
+                     last.target - first.target}};
   }
 
   /// Rank of \p edge among its source's out-edges in (label, insertion)
-  /// order: its target-pool position minus that of the source's first
-  /// out-edge. This is exactly the order the enumerator tries candidate
-  /// edges in, which makes it the seek key of the resumable candidate
-  /// queues. A rank does not move when other vertices' edges do, so a
-  /// derived Freeze rewrites only the ranks of the vertices it touched.
-  uint32_t PositionOf(uint32_t edge) const { return edge_pos_[edge]; }
+  /// order: its index in Out(source).targets. This is exactly the order
+  /// the enumerator tries candidate edges in, which makes it the seek key
+  /// of the resumable candidate queues. A rank does not move when other
+  /// vertices gain edges, so a derived Freeze rewrites only the
+  /// permutations of the vertices it touched. O(1): a chunk lookup and
+  /// a page lookup.
+  uint32_t PositionOf(uint32_t edge) const {
+    const EdgeRecord& r = edges_.PageHolding(edge)[Chunks::SlotOf(edge)];
+    const Page& page = pages_.PageHolding(r.src);
+    return page.rank[page.bounds[Pages::SlotOf(r.src)].target + r.ins];
+  }
 
-  /// The (edge id, dst) pair at target-pool position \p pos.
-  const Target& TargetAt(uint32_t pos) const { return targets_[pos]; }
+  /// The source vertex of \p edge (edge < num_edges()).
+  uint32_t SourceOf(uint32_t edge) const {
+    return edges_.PageHolding(edge)[Chunks::SlotOf(edge)].src;
+  }
 
   /// Number of vertices frozen into this index (ids [0, num_vertices())).
   /// Unlike Database::num_vertices(), it does not grow with later inserts.
-  uint32_t num_vertices() const {
-    return static_cast<uint32_t>(group_offsets_.size() - 1);
-  }
+  uint32_t num_vertices() const { return num_vertices_; }
 
   /// Number of edges frozen into this index (edge ids [0, num_edges())).
   /// Unlike Database::num_edges(), it does not grow with later inserts.
-  size_t num_edges() const { return edge_pos_.size(); }
+  size_t num_edges() const { return num_edges_; }
+
+  /// Identity of the page holding vertex \p v, and of the chunk holding
+  /// \p edge's record: two indexes share one iff the pointers are equal.
+  const void* PageOf(uint32_t v) const { return pages_.PageId(v); }
+  const void* ChunkOf(uint32_t edge) const { return edges_.PageId(edge); }
 
  private:
   friend class Database;
-  std::vector<uint32_t> group_offsets_ = {0};  // vertex -> first group; V+1
-  std::vector<Group> groups_;
-  std::vector<Target> targets_;  // grouped by (src, label)
-  std::vector<uint32_t> edge_pos_;  // edge id -> rank in its source's span
+
+  // Where a vertex's groups and targets start in its page.
+  struct Bounds {
+    uint32_t group;
+    uint32_t target;
+  };
+  // The fixed-size arrays sit inside the page and the chunk, one load
+  // from the table entry; a page past the last vertex, or a chunk past
+  // the last edge, leaves its tail zero.
+  struct Page {
+    std::vector<Group> groups;    // by vertex, sorted by label
+    std::vector<Target> targets;  // by vertex, in rank order
+    std::vector<uint32_t> rank;   // by vertex: insertion index -> rank
+    std::array<Bounds, (1u << kPageBits) + 1> bounds{};  // per vertex, + 1
+  };
+  struct EdgeRecord {
+    uint32_t src;
+    uint32_t ins;  // index among src's out-edges in insertion order
+  };
+  using Pages = PageTable<Page, kPageBits>;
+  using Chunks = PageTable<std::array<EdgeRecord, 1u << kChunkBits>, kChunkBits>;
+
+  Pages pages_;
+  Chunks edges_;
+  uint32_t num_vertices_ = 0;
+  uint32_t num_edges_ = 0;
 };
 
 class Snapshot;
@@ -227,10 +290,13 @@ class Database {
   uint32_t dst(uint32_t id) const { return edges_[id].dst; }
 
   /// Seals the current contents into an immutable Snapshot: derives the
-  /// label-stratified adjacency from the previous freeze's (one counting
-  /// pass over the vertices and the k new edges, block copies of the
-  /// untouched vertices, O(d log d) per touched vertex; O(1) when
-  /// nothing mutated since the last freeze).
+  /// label-stratified adjacency from the previous freeze's, sharing
+  /// every page and edge chunk the k new edges left alone (a copy of the
+  /// page table, then O(d log d) per touched vertex and a copy of each
+  /// rebuilt page's other vertices; O(1) when nothing mutated since the
+  /// last freeze). Generations alive together share their unchanged
+  /// pages, so holding an old snapshot costs only the pages that changed
+  /// since.
   /// Deliberately non-const — building the index is a mutation-path
   /// operation, so it can never race with the read path; the returned
   /// Snapshot (and copies of it) can then be shared across any number
@@ -252,102 +318,13 @@ class Database {
   // freeze). Append-only mutation means prev covers exactly vertices
   // [0, prev.num_vertices()) and edges [0, prev.num_edges()), and a
   // vertex's groups differ from prev's only if it is new or the source
-  // of a new edge. Each run of other vertices is block-copied, its group
-  // and target positions shifted by the targets inserted before it, and
-  // keeps its edges' ranks; the touched vertices are re-emitted from
-  // their targets in prev plus their new edges. The layout is a
-  // function of the edge list alone, so the result equals a build from
-  // empty.
+  // of a new edge. The result shares every page of prev that holds
+  // neither, and every full edge chunk; the other pages are rebuilt,
+  // re-emitting only their new and touched vertices, and the tail chunk
+  // is copied and extended. The layout is a function of the edge list
+  // alone, so the result equals a build from empty (core/database.cc).
   std::shared_ptr<const LabelIndex> BuildLabelIndex(
-      const LabelIndex& prev) const {
-    const uint32_t v_count = num_vertices();
-    const uint32_t e_count = static_cast<uint32_t>(num_edges());
-    const uint32_t old_v = prev.num_vertices();
-    const uint32_t old_e = static_cast<uint32_t>(prev.num_edges());
-    assert(old_v <= v_count && old_e <= e_count);
-
-    // The new edges grouped by source in one counting pass, each group
-    // ascending in edge id: v's are fresh[fresh_off[v], fresh_off[v + 1]).
-    std::vector<uint32_t> fresh_off(static_cast<size_t>(v_count) + 2, 0);
-    for (uint32_t e = old_e; e < e_count; ++e) ++fresh_off[edges_[e].src + 2];
-    for (size_t i = 2; i < fresh_off.size(); ++i)
-      fresh_off[i] += fresh_off[i - 1];
-    std::vector<uint32_t> fresh(e_count - old_e);
-    for (uint32_t e = old_e; e < e_count; ++e)
-      fresh[fresh_off[edges_[e].src + 1]++] = e;
-
-    auto ix = std::make_shared<LabelIndex>();
-    ix->group_offsets_.resize(static_cast<size_t>(v_count) + 1);
-    ix->groups_.reserve(prev.groups_.size() + (e_count - old_e));
-    ix->targets_.reserve(e_count);
-    // Ranks within a source's span: right for every vertex the batch did
-    // not touch, wherever its span moves; emit rewrites the rest.
-    ix->edge_pos_.reserve(e_count);
-    ix->edge_pos_.assign(prev.edge_pos_.begin(), prev.edge_pos_.end());
-    ix->edge_pos_.resize(e_count);
-
-    // Emits one vertex from scratch: its targets in prev, then its new
-    // edges. Sorting (label, edge id) keys orders the groups by label
-    // with each group's edges in insertion order.
-    std::vector<uint64_t> keys;
-    auto emit = [&](uint32_t v) {
-      const uint32_t first_group = static_cast<uint32_t>(ix->groups_.size());
-      const uint32_t first_target = static_cast<uint32_t>(ix->targets_.size());
-      ix->group_offsets_[v] = first_group;
-      keys.clear();
-      if (v < old_v)
-        for (const LabelIndex::Group& g : prev.GroupsOf(v))
-          for (const LabelIndex::Target& t : prev.Targets(g))
-            keys.push_back(uint64_t{g.label} << 32 | t.edge);
-      for (uint32_t i = fresh_off[v]; i < fresh_off[v + 1]; ++i)
-        keys.push_back(uint64_t{edges_[fresh[i]].label} << 32 | fresh[i]);
-      std::sort(keys.begin(), keys.end());
-      for (uint64_t key : keys) {
-        const uint32_t id = static_cast<uint32_t>(key);
-        const uint32_t label = static_cast<uint32_t>(key >> 32);
-        const uint32_t pos = static_cast<uint32_t>(ix->targets_.size());
-        if (ix->groups_.size() == first_group ||
-            ix->groups_.back().label != label)
-          ix->groups_.push_back(LabelIndex::Group{label, pos, pos});
-        ix->edge_pos_[id] = pos - first_target;
-        ix->targets_.push_back(LabelIndex::Target{id, edges_[id].dst});
-        ++ix->groups_.back().end;
-      }
-    };
-
-    for (uint32_t v = 0; v < old_v;) {
-      // Clean run [v, next): same groups and targets, shifted.
-      uint32_t next = v;
-      while (next < old_v && fresh_off[next] == fresh_off[next + 1]) ++next;
-      const uint32_t g_begin = prev.group_offsets_[v];
-      const uint32_t g_end = prev.group_offsets_[next];
-      const uint32_t group_shift =
-          static_cast<uint32_t>(ix->groups_.size()) - g_begin;
-      for (uint32_t u = v; u < next; ++u)
-        ix->group_offsets_[u] = prev.group_offsets_[u] + group_shift;
-      if (g_begin < g_end) {
-        const uint32_t t_begin = prev.groups_[g_begin].begin;
-        const uint32_t t_end = prev.groups_[g_end - 1].end;
-        const uint32_t target_shift =
-            static_cast<uint32_t>(ix->targets_.size()) - t_begin;
-        const size_t first = ix->groups_.size();
-        ix->groups_.insert(ix->groups_.end(), prev.groups_.begin() + g_begin,
-                           prev.groups_.begin() + g_end);
-        for (size_t g = first; g < ix->groups_.size(); ++g) {
-          ix->groups_[g].begin += target_shift;
-          ix->groups_[g].end += target_shift;
-        }
-        ix->targets_.insert(ix->targets_.end(),
-                            prev.targets_.begin() + t_begin,
-                            prev.targets_.begin() + t_end);
-      }
-      if (next < old_v) emit(next);
-      v = next + 1;
-    }
-    for (uint32_t u = old_v; u < v_count; ++u) emit(u);
-    ix->group_offsets_[v_count] = static_cast<uint32_t>(ix->groups_.size());
-    return ix;
-  }
+      const LabelIndex& prev) const;
 
   std::vector<Edge> edges_;
   uint32_t num_vertices_ = 0;

@@ -8,45 +8,57 @@ namespace dsw {
 DeltaContext::DeltaContext(const Snapshot& snap)
     : DeltaContext(snap, DeltaContext()) {}
 
-// Append-only mutation means prev covers exactly the first
-// prev.in_off_.size() - 1 vertices and prev.in_src_.size() edges, and
-// each vertex keeps its old in-neighbors ahead of its new ones.
-DeltaContext::DeltaContext(const Snapshot& snap, const DeltaContext& prev) {
+// Append-only mutation means prev covers exactly vertices
+// [0, prev.num_vertices_) and edges [0, prev.num_edges_), and each
+// vertex keeps its old in-neighbors ahead of its new ones. A rebuilt
+// page counts its vertices' new in-edges, lays the vertices out back to
+// back with their old in-neighbors copied in, and then takes the new
+// in-neighbors in edge-id order.
+DeltaContext::DeltaContext(const Snapshot& snap, const DeltaContext& prev)
+    : num_vertices_(snap.num_vertices()),
+      num_edges_(static_cast<uint32_t>(snap.num_edges())) {
   const Database& db = snap.db();
-  const uint32_t num_vertices = snap.num_vertices();
-  const uint32_t num_edges = static_cast<uint32_t>(snap.num_edges());
-  const uint32_t old_vertices = static_cast<uint32_t>(prev.in_off_.size() - 1);
-  const uint32_t old_edges = static_cast<uint32_t>(prev.in_src_.size());
-  assert(old_vertices <= num_vertices && old_edges <= num_edges);
-  in_off_.assign(static_cast<size_t>(num_vertices) + 1, 0);
-  in_src_.resize(num_edges);
-  for (uint32_t e = old_edges; e < num_edges; ++e) ++in_off_[db.dst(e) + 1];
+  assert(prev.num_vertices_ <= num_vertices_ &&
+         prev.num_edges_ <= num_edges_);
+  Pages::Builder pages(prev.pages_, prev.num_vertices_, num_vertices_);
+  // Until the layout, vertex s's count of new in-edges sits in off[s + 1].
+  for (uint32_t e = prev.num_edges_; e < num_edges_; ++e) {
+    const uint32_t dst = db.dst(e);
+    ++pages.Touch(dst).off[Pages::SlotOf(dst) + 1];
+  }
 
-  // One pass turns in_off_[v + 1] from v's new in-degree into the slot
-  // of its first new in-neighbor, and block-copies the old in-neighbors
-  // of each run of vertices that gained none, through the next vertex
-  // that did.
-  uint32_t begin = 0;      // first slot of v
-  uint32_t run = 0;        // first vertex of the current run
-  uint32_t run_begin = 0;  // its first slot
-  for (uint32_t v = 0; v < num_vertices; ++v) {
-    const uint32_t old_degree =
-        v < old_vertices ? prev.in_off_[v + 1] - prev.in_off_[v] : 0;
-    const uint32_t new_degree = in_off_[v + 1];
-    in_off_[v + 1] = begin + old_degree;
-    begin += old_degree + new_degree;
-    if (v < old_vertices && (new_degree != 0 || v + 1 == old_vertices)) {
-      std::copy(prev.in_src_.begin() + prev.in_off_[run],
-                prev.in_src_.begin() + prev.in_off_[v + 1],
-                in_src_.begin() + run_begin);
-      run = v + 1;
-      run_begin = begin;
+  // The layout leaves off[s + 1] at the slot of s's first new
+  // in-neighbor; the scatter below advances it to the end of s's slots,
+  // which is where s + 1's begin.
+  for (uint32_t p : pages.touched()) {
+    const uint32_t first = p << kPageBits;
+    const uint32_t n = pages.SizeOf(p);
+    Page& page = *pages.Fresh(p);
+    const Page* old = pages.Prev(p);
+    auto old_degree = [&](uint32_t s) -> uint32_t {
+      return first + s < prev.num_vertices_ ? old->off[s + 1] - old->off[s]
+                                            : 0;
+    };
+    uint32_t total = 0;
+    for (uint32_t s = 0; s < n; ++s) total += old_degree(s) + page.off[s + 1];
+    page.src.resize(total);
+    uint32_t begin = 0;
+    for (uint32_t s = 0; s < n; ++s) {
+      const uint32_t degree = old_degree(s);
+      if (degree > 0)
+        std::copy_n(old->src.data() + old->off[s], degree,
+                    page.src.data() + begin);
+      const uint32_t fresh = page.off[s + 1];
+      page.off[s + 1] = begin + degree;
+      begin += degree + fresh;
     }
   }
-  // The new in-neighbors, in edge-id order; each in_off_[v + 1] ends at
-  // the end of v's slots, which is where v + 1's begin.
-  for (uint32_t e = old_edges; e < num_edges; ++e)
-    in_src_[in_off_[db.dst(e) + 1]++] = db.src(e);
+  for (uint32_t e = prev.num_edges_; e < num_edges_; ++e) {
+    const uint32_t dst = db.dst(e);
+    Page& page = *pages.Fresh(dst >> kPageBits);
+    page.src[page.off[Pages::SlotOf(dst) + 1]++] = db.src(e);
+  }
+  pages_ = std::move(pages).Finish();
 }
 
 TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,

@@ -21,6 +21,7 @@
 #ifndef DSW_CORE_DELTA_ANNOTATE_H_
 #define DSW_CORE_DELTA_ANNOTATE_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "core/annotate.h"
 #include "core/database.h"
 #include "core/trimmed_index.h"
+#include "util/page_table.h"
 
 namespace dsw {
 
@@ -37,12 +39,17 @@ namespace dsw {
 /// changes backward, and the forward LabelIndex cannot answer that.
 /// Each vertex lists the sources of its in-edges in edge-id order, so
 /// parallel edges appear as duplicate in-neighbors (the dirty sets dedup
-/// downstream). The engine keeps the context of its installed generation
-/// and derives the next one from it at each incremental install: an
-/// O(|V|) offset pass, block copies and the new edges, where a build
-/// from empty makes two passes over every edge.
+/// downstream). The lists are paged by vertex range like the LabelIndex
+/// (util/page_table.h). The engine keeps the context of its installed
+/// generation and derives the next one from it at each incremental
+/// install: a copy of the page table, and a rebuild of each page that
+/// holds a new vertex or a new edge's destination; every other page is
+/// shared with the previous context.
 class DeltaContext {
  public:
+  /// Vertices per page, as a power of two; a constant, not a setting.
+  static constexpr uint32_t kPageBits = LabelIndex::kPageBits;
+
   /// The context of \p snap, derived from an empty one.
   explicit DeltaContext(const Snapshot& snap);
   /// The context of \p snap, derived from \p prev: the context of an
@@ -50,14 +57,27 @@ class DeltaContext {
   DeltaContext(const Snapshot& snap, const DeltaContext& prev);
 
   std::span<const uint32_t> InNeighbors(uint32_t v) const {
-    return {in_src_.data() + in_off_[v], in_src_.data() + in_off_[v + 1]};
+    const Page& page = pages_.PageHolding(v);
+    const uint32_t s = Pages::SlotOf(v);
+    return {page.src.data() + page.off[s], page.src.data() + page.off[s + 1]};
   }
+
+  /// Identity of the page holding \p v: two contexts share it iff the
+  /// pointers are equal.
+  const void* PageOf(uint32_t v) const { return pages_.PageId(v); }
 
  private:
   DeltaContext() = default;  // no vertices, no edges
 
-  std::vector<uint32_t> in_off_ = {0};  // vertex -> first in-edge; V+1
-  std::vector<uint32_t> in_src_;        // source vertices, grouped by dst
+  struct Page {
+    std::vector<uint32_t> src;  // source vertices, grouped by dst
+    std::array<uint32_t, (1u << kPageBits) + 1> off{};  // per vertex, + 1
+  };
+  using Pages = PageTable<Page, kPageBits>;
+
+  Pages pages_;
+  uint32_t num_vertices_ = 0;
+  uint32_t num_edges_ = 0;
 };
 
 /// Produces the TrimmedIndex of the repaired annotation \p ann from

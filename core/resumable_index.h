@@ -66,17 +66,13 @@ class ResumableIndex {
 
   /// True iff \p edge is an out-edge of the vertex at position \p pos
   /// of useful level \p level (level < lambda) — the precondition of
-  /// SeekGe. Any edge id is safe to pass: ids the frozen LabelIndex
-  /// does not know (garbage, or inserted after the freeze) are rejected.
+  /// SeekGe: the edge's source is the queue's vertex. Any edge id is
+  /// safe to pass: ids the frozen LabelIndex does not know (garbage, or
+  /// inserted after the freeze) are rejected.
   bool SpanContains(uint32_t level, uint32_t pos, uint32_t edge) const {
     const LabelIndex& adj = snap_.label_index();
-    if (edge >= adj.num_edges()) return false;
-    // Every vertex has an edge of each rank below its out-degree, so the
-    // rank alone cannot tell whose edge this is: the span's target at
-    // that rank must be the edge itself.
-    const uint32_t rank = adj.PositionOf(edge);
-    return rank < trimmed_.RanksAt(level, pos).size() &&
-           adj.TargetAt(trimmed_.SpanBeginAt(level, pos) + rank).edge == edge;
+    return edge < adj.num_edges() &&
+           adj.SourceOf(edge) == trimmed_.UsefulLevel(level).vertex(pos);
   }
 
   /// Position in trimmed().CandidatesAt(level, pos) of the first

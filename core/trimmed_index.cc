@@ -37,16 +37,14 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
   ker.Zero(uhw);
   cand_src.clear();
   cand_rank.clear();
-  const std::span<const LabelIndex::Group> groups = adj.GroupsOf(v);
-  if (groups.empty()) return false;
-  const uint32_t span_begin = groups.front().begin;
-  for (const LabelIndex::Group& group : groups) {
+  const LabelIndex::OutEdges out = adj.Out(v);
+  for (const LabelIndex::Group& group : out.groups) {
     if (!delta.HasLabel(group.label)) continue;
     uint32_t last_dst = UINT32_MAX;
     uint32_t last_pos = 0;
     bool last_ok = false;
     for (uint32_t k = group.begin; k < group.end; ++k) {
-      const LabelIndex::Target& t = adj.TargetAt(k);
+      const LabelIndex::Target& t = out.targets[k];
       if (t.dst != last_dst) {  // parallel edges share the move set
         last_dst = t.dst;
         size_t pos = next_useful.FindIndex(t.dst);
@@ -65,7 +63,7 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
       if (!last_ok) continue;
       cand_pool->push_back(
           TrimmedIndex::CandidateEdge{t.edge, group.label, last_pos});
-      cand_rank.push_back(k - span_begin);
+      cand_rank.push_back(k);
       cand_src.insert(cand_src.end(), edge_q.words(), edge_q.words() + wps);
       ker.Or(uhw, edge_q.words());
     }
@@ -97,7 +95,7 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
   // The queue's seek ranks, one per out-edge: rank[k] is the number of
   // candidates ranked below k. The loop above met the out-edges in rank
   // order, so the candidates are ascending in rank.
-  const uint32_t degree = groups.back().end - span_begin;
+  const uint32_t degree = static_cast<uint32_t>(out.targets.size());
   uint32_t c = 0;
   for (uint32_t k = 0; k < degree; ++k) {
     rank_pool->push_back(c);
@@ -240,7 +238,7 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
         } else {
           // Clean: same useful set, candidates, B-list block and ranks
           // as in the previous index; only the next-level positions
-          // shift, and the span start is re-read below.
+          // shift.
           for (CandidateEdge ce : old.CandidatesAt(i, oi)) {
             assert(ce.next_pos < pos_map.size() &&
                    pos_map[ce.next_pos] != UINT32_MAX &&
@@ -258,15 +256,14 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
           ++oi;
         }
         useful_[i].Append(v, words);
-        queues_.push_back(Queue{block_off, cand_begin, rank_begin,
-                                adj.GroupsOf(v).front().begin});
+        queues_.push_back(Queue{block_off, cand_begin, rank_begin});
       }
     }
     DiffLevels(old_useful, useful_[i], wps_, &changed_next, &pos_map);
   }
   queues_.push_back(Queue{nxt_pool_.size(),
                           static_cast<uint32_t>(cand_pool_.size()),
-                          static_cast<uint32_t>(rank_pool_.size()), 0});
+                          static_cast<uint32_t>(rank_pool_.size())});
 
   for (const LevelSets& level : useful_)
     for (size_t i = 0; i < level.size(); ++i)

@@ -17,8 +17,8 @@
 //
 // Each queue is numbered once, slot_base_[level] + position in the
 // useful level, and every per-queue structure sits in a flat pool under
-// that number: the candidates, the B-list block, the seek ranks and the
-// span start (below).
+// that number: the candidates, the B-list block and the seek ranks
+// (below).
 //
 // Construction is one backward sweep over the annotation, on the same
 // label-stratified structures as the forward BFS: the CSR LabelIndex
@@ -29,10 +29,10 @@
 // with the same destination. There is one builder: per level it
 // re-trims the vertices a dirty set names and copies every other
 // useful slot of a previous index, remapping only the next-level
-// positions and re-reading the span start. A build from scratch is
-// that sweep from an empty index with every annotated vertex dirty;
-// DeltaTrim (core/delta_annotate.h) passes the previous generation's
-// index and the vertices an insert-only delta can have changed. Every
+// positions. A build from scratch is that sweep from an empty index
+// with every annotated vertex dirty; DeltaTrim (core/delta_annotate.h)
+// passes the previous generation's index and the vertices an
+// insert-only delta can have changed. Every
 // other vertex would re-trim to its old slot, so a repaired index is
 // bit-identical to a rebuilt one.
 //
@@ -72,11 +72,11 @@
 //
 //   rank[k] = #candidates of the queue whose PositionOf < k
 //
-// so "first candidate at or after this out-edge" is one load. The span
-// start is the target-pool position of the vertex's first out-edge,
-// which tells whether an edge id is one of those out-edges. Ranks are
-// per source, so a repair copies a clean vertex's ranks as they are
-// and re-reads only its span start, which a derived Freeze moves.
+// so "first candidate at or after this out-edge" is one load. Whether an
+// edge id is one of those out-edges is its source (LabelIndex::SourceOf)
+// against the queue's vertex. Ranks are per source and nothing in a
+// queue names a position in the snapshot's LabelIndex, so a repair
+// copies a clean queue verbatim.
 
 #ifndef DSW_CORE_TRIMMED_INDEX_H_
 #define DSW_CORE_TRIMMED_INDEX_H_
@@ -196,7 +196,7 @@ class TrimmedIndex {
 
   /// The whole useful level — sorted vertices with their state sets.
   /// Below lambda, position pos in it is the queue CandidatesAt,
-  /// BListAt, RanksAt and SpanBeginAt address.
+  /// BListAt and RanksAt address, and vertex(pos) is the queue's vertex.
   const LevelSets& UsefulLevel(uint32_t level) const {
     return useful_[level];
   }
@@ -228,13 +228,6 @@ class TrimmedIndex {
     const size_t s = slot_base_[level] + pos;
     return {rank_pool_.data() + queues_[s].rank,
             rank_pool_.data() + queues_[s + 1].rank};
-  }
-
-  /// Target-pool position (LabelIndex::TargetAt) of the first out-edge
-  /// of the vertex at position \p pos of useful level \p level
-  /// (level < lambda), in the snapshot the index was built from.
-  uint32_t SpanBeginAt(uint32_t level, size_t pos) const {
-    return queues_[slot_base_[level] + pos].span;
   }
 
   /// Heap footprint estimate, for the plan cache's byte budget.
@@ -280,7 +273,6 @@ class TrimmedIndex {
     size_t blist;   // first entry of the B-list block in nxt_pool_
     uint32_t cand;  // first candidate in cand_pool_
     uint32_t rank;  // first seek rank in rank_pool_
-    uint32_t span;  // target-pool position of the vertex's first out-edge
   };
 
   uint32_t wps_ = 0;

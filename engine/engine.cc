@@ -55,14 +55,17 @@ std::shared_ptr<const PreparedQuery> RepairPlan(const Snapshot& snap,
 
 bool QueryEngine::InstallSnapshot(Snapshot snap) {
   if (!snap) return false;
+  // One install at a time: each reads the installed snapshot and
+  // context_ at its start and replaces both at its end.
+  std::lock_guard<std::mutex> install_lock(install_mu_);
   const Snapshot prev = cache_.installed();
   const bool same_db = prev && &prev.db() == &snap.db();
   if (same_db && prev.generation() == snap.generation()) return true;
   const EdgeDelta delta =
       same_db ? snap.DeltaFrom(prev.generation()) : EdgeDelta{};
   if (!delta.known) {  // nothing to repair from: detach every entry
-    context_ = nullptr;
-    cache_.Install(std::move(snap), nullptr);
+    FreeOnWorker(cache_.Install(std::move(snap), nullptr),
+                 std::move(context_));
     return true;
   }
   // One reverse CSR serves every repair. It is derived from the previous
@@ -70,7 +73,7 @@ bool QueryEngine::InstallSnapshot(Snapshot snap) {
   // the first incremental install after a full one.
   auto ctx = context_ ? std::make_unique<const DeltaContext>(snap, *context_)
                       : std::make_unique<const DeltaContext>(snap);
-  cache_.Install(snap, [&](std::vector<PlanCache::Value>& plans) {
+  const PlanCache::Upgrade repair = [&](std::vector<PlanCache::Value>& plans) {
     if (plans.empty()) return;
     auto repairs = std::make_shared<PlanRepairs>(plans.size(), [&](size_t i) {
       plans[i] = RepairPlan(snap, delta, *ctx, *plans[i]);
@@ -82,15 +85,29 @@ bool QueryEngine::InstallSnapshot(Snapshot snap) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         for (size_t i = 0; i < helpers; ++i)
-          queue_.push_back(Job{0, 0, {}, {}, repairs});
+          queue_.push_back(Job{0, 0, {}, {}, repairs, nullptr});
       }
       cv_.notify_all();
     }
     repairs->Run();
     repairs->Finish();
-  });
-  context_ = std::move(ctx);  // only once snap is installed
+  };
+  std::vector<PlanCache::Value> replaced = cache_.Install(snap, repair);
+  std::swap(context_, ctx);  // only once snap is installed
+  FreeOnWorker(std::move(replaced), std::move(ctx));
   return true;
+}
+
+void QueryEngine::FreeOnWorker(std::vector<PlanCache::Value> plans,
+                               std::unique_ptr<const DeltaContext> context) {
+  if (plans.empty() && context == nullptr) return;
+  auto replaced = std::make_unique<Replaced>(
+      Replaced{std::move(plans), std::move(context)});
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(Job{0, 0, {}, {}, nullptr, std::move(replaced)});
+  }
+  cv_.notify_one();
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
@@ -174,7 +191,7 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
     s->state = SessionState::kQueued;
     queue_.push_back(Job{session, std::max(max_answers, 1u),
                          std::move(promise),
-                         std::chrono::steady_clock::now(), nullptr});
+                         std::chrono::steady_clock::now(), nullptr, nullptr});
   }
   cv_.notify_one();
   return future;
@@ -282,6 +299,10 @@ void QueryEngine::WorkerLoop() {
       if (stop_) return;  // ~QueryEngine fails whatever is still queued
       job = std::move(queue_.front());
       queue_.pop_front();
+      if (job.replaced != nullptr) {  // freed with job, outside the lock
+        lock.unlock();
+        continue;
+      }
       if (job.repairs != nullptr) {
         lock.unlock();
         job.repairs->Run();

@@ -46,15 +46,21 @@
 // Thread-safety: every public method is safe to call from any thread.
 // Prepare, PrepareRegex, OpenSession and Pump read only sealed
 // snapshots, so one control thread may call AddVertex/AddVertices,
-// AddEdge by label id, Freeze() and InstallSnapshot() while they run,
-// as long as no other thread makes any of these calls. PrepareRegex
+// AddEdge by label id and Freeze() while they run, as long as no other
+// thread makes any of these calls; InstallSnapshot calls serialize
+// among themselves, and may come from any thread while no thread
+// mutates the database. PrepareRegex
 // interns into the dictionary it is given under an engine lock, so
 // nothing else may intern into that dictionary (AddEdge by label name,
 // LabelDictionary::Intern) while a PrepareRegex runs.
 //
 // Memory outside the plan-cache budget: a plan is built on the thread
 // whose Prepare missed and repaired on the installing thread or a
-// worker. Only the threads that build plans (Prepare callers and the
+// worker, and a replaced plan is freed on a worker. Each plan pins its
+// snapshot's LabelIndex, and the engine keeps one reverse CSR; the
+// generations alive together share every adjacency page the writes
+// between them did not touch, so an old plan costs its own structures
+// plus the pages that changed since, not a copy of the graph. Only the threads that build plans (Prepare callers and the
 // installing thread) keep the product BFS's scratch (core/annotate.h)
 // for their lifetime: V x (8 ceil(|Q|/64) + 4) bytes at the largest
 // graph and query each has annotated. A worker frees it once it has
@@ -173,8 +179,10 @@ class QueryEngine {
   /// worker joins them, queued behind the pending pumps, so a busy pool
   /// leaves most of them to the caller. The table then publishes the
   /// snapshot and the repaired plans at once (engine/plan_cache.h),
-  /// touching no session or handle. If a repair throws, the install
-  /// rethrows it and publishes nothing. A parked session resumes on the
+  /// touching no session or handle, and the replaced plans and reverse
+  /// CSR go to the workers as one job, queued behind the pending pumps,
+  /// so the calling thread frees none of them. If a repair throws, the
+  /// install rethrows it and publishes nothing. A parked session resumes on the
   /// upgraded plan while lambda is unchanged: old answers keep their
   /// relative order, so one SeekAfter on the parked walk resumes the
   /// correct suffix of the NEW answer order. Once an upgrade shortened
@@ -184,8 +192,11 @@ class QueryEngine {
   /// entry when the snapshot is of another database, or a snapshot older
   /// than the installed one) retire at their next pump. The reverse CSR
   /// the repairs share (DeltaContext) is derived from the previous
-  /// install's, which the engine keeps, so an install costs the write
-  /// rather than a pass over every edge. Calls must not overlap.
+  /// install's, which the engine keeps: it shares every page the write
+  /// did not touch, as the snapshot's LabelIndex does, so an install
+  /// costs the write rather than a pass over every vertex and edge.
+  /// Overlapping calls, from any threads, take turns: each holds one
+  /// install lock from start to end.
   bool InstallSnapshot(Snapshot snap);
 
   /// Returns a handle on the plan of (query, source, target) against the
@@ -263,15 +274,29 @@ class QueryEngine {
     uint64_t generation = 0;    // of the plan its last pump ran on
   };
 
-  // A pump, or, when repairs is set, a worker's share of an install's
-  // plan repairs.
+  // What an install replaced: its plans and reverse CSR.
+  struct Replaced {
+    std::vector<PlanCache::Value> plans;
+    std::unique_ptr<const DeltaContext> context;
+  };
+
+  // A pump; or, when repairs is set, a worker's share of an install's
+  // plan repairs; or, when replaced is set, what an install replaced,
+  // which the worker frees.
   struct Job {
     SessionId session = 0;
     uint32_t max_answers = 0;
     std::promise<PumpResult> promise;
     std::chrono::steady_clock::time_point enqueued;
     std::shared_ptr<PlanRepairs> repairs;
+    std::unique_ptr<Replaced> replaced;
   };
+
+  // Queues what an install replaced as one job behind the pumps and
+  // repair helpers already queued, so the installing thread frees none
+  // of it; nothing is queued when there is nothing to free.
+  void FreeOnWorker(std::vector<PlanCache::Value> plans,
+                    std::unique_ptr<const DeltaContext> context);
 
   void WorkerLoop();
   // Runs one batch against the prepared query on the worker's
@@ -298,11 +323,13 @@ class QueryEngine {
   uint64_t sessions_retired_ = 0;   // guarded by mu_
   uint64_t sessions_upgraded_ = 0;  // guarded by mu_
 
+  // Serializes InstallSnapshot, which holds it for the whole call.
+  std::mutex install_mu_;
   // The plan table, the QueryIds and the installed snapshot.
   PlanCache cache_;
   // Null or the reverse CSR of the installed snapshot, kept so that the
   // next incremental install derives its own instead of building one.
-  // Only InstallSnapshot touches it.
+  // Only InstallSnapshot touches it, under install_mu_.
   std::unique_ptr<const DeltaContext> context_;
 
   // Lock-free counters: bumped outside mu_ (workers, PrepareRegex).

@@ -154,9 +154,10 @@ PlanCache::Resolved PlanCache::Resolve(QueryId id) const {
   return r;
 }
 
-void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
+std::vector<PlanCache::Value> PlanCache::Install(Snapshot snap,
+                                                const Upgrade& upgrade) {
   // Each entry's plan, replaced by its repair (null if it has none); the
-  // replaced plans are freed after the lock is released.
+  // publish swaps the repairs in, and the caller gets the rest.
   std::vector<std::shared_ptr<Entry>> entries;
   std::vector<Value> plans;
   if (upgrade) {
@@ -184,7 +185,11 @@ void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
     snapshot_ = std::move(snap);
     for (size_t i = 0; i < entries.size(); ++i) {
       Entry& e = *entries[i];
-      if (plans[i] == nullptr || e.key == nullptr) continue;  // or evicted
+      if (e.key == nullptr) {  // evicted during the repairs
+        plans.push_back(e.plan);
+        continue;
+      }
+      if (plans[i] == nullptr) continue;  // detached below
       const size_t bytes = plans[i]->ApproxBytes();
       stats_.bytes_used = stats_.bytes_used - e.bytes + bytes;
       e.bytes = bytes;
@@ -199,12 +204,14 @@ void PlanCache::Install(Snapshot snap, const Upgrade& upgrade) {
         ++it;
       } else {
         ++stats_.invalidations;
+        plans.push_back(it->second->plan);
         it = DetachLocked(it);
       }
     }
     EvictOverBudgetLocked(nullptr);
   }
   cv_.notify_all();  // detached claims are re-claimed; builds fill
+  return plans;
 }
 
 Snapshot PlanCache::installed() const {

@@ -48,7 +48,9 @@
 // claims the key again, or takes the plan a waiter's re-claim filled. A
 // build that returns while the repairs run is of the snapshot they
 // replace, so its caller waits for the publish before it claims again.
-// An upgrade that throws leaves the table as it was.
+// An upgrade that throws leaves the table as it was. Install frees
+// nothing it replaced: it hands the replaced and detached plans back to
+// its caller, which decides which thread pays for their release.
 
 #ifndef DSW_ENGINE_PLAN_CACHE_H_
 #define DSW_ENGINE_PLAN_CACHE_H_
@@ -257,9 +259,13 @@ class PlanCache {
   Resolved Resolve(QueryId id) const;
 
   /// Publishes \p snap, repairing every entry's plan by \p upgrade (if
-  /// set) as the header comment describes. If \p upgrade throws,
-  /// Install rethrows and publishes nothing. Calls must not overlap.
-  void Install(Snapshot snap, const Upgrade& upgrade);
+  /// set) as the header comment describes, and returns the plans the
+  /// table no longer holds for it: the replaced and the detached ones,
+  /// and any repair it could not publish (nulls included). The table
+  /// keeps none of them, so whoever drops the last copy frees them. If
+  /// \p upgrade throws, Install rethrows and publishes nothing. Calls
+  /// must not overlap.
+  std::vector<Value> Install(Snapshot snap, const Upgrade& upgrade);
 
   /// The installed snapshot (null before the first Install).
   Snapshot installed() const;

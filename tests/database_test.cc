@@ -244,13 +244,13 @@ TEST(SnapshotTest, OldSnapshotStaysReadableAfterMutation) {
   EXPECT_EQ(&a.label_index(), ix);
   EXPECT_EQ(a.num_vertices(), 3u);
   EXPECT_EQ(a.num_edges(), 1u);
-  auto groups = a.label_index().GroupsOf(0);
-  ASSERT_EQ(groups.size(), 1u);
-  auto targets = a.label_index().Targets(groups[0]);
+  const LabelIndex::OutEdges out = a.label_index().Out(0);
+  ASSERT_EQ(out.groups.size(), 1u);
+  auto targets = out.Targets(out.groups[0]);
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0].edge, 0u);
   EXPECT_EQ(targets[0].dst, 1u);
-  EXPECT_TRUE(a.label_index().GroupsOf(1).empty());
+  EXPECT_TRUE(a.label_index().Out(1).groups.empty());
   EXPECT_EQ(a.dst(0), 1u);
   EXPECT_EQ(a.labels().Name(a.edge(0).label), "l0");
   EXPECT_TRUE(a.DeltaFrom(a.generation()).known);

@@ -134,6 +134,7 @@ void RunScenario(Instance inst, const Nfa& query, uint32_t num_inserts,
     if (!carried.reachable()) continue;
     ResumableIndex fresh_idx(ns, fresh);
     ResumableIndex repaired_idx(ns, carried, carried_trim);
+    ExpectSpansMatchSources(repaired_idx);
     EdgeSeq got = Enumerate(carried, repaired_idx, inst.source, inst.target);
     EdgeSeq want = Enumerate(fresh, fresh_idx, inst.source, inst.target);
     ASSERT_EQ(got, want) << "repaired enumeration order diverged";

@@ -679,6 +679,7 @@ TEST(QueryEngineTest, RepairsOnEveryThreadMatchSerialRepairs) {
         ExpectTrimsEqual(
             plan->index.trimmed(),
             DeltaTrim(next, ann, old[k]->index.trimmed(), rep, delta, ctx));
+        ExpectSpansMatchSources(plan->index);
       }
       snap = next;
       // Let a drain end, so the installs land between and inside drains.
@@ -697,6 +698,63 @@ TEST(QueryEngineTest, RepairsOnEveryThreadMatchSerialRepairs) {
 // dictionary lacks must take turns at it. Each of four clients prepares
 // 200 queries that each name a new label: the dictionary grows by
 // exactly 800 entries and every query drains to no answers.
+// Overlapping installs take turns. Two threads install interleaved,
+// pre-frozen snapshots of one database (older ones included, which
+// detach the table) while a client prepares and drains; without the
+// install lock the two calls race on the kept reverse CSR and on the
+// table's repair flag, and can leave plans repaired through a context
+// of another generation. Then the newest snapshot is installed, and
+// every query prepared afresh must drain to its oracle on it.
+TEST(QueryEngineTest, OverlappingInstallsTakeTurns) {
+  Instance inst = BubbleChain(6, 2);
+  const std::vector<Nfa> queries = {StaircaseNfa(2, 2), StaircaseNfa(3, 2),
+                                    StaircaseNfa(1, 2)};
+  QueryEngine engine(2);
+  engine.InstallSnapshot(inst.db.Freeze());
+  for (const Nfa& q : queries) engine.Prepare(q, inst.source, inst.target);
+
+  std::mt19937_64 rng(77);
+  std::vector<Snapshot> snaps;
+  for (int i = 0; i < 40; ++i) {
+    if (rng() % 3 == 0) inst.db.AddVertices(1);
+    for (int e = 0; e < 3; ++e)
+      inst.db.AddEdge(static_cast<uint32_t>(rng() % inst.db.num_vertices()),
+                      static_cast<uint32_t>(rng() % 2),
+                      static_cast<uint32_t>(rng() % inst.db.num_vertices()));
+    snaps.push_back(inst.db.Freeze());
+  }
+
+  std::atomic<bool> done{false};
+  std::thread client([&] {
+    for (size_t k = 0; !done.load(); ++k) {
+      const Nfa& q = queries[k % queries.size()];
+      const QueryId id = engine.Prepare(q, inst.source, inst.target);
+      const SessionId s = engine.OpenSession(id);
+      engine.Drain(s, 8);  // any status: installs may retire it
+      engine.CloseSession(s);
+      engine.ReleaseQuery(id);
+    }
+  });
+  auto installer = [&](size_t first) {
+    for (size_t i = first; i < snaps.size(); i += 2)
+      engine.InstallSnapshot(snaps[i]);
+  };
+  std::thread even(installer, 0), odd(installer, 1);
+  even.join();
+  odd.join();
+  done = true;
+  client.join();
+
+  engine.InstallSnapshot(snaps.back());
+  for (const Nfa& q : queries) {
+    const QueryId id = engine.Prepare(q, inst.source, inst.target);
+    PumpResult r = engine.Drain(engine.OpenSession(id), 16);
+    EXPECT_EQ(r.status, PumpStatus::kExhausted);
+    EXPECT_EQ(Edges(r.walks),
+              Oracle(snaps.back(), q, inst.source, inst.target));
+  }
+}
+
 TEST(QueryEngineTest, ConcurrentPrepareRegexInternsNewLabels) {
   Instance inst = BubbleChain(3, 2);
   QueryEngine engine(2);

@@ -40,13 +40,14 @@ void ExpectIndexMatchesAdjacency(Database& db) {
     uint32_t prev_label = 0;
     bool first = true;
     std::map<uint32_t, std::vector<uint32_t>> got;
-    for (const LabelIndex::Group& g : ix.GroupsOf(v)) {
+    const LabelIndex::OutEdges out = ix.Out(v);
+    for (const LabelIndex::Group& g : out.groups) {
       if (!first) {
         EXPECT_LT(prev_label, g.label) << "groups not sorted";
       }
       first = false;
       prev_label = g.label;
-      for (const LabelIndex::Target& t : ix.Targets(g)) {
+      for (const LabelIndex::Target& t : out.Targets(g)) {
         EXPECT_EQ(db.edge(t.edge).src, v);
         EXPECT_EQ(db.edge(t.edge).label, g.label);
         EXPECT_EQ(db.edge(t.edge).dst, t.dst) << "denormalized dst is stale";
@@ -79,22 +80,26 @@ TEST(LabelIndexTest, ParallelEdgesStayAdjacentInInsertionOrder) {
   uint32_t e2 = db.AddEdge(s, b, t);  // parallel to e0, same label
   Snapshot snap = db.Freeze();
   const LabelIndex& ix = snap.label_index();
-  auto groups = ix.GroupsOf(s);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].label, a);
-  EXPECT_EQ(groups[1].label, b);
-  ASSERT_EQ(ix.Targets(groups[0]).size(), 1u);
-  EXPECT_EQ(ix.Targets(groups[0])[0].edge, e1);
-  ASSERT_EQ(ix.Targets(groups[1]).size(), 2u);
-  EXPECT_EQ(ix.Targets(groups[1])[0].edge, e0);
-  EXPECT_EQ(ix.Targets(groups[1])[1].edge, e2);
+  const LabelIndex::OutEdges out = ix.Out(s);
+  ASSERT_EQ(out.groups.size(), 2u);
+  EXPECT_EQ(out.groups[0].label, a);
+  EXPECT_EQ(out.groups[1].label, b);
+  ASSERT_EQ(out.Targets(out.groups[0]).size(), 1u);
+  EXPECT_EQ(out.Targets(out.groups[0])[0].edge, e1);
+  ASSERT_EQ(out.Targets(out.groups[1]).size(), 2u);
+  EXPECT_EQ(out.Targets(out.groups[1])[0].edge, e0);
+  EXPECT_EQ(out.Targets(out.groups[1])[1].edge, e2);
+  for (uint32_t e : {e0, e1, e2}) EXPECT_EQ(ix.SourceOf(e), s);
+  EXPECT_EQ(ix.PositionOf(e1), 0u);  // rank order: (label, insertion)
+  EXPECT_EQ(ix.PositionOf(e0), 1u);
+  EXPECT_EQ(ix.PositionOf(e2), 2u);
 }
 
 TEST(LabelIndexTest, FreezeAfterMutationSeesTheNewEdges) {
   Database db;
   uint32_t s = db.AddVertex(), t = db.AddVertex();
   db.AddEdge(s, "a", t);
-  EXPECT_EQ(db.Freeze().label_index().GroupsOf(s).size(), 1u);
+  EXPECT_EQ(db.Freeze().label_index().Out(s).groups.size(), 1u);
 
   // Mutations retire the frozen index; the next Freeze() rebuilds and
   // sees the new edges.
@@ -103,34 +108,45 @@ TEST(LabelIndexTest, FreezeAfterMutationSeesTheNewEdges) {
   db.AddEdge(s, "a", u);
   Snapshot snap = db.Freeze();
   const LabelIndex& ix = snap.label_index();
-  ASSERT_EQ(ix.GroupsOf(s).size(), 2u);
-  EXPECT_EQ(ix.Targets(ix.GroupsOf(s)[0]).size(), 2u);  // two a-edges
-  EXPECT_TRUE(ix.GroupsOf(u).empty());
+  const LabelIndex::OutEdges out = ix.Out(s);
+  ASSERT_EQ(out.groups.size(), 2u);
+  EXPECT_EQ(out.Targets(out.groups[0]).size(), 2u);  // two a-edges
+  EXPECT_TRUE(ix.Out(u).groups.empty());
   ExpectIndexMatchesAdjacency(db);
 }
 
+constexpr uint32_t kPage = uint32_t{1} << LabelIndex::kPageBits;
+constexpr uint32_t kChunk = uint32_t{1} << LabelIndex::kChunkBits;
+
 // Runs one random append-only sequence of `freezes` batches and calls
-// check(db, snapshot) after each Freeze. The batches cycle through the
-// shapes a derived build must handle: empty (the freeze reuses the
-// index), vertex-only, edges among existing vertices with parallel
-// copies, and new vertices with edges out of and into them. Label 0 is
-// first used halfway through, so its group sorts ahead of the groups a
-// touched vertex already has.
+// check(db, snapshot) after each Freeze. The graph starts at eight and
+// a half pages of vertices and a few edges short of a full edge chunk.
+// The batches cycle through the shapes a derived build must handle:
+// empty (the freeze reuses the index), vertex-only, edges among
+// existing vertices with parallel copies, new vertices with edges out
+// of and into them, edges out of a page's first and last vertex and out
+// of the last vertex of the last (partial) page, new vertices that open
+// a page, and edges that fill the tail chunk exactly or run past its
+// end. Label 0 is first used halfway through, so its group sorts ahead
+// of the groups a touched vertex already has.
 template <typename Check>
 void RunAppends(uint64_t seed, int freezes, Check check) {
   std::mt19937_64 rng(seed);
   Database db;
-  db.AddVertices(1 + static_cast<uint32_t>(rng() % 4));
+  db.AddVertices(8 * kPage + kPage / 2 + static_cast<uint32_t>(seed % 7));
+  auto any_vertex = [&] {
+    return static_cast<uint32_t>(rng() % db.num_vertices());
+  };
+  for (uint32_t i = 0; i < kChunk - 1 - seed % 16; ++i)
+    db.AddEdge(any_vertex(), 1 + static_cast<uint32_t>(rng() % 2),
+               any_vertex());
   for (int f = 0; f < freezes; ++f) {
     const uint32_t first_label = f < freezes / 2 ? 1 : 0;
     auto label = [&] {
       return first_label + static_cast<uint32_t>(rng() % (3 - first_label));
     };
-    auto any_vertex = [&] {
-      return static_cast<uint32_t>(rng() % db.num_vertices());
-    };
     const uint32_t edges = 1 + static_cast<uint32_t>(rng() % 6);
-    switch ((seed + f) % 4) {
+    switch ((seed + f) % 7) {
       case 0:
         break;
       case 1:
@@ -138,7 +154,7 @@ void RunAppends(uint64_t seed, int freezes, Check check) {
         break;
       case 2:
         for (uint32_t i = 0; i < edges; ++i) {
-          if (db.num_edges() > 0 && rng() % 3 == 0) {
+          if (rng() % 3 == 0) {
             const Edge e =
                 db.edge(static_cast<uint32_t>(rng() % db.num_edges()));
             db.AddEdge(e.src, e.label, e.dst);
@@ -160,6 +176,32 @@ void RunAppends(uint64_t seed, int freezes, Check check) {
         }
         break;
       }
+      case 4: {
+        const uint32_t page =
+            static_cast<uint32_t>(rng() % (db.num_vertices() / kPage));
+        db.AddEdge(page * kPage, label(), any_vertex());
+        db.AddEdge(page * kPage + kPage - 1, label(), any_vertex());
+        db.AddEdge(db.num_vertices() - 1, label(), any_vertex());
+        break;
+      }
+      case 5: {
+        const uint32_t open = (db.num_vertices() / kPage + 1) * kPage;
+        db.AddVertices(open - db.num_vertices() +
+                       static_cast<uint32_t>(rng() % 3));
+        db.AddEdge(open, label(), any_vertex());
+        db.AddEdge(any_vertex(), label(), open);
+        break;
+      }
+      case 6: {
+        const uint32_t to_boundary =
+            kChunk - static_cast<uint32_t>(db.num_edges() % kChunk);
+        const uint32_t count =
+            to_boundary <= 16 ? to_boundary + static_cast<uint32_t>(rng() % 2)
+                              : edges;
+        for (uint32_t i = 0; i < count; ++i)
+          db.AddEdge(any_vertex(), label(), any_vertex());
+        break;
+      }
     }
     check(db, db.Freeze());
   }
@@ -169,44 +211,104 @@ void ExpectSameIndex(const LabelIndex& got, const LabelIndex& want) {
   ASSERT_EQ(got.num_vertices(), want.num_vertices());
   ASSERT_EQ(got.num_edges(), want.num_edges());
   for (uint32_t v = 0; v < want.num_vertices(); ++v) {
-    auto got_groups = got.GroupsOf(v);
-    auto want_groups = want.GroupsOf(v);
-    ASSERT_EQ(got_groups.size(), want_groups.size()) << "vertex " << v;
-    for (size_t g = 0; g < want_groups.size(); ++g) {
-      EXPECT_EQ(got_groups[g].label, want_groups[g].label) << "vertex " << v;
-      EXPECT_EQ(got_groups[g].begin, want_groups[g].begin) << "vertex " << v;
-      EXPECT_EQ(got_groups[g].end, want_groups[g].end) << "vertex " << v;
-      auto got_targets = got.Targets(got_groups[g]);
-      auto want_targets = want.Targets(want_groups[g]);
-      ASSERT_EQ(got_targets.size(), want_targets.size()) << "vertex " << v;
-      for (size_t t = 0; t < want_targets.size(); ++t) {
-        EXPECT_EQ(got_targets[t].edge, want_targets[t].edge);
-        EXPECT_EQ(got_targets[t].dst, want_targets[t].dst);
-      }
+    const LabelIndex::OutEdges got_out = got.Out(v);
+    const LabelIndex::OutEdges want_out = want.Out(v);
+    ASSERT_EQ(got_out.groups.size(), want_out.groups.size()) << "vertex " << v;
+    for (size_t g = 0; g < want_out.groups.size(); ++g) {
+      EXPECT_EQ(got_out.groups[g].label, want_out.groups[g].label)
+          << "vertex " << v;
+      EXPECT_EQ(got_out.groups[g].begin, want_out.groups[g].begin)
+          << "vertex " << v;
+      EXPECT_EQ(got_out.groups[g].end, want_out.groups[g].end)
+          << "vertex " << v;
+    }
+    ASSERT_EQ(got_out.targets.size(), want_out.targets.size())
+        << "vertex " << v;
+    for (size_t t = 0; t < want_out.targets.size(); ++t) {
+      EXPECT_EQ(got_out.targets[t].edge, want_out.targets[t].edge);
+      EXPECT_EQ(got_out.targets[t].dst, want_out.targets[t].dst);
     }
   }
-  for (uint32_t e = 0; e < want.num_edges(); ++e)
+  for (uint32_t e = 0; e < want.num_edges(); ++e) {
     EXPECT_EQ(got.PositionOf(e), want.PositionOf(e)) << "edge " << e;
+    EXPECT_EQ(got.SourceOf(e), want.SourceOf(e)) << "edge " << e;
+  }
+}
+
+// The vertex pages [0, pages) a write from (prev_vertices, prev_edges)
+// to db's contents touched: those holding a new vertex or an endpoint
+// (end(edge)) of a new edge.
+template <typename End>
+std::vector<bool> TouchedPages(const Database& db, uint32_t prev_vertices,
+                               uint32_t prev_edges, End end) {
+  const uint32_t pages = (db.num_vertices() + kPage - 1) / kPage;
+  std::vector<bool> touched(pages, false);
+  for (uint32_t v = prev_vertices; v < db.num_vertices(); ++v)
+    touched[v / kPage] = true;
+  for (uint32_t e = prev_edges; e < db.num_edges(); ++e)
+    touched[end(db.edge(e)) / kPage] = true;
+  return touched;
+}
+
+// A derived structure must share exactly the pages its write left
+// alone: page_of(v) is the identity of the page holding v.
+template <typename PageOf>
+void ExpectSharesUntouchedPages(const std::vector<bool>& touched,
+                                uint32_t prev_vertices, PageOf page_of) {
+  for (uint32_t p = 0; p < touched.size(); ++p) {
+    const auto [now, before] = page_of(p * kPage);
+    if (touched[p]) {
+      EXPECT_NE(now, before) << "page " << p << " was touched";
+    } else {
+      ASSERT_LT(p * kPage, prev_vertices);
+      EXPECT_EQ(now, before) << "page " << p << " was copied";
+    }
+  }
 }
 
 // Every Freeze derives its index from the previous one; a database that
 // was never frozen derives its first from an empty index. Both must
-// produce the same layout for the same edge list.
+// produce the same layout for the same edge list, and the derived one
+// must share every page and full edge chunk the batch did not touch.
 TEST(LabelIndexTest, DerivedFreezeMatchesFullBuild) {
   for (uint64_t seq = 0; seq < 24; ++seq) {
     SCOPED_TRACE(testing::Message() << "sequence " << seq);
+    Snapshot prev;
     // Sequence 0 runs 80 freezes: each derives from the one before.
-    RunAppends(seq, seq == 0 ? 80 : 12,
-               [](const Database& db, const Snapshot& snap) {
-                 Database fresh;
-                 fresh.AddVertices(db.num_vertices());
-                 for (uint32_t e = 0; e < db.num_edges(); ++e)
-                   fresh.AddEdge(db.src(e), db.edge(e).label, db.dst(e));
-                 Snapshot full = fresh.Freeze();
-                 EXPECT_EQ(snap.num_vertices(), db.num_vertices());
-                 EXPECT_EQ(snap.num_edges(), db.num_edges());
-                 ExpectSameIndex(snap.label_index(), full.label_index());
-               });
+    RunAppends(seq, seq == 0 ? 80 : 14, [&](const Database& db,
+                                            const Snapshot& snap) {
+      Database fresh;
+      fresh.AddVertices(db.num_vertices());
+      for (uint32_t e = 0; e < db.num_edges(); ++e)
+        fresh.AddEdge(db.src(e), db.edge(e).label, db.dst(e));
+      Snapshot full = fresh.Freeze();
+      EXPECT_EQ(snap.num_vertices(), db.num_vertices());
+      EXPECT_EQ(snap.num_edges(), db.num_edges());
+      ExpectSameIndex(snap.label_index(), full.label_index());
+      if (prev) {
+        const LabelIndex& now = snap.label_index();
+        const LabelIndex& before = prev.label_index();
+        const uint32_t prev_edges = static_cast<uint32_t>(before.num_edges());
+        ExpectSharesUntouchedPages(
+            TouchedPages(db, before.num_vertices(), prev_edges,
+                         [](const Edge& e) { return e.src; }),
+            before.num_vertices(), [&](uint32_t v) {
+              return std::pair(now.PageOf(v),
+                               v < before.num_vertices() ? before.PageOf(v)
+                                                         : nullptr);
+            });
+        // Full chunks are shared; with new edges, the tail is rebuilt.
+        for (uint32_t e = 0; e < now.num_edges(); e += kChunk) {
+          if (prev_edges < now.num_edges() && e + kChunk > prev_edges)
+            EXPECT_NE(now.ChunkOf(e), e < prev_edges ? before.ChunkOf(e)
+                                                     : nullptr)
+                << "edge " << e;
+          else
+            EXPECT_EQ(now.ChunkOf(e), before.ChunkOf(e)) << "edge " << e;
+        }
+      }
+      prev = snap;
+    });
   }
 }
 
@@ -214,22 +316,41 @@ TEST(LabelIndexTest, DerivedFreezeMatchesFullBuild) {
 // derived at every freeze, one derived only at every third (skipping
 // generations, as the engine does when a freeze is never installed) and
 // one built from empty all list each vertex's in-edge sources in edge-id
-// order.
+// order, and each derived context shares every page that holds neither
+// a new vertex nor a new edge's destination.
 TEST(DeltaContextTest, DerivedContextMatchesInEdges) {
   for (uint64_t seq = 0; seq < 24; ++seq) {
     SCOPED_TRACE(testing::Message() << "sequence " << seq);
     std::unique_ptr<DeltaContext> every, sparse;
+    uint32_t every_v = 0, every_e = 0, sparse_v = 0, sparse_e = 0;
     int freeze = 0;
-    RunAppends(seq, seq == 0 ? 80 : 12, [&](const Database& db,
+    auto derive = [](const Database& db, const Snapshot& snap,
+                     std::unique_ptr<DeltaContext>* ctx, uint32_t* vertices,
+                     uint32_t* edges) {
+      if (*ctx == nullptr) {
+        *ctx = std::make_unique<DeltaContext>(snap);
+      } else {
+        auto next = std::make_unique<DeltaContext>(snap, **ctx);
+        ExpectSharesUntouchedPages(
+            TouchedPages(db, *vertices, *edges,
+                         [](const Edge& e) { return e.dst; }),
+            *vertices, [&](uint32_t v) {
+              return std::pair(next->PageOf(v),
+                               v < *vertices ? (*ctx)->PageOf(v) : nullptr);
+            });
+        *ctx = std::move(next);
+      }
+      *vertices = snap.num_vertices();
+      *edges = static_cast<uint32_t>(snap.num_edges());
+    };
+    RunAppends(seq, seq == 0 ? 80 : 14, [&](const Database& db,
                                             const Snapshot& snap) {
       DeltaContext full(snap);
       std::vector<const DeltaContext*> contexts = {&full};
-      every = every ? std::make_unique<DeltaContext>(snap, *every)
-                    : std::make_unique<DeltaContext>(snap);
+      derive(db, snap, &every, &every_v, &every_e);
       contexts.push_back(every.get());
       if (freeze++ % 3 == 0) {
-        sparse = sparse ? std::make_unique<DeltaContext>(snap, *sparse)
-                        : std::make_unique<DeltaContext>(snap);
+        derive(db, snap, &sparse, &sparse_v, &sparse_e);
         contexts.push_back(sparse.get());
       }
       std::vector<std::vector<uint32_t>> want(db.num_vertices());
@@ -244,6 +365,38 @@ TEST(DeltaContextTest, DerivedContextMatchesInEdges) {
       }
     });
   }
+}
+
+// An old snapshot reads the same adjacency and ranks however many
+// generations derive from its index afterwards: the later freezes share
+// its pages and chunks but never write to them, and the ones they
+// replace stay alive while the old snapshot does.
+TEST(LabelIndexTest, OldSnapshotReadsTheSameAfterLaterFreezes) {
+  auto dump = [](const LabelIndex& ix) {
+    std::vector<uint32_t> out;
+    for (uint32_t v = 0; v < ix.num_vertices(); ++v) {
+      const LabelIndex::OutEdges adj = ix.Out(v);
+      out.push_back(static_cast<uint32_t>(adj.groups.size()));
+      for (const LabelIndex::Group& g : adj.groups)
+        out.insert(out.end(), {g.label, g.begin, g.end});
+      for (const LabelIndex::Target& t : adj.targets)
+        out.insert(out.end(), {t.edge, t.dst});
+    }
+    for (uint32_t e = 0; e < ix.num_edges(); ++e)
+      out.insert(out.end(), {ix.SourceOf(e), ix.PositionOf(e)});
+    return out;
+  };
+  Snapshot old;
+  std::vector<uint32_t> before;
+  int freezes = 0;
+  RunAppends(3, 72, [&](const Database&, const Snapshot& snap) {
+    if (freezes++ == 1) {
+      old = snap;
+      before = dump(old.label_index());
+    }
+  });
+  ASSERT_EQ(freezes, 72);  // 70 freezes after the old one
+  EXPECT_EQ(dump(old.label_index()), before);
 }
 
 // Brute-force oracle for CompiledDelta on an arbitrary Nfa.

@@ -730,6 +730,89 @@ TEST(PlanCacheTest, WorkersPinNoSupersededPlan) {
   EXPECT_TRUE(old.expired());
 }
 
+// Install frees nothing it replaced: it hands the replaced plan back,
+// and the plan lives exactly as long as the caller keeps that copy.
+TEST(PlanCacheTest, InstallHandsBackReplacedPlans) {
+  TableFixture t;
+  const PlanCache::Builder build = [&t](const Snapshot& s) {
+    return t.Build(s);
+  };
+  t.cache.Install(t.inst.db.Freeze(), nullptr);
+  const QueryId upgraded = t.cache.Acquire(t.Key("up"), build);
+  const QueryId dropped = t.cache.Acquire(t.Key("down"), build);
+  std::weak_ptr<const PreparedQuery> old_up = t.cache.Resolve(upgraded).plan;
+  std::weak_ptr<const PreparedQuery> old_down = t.cache.Resolve(dropped).plan;
+  t.cache.Release(dropped);  // unnamed: the install detaches and drops it
+
+  t.inst.db.AddVertices(1);
+  const Snapshot snap2 = t.inst.db.Freeze();
+  std::vector<PlanCache::Value> replaced =
+      t.cache.Install(snap2, [&](std::vector<PlanCache::Value>& plans) {
+        for (PlanCache::Value& plan : plans)
+          plan = plan == old_up.lock() ? t.Build(snap2) : nullptr;
+      });
+  EXPECT_EQ(t.cache.Stats().upgrades, 1u);
+  EXPECT_NE(t.cache.Resolve(upgraded).plan, old_up.lock());
+  EXPECT_FALSE(old_up.expired());
+  EXPECT_FALSE(old_down.expired());
+  replaced.clear();
+  EXPECT_TRUE(old_up.expired());
+  EXPECT_TRUE(old_down.expired());
+}
+
+// The installing thread frees no replaced plan: the engine queues the
+// replaced plans and reverse CSR as one job behind the pumps already
+// queued, and a pump queued behind that job finds them freed. The one
+// worker is kept busy by a long pump on another plan, so the replaced
+// plan is still alive when the install returns unless that pump is over.
+TEST(PlanCacheTest, InstallerFreesNoReplacedPlan) {
+  Instance inst = BubbleChain(14, 2);
+  QueryEngine engine(1);
+  engine.InstallSnapshot(inst.db.Freeze());
+  const QueryId busy =
+      engine.Prepare(StaircaseNfa(2, 2), inst.source, inst.target);
+  const QueryId q = engine.Prepare(StaircaseNfa(3, 2), inst.source,
+                                   inst.target);
+  const SessionId s = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(s, 4).status, PumpStatus::kOk);
+  std::weak_ptr<const PreparedQuery> old = engine.Plan(q);
+
+  std::future<PumpResult> long_pump =
+      engine.PumpAsync(engine.OpenSession(busy), 1u << 20);
+  const uint32_t v = inst.db.AddVertex();
+  inst.db.AddEdge(v, 0u, inst.target);
+  engine.InstallSnapshot(inst.db.Freeze());
+  ASSERT_EQ(engine.Stats().plans_upgraded, 2u);
+  const bool freed = old.expired();
+  const bool pump_over =
+      long_pump.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  EXPECT_TRUE(!freed || pump_over) << "the installing thread freed the plan";
+
+  ASSERT_EQ(engine.Pump(s, 4).status, PumpStatus::kOk);
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(long_pump.get().walks.size(), size_t{1} << 14);
+}
+
+// An engine destroyed while the job that frees an install's replaced
+// plans is still queued frees them with its queue (the ASan job checks
+// that nothing leaks).
+TEST(PlanCacheTest, EngineDestroyedWithQueuedFreeLeaksNothing) {
+  Instance inst = BubbleChain(12, 2);
+  std::weak_ptr<const PreparedQuery> old;
+  {
+    QueryEngine engine(1);
+    engine.InstallSnapshot(inst.db.Freeze());
+    const QueryId q =
+        engine.Prepare(StaircaseNfa(2, 2), inst.source, inst.target);
+    old = engine.Plan(q);
+    engine.PumpAsync(engine.OpenSession(q), 1u << 20);  // keeps it busy
+    const uint32_t v = inst.db.AddVertex();
+    inst.db.AddEdge(v, 0u, inst.target);
+    engine.InstallSnapshot(inst.db.Freeze());
+  }
+  EXPECT_TRUE(old.expired());
+}
+
 TEST(PlanCacheTest, FrontendChoiceIsRecorded) {
   Instance inst = BubbleChain(4, 2);
   QueryEngine engine(1);

@@ -1,7 +1,7 @@
 // Bit-for-bit comparison of two plans' structures, shared by the
 // repair oracles: an Annotation's levels and a TrimmedIndex's useful
-// sets and, per queue, its candidates, B-list block, seek ranks and
-// span start.
+// sets and, per queue, its candidates, B-list block and seek ranks; and
+// a check of a ResumableIndex's SpanContains against the edge table.
 
 #ifndef DSW_TESTS_PLAN_EQUALITY_H_
 #define DSW_TESTS_PLAN_EQUALITY_H_
@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "core/annotate.h"
+#include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 
 namespace dsw {
@@ -76,9 +77,26 @@ inline void ExpectTrimsEqual(const TrimmedIndex& got,
       auto wr = want.RanksAt(i, vi);
       ASSERT_TRUE(std::equal(gr.begin(), gr.end(), wr.begin(), wr.end()))
           << "seek ranks at level " << i << " vertex " << w.vertex(vi);
-      ASSERT_EQ(got.SpanBeginAt(i, vi), want.SpanBeginAt(i, vi))
-          << "span start at level " << i << " vertex " << w.vertex(vi);
     }
+  }
+}
+
+// SpanContains, on every queue and every edge id up to three past the
+// snapshot's last, must say exactly whether the edge is one the
+// snapshot holds and its source, read off the edge table, is the
+// queue's vertex.
+inline void ExpectSpansMatchSources(const ResumableIndex& index) {
+  const TrimmedIndex& trimmed = index.trimmed();
+  const Snapshot& snap = index.snapshot();
+  const uint32_t edges = static_cast<uint32_t>(snap.num_edges());
+  for (uint32_t i = 0; i + 1 < trimmed.num_levels(); ++i) {
+    const LevelSets& level = trimmed.UsefulLevel(i);
+    for (uint32_t pos = 0; pos < level.size(); ++pos)
+      for (uint32_t e = 0; e < edges + 3; ++e)
+        ASSERT_EQ(index.SpanContains(i, pos, e),
+                  e < edges && snap.src(e) == level.vertex(pos))
+            << "level " << i << " vertex " << level.vertex(pos) << " edge "
+            << e;
   }
 }
 
