@@ -2,6 +2,16 @@
 
 namespace dsw {
 
+namespace {
+
+// A page of new vertices whose labels span at most this many ids is
+// sealed by a counting sort on (vertex, label) (step 4 below), whose
+// counters take at most kCountedLabels words per vertex of the page. A
+// constant, not a setting.
+constexpr uint32_t kCountedLabels = 64;
+
+}  // namespace
+
 // One builder for every Freeze: a build from scratch is this derivation
 // from an empty index, with every page new. Two passes over the new
 // edges bracket a per-page layout, and a per-page seal sorts each
@@ -16,7 +26,11 @@ namespace dsw {
 //     parked in the rank array until the seal.
 //  4. Each touched vertex is ordered by (label, insertion index) — the
 //     (label, edge id) order, since a vertex's edges are inserted in id
-//     order — which yields its groups, its targets and its ranks.
+//     order — which yields its groups, its targets and its ranks. A
+//     page of new vertices, as every page of a build from scratch is,
+//     is ordered as a whole by one counting sort on (vertex, label) in
+//     flat passes over its edges; per-vertex loops of a few edges each
+//     cost about twice as much there (E13 notes, EXPERIMENTS.md).
 std::shared_ptr<const LabelIndex> Database::BuildLabelIndex(
     const LabelIndex& prev) const {
   using Page = LabelIndex::Page;
@@ -114,10 +128,61 @@ std::shared_ptr<const LabelIndex> Database::BuildLabelIndex(
   std::vector<LabelIndex::Group> groups;
   std::vector<uint64_t> keys, sorted;
   std::vector<LabelIndex::Target> by_insertion;
+  std::vector<uint32_t> slot_of, key, start;
+  // Seals a page of new vertices only by one counting sort on (vertex,
+  // label), which is stable, so each group keeps insertion order; its
+  // counters are the page's groups. Returns false, changing nothing,
+  // when the page's labels span more than kCountedLabels ids.
+  auto seal_new_page = [&](Page& page, uint32_t n) {
+    const uint32_t m = page.bounds[n].target;
+    const uint32_t* labels = page.rank.data();
+    if (m == 0) return false;
+    const auto [lo, hi] = std::minmax_element(labels, labels + m);
+    if (*hi - *lo >= kCountedLabels) return false;
+    const uint32_t base = *lo, span = *hi - *lo + 1;
+    // Each edge's vertex slot is the number of vertices that start at or
+    // before it, less one; its key is (slot, label) and counts once.
+    slot_of.assign(m + 1, 0);
+    for (uint32_t s = 0; s < n; ++s) ++slot_of[page.bounds[s].target];
+    key.resize(m);
+    start.assign(n * span, 0);
+    for (uint32_t i = 0, starts = 0; i < m; ++i) {
+      starts += slot_of[i];
+      slot_of[i] = starts - 1;
+      key[i] = (starts - 1) * span + labels[i] - base;
+      ++start[key[i]];
+    }
+    // Each key's first rank, and a group wherever a key is present.
+    groups.resize(n * span);
+    uint32_t g = 0;
+    for (uint32_t s = 0, at = 0; s < n; ++s) {
+      const uint32_t begin = page.bounds[s].target;
+      page.bounds[s].group = g;
+      for (uint32_t l = 0; l < span; ++l) {
+        const uint32_t count = start[s * span + l];
+        start[s * span + l] = at;
+        groups[g] = LabelIndex::Group{base + l, at - begin, at + count - begin};
+        g += count != 0;
+        at += count;
+      }
+    }
+    page.bounds[n].group = g;
+    page.groups.assign(groups.begin(), groups.begin() + g);
+    by_insertion.assign(page.targets.begin(), page.targets.begin() + m);
+    LabelIndex::Target* targets = page.targets.data();
+    uint32_t* rank = page.rank.data();
+    for (uint32_t i = 0; i < m; ++i) {
+      const uint32_t r = start[key[i]]++;
+      targets[r] = by_insertion[i];
+      rank[i] = r - page.bounds[slot_of[i]].target;
+    }
+    return true;
+  };
   for (uint32_t p : pages.touched()) {
     const uint32_t n = pages.SizeOf(p);
     const uint32_t n_old = old_vertices(p);
     Page& page = *pages.Fresh(p);
+    if (n_old == 0 && seal_new_page(page, n)) continue;
     const Page* old = pages.Prev(p);
     groups.clear();
     for (uint32_t s = 0; s < n;) {

@@ -293,10 +293,12 @@ class Database {
   /// label-stratified adjacency from the previous freeze's, sharing
   /// every page and edge chunk the k new edges left alone (a copy of the
   /// page table, then O(d log d) per touched vertex and a copy of each
-  /// rebuilt page's other vertices; O(1) when nothing mutated since the
-  /// last freeze). Generations alive together share their unchanged
-  /// pages, so holding an old snapshot costs only the pages that changed
-  /// since.
+  /// rebuilt page's other vertices; a page of new vertices only, as in a
+  /// build from scratch, is ordered by one counting sort in time linear
+  /// in its edges when its labels span at most 64 ids; O(1) when nothing
+  /// mutated since the last freeze). Generations alive together share
+  /// their unchanged pages, so holding an old snapshot costs only the
+  /// pages that changed since.
   /// Deliberately non-const — building the index is a mutation-path
   /// operation, so it can never race with the read path; the returned
   /// Snapshot (and copies of it) can then be shared across any number

@@ -13,6 +13,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,6 +118,53 @@ TEST(LabelIndexTest, FreezeAfterMutationSeesTheNewEdges) {
 
 constexpr uint32_t kPage = uint32_t{1} << LabelIndex::kPageBits;
 constexpr uint32_t kChunk = uint32_t{1} << LabelIndex::kChunkBits;
+
+// A page of new vertices is ordered by one counting sort on (vertex,
+// label) when its labels span at most 64 ids, and vertex by vertex
+// otherwise. Both must match the edge table, with PositionOf the edge's
+// index in Out(source).targets: pages whose labels span 4 and 100 ids,
+// vertices without out-edges at a page's start, middle and end, edges
+// inserted out of source order, and a derived build that adds edges to
+// both kinds of page and opens a page of new vertices.
+TEST(LabelIndexTest, CountedAndSortedPagesMatchAdjacency) {
+  std::mt19937_64 rng(2024);
+  Database db;
+  for (int l = 0; l < 100; ++l) db.labels().Intern(std::to_string(l));
+  db.AddVertices(3 * kPage + kPage / 2);
+  auto add_edges = [&](uint32_t count) {
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint32_t src = static_cast<uint32_t>(rng() % db.num_vertices());
+      const uint32_t slot = src % kPage;
+      if (slot == 0 || slot == kPage / 2 - 1 || slot == kPage - 1) continue;
+      const uint32_t span = src / kPage == 1 ? 100 : 4;
+      db.AddEdge(src, static_cast<uint32_t>(rng() % span),
+                 static_cast<uint32_t>(rng() % db.num_vertices()));
+    }
+  };
+  auto check = [&] {
+    ExpectIndexMatchesAdjacency(db);
+    Snapshot snap = db.Freeze();
+    const LabelIndex& ix = snap.label_index();
+    for (uint32_t v = 0; v < ix.num_vertices(); ++v) {
+      const LabelIndex::OutEdges out = ix.Out(v);
+      uint32_t at = 0;  // the groups tile the targets, none of them empty
+      for (const LabelIndex::Group& g : out.groups) {
+        EXPECT_EQ(g.begin, at) << "vertex " << v;
+        EXPECT_LT(g.begin, g.end) << "vertex " << v;
+        at = g.end;
+      }
+      EXPECT_EQ(at, out.targets.size()) << "vertex " << v;
+      for (uint32_t r = 0; r < out.targets.size(); ++r)
+        EXPECT_EQ(ix.PositionOf(out.targets[r].edge), r) << "vertex " << v;
+    }
+  };
+  add_edges(1500);
+  check();
+  add_edges(40);
+  db.AddVertices(kPage);
+  add_edges(400);
+  check();
+}
 
 // Runs one random append-only sequence of `freezes` batches and calls
 // check(db, snapshot) after each Freeze. The graph starts at eight and
