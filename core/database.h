@@ -379,8 +379,6 @@ class Snapshot {
 
   uint32_t num_vertices() const { return index_->num_vertices(); }
   size_t num_edges() const { return index_->num_edges(); }
-  /// |D| = |V| + |E|, as in the paper's complexity statements.
-  size_t size() const { return num_vertices() + num_edges(); }
   const Edge& edge(uint32_t id) const {
     assert(id < num_edges() && "Snapshot::edge: id past the frozen edges");
     return db_->edge(id);

@@ -147,9 +147,9 @@ class CompiledDelta {
                                              : std::vector<StateSet>()) {}
 
   /// As above with the epsilon-closures precomputed — callers that also
-  /// keep the closures (Annotate snapshots them) compute them once and
-  /// share. \p closures must be nfa.EpsilonClosures() or empty for an
-  /// epsilon-free query.
+  /// use the closures (Annotate saturates level 0 with them) compute
+  /// them once and share. \p closures must be nfa.EpsilonClosures() or
+  /// empty for an epsilon-free query.
   CompiledDelta(const Nfa& nfa, const std::vector<StateSet>& closures)
       : num_states_(nfa.num_states()),
         words_per_set_(static_cast<uint32_t>((nfa.num_states() + 63) / 64)) {

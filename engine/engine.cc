@@ -124,7 +124,7 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
                                                  target);
   };
   const QueryId id = cache_.Acquire(key, build);
-  if (const PlanCache::Value plan = cache_.Resolve(id).plan)
+  if (const PlanCache::Value plan = cache_.Resolve(id))
     (plan->ann.words_per_set() == 1 ? tier_single_word_ : tier_general_)
         .fetch_add(1, std::memory_order_relaxed);
   return id;
@@ -222,7 +222,7 @@ PumpResult QueryEngine::Drain(SessionId session, uint32_t batch) {
 }
 
 std::shared_ptr<const PreparedQuery> QueryEngine::Plan(QueryId query) const {
-  return cache_.Resolve(query).plan;
+  return cache_.Resolve(query);
 }
 
 std::vector<int64_t> QueryEngine::FirstAnswerLatenciesNs() const {
@@ -312,16 +312,15 @@ void QueryEngine::WorkerLoop() {
       }
 
       Session* s = sessions_.Find(job.session);  // null once closed
-      PlanCache::Resolved r = cache_.Resolve(s ? s->query : kNoQuery);
-      // The one retirement rule. A plan that is not of the installed
-      // snapshot was not upgraded by the installs since (its entry was
-      // detached), and an unknown or released QueryId names no plan at
-      // all; and inserts only ever shorten lambda, so a parked walk that
-      // is not lambda edges long was parked before an upgrade shortened
-      // it and anchors nothing in the new order.
-      if (!r.current() ||
+      query = cache_.Resolve(s ? s->query : kNoQuery);
+      // The one retirement rule. An unknown or released QueryId, or one
+      // whose entry an install detached, names no plan; and inserts only
+      // ever shorten lambda, so a parked walk that is not lambda edges
+      // long was parked before an upgrade shortened it and anchors
+      // nothing in the new order.
+      if (query == nullptr ||
           (s->started &&
-           s->last.length() != static_cast<size_t>(r.plan->ann.lambda))) {
+           s->last.length() != static_cast<size_t>(query->ann.lambda))) {
         // Graceful rejection: the stale plan is never run.
         if (s != nullptr) {
           s->state = SessionState::kRetired;
@@ -332,10 +331,9 @@ void QueryEngine::WorkerLoop() {
         continue;
       }
       // The parked walk is reused as an anchor on a plan upgraded since.
-      const uint64_t generation = r.plan->index.snapshot().generation();
+      const uint64_t generation = query->index.snapshot().generation();
       if (s->started && s->generation != generation) ++sessions_upgraded_;
       s->generation = generation;
-      query = std::move(r.plan);
       last = s->last;
       started = s->started;
     }

@@ -60,13 +60,17 @@
 // snapshot's LabelIndex, and the engine keeps one reverse CSR; the
 // generations alive together share every adjacency page the writes
 // between them did not touch, so an old plan costs its own structures
-// plus the pages that changed since, not a copy of the graph. Only the threads that build plans (Prepare callers and the
-// installing thread) keep the product BFS's scratch (core/annotate.h)
-// for their lifetime: V x (8 ceil(|Q|/64) + 4) bytes at the largest
-// graph and query each has annotated. A worker frees it once it has
-// helped an install. Each worker keeps its enumerator's frames:
-// (lambda + 1) x ceil(|Q|/64) words at the largest query it has run.
-// plan_cache_bytes counts neither.
+// plus the pages that changed since, not a copy of the graph. An install
+// hands every plan it replaced or detached to the free job, and a handle
+// on a detached entry keeps no plan, so an old plan outlives its install
+// only until the pumps running it and the free job are done. Only the
+// threads that build plans (Prepare callers and the installing thread)
+// keep the product BFS's scratch (core/annotate.h) for their lifetime:
+// V x (8 ceil(|Q|/64) + 4) bytes at the largest graph and query each
+// has annotated. A worker frees it once it has helped an install. Each
+// worker keeps its enumerator's frames: (lambda + 1) x ceil(|Q|/64)
+// words at the largest query it has run. plan_cache_bytes counts
+// neither.
 
 #ifndef DSW_ENGINE_ENGINE_H_
 #define DSW_ENGINE_ENGINE_H_
@@ -245,8 +249,8 @@ class QueryEngine {
   /// retired); returns everything collected with the final status.
   PumpResult Drain(SessionId session, uint32_t batch = 64);
 
-  /// The plan \p query names now (its index's snapshot says which
-  /// generation it is of); null for an unknown or released id.
+  /// The plan \p query names now, which is of the installed snapshot;
+  /// null for an unknown or released id, or one an install detached.
   std::shared_ptr<const PreparedQuery> Plan(QueryId query) const;
 
   /// Nanoseconds from pump enqueue to the batch's first answer being
@@ -256,10 +260,6 @@ class QueryEngine {
 
   /// Point-in-time observability snapshot (plan cache + scheduling).
   EngineStats Stats() const;
-
-  uint32_t num_threads() const {
-    return static_cast<uint32_t>(workers_.size());
-  }
 
  private:
   enum class SessionState : uint8_t { kParked, kQueued, kExhausted, kRetired };

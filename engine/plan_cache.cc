@@ -12,38 +12,38 @@ bool BuiltOn(const PreparedQuery& plan, const Database* db,
 
 }  // namespace
 
-bool PlanCache::Resolved::current() const {
-  return plan != nullptr && BuiltOn(*plan, db, generation);
-}
-
 // ---------------------------------------------------------------- locked
 // helpers. An entry's life: Acquire claims it (attached, no plan), fills
 // it and names it by the claimant's handle. While unnamed it sits on the
 // LRU. It leaves the key map by eviction, by an install, or by its
-// claimant's build throwing; a detached entry lives on while handles
-// name it. stats_ charges every plan from its fill until it dies.
+// claimant's build throwing, and gives up its plan as it leaves; a
+// detached entry lives on, plan-less, while handles name it. stats_
+// charges every plan from its fill until its entry is detached.
 
 QueryId PlanCache::HandleLocked(std::shared_ptr<Entry> e) {
   ++e->handles;
   return handles_.Add(std::move(e));
 }
 
-PlanCache::Map::iterator PlanCache::DetachLocked(Map::iterator it) {
+PlanCache::Map::iterator PlanCache::DetachLocked(
+    Map::iterator it, std::vector<Value>& dropped) {
   Entry& e = *it->second;
   e.key = nullptr;
-  if (e.plan != nullptr && e.handles == 0) {
-    lru_.erase(e.lru);
+  if (e.plan != nullptr) {
+    if (e.handles == 0) lru_.erase(e.lru);
     stats_.bytes_used -= e.bytes;
     --stats_.entries;
+    dropped.push_back(std::move(e.plan));
   }
   return map_.erase(it);
 }
 
-void PlanCache::EvictOverBudgetLocked(const PlanKey* keep) {
+void PlanCache::EvictOverBudgetLocked(const PlanKey* keep,
+                                      std::vector<Value>& dropped) {
   while (stats_.bytes_used > byte_budget_ && !lru_.empty() &&
          lru_.back() != keep) {
     ++stats_.evictions;
-    DetachLocked(map_.find(*lru_.back()));
+    DetachLocked(map_.find(*lru_.back()), dropped);
   }
 }
 
@@ -74,7 +74,10 @@ void PlanRepairs::Finish() {
 // ------------------------------------------------------------ public API
 
 QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
-  Value plan;  // a build an install orphaned; freed outside the lock
+  // Freed outside the lock: a build an install orphaned, and the plans
+  // an eviction detached.
+  Value plan;
+  std::vector<Value> dropped;
   std::unique_lock<std::mutex> lock(mu_);
   if (!snapshot_) return kNoQuery;
   for (bool waited = false;;) {
@@ -103,7 +106,7 @@ QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
       plan = build(snap);
     } catch (...) {
       lock.lock();
-      if (e->key != nullptr) DetachLocked(map_.find(key));
+      if (e->key != nullptr) DetachLocked(map_.find(key), dropped);
       lock.unlock();
       cv_.notify_all();
       throw;
@@ -121,7 +124,7 @@ QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
     stats_.bytes_used += e->bytes;
     ++stats_.entries;
     const QueryId id = HandleLocked(e);
-    EvictOverBudgetLocked(nullptr);
+    EvictOverBudgetLocked(nullptr, dropped);
     lock.unlock();
     cv_.notify_all();
     return id;
@@ -129,29 +132,22 @@ QueryId PlanCache::Acquire(const PlanKey& key, const Builder& build) {
 }
 
 void PlanCache::Release(QueryId id) {
-  std::shared_ptr<Entry> e;  // destroyed after the lock is released
+  // Destroyed after the lock is released.
+  std::vector<Value> dropped;
+  std::shared_ptr<Entry> e;
   std::lock_guard<std::mutex> lock(mu_);
   e = handles_.Remove(id);
-  if (e == nullptr || --e->handles > 0) return;
-  if (e->key == nullptr) {  // detached: its last handle is gone
-    stats_.bytes_used -= e->bytes;
-    --stats_.entries;
-    return;
-  }
+  // A detached entry is a tombstone: it dies with its last handle.
+  if (e == nullptr || --e->handles > 0 || e->key == nullptr) return;
   lru_.push_front(e->key);
   e->lru = lru_.begin();
-  EvictOverBudgetLocked(byte_budget_ > 0 ? e->key : nullptr);
+  EvictOverBudgetLocked(byte_budget_ > 0 ? e->key : nullptr, dropped);
 }
 
-PlanCache::Resolved PlanCache::Resolve(QueryId id) const {
+PlanCache::Value PlanCache::Resolve(QueryId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  Resolved r;
-  if (const std::shared_ptr<Entry>* e = handles_.Find(id)) r.plan = (*e)->plan;
-  if (snapshot_) {
-    r.db = &snapshot_.db();
-    r.generation = snapshot_.generation();
-  }
-  return r;
+  const std::shared_ptr<Entry>* e = handles_.Find(id);
+  return e != nullptr ? (*e)->plan : nullptr;
 }
 
 std::vector<PlanCache::Value> PlanCache::Install(Snapshot snap,
@@ -185,18 +181,16 @@ std::vector<PlanCache::Value> PlanCache::Install(Snapshot snap,
     snapshot_ = std::move(snap);
     for (size_t i = 0; i < entries.size(); ++i) {
       Entry& e = *entries[i];
-      if (e.key == nullptr) {  // evicted during the repairs
-        plans.push_back(e.plan);
-        continue;
-      }
-      if (plans[i] == nullptr) continue;  // detached below
+      // Evicted during the repairs (its plan is gone already), or
+      // unrepaired and detached below.
+      if (e.key == nullptr || plans[i] == nullptr) continue;
       const size_t bytes = plans[i]->ApproxBytes();
       stats_.bytes_used = stats_.bytes_used - e.bytes + bytes;
       e.bytes = bytes;
       std::swap(e.plan, plans[i]);
       ++stats_.upgrades;
     }
-    // Unrepaired plans, plans filled during the repairs and claims.
+    // Unrepaired plans and claims.
     for (auto it = map_.begin(); it != map_.end();) {
       const Entry& e = *it->second;
       if (e.plan != nullptr &&
@@ -204,11 +198,10 @@ std::vector<PlanCache::Value> PlanCache::Install(Snapshot snap,
         ++it;
       } else {
         ++stats_.invalidations;
-        plans.push_back(it->second->plan);
-        it = DetachLocked(it);
+        it = DetachLocked(it, plans);
       }
     }
-    EvictOverBudgetLocked(nullptr);
+    EvictOverBudgetLocked(nullptr, plans);
   }
   cv_.notify_all();  // detached claims are re-claimed; builds fill
   return plans;

@@ -19,6 +19,11 @@
 //
 // Handles: Acquire returns a QueryId naming an entry, each session
 // resolves its plan through it at every pump (Resolve), Release frees it.
+// An entry holds a plan only while attached to the key map, and every
+// attached plan is of the installed snapshot. Detaching an entry (on
+// eviction, install or a thrown build) moves its plan out for the
+// caller to free after unlocking; its handles keep a plan-less
+// tombstone, which Resolve maps to null.
 //
 // Single flight: the first Acquire to miss on a key claims it (an entry
 // without a plan) and builds OUTSIDE the lock against the installed
@@ -33,7 +38,8 @@
 // evicted. A nonzero budget keeps the entry released last even if it
 // alone exceeds the budget, so a tiny budget still serves repeats of one
 // key; a budget of 0 keeps nothing unnamed: an entry dies with its last
-// handle. The resident plans are thus the named entries plus the budget.
+// handle. The resident plans are thus those of the attached named
+// entries plus the budget.
 //
 // Install: Install() takes the entries under the lock and hands every
 // plan to its upgrade in one call, outside the lock; the upgrade may
@@ -41,7 +47,7 @@
 // critical section, it publishes the new snapshot and swaps in the
 // repaired plans, so a pump never pairs the new snapshot with an old
 // plan. Every entry or claim that does not then hold a plan of the new
-// snapshot is detached from the key map: its handles keep it alive
+// snapshot is detached from the key map: its handles keep a tombstone
 // (their sessions retire at the next pump), and the next Acquire of its
 // key builds afresh. A build whose claim a publish detached is of a
 // replaced snapshot, and its caller never receives it: the caller
@@ -213,7 +219,7 @@ struct PlanCacheStats {
   uint64_t single_flight_waits = 0;   // calls that blocked on a peer build
   uint64_t upgrades = 0;              // plans an install repaired in place
   size_t bytes_used = 0;              // of the resident plans
-  size_t entries = 0;                 // resident plans: in the table or named
+  size_t entries = 0;                 // resident plans, each attached
 };
 
 class PlanCache {
@@ -225,16 +231,6 @@ class PlanCache {
   /// the plan's repair against the snapshot being installed, or by null
   /// when it has none.
   using Upgrade = std::function<void(std::vector<Value>&)>;
-
-  /// What a pump needs, read under one lock: the plan an id names (null
-  /// for an unknown or released id) and the installed snapshot.
-  struct Resolved {
-    Value plan;
-    const Database* db = nullptr;  // the installed snapshot's, if any
-    uint64_t generation = 0;
-    /// The plan is of the installed snapshot (its entry is attached).
-    bool current() const;
-  };
 
   /// \p byte_budget bounds the unnamed entries (see header comment).
   explicit PlanCache(size_t byte_budget) : byte_budget_(byte_budget) {}
@@ -256,7 +252,9 @@ class PlanCache {
   /// Frees \p id; an unknown or released id is ignored.
   void Release(QueryId id);
 
-  Resolved Resolve(QueryId id) const;
+  /// The plan \p id names, which is of the installed snapshot; null for
+  /// an unknown or released id, or one whose entry was detached.
+  Value Resolve(QueryId id) const;
 
   /// Publishes \p snap, repairing every entry's plan by \p upgrade (if
   /// set) as the header comment describes, and returns the plans the
@@ -276,7 +274,7 @@ class PlanCache {
  private:
   struct Entry {
     const PlanKey* key = nullptr;  // its key in map_; null once detached
-    Value plan;                    // null while its claim builds
+    Value plan;                    // null while a claim, or detached
     size_t bytes = 0;              // plan->ApproxBytes(), in stats_
     uint32_t handles = 0;          // QueryIds naming it
     std::list<const PlanKey*>::iterator lru;  // valid iff key, plan and
@@ -284,12 +282,14 @@ class PlanCache {
   };
   using Map = std::unordered_map<PlanKey, std::shared_ptr<Entry>, PlanKeyHash>;
 
-  // All private helpers require mu_ held.
+  // All private helpers require mu_ held; the plans they detach go to
+  // \p dropped, for the caller to free after unlocking.
   QueryId HandleLocked(std::shared_ptr<Entry> e);
-  // Removes the entry from map_; an unnamed plan dies with it.
-  Map::iterator DetachLocked(Map::iterator it);
+  // Removes the entry from map_ and moves its plan, if any, to \p dropped.
+  Map::iterator DetachLocked(Map::iterator it, std::vector<Value>& dropped);
   // Evicts the coldest unnamed entries while over budget, except \p keep.
-  void EvictOverBudgetLocked(const PlanKey* keep);
+  void EvictOverBudgetLocked(const PlanKey* keep,
+                             std::vector<Value>& dropped);
 
   const size_t byte_budget_;
   mutable std::mutex mu_;

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "core/resumable_index.h"
 #include "regex/canonical.h"
 #include "regex/regex_parser.h"
+#include "tests/oracles.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -82,23 +82,6 @@ bool SameLanguage(const Nfa& a, const Nfa& b, uint32_t num_labels = 3,
     frontier = std::move(next);
   }
   return true;
-}
-
-struct PipelineResult {
-  int32_t lambda = -1;
-  std::set<std::vector<uint32_t>> walks;
-};
-
-PipelineResult RunPipeline(Instance& inst, const Nfa& nfa) {
-  PipelineResult res;
-  Snapshot snap = inst.db.Freeze();
-  Annotation ann = Annotate(snap, nfa, inst.source, inst.target);
-  res.lambda = ann.lambda;
-  ResumableIndex index(snap, ann);
-  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
-       en.Valid(); en.Next())
-    res.walks.insert(en.walk().edges);
-  return res;
 }
 
 // Compiles both patterns through the shared front-end and asserts the

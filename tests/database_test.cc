@@ -269,7 +269,6 @@ TEST(SnapshotTest, RetiredSnapshotKeepsItsFrozenCounts) {
   const uint32_t new_vertex = db.AddVertices(1);
   EXPECT_EQ(old.num_vertices(), 2u);
   EXPECT_EQ(old.num_edges(), 1u);
-  EXPECT_EQ(old.size(), 3u);
   Annotation ann = Annotate(old, StaircaseNfa(1, 1), new_vertex, 1);
   EXPECT_EQ(ann.lambda, -1);
 }

@@ -21,27 +21,16 @@
 #include <string>
 #include <vector>
 
-#include "automaton/glushkov.h"
-#include "automaton/thompson.h"
 #include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
-#include "regex/regex_parser.h"
+#include "tests/oracles.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace dsw {
 namespace {
-
-using WalkSeq = std::vector<std::vector<uint32_t>>;
-
-template <typename Enumerator>
-WalkSeq Drain(Enumerator& en) {
-  WalkSeq out;
-  for (; en.Valid(); en.Next()) out.push_back(en.walk().edges);
-  return out;
-}
 
 // Per-output op-count deltas of a full enumeration, the final
 // (invalidating) Next included — the end-of-enumeration scan is a delay
@@ -262,17 +251,10 @@ void ExpectIdenticalSequences(Instance inst, const Nfa& query,
   ResumableIndex rindex(snap, ann);
 
   TrialFilterEnumerator ref(ann, tindex, inst.source, inst.target);
-  const WalkSeq expected = Drain(ref);
+  const EdgeSeq expected = Drain(ref);
 
   ResumableEnumerator resumable(ann, rindex, inst.source, inst.target);
   EXPECT_EQ(Drain(resumable), expected);
-}
-
-Nfa CompileRegex(const std::string& pattern, Database* db, bool thompson) {
-  RegexParseResult ast = ParseRegex(pattern);
-  EXPECT_TRUE(ast.ok()) << ast.error();
-  return thompson ? ThompsonNfa(*ast.value(), db->mutable_dict())
-                  : GlushkovNfa(*ast.value(), db->mutable_dict());
 }
 
 TEST(PreChangeOrderTest, MatchesOnPropertySuiteFamilies) {

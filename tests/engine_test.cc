@@ -45,34 +45,13 @@
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
 #include "engine/engine.h"
+#include "tests/oracles.h"
 #include "tests/plan_equality.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace dsw {
 namespace {
-
-using EdgeSeq = std::vector<std::vector<uint32_t>>;
-
-EdgeSeq Edges(const std::vector<Walk>& walks) {
-  EdgeSeq out;
-  out.reserve(walks.size());
-  for (const Walk& w : walks) out.push_back(w.edges);
-  return out;
-}
-
-// Single-threaded ground truth for (query, source, target) on a frozen
-// snapshot.
-EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
-               uint32_t target) {
-  Annotation ann = Annotate(snap, query, source, target);
-  ResumableIndex index(snap, ann);
-  EdgeSeq out;
-  for (ResumableEnumerator en(ann, index, source, target); en.Valid();
-       en.Next())
-    out.push_back(en.walk().edges);
-  return out;
-}
 
 // Duplicates existing edges [first, first + count) as parallel edges,
 // which adds answers but keeps lambda.

@@ -27,33 +27,12 @@
 #include "core/annotate.h"
 #include "core/resumable_index.h"
 #include "regex/regex_parser.h"
+#include "tests/oracles.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace dsw {
 namespace {
-
-struct PipelineResult {
-  int32_t lambda;
-  std::set<std::vector<uint32_t>> walks;
-};
-
-PipelineResult RunPipeline(Instance& inst, const Nfa& nfa) {
-  PipelineResult res;
-  Snapshot snap = inst.db.Freeze();
-  Annotation ann = Annotate(snap, nfa, inst.source, inst.target);
-  res.lambda = ann.lambda;
-  ResumableIndex index(snap, ann);
-  size_t emitted = 0;
-  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
-       en.Valid(); en.Next()) {
-    ++emitted;
-    EXPECT_TRUE(res.walks.insert(en.walk().edges).second)
-        << "duplicate walk emitted";
-  }
-  EXPECT_EQ(emitted, res.walks.size());
-  return res;
-}
 
 void ExpectFrontEndsAgree(Instance& inst, const std::string& pattern,
                           bool check_naive_oracle = true) {

@@ -13,11 +13,14 @@
 //    (counted as upgrades, served as warm hits), so a parked session
 //    survives the install at any byte budget; an install of another
 //    database detaches the entries and stale sessions retire gracefully
-//    (and are counted). A claim detached mid-build, or whose build
-//    throws, is re-claimed and rebuilt by its waiter, never lost, and
-//    a build an install orphaned reaches no caller: its own caller
-//    claims the key again or shares the waiter's rebuild. A build that
-//    returns while an install repairs waits for the publish, and a
+//    (and are counted). A detached entry gives up its plan at once: a
+//    handle that still names it keeps a plan-less tombstone, resolves to
+//    null and counts in no stat, so held handles pin no replaced
+//    snapshot however many installs pass. A claim detached mid-build, or
+//    whose build throws, is re-claimed and rebuilt by its waiter, never
+//    lost, and a build an install orphaned reaches no caller: its own
+//    caller claims the key again or shares the waiter's rebuild. A build
+//    that returns while an install repairs waits for the publish, and a
 //    repair that throws on any of the threads sharing an install's
 //    repairs leaves the table as it was.
 //  - Byte-budget LRU over the entries no handle names: a tiny budget
@@ -49,39 +52,17 @@
 #include "core/resumable_index.h"
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
+#include "tests/oracles.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace dsw {
 namespace {
 
-using EdgeSeq = std::vector<std::vector<uint32_t>>;
-
-EdgeSeq Edges(const std::vector<Walk>& walks) {
-  EdgeSeq out;
-  out.reserve(walks.size());
-  for (const Walk& w : walks) out.push_back(w.edges);
-  return out;
-}
-
-EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
-               uint32_t target) {
-  Annotation ann = Annotate(snap, query, source, target);
-  ResumableIndex index(snap, ann);
-  EdgeSeq out;
-  for (ResumableEnumerator en(ann, index, source, target); en.Valid();
-       en.Next())
-    out.push_back(en.walk().edges);
-  return out;
-}
-
 EdgeSeq EnumeratePlan(const PreparedQuery& plan) {
-  EdgeSeq out;
-  for (ResumableEnumerator en(plan.ann, plan.index, plan.ann.source,
-                              plan.ann.target);
-       en.Valid(); en.Next())
-    out.push_back(en.walk().edges);
-  return out;
+  ResumableEnumerator en(plan.ann, plan.index, plan.ann.source,
+                         plan.ann.target);
+  return Drain(en);
 }
 
 EdgeSeq DrainAll(QueryEngine& engine, QueryId q, uint32_t batch = 16) {
@@ -155,8 +136,8 @@ TEST(PlanCacheTest, EquivalentRegexesShareOneEntry) {
 
 // The drop-everything install path: a snapshot of another database
 // detaches every entry, and every session on one retires — the
-// pre-incremental contract. A detached entry stays resident while a
-// handle names it and dies with its last handle.
+// pre-incremental contract. A detached entry gives up its plan at once;
+// the handle that still names it keeps a tombstone, which dies with it.
 TEST(PlanCacheTest, InstallSnapshotInvalidatesAndRetires) {
   Instance inst = BubbleChain(5, 2);
   Instance other = BubbleChain(4, 2);
@@ -174,7 +155,8 @@ TEST(PlanCacheTest, InstallSnapshotInvalidatesAndRetires) {
   EngineStats after = engine.Stats();
   EXPECT_EQ(after.plan_cache.invalidations, 1u);
   EXPECT_EQ(after.plan_cache.upgrades, 0u);
-  EXPECT_EQ(after.plan_cache.entries, 1u);  // q_old still names it
+  EXPECT_EQ(after.plan_cache.entries, 0u);  // q_old names a tombstone
+  EXPECT_EQ(engine.Plan(q_old), nullptr);
 
   // The retired session still fails gracefully — and is counted.
   EXPECT_EQ(engine.Pump(s_old, 4).status, PumpStatus::kRetired);
@@ -282,6 +264,12 @@ struct TableFixture {
   PlanKey Key(const std::string& bytes) {
     return PlanKey{0x2222, inst.source, inst.target, bytes};
   }
+  // The plan is of the installed snapshot.
+  bool Current(const PlanCache::Value& plan) const {
+    const Snapshot snap = cache.installed();
+    return plan != nullptr && &plan->index.snapshot().db() == &snap.db() &&
+           plan->index.snapshot().generation() == snap.generation();
+  }
 
   // A builder whose first call parks until release is set; later calls
   // build at once, as the caller's re-claim after an install does.
@@ -332,12 +320,12 @@ TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
   t.release.set_value();
   b.join();
 
-  const PlanCache::Resolved a_plan = t.cache.Resolve(a_id);
-  ASSERT_NE(a_plan.plan, nullptr);  // re-claimed, rebuilt, not lost
-  EXPECT_TRUE(a_plan.current());
-  EXPECT_EQ(a_plan.plan->index.snapshot().generation(), snap2.generation());
+  const PlanCache::Value a_plan = t.cache.Resolve(a_id);
+  ASSERT_NE(a_plan, nullptr);  // re-claimed, rebuilt, not lost
+  EXPECT_TRUE(t.Current(a_plan));
+  EXPECT_EQ(a_plan->index.snapshot().generation(), snap2.generation());
   // B's orphaned build reaches no one: B's handle names A's rebuild.
-  EXPECT_EQ(t.cache.Resolve(b_id).plan, a_plan.plan);
+  EXPECT_EQ(t.cache.Resolve(b_id), a_plan);
   EXPECT_EQ(t.builds.load(), 2);  // B's orphaned build + A's rebuild
   const PlanCacheStats stats = t.cache.Stats();
   EXPECT_EQ(stats.misses, 2u);  // B's claim and A's re-claim
@@ -346,13 +334,14 @@ TEST(PlanCacheTest, InvalidateDuringWaitReclaimsAndRebuilds) {
   EXPECT_EQ(stats.entries, 1u);  // A's rebuild, named by both handles
 
   // The table serves A's rebuild, never B's orphan.
-  EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(key, build)).plan, a_plan.plan);
+  EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(key, build)), a_plan);
   EXPECT_EQ(t.builds.load(), 2);
 }
 
 // The same re-claim when the waiter is part-way through a sequence of
 // keys, each acquired in turn: one install detaches both the entry A
-// completed (which A's handle keeps alive) and the claim A waits on.
+// completed (A's handle on it then resolves to null) and the claim A
+// waits on.
 // The deterministic schedule: thread B claims k2 and parks inside its
 // builder; thread A builds k1, then waits on B's claim; an install of a
 // new generation detaches k1's entry and B's claim. A wakes, re-claims
@@ -387,23 +376,22 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   b.join();
 
   ASSERT_EQ(a_ids.size(), 2u);
-  const PlanCache::Resolved a1 = t.cache.Resolve(a_ids[0]);
-  const PlanCache::Resolved a2 = t.cache.Resolve(a_ids[1]);
-  ASSERT_NE(a1.plan, nullptr);  // detached, held by its handle
-  EXPECT_FALSE(a1.current());
-  ASSERT_NE(a2.plan, nullptr);  // re-claimed, rebuilt, not lost
-  EXPECT_TRUE(a2.current());
-  EXPECT_EQ(a2.plan->index.snapshot().generation(), snap2.generation());
+  // k1's entry was detached: its handle names a tombstone.
+  EXPECT_EQ(t.cache.Resolve(a_ids[0]), nullptr);
+  const PlanCache::Value a2 = t.cache.Resolve(a_ids[1]);
+  ASSERT_NE(a2, nullptr);  // re-claimed, rebuilt, not lost
+  EXPECT_TRUE(t.Current(a2));
+  EXPECT_EQ(a2->index.snapshot().generation(), snap2.generation());
   // B's orphaned build reaches no one: B's handle names A's rebuild.
-  EXPECT_EQ(t.cache.Resolve(b_id).plan, a2.plan);
+  EXPECT_EQ(t.cache.Resolve(b_id), a2);
   EXPECT_EQ(t.builds.load(), 3);  // A's k1, B's orphan, A's rebuild of k2
   EXPECT_EQ(t.cache.Stats().invalidations, 2u);
-  EXPECT_EQ(t.cache.Stats().entries, 2u);  // k1's detached plan and k2's
+  EXPECT_EQ(t.cache.Stats().entries, 1u);  // k2's; k1's plan left with it
 
   // The table serves A's rebuild of k2, never B's orphan; k1 rebuilds.
-  EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(k2, build)).plan, a2.plan);
+  EXPECT_EQ(t.cache.Resolve(t.cache.Acquire(k2, build)), a2);
   EXPECT_EQ(t.builds.load(), 3);
-  EXPECT_TRUE(t.cache.Resolve(t.cache.Acquire(k1, build)).current());
+  EXPECT_TRUE(t.Current(t.cache.Resolve(t.cache.Acquire(k1, build))));
   EXPECT_EQ(t.builds.load(), 4);
 }
 
@@ -426,7 +414,7 @@ TEST(PlanCacheTest, BuildReturningDuringRepairsFillsAfterThePublish) {
   QueryId b_id = kNoQuery;
   std::thread b([&] {
     b_id = t.cache.Acquire(t.Key("b"), t.Parking());
-    current_at_return = t.cache.Resolve(b_id).current();
+    current_at_return = t.Current(t.cache.Resolve(b_id));
   });
   t.entered.get_future().wait();
 
@@ -441,10 +429,10 @@ TEST(PlanCacheTest, BuildReturningDuringRepairsFillsAfterThePublish) {
   b.join();
 
   EXPECT_TRUE(current_at_return);
-  const PlanCache::Resolved r = t.cache.Resolve(b_id);
-  ASSERT_NE(r.plan, nullptr);
-  EXPECT_TRUE(r.current());
-  EXPECT_EQ(r.plan->index.snapshot().generation(), snap2.generation());
+  const PlanCache::Value r = t.cache.Resolve(b_id);
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(t.Current(r));
+  EXPECT_EQ(r->index.snapshot().generation(), snap2.generation());
   EXPECT_EQ(t.builds.load(), 2);  // the orphan and the rebuild
   const PlanCacheStats stats = t.cache.Stats();
   EXPECT_EQ(stats.misses, 2u);
@@ -489,15 +477,15 @@ TEST(PlanCacheFaultTest, ThrowingBuildHandsTheClaimToItsWaiter) {
   a.join();
 
   EXPECT_TRUE(b_threw);
-  const PlanCache::Resolved a_plan = t.cache.Resolve(a_id);
-  ASSERT_NE(a_plan.plan, nullptr);
-  EXPECT_TRUE(a_plan.current());
+  const PlanCache::Value a_plan = t.cache.Resolve(a_id);
+  ASSERT_NE(a_plan, nullptr);
+  EXPECT_TRUE(t.Current(a_plan));
   EXPECT_EQ(t.builds.load(), 1);
   EXPECT_EQ(t.cache.Stats().misses, 2u);  // B's claim and A's re-claim
   EXPECT_EQ(t.cache.open_handles(), 1u);  // A's; the throw issued none
 
   const QueryId again = t.cache.Acquire(key, build);
-  EXPECT_EQ(t.cache.Resolve(again).plan, a_plan.plan);
+  EXPECT_EQ(t.cache.Resolve(again), a_plan);
   EXPECT_EQ(t.builds.load(), 1);
   t.cache.Release(again);
   t.cache.Release(a_id);
@@ -524,7 +512,7 @@ TEST(PlanCacheFaultTest, ThrowingRepairAcrossThreadsChangesNothing) {
   std::vector<PlanCache::Value> before;
   for (const char* bytes : {"a", "b", "c", "d", "e", "f"}) {
     ids.push_back(t.cache.Acquire(t.Key(bytes), build));
-    before.push_back(t.cache.Resolve(ids.back()).plan);
+    before.push_back(t.cache.Resolve(ids.back()));
   }
 
   // A parallel duplicate of an existing edge keeps lambda.
@@ -559,10 +547,10 @@ TEST(PlanCacheFaultTest, ThrowingRepairAcrossThreadsChangesNothing) {
   const EdgeSeq old_answers =
       Oracle(snap1, t.query, t.inst.source, t.inst.target);
   for (size_t i = 0; i < ids.size(); ++i) {
-    const PlanCache::Resolved r = t.cache.Resolve(ids[i]);
-    EXPECT_EQ(r.plan, before[i]);
-    ASSERT_TRUE(r.current());
-    EXPECT_EQ(EnumeratePlan(*r.plan), old_answers);
+    const PlanCache::Value r = t.cache.Resolve(ids[i]);
+    EXPECT_EQ(r, before[i]);
+    ASSERT_TRUE(t.Current(r));
+    EXPECT_EQ(EnumeratePlan(*r), old_answers);
   }
   EXPECT_EQ(t.cache.Stats().upgrades, 0u);
   EXPECT_EQ(t.cache.Stats().invalidations, 0u);
@@ -573,9 +561,9 @@ TEST(PlanCacheFaultTest, ThrowingRepairAcrossThreadsChangesNothing) {
       Oracle(snap2, t.query, t.inst.source, t.inst.target);
   ASSERT_GT(new_answers.size(), old_answers.size());
   for (QueryId id : ids) {
-    const PlanCache::Resolved r = t.cache.Resolve(id);
-    ASSERT_TRUE(r.current());
-    EXPECT_EQ(EnumeratePlan(*r.plan), new_answers);
+    const PlanCache::Value r = t.cache.Resolve(id);
+    ASSERT_TRUE(t.Current(r));
+    EXPECT_EQ(EnumeratePlan(*r), new_answers);
   }
   EXPECT_EQ(t.cache.Stats().upgrades, ids.size());
   EXPECT_EQ(t.builds.load(), 6);  // the repairs built nothing
@@ -730,6 +718,37 @@ TEST(PlanCacheTest, WorkersPinNoSupersededPlan) {
   EXPECT_TRUE(old.expired());
 }
 
+// A handle held on a plan no install can repair pins nothing. The plan
+// from the chain's sink back to its source is unreachable, so the first
+// install detaches its entry and hands the plan to the free job with the
+// replaced ones; the handle keeps a tombstone through four more
+// installs. A drain on a live query, queued behind the free jobs on the
+// one worker, finds the plan freed and one entry counted.
+TEST(PlanCacheTest, HeldHandleOnDetachedEntryPinsNoPlan) {
+  Instance inst = BubbleChain(5, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  QueryEngine engine(1);
+  engine.InstallSnapshot(inst.db.Freeze());
+  const QueryId live = engine.Prepare(query, inst.source, inst.target);
+  const QueryId held = engine.Prepare(query, inst.target, inst.source);
+  std::weak_ptr<const PreparedQuery> old = engine.Plan(held);
+  ASSERT_FALSE(old.expired());
+  ASSERT_FALSE(old.lock()->ann.reachable());
+
+  for (int i = 0; i < 5; ++i) {
+    const uint32_t v = inst.db.AddVertex();
+    inst.db.AddEdge(v, 0u, inst.target);
+    engine.InstallSnapshot(inst.db.Freeze());
+  }
+  EXPECT_EQ(DrainAll(engine, live),
+            Oracle(inst.db.Freeze(), query, inst.source, inst.target));
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(engine.Stats().plan_cache.entries, 1u);
+  EXPECT_EQ(engine.Plan(held), nullptr);
+  EXPECT_EQ(engine.Pump(engine.OpenSession(held), 4).status,
+            PumpStatus::kRetired);
+}
+
 // Install frees nothing it replaced: it hands the replaced plan back,
 // and the plan lives exactly as long as the caller keeps that copy.
 TEST(PlanCacheTest, InstallHandsBackReplacedPlans) {
@@ -740,8 +759,8 @@ TEST(PlanCacheTest, InstallHandsBackReplacedPlans) {
   t.cache.Install(t.inst.db.Freeze(), nullptr);
   const QueryId upgraded = t.cache.Acquire(t.Key("up"), build);
   const QueryId dropped = t.cache.Acquire(t.Key("down"), build);
-  std::weak_ptr<const PreparedQuery> old_up = t.cache.Resolve(upgraded).plan;
-  std::weak_ptr<const PreparedQuery> old_down = t.cache.Resolve(dropped).plan;
+  std::weak_ptr<const PreparedQuery> old_up = t.cache.Resolve(upgraded);
+  std::weak_ptr<const PreparedQuery> old_down = t.cache.Resolve(dropped);
   t.cache.Release(dropped);  // unnamed: the install detaches and drops it
 
   t.inst.db.AddVertices(1);
@@ -752,7 +771,7 @@ TEST(PlanCacheTest, InstallHandsBackReplacedPlans) {
           plan = plan == old_up.lock() ? t.Build(snap2) : nullptr;
       });
   EXPECT_EQ(t.cache.Stats().upgrades, 1u);
-  EXPECT_NE(t.cache.Resolve(upgraded).plan, old_up.lock());
+  EXPECT_NE(t.cache.Resolve(upgraded), old_up.lock());
   EXPECT_FALSE(old_up.expired());
   EXPECT_FALSE(old_down.expired());
   replaced.clear();

@@ -28,27 +28,16 @@
 #include <string>
 #include <vector>
 
-#include "automaton/glushkov.h"
-#include "automaton/thompson.h"
 #include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
-#include "regex/regex_parser.h"
+#include "tests/oracles.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
 namespace dsw {
 namespace {
-
-using WalkSeq = std::vector<std::vector<uint32_t>>;
-
-template <typename Enumerator>
-WalkSeq Drain(Enumerator& en) {
-  WalkSeq out;
-  for (; en.Valid(); en.Next()) out.push_back(en.walk().edges);
-  return out;
-}
 
 // The properties of the harness header, on one (instance, query);
 // \p reused is the enumerator the test Resets onto each of its plans.
@@ -69,7 +58,7 @@ void ExpectResumableMatchesOracle(ResumableEnumerator& reused, Instance inst,
   TrimmedIndex tindex(snap, ann);
 
   TrialFilterEnumerator ref_en(ann, tindex, inst.source, inst.target);
-  const WalkSeq ref = Drain(ref_en);
+  const EdgeSeq ref = Drain(ref_en);
 
   // (a) full scan, order included, fresh and reused.
   ResumableEnumerator full(ann, rindex, inst.source, inst.target);
@@ -83,7 +72,7 @@ void ExpectResumableMatchesOracle(ResumableEnumerator& reused, Instance inst,
   if (!ref.empty()) {
     ResumableEnumerator chain(ann, rindex, inst.source, inst.target);
     ASSERT_TRUE(chain.Valid());
-    WalkSeq chained{chain.walk().edges};
+    EdgeSeq chained{chain.walk().edges};
     Walk prev;
     prev.edges = chain.walk().edges;
     while (chain.SeekAfter(prev) && chain.Valid()) {
@@ -102,19 +91,12 @@ void ExpectResumableMatchesOracle(ResumableEnumerator& reused, Instance inst,
     Walk w;
     w.edges = ref[k];
     ASSERT_TRUE(en.SeekAfter(w)) << "answer " << k << " rejected";
-    WalkSeq suffix = Drain(en);
-    ASSERT_EQ(suffix, WalkSeq(ref.begin() + k + 1, ref.end()))
+    EdgeSeq suffix = Drain(en);
+    ASSERT_EQ(suffix, EdgeSeq(ref.begin() + k + 1, ref.end()))
         << "wrong suffix after answer " << k;
     ASSERT_TRUE(reused.SeekAfter(w)) << "answer " << k << " rejected";
     ASSERT_EQ(Drain(reused), suffix) << "reused, after answer " << k;
   }
-}
-
-Nfa CompileRegex(const std::string& pattern, Database* db, bool thompson) {
-  RegexParseResult ast = ParseRegex(pattern);
-  EXPECT_TRUE(ast.ok()) << ast.error();
-  return thompson ? ThompsonNfa(*ast.value(), db->mutable_dict())
-                  : GlushkovNfa(*ast.value(), db->mutable_dict());
 }
 
 TEST(ResumableCrossOracleTest, GridsWithFixedNfas) {
@@ -375,8 +357,8 @@ TEST(ResumableAdversarialTest, FixtureAnswersAreSane) {
   ExpectResumableMatchesOracle(reused, fx.inst, fx.query, "ab-or-ba");
   TrialFilterEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
                             fx.inst.target);
-  WalkSeq answers = Drain(ref);
-  ASSERT_EQ(answers, (WalkSeq{{fx.e0, fx.e2}, {fx.e1, fx.e3}}));
+  EdgeSeq answers = Drain(ref);
+  ASSERT_EQ(answers, (EdgeSeq{{fx.e0, fx.e2}, {fx.e1, fx.e3}}));
 }
 
 #ifdef NDEBUG
