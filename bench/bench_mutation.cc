@@ -147,6 +147,31 @@ BENCHMARK(BM_Mutation_DeltaRepair)
     ->Arg(10)
     ->Arg(50);
 
+// DeltaTrim alone, on inputs built once: the old index, the batch's
+// delta and its repaired annotation, and a context of the new snapshot.
+// The trim is a pure function of them, so every iteration repeats the
+// same repair.
+void BM_Mutation_DeltaTrim(benchmark::State& state) {
+  const Fixture& fx = Fixture::Get();
+  const uint32_t k = fx.NumInserts(state.range(0));
+  Database db = fx.pristine.db;
+  const Snapshot s0 = db.Freeze();
+  Annotation ann =
+      Annotate(s0, fx.query, fx.pristine.source, fx.pristine.target);
+  const TrimmedIndex trim(s0, ann);
+  fx.Mutate(&db, k);
+  const Snapshot ns = db.Freeze();
+  const EdgeDelta delta = ns.DeltaFrom(s0.generation());
+  const DeltaContext ctx(ns);
+  const AnnotationRepair rep = DeltaAnnotate(ns, delta, &ann);
+  for (auto _ : state) {
+    TrimmedIndex repaired = DeltaTrim(ns, ann, trim, rep, delta, ctx);
+    benchmark::DoNotOptimize(repaired);
+  }
+  state.counters["inserted_edges"] = k;
+}
+BENCHMARK(BM_Mutation_DeltaTrim)->ArgName("permille")->Arg(1)->Arg(50);
+
 void BM_Mutation_FullRebuild(benchmark::State& state) {
   const Fixture& fx = Fixture::Get();
   const uint32_t k = fx.NumInserts(state.range(0));

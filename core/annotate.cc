@@ -220,8 +220,10 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
       }
     }
 
-    // Seal the new pairs: sorted vertices, contiguous words.
+    // Seal the new pairs: sorted vertices, contiguous words, reserved
+    // exactly, so a level a plan keeps carries no growth slack.
     fresh = LevelSets(ann.num_states);
+    fresh.Reserve(touched.size());
     if (touched.size() >= num_vertices / 16) {
       for (uint32_t v = 0; v < num_vertices; ++v) {
         if (slot[v] == kNoSlot) continue;

@@ -43,6 +43,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -240,6 +241,17 @@ struct EdgeDelta {
   /// delta gave new out-edges. Read off the edge table once, so that a
   /// repair reads only the snapshot and the delta.
   std::vector<uint32_t> new_sources;
+
+  /// A new edge's endpoints, destination first.
+  struct Arc {
+    uint32_t dst;
+    uint32_t src;
+    friend auto operator<=>(const Arc&, const Arc&) = default;
+  };
+  /// The new edges' distinct (dst, src) pairs in sorted order, read off
+  /// the edge table with new_sources: a repair finds the sources of the
+  /// new edges into any sorted vertex set by one intersection.
+  std::vector<Arc> new_arcs;
 };
 
 class Database {
@@ -363,11 +375,11 @@ class Snapshot {
 
   /// Insert-only delta between \p prev_generation, an earlier state of
   /// the same Database, and this snapshot, with the new edges' sources
-  /// read off the edge table (O(k log k) for k new edges). Any
-  /// generation with no more vertices and edges than this snapshot is
-  /// an earlier state, whether or not it was ever frozen; any other
-  /// returns known == false — the caller's cue to rebuild instead of
-  /// repair. Defined after Database.
+  /// and (dst, src) pairs read off the edge table (O(k log k) for k new
+  /// edges). Any generation with no more vertices and edges than this
+  /// snapshot is an earlier state, whether or not it was ever frozen;
+  /// any other returns known == false — the caller's cue to rebuild
+  /// instead of repair. Defined after Database.
   EdgeDelta DeltaFrom(uint64_t prev_generation) const;
 
   /// The underlying database, for identity checks and the live tables.
@@ -409,12 +421,17 @@ inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
   const uint64_t prev_edges = prev_generation & UINT32_MAX;
   if (prev_generation >> 32 > num_vertices() || prev_edges > num_edges())
     return EdgeDelta{};
-  EdgeDelta delta{true, static_cast<uint32_t>(prev_edges), {}};
+  EdgeDelta delta{true, static_cast<uint32_t>(prev_edges), {}, {}};
   std::vector<uint32_t>& sources = delta.new_sources;
-  for (uint32_t e = delta.first_new_edge; e < num_edges(); ++e)
+  std::vector<EdgeDelta::Arc>& arcs = delta.new_arcs;
+  for (uint32_t e = delta.first_new_edge; e < num_edges(); ++e) {
     sources.push_back(src(e));
+    arcs.push_back(EdgeDelta::Arc{dst(e), src(e)});
+  }
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
   return delta;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace dsw {
 
@@ -61,36 +62,86 @@ DeltaContext::DeltaContext(const Snapshot& snap, const DeltaContext& prev)
   pages_ = std::move(pages).Finish();
 }
 
+namespace {
+
+// Appends the members of sorted \p a that sorted \p b holds too: a
+// binary search of the larger list for each member of the smaller.
+void AppendCommon(std::span<const uint32_t> a, std::span<const uint32_t> b,
+                  std::vector<uint32_t>* out) {
+  if (a.size() > b.size()) std::swap(a, b);
+  for (uint32_t v : a)
+    if (std::binary_search(b.begin(), b.end(), v)) out->push_back(v);
+}
+
+// Appends the source of every arc of \p arcs (sorted by dst) whose
+// destination sorted \p vertices holds, walking the smaller of the two.
+void AppendSourcesInto(std::span<const EdgeDelta::Arc> arcs,
+                       std::span<const uint32_t> vertices,
+                       std::vector<uint32_t>* out) {
+  if (arcs.size() <= vertices.size()) {
+    for (size_t k = 0; k < arcs.size();) {
+      const uint32_t w = arcs[k].dst;
+      const bool into =
+          std::binary_search(vertices.begin(), vertices.end(), w);
+      for (; k < arcs.size() && arcs[k].dst == w; ++k)
+        if (into) out->push_back(arcs[k].src);
+    }
+    return;
+  }
+  auto it = arcs.begin();
+  for (uint32_t w : vertices) {
+    it = std::lower_bound(it, arcs.end(), EdgeDelta::Arc{w, 0});
+    for (; it != arcs.end() && it->dst == w; ++it) out->push_back(it->src);
+  }
+}
+
+}  // namespace
+
 TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
                        const TrimmedIndex& old_index,
                        const AnnotationRepair& rep, const EdgeDelta& delta,
-                       const DeltaContext& ctx) {
+                       const std::function<const DeltaContext&()>& context) {
   assert(rep.ok);
   // A lambda change reshapes every level's useful sets at once: sweep
   // from an empty index (still no product BFS).
   if (rep.lambda_changed || old_index.empty()) return TrimmedIndex(snap, ann);
 
-  // A vertex must be re-trimmed when its own annotation changed, when
-  // an out-neighbor's useful set one level up changed (membership
-  // included — positions shift for everyone, but *content* changes only
-  // reach in-neighbors), or when it gained an out-edge: the sources of
-  // the inserted edges gained a candidate at every level they appear
-  // on, so they are dirty everywhere. Every other vertex re-trims to its
-  // old slot modulo the next-position shift, which the builder's copy
-  // remaps.
+  // A vertex v at level i re-trims to its old slot, modulo the
+  // next-position shift the builder's copy remaps, unless one of its
+  // inputs changed: its annotated states (rep.changed[i]); the useful
+  // set of an out-neighbor one level up, membership included (an
+  // in-neighbor of changed_next, through the context of the new
+  // snapshot, whose in-edges include the new edges); or its out-edges.
+  // A new out-edge changes v's slot only if v was useful at level i,
+  // whose seek ranks take every out-edge, or if the edge leads into a
+  // vertex useful at level i + 1, so that it may be a candidate. Any
+  // other new source keeps no candidate it lacked and stays useless.
   std::vector<uint32_t> dirty;
   return TrimmedIndex(
       snap, ann, old_index,
-      [&](uint32_t i, std::span<const uint32_t> changed_next) {
+      [&](uint32_t i, const LevelSets& next_useful,
+          std::span<const uint32_t> changed_next) {
         dirty = rep.changed[i];
-        for (uint32_t w : changed_next)
-          for (uint32_t u : ctx.InNeighbors(w)) dirty.push_back(u);
-        dirty.insert(dirty.end(), delta.new_sources.begin(),
-                     delta.new_sources.end());
+        if (!changed_next.empty()) {
+          const DeltaContext& ctx = context();
+          for (uint32_t w : changed_next)
+            for (uint32_t u : ctx.InNeighbors(w)) dirty.push_back(u);
+        }
+        AppendCommon(delta.new_sources, old_index.UsefulLevel(i).vertices(),
+                     &dirty);
+        AppendSourcesInto(delta.new_arcs, next_useful.vertices(), &dirty);
         std::sort(dirty.begin(), dirty.end());
         dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
         return std::span<const uint32_t>(dirty);
       });
+}
+
+TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
+                       const TrimmedIndex& old_index,
+                       const AnnotationRepair& rep, const EdgeDelta& delta,
+                       const DeltaContext& ctx) {
+  return DeltaTrim(snap, ann, old_index, rep, delta,
+                   [&ctx]() -> const DeltaContext& { return ctx; });
 }
 
 }  // namespace dsw

@@ -9,20 +9,26 @@
 // The trim/B-list structures are repaired rather than rebuilt, too,
 // by TrimmedIndex's one builder: DeltaTrim only names the *dirty*
 // vertices of each level — annotation changed, an out-neighbor's useful
-// set one level up changed, or an out-edge was inserted — and the
-// builder re-trims those and copies every other vertex's useful slot
-// from the old index, remapping only the next-level positions (which
-// shift when the next level's membership changes). When lambda changed
-// the builder sweeps from an empty index instead (still skipping the
-// BFS), and sessions parked on the old plan are retired by the engine
-// because the enumeration order is no longer a supersequence anchor
-// (see engine/engine.cc).
+// set one level up changed, or an out-edge was inserted that can change
+// the vertex's slot — and the builder re-trims those and copies every
+// other vertex's useful slot from the old index, remapping only the
+// next-level positions (which shift when the next level's membership
+// changes). A write away from every answer dirties only the vertices
+// whose annotation it moved: a new edge names its source only at the
+// levels where that source was useful or the edge leads into a useful
+// vertex, and the reverse CSR (DeltaContext) is read only at a level
+// whose next level's useful sets changed, so an install derives it only
+// when a trim asks. When lambda changed the builder sweeps from an
+// empty index instead (still skipping the BFS), and sessions parked on
+// the old plan are retired by the engine because the enumeration order
+// is no longer a supersequence anchor (see engine/engine.cc).
 
 #ifndef DSW_CORE_DELTA_ANNOTATE_H_
 #define DSW_CORE_DELTA_ANNOTATE_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -40,11 +46,12 @@ namespace dsw {
 /// Each vertex lists the sources of its in-edges in edge-id order, so
 /// parallel edges appear as duplicate in-neighbors (the dirty sets dedup
 /// downstream). The lists are paged by vertex range like the LabelIndex
-/// (util/page_table.h). The engine keeps the context of its installed
-/// generation and derives the next one from it at each incremental
-/// install: a copy of the page table, and a rebuild of each page that
-/// holds a new vertex or a new edge's destination; every other page is
-/// shared with the previous context.
+/// (util/page_table.h). The engine keeps the last context it derived,
+/// of any earlier generation, and derives the installed snapshot's from
+/// it only when a trim asks for in-neighbors: a copy of the page table,
+/// and a rebuild of each page that holds a vertex or an edge's
+/// destination new since the kept context; every other page is shared
+/// with it.
 class DeltaContext {
  public:
   /// Vertices per page, as a power of two; a constant, not a setting.
@@ -83,11 +90,25 @@ class DeltaContext {
 /// Produces the TrimmedIndex of the repaired annotation \p ann from
 /// \p old_index (built from the pre-delta annotation). Requires rep.ok.
 /// When lambda is unchanged, the dirty vertices of level i are
-/// rep.changed[i], the in-neighbors (through \p ctx) of the vertices
-/// whose useful set changed at level i + 1, and the sources of the new
-/// edges; the rest are copied from \p old_index. When lambda shrank,
-/// the sweep starts from an empty index — still skipping the product
-/// BFS. Bit-identical to TrimmedIndex(snap, ann) either way.
+/// rep.changed[i]; the in-neighbors of the vertices whose useful set at
+/// level i + 1 changed; the new edges' sources that were useful at
+/// level i in \p old_index, whose seek ranks take the new out-edges;
+/// and the sources of the new edges into a vertex useful at level
+/// i + 1, which may gain a candidate. The last two come from
+/// intersections with delta.new_sources and delta.new_arcs. Every other
+/// vertex is copied from \p old_index. \p context returns the reverse
+/// CSR of \p snap; it is called only at a level whose next level's
+/// useful sets changed, from the thread running the trim, so a caller
+/// can derive the context on the first call. When lambda shrank, the
+/// sweep starts from an empty index — still skipping the product BFS —
+/// and reads no context. Bit-identical to TrimmedIndex(snap, ann)
+/// either way.
+TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
+                       const TrimmedIndex& old_index,
+                       const AnnotationRepair& rep, const EdgeDelta& delta,
+                       const std::function<const DeltaContext&()>& context);
+
+/// DeltaTrim with the reverse CSR of \p snap at hand.
 TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
                        const TrimmedIndex& old_index,
                        const AnnotationRepair& rep, const EdgeDelta& delta,

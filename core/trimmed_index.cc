@@ -124,6 +124,19 @@ bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                         next_useful, scratch, cand_pool, nxt_pool, rank_pool);
 }
 
+// The position of the first member of sorted \p xs at or after \p from
+// that is not below \p v: a linear probe of a few members, then a
+// binary search of the rest. A walk that visits every member pays O(1)
+// per step, and one that skips far pays O(log n).
+size_t SeekFrom(const std::vector<uint32_t>& xs, size_t from, uint32_t v) {
+  constexpr size_t kProbe = 8;
+  for (const size_t end = std::min(xs.size(), from + kProbe); from < end;
+       ++from)
+    if (xs[from] >= v) return from;
+  return static_cast<size_t>(
+      std::lower_bound(xs.begin() + from, xs.end(), v) - xs.begin());
+}
+
 // Diffs a useful level of the previous index against the one just
 // built: *changed collects (sorted) every vertex whose membership or
 // state words differ, and *pos_map maps each old position to the
@@ -160,7 +173,8 @@ void DiffLevels(const LevelSets& old_level, const LevelSets& new_level,
 
 TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann)
     : TrimmedIndex(snap, ann, TrimmedIndex(),
-                   [&ann](uint32_t i, std::span<const uint32_t>) {
+                   [&ann](uint32_t i, const LevelSets&,
+                          std::span<const uint32_t>) {
                      return std::span<const uint32_t>(
                          ann.levels[i].vertices());
                    }) {}
@@ -211,10 +225,14 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
     const LevelSets& old_useful = old_level(i);
     const LevelSets& next_useful = useful_[i + 1];
     if (!next_useful.empty()) {  // else nothing below is useful
-      const std::span<const uint32_t> dirty = dirty_at(i, changed_next);
-      // One merge of the old useful vertices with the dirty ones; the
-      // annotation level is walked in step to find a dirty vertex's
-      // states.
+      const std::span<const uint32_t> dirty =
+          dirty_at(i, next_useful, changed_next);
+      // One merge of the old useful vertices with the dirty ones; a
+      // dirty vertex's states are found by a search of the annotation
+      // level from the previous dirty vertex's position, so a few dirty
+      // vertices cost O(log) each and a build from scratch, where every
+      // annotated vertex is dirty, O(1).
+      const std::vector<uint32_t>& annotated = level.vertices();
       size_t oi = 0, di = 0, ai = 0;
       while (oi < old_useful.size() || di < dirty.size()) {
         const uint32_t ov =
@@ -228,8 +246,8 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
         if (dv == v) {
           ++di;
           if (ov == v) ++oi;
-          while (ai < level.size() && level.vertex(ai) < v) ++ai;
-          if (ai == level.size() || level.vertex(ai) != v) continue;
+          ai = SeekFrom(annotated, ai, v);
+          if (ai == annotated.size() || annotated[ai] != v) continue;
           if (!TrimVertex(adj, ann.delta, wps_, v, level.states(ai),
                           next_useful, &scratch, &cand_pool_, &nxt_pool_,
                           &rank_pool_))

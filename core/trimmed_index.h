@@ -243,18 +243,19 @@ class TrimmedIndex {
   }
 
  private:
-  friend TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,
-                                const TrimmedIndex& old_index,
-                                const AnnotationRepair& rep,
-                                const EdgeDelta& delta,
-                                const DeltaContext& ctx);
+  friend TrimmedIndex DeltaTrim(
+      const Snapshot& snap, const Annotation& ann,
+      const TrimmedIndex& old_index, const AnnotationRepair& rep,
+      const EdgeDelta& delta,
+      const std::function<const DeltaContext&()>& context);
 
   /// Returns the sorted vertices to re-trim at level \p i, given the
-  /// sorted vertices whose useful set at level i + 1 differs from the
-  /// previous index's. The span need only stay valid until the next
-  /// call.
+  /// rebuilt useful level i + 1 and the sorted vertices whose useful set
+  /// there differs from the previous index's. The span need only stay
+  /// valid until the next call.
   using DirtyAt = std::function<std::span<const uint32_t>(
-      uint32_t i, std::span<const uint32_t> changed_next)>;
+      uint32_t i, const LevelSets& next_useful,
+      std::span<const uint32_t> changed_next)>;
 
   TrimmedIndex() = default;  // no levels: the predecessor of a first build
 

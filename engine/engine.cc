@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <mutex>
 #include <utility>
 
 #include "automaton/canonical_hash.h"
@@ -38,15 +40,15 @@ namespace {
 // unreachable and carries no levels to repair — and the inserts may well
 // have made it reachable, so a fresh build on the next Prepare miss is
 // also the semantically required outcome.
-std::shared_ptr<const PreparedQuery> RepairPlan(const Snapshot& snap,
-                                                const EdgeDelta& delta,
-                                                const DeltaContext& ctx,
-                                                const PreparedQuery& old) {
+std::shared_ptr<const PreparedQuery> RepairPlan(
+    const Snapshot& snap, const EdgeDelta& delta,
+    const std::function<const DeltaContext&()>& context,
+    const PreparedQuery& old) {
   Annotation ann = old.ann;
   AnnotationRepair rep = DeltaAnnotate(snap, delta, &ann);
   if (!rep.ok) return nullptr;
   TrimmedIndex trimmed =
-      DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, ctx);
+      DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, context);
   return std::make_shared<const PreparedQuery>(snap, std::move(ann),
                                                std::move(trimmed));
 }
@@ -68,15 +70,24 @@ bool QueryEngine::InstallSnapshot(Snapshot snap) {
                  std::move(context_));
     return true;
   }
-  // One reverse CSR serves every repair. It is derived from the previous
-  // install's, and built from empty only when the engine holds none —
-  // the first incremental install after a full one.
-  auto ctx = context_ ? std::make_unique<const DeltaContext>(snap, *context_)
-                      : std::make_unique<const DeltaContext>(snap);
+  // One reverse CSR serves every repair, derived at most once and only
+  // when a trim first reads in-neighbors: from the last context the
+  // engine derived, of any earlier generation of this database, or from
+  // empty when it holds none — the first such install after a full one.
+  std::once_flag derive_once;
+  std::unique_ptr<const DeltaContext> derived;
+  const std::function<const DeltaContext&()> context =
+      [&]() -> const DeltaContext& {
+    std::call_once(derive_once, [&] {
+      derived = context_ ? std::make_unique<const DeltaContext>(snap, *context_)
+                         : std::make_unique<const DeltaContext>(snap);
+    });
+    return *derived;
+  };
   const PlanCache::Upgrade repair = [&](std::vector<PlanCache::Value>& plans) {
     if (plans.empty()) return;
     auto repairs = std::make_shared<PlanRepairs>(plans.size(), [&](size_t i) {
-      plans[i] = RepairPlan(snap, delta, *ctx, *plans[i]);
+      plans[i] = RepairPlan(snap, delta, context, *plans[i]);
     });
     // One helper job per worker, behind the pumps already queued; the
     // repairs need at most one fewer than there are plans.
@@ -93,8 +104,10 @@ bool QueryEngine::InstallSnapshot(Snapshot snap) {
     repairs->Finish();
   };
   std::vector<PlanCache::Value> replaced = cache_.Install(snap, repair);
-  std::swap(context_, ctx);  // only once snap is installed
-  FreeOnWorker(std::move(replaced), std::move(ctx));
+  // Only once snap is installed; an install that derived nothing keeps
+  // the older context, a valid base for every later install.
+  if (derived != nullptr) std::swap(context_, derived);
+  FreeOnWorker(std::move(replaced), std::move(derived));
   return true;
 }
 

@@ -57,17 +57,19 @@
 // Memory outside the plan-cache budget: a plan is built on the thread
 // whose Prepare missed and repaired on the installing thread or a
 // worker, and a replaced plan is freed on a worker. Each plan pins its
-// snapshot's LabelIndex, and the engine keeps one reverse CSR; the
-// generations alive together share every adjacency page the writes
-// between them did not touch, so an old plan costs its own structures
-// plus the pages that changed since, not a copy of the graph. An install
-// hands every plan it replaced or detached to the free job, and a handle
-// on a detached entry keeps no plan, so an old plan outlives its install
-// only until the pumps running it and the free job are done. Only the
-// threads that build plans (Prepare callers and the installing thread)
-// keep the product BFS's scratch (core/annotate.h) for their lifetime:
-// V x (8 ceil(|Q|/64) + 4) bytes at the largest graph and query each
-// has annotated. A worker frees it once it has helped an install. Each
+// snapshot's LabelIndex, and the engine keeps one reverse CSR, the last
+// one it derived, which may be of an older generation than the
+// installed one; the generations alive together share every adjacency
+// page the writes between them did not touch, so an old plan or context
+// costs its own structures plus the pages that changed since, not a
+// copy of the graph. An install hands every plan it replaced or
+// detached to the free job, and a handle on a detached entry keeps no
+// plan, so an old plan outlives its install only until the pumps
+// running it and the free job are done. Only the threads that build
+// plans (Prepare callers and the installing thread) keep the product
+// BFS's scratch (core/annotate.h) for their lifetime: V x (8
+// ceil(|Q|/64) + 4) bytes at the largest graph and query each has
+// annotated. A worker frees it once it has helped an install. Each
 // worker keeps its enumerator's frames: (lambda + 1) x ceil(|Q|/64)
 // words at the largest query it has run. plan_cache_bytes counts
 // neither.
@@ -183,22 +185,27 @@ class QueryEngine {
   /// worker joins them, queued behind the pending pumps, so a busy pool
   /// leaves most of them to the caller. The table then publishes the
   /// snapshot and the repaired plans at once (engine/plan_cache.h),
-  /// touching no session or handle, and the replaced plans and reverse
-  /// CSR go to the workers as one job, queued behind the pending pumps,
-  /// so the calling thread frees none of them. If a repair throws, the
-  /// install rethrows it and publishes nothing. A parked session resumes on the
-  /// upgraded plan while lambda is unchanged: old answers keep their
-  /// relative order, so one SeekAfter on the parked walk resumes the
-  /// correct suffix of the NEW answer order. Once an upgrade shortened
+  /// touching no session or handle, and the replaced plans and any
+  /// replaced reverse CSR go to the workers as one job, queued behind
+  /// the pending pumps, so the calling thread frees none of them. If a
+  /// repair throws, the install rethrows it and publishes nothing. A
+  /// parked session resumes on the upgraded plan while lambda is
+  /// unchanged: old answers keep their relative order, so one SeekAfter
+  /// on the parked walk resumes the correct suffix of the NEW answer
+  /// order. Once an upgrade shortened
   /// lambda, a session that has emitted answers retires at its next
   /// pump, while new sessions enumerate the new order. Sessions on an
   /// entry left without a plan of the new snapshot (unrepairable, or any
   /// entry when the snapshot is of another database, or a snapshot older
   /// than the installed one) retire at their next pump. The reverse CSR
-  /// the repairs share (DeltaContext) is derived from the previous
-  /// install's, which the engine keeps: it shares every page the write
-  /// did not touch, as the snapshot's LabelIndex does, so an install
-  /// costs the write rather than a pass over every vertex and edge.
+  /// the repairs share (DeltaContext) is derived only when a trim first
+  /// reads in-neighbors, at most once per install, from the last context
+  /// the engine derived, of any earlier generation of the database: it
+  /// shares every page the writes since did not touch, as the
+  /// snapshot's LabelIndex does, so an install costs the write rather
+  /// than a pass over every vertex and edge. An install whose trims
+  /// never read in-neighbors derives nothing and keeps the older
+  /// context.
   /// Overlapping calls, from any threads, take turns: each holds one
   /// install lock from start to end.
   bool InstallSnapshot(Snapshot snap);
@@ -274,7 +281,8 @@ class QueryEngine {
     uint64_t generation = 0;    // of the plan its last pump ran on
   };
 
-  // What an install replaced: its plans and reverse CSR.
+  // What an install replaced: its plans, and the reverse CSR it
+  // replaced or dropped, if any.
   struct Replaced {
     std::vector<PlanCache::Value> plans;
     std::unique_ptr<const DeltaContext> context;
@@ -327,9 +335,10 @@ class QueryEngine {
   std::mutex install_mu_;
   // The plan table, the QueryIds and the installed snapshot.
   PlanCache cache_;
-  // Null or the reverse CSR of the installed snapshot, kept so that the
-  // next incremental install derives its own instead of building one.
-  // Only InstallSnapshot touches it, under install_mu_.
+  // Null or the last reverse CSR an install derived, of the installed
+  // database at the installed or an earlier generation, kept so that
+  // the next install that needs one derives it instead of building it
+  // from empty. Only InstallSnapshot touches it, under install_mu_.
   std::unique_ptr<const DeltaContext> context_;
 
   // Lock-free counters: bumped outside mu_ (workers, PrepareRegex).

@@ -135,12 +135,13 @@ TEST(SnapshotTest, DeltaFromTracksInsertOnlyFreezes) {
   db.AddEdge(2, "l0", 5);
   Snapshot second = db.Freeze();
 
-  // Known delta: exactly the edge suffix added since gen1, and the
-  // sources of its edges.
+  // Known delta: exactly the edge suffix added since gen1, the sources
+  // of its edges and their (dst, src) pairs.
   EdgeDelta d = second.DeltaFrom(gen1);
   ASSERT_TRUE(d.known);
   EXPECT_EQ(d.first_new_edge, 1u);
   EXPECT_EQ(d.new_sources, (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(d.new_arcs, (std::vector<EdgeDelta::Arc>{{2, 1}, {5, 2}}));
 
   // Same-generation delta: known and empty (the suffix starts at the
   // end).
@@ -148,6 +149,7 @@ TEST(SnapshotTest, DeltaFromTracksInsertOnlyFreezes) {
   ASSERT_TRUE(same.known);
   EXPECT_EQ(same.first_new_edge, 3u);
   EXPECT_TRUE(same.new_sources.empty());
+  EXPECT_TRUE(same.new_arcs.empty());
 
   // A past state needs no freeze: its generation names its edge count.
   EdgeDelta suffix = second.DeltaFrom(never_frozen);
@@ -178,6 +180,9 @@ TEST(SnapshotTest, DeltaFromServesEveryEarlierState) {
   ASSERT_TRUE(delta.known);
   EXPECT_EQ(delta.first_new_edge, 1u);
   EXPECT_EQ(delta.new_sources, (std::vector<uint32_t>{1, 2}));
+  // 70 parallel edges give two distinct pairs, sorted by destination
+  // and then source.
+  EXPECT_EQ(delta.new_arcs, (std::vector<EdgeDelta::Arc>{{0, 1}, {0, 2}}));
 }
 
 TEST(SnapshotTest, FreezeCapturesTheCurrentGeneration) {

@@ -17,8 +17,9 @@
 //     (PumpStatus::kRetired, stale index untouched), even one whose
 //     first batch was still running when the install came. The repairs
 //     run on the installing thread and the workers, equal serial
-//     repairs bit for bit, and reach across any number of freezes the
-//     engine never installed.
+//     repairs bit for bit, reach across any number of freezes the
+//     engine never installed, and read a reverse CSR derived only when
+//     a trim asks for it, across installs that derived none.
 //  4. The snapshot layer itself: raw reader threads sharing one
 //     Snapshot build annotations/indexes/enumerators concurrently with
 //     no engine and no synchronization.
@@ -34,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <random>
 #include <string>
@@ -499,14 +501,15 @@ TEST(QueryEngineTest, FirstBatchInFlightAcrossLambdaShrinkingInstallRetires) {
   }
 }
 
-// The engine keeps the reverse CSR of its installed generation and
-// derives the next one from it, so a chain of incremental installs
-// never rebuilds it from every edge. The chain also skips a frozen
-// generation that was never installed and is broken once by a second
-// database, after which the first database's next incremental install
-// starts from an empty context. After every install each query must
-// drain to the oracle of the installed snapshot, through plans repaired
-// (not rebuilt) on the incremental installs.
+// The engine keeps the last reverse CSR it derived and, when a trim
+// reads in-neighbors, derives the installed snapshot's from it, so a
+// chain of incremental installs never rebuilds it from every edge. The
+// chain also skips a frozen generation that was never installed and is
+// broken once by a second database, which drops the kept context, so
+// the first database's next derive starts from an empty one. After
+// every install each query must drain to the oracle of the installed
+// snapshot, through plans repaired (not rebuilt) on the incremental
+// installs.
 TEST(QueryEngineTest, ChainedInstallsRepairThroughDerivedContexts) {
   Instance inst = EmbedInNoise(BubbleChain(5, 2), 30, 90, 11);
   Instance other = Grid(4, 4);
@@ -557,6 +560,91 @@ TEST(QueryEngineTest, ChainedInstallsRepairThroughDerivedContexts) {
     expect_oracle(inst, snap);
   }
   EXPECT_GE(incremental, 6);
+}
+
+// An install derives the reverse CSR only when a trim reads
+// in-neighbors, and derives it from the last context the engine
+// derived. The first write adds a third branch to bubble 0, so a useful
+// set changes and the install derives. The next three touch no useful
+// set and derive nothing: an edge from hub 1 into w, a vertex with no
+// out-edges; noise edges; and an edge from an unreachable new vertex
+// into hub 2. The last write, w -> hub 2, keeps lambda and makes w
+// useful at level 3, so the trim of level 2 reads w's in-neighbors,
+// among them hub 1 through the edge of a skipped install. Every
+// repaired plan must equal the serial repair through a context built
+// from empty, whose trims read in-neighbors at the first and the last
+// write only, and the last snapshot's answers must match the oracle.
+TEST(QueryEngineTest, OnDemandContextCoversInstallsThatDerivedNone) {
+  Instance inst = EmbedInNoise(BubbleChain(4, 2), 30, 90, 11);
+  const uint32_t hub1 = 3, hub2 = 6;  // after one and two bubbles
+  const uint32_t noise_first = inst.db.num_vertices() - 30;
+  const std::vector<Nfa> queries = {StaircaseNfa(2, 2), CompleteNfa(3, 2)};
+  QueryEngine engine(2);
+  Snapshot snap = inst.db.Freeze();
+  engine.InstallSnapshot(snap);
+  std::vector<QueryId> ids;
+  for (const Nfa& query : queries)
+    ids.push_back(engine.Prepare(query, inst.source, inst.target));
+  const uint32_t w = inst.db.AddVertex();  // inside every derived context
+  std::mt19937_64 rng(7);
+  struct Write {
+    std::function<void()> apply;
+    bool reads_in_neighbors;
+  };
+  const std::vector<Write> writes = {
+      {[&] {
+         const uint32_t m = inst.db.AddVertex();
+         inst.db.AddEdge(inst.source, 0u, m);
+         inst.db.AddEdge(m, 0u, hub1);
+       },
+       true},
+      {[&] { inst.db.AddEdge(hub1, 0u, w); }, false},
+      {[&] {
+         for (int e = 0; e < 6; ++e)
+           inst.db.AddEdge(noise_first + static_cast<uint32_t>(rng() % 30),
+                           static_cast<uint32_t>(rng() % 2),
+                           noise_first + static_cast<uint32_t>(rng() % 30));
+       },
+       false},
+      {[&] { inst.db.AddEdge(inst.db.AddVertex(), 1u, hub2); }, false},
+      {[&] { inst.db.AddEdge(w, 1u, hub2); }, true},
+  };
+  for (size_t k = 0; k < writes.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "write " << k);
+    writes[k].apply();
+    const Snapshot next = inst.db.Freeze();
+    const EdgeDelta delta = next.DeltaFrom(snap.generation());
+    const DeltaContext ctx(next);
+    bool read = false;
+    const std::function<const DeltaContext&()> context =
+        [&]() -> const DeltaContext& {
+      read = true;
+      return ctx;
+    };
+    std::vector<std::shared_ptr<const PreparedQuery>> old;
+    for (QueryId id : ids) old.push_back(engine.Plan(id));
+    ASSERT_TRUE(engine.InstallSnapshot(next));
+    for (size_t q = 0; q < ids.size(); ++q) {
+      Annotation ann = old[q]->ann;
+      const AnnotationRepair rep = DeltaAnnotate(next, delta, &ann);
+      ASSERT_TRUE(rep.ok);
+      ASSERT_FALSE(rep.lambda_changed);
+      const std::shared_ptr<const PreparedQuery> plan = engine.Plan(ids[q]);
+      ASSERT_NE(plan, nullptr);
+      ExpectAnnotationsEqual(plan->ann, ann);
+      ExpectTrimsEqual(
+          plan->index.trimmed(),
+          DeltaTrim(next, ann, old[q]->index.trimmed(), rep, delta, context));
+    }
+    EXPECT_EQ(read, writes[k].reads_in_neighbors);
+    snap = next;
+  }
+  for (size_t q = 0; q < ids.size(); ++q) {
+    const PumpResult all = engine.Drain(engine.OpenSession(ids[q]), 16);
+    EXPECT_EQ(all.status, PumpStatus::kExhausted);
+    EXPECT_EQ(Edges(all.walks),
+              Oracle(snap, queries[q], inst.source, inst.target));
+  }
 }
 
 // An install repairs its plans on the installing thread and on every
