@@ -7,9 +7,15 @@
 // annotation), i.e. this is the strongest naive variant: it never
 // wanders off shortest paths, and still drowns in duplicates. It walks
 // the snapshot's LabelIndex and reads only lambda and the levels of the
-// trimmed pipeline's Annotation. Its steps and its acceptance test come
-// from the Nfa itself (its transitions and epsilon-closures), not from
-// the annotation's delta rows: it branches on closure-collapsed
+// trimmed pipeline's Annotation. That annotation keeps only the
+// target's entry at level lambda, so a last step into any other vertex
+// keeps the states on no level below lambda there: a move out of level
+// lambda - 1 reaches distance lambda at most, so those are exactly the
+// pairs the full level lambda would hold. The search thus generates,
+// and its budget counts, every level-consistent path of length lambda,
+// not only those that end at the target. Its steps and its acceptance
+// test come from the Nfa itself (its transitions and epsilon-closures),
+// not from the annotation's delta rows: it branches on closure-collapsed
 // *effective* steps eps* . label . eps*, so distinct epsilon-paths
 // between the same labeled steps count as one run, for epsilon-free and
 // epsilon-NFAs alike — which keeps the oracle honest against the
@@ -71,18 +77,26 @@ struct Search {
         ++res->duplicates;
       return;
     }
+    const bool last = depth + 1 == static_cast<uint32_t>(ann->lambda);
     const LabelIndex::OutEdges out = snap->label_index().Out(v);
     for (const LabelIndex::Group& g : out.groups)
       for (const LabelIndex::Target& t : out.Targets(g)) {
+        const bool off_target = last && t.dst != target;
         StateSetView next = ann->StatesAt(depth + 1, t.dst);
-        if (!next) continue;
+        if (!next && !off_target) continue;
         StateSet& step = (*targets)[depth];
         step.ZeroAll();
         (*closures)[q].ForEach([&](uint32_t from) {
           for (const auto& [label, to] : query->Transitions(from))
             if (label == g.label) step.UnionWith((*closures)[to]);
         });
-        step &= next;
+        if (off_target) {
+          for (uint32_t j = 0; j <= depth; ++j)
+            if (StateSetView below = ann->StatesAt(j, t.dst))
+              below.ForEach([&](uint32_t r) { step.Clear(r); });
+        } else {
+          step &= next;
+        }
         step.ForEach([&](uint32_t to) {
           if (res->budget_exhausted) return;
           prefix->push_back(t.edge);

@@ -60,10 +60,23 @@ class ScratchLease {
   uint64_t* seen() { return s_.seen.data(); }
   uint32_t* slot() { return s_.slot.data(); }
 
+  // Zeroes the seen rows of \p vertices and frees their slots: the
+  // vertices of level lambda, whose pairs the BFS marked but does not
+  // keep, bar the target's.
+  template <typename Kernel>
+  void Drop(Kernel ker, std::span<const uint32_t> vertices) {
+    for (uint32_t v : vertices) {
+      ker.Zero(seen() + static_cast<size_t>(v) * ker.wps());
+      slot()[v] = kNoSlot;
+    }
+  }
+
   // Zeroes the seen rows of every vertex on \p levels, the levels the
   // BFS built. Every bit it set marks a pair on one of them (an old
-  // pair that lost to a lower level is on that lower level), so this
-  // costs O(pairs). The BFS has already reset each slot it took.
+  // pair that lost to a lower level is on that lower level) or on level
+  // lambda, which keeps only the target and whose other vertices the
+  // BFS has dropped, so this costs O(pairs). The BFS has already reset
+  // each slot it took.
   template <typename Kernel>
   void Return(Kernel ker, const std::vector<LevelSets>& levels) {
     for (const LevelSets& level : levels)
@@ -85,7 +98,8 @@ class ScratchLease {
 // inserted since and \p new_sources their sorted distinct sources.
 // Fills ann->levels and ann->lambda, and, when \p changed is not null,
 // the vertices of each level whose state set differs from the old
-// level's.
+// level's. Level lambda keeps only the target's entry, the one entry
+// the trim reads.
 template <typename Kernel>
 void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
                 uint32_t first_new_edge,
@@ -129,21 +143,22 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   assert(ann.levels.size() == 1 && ann.levels[0].size() == 1);
   ker.Or(seen_row(ann.source), ann.levels[0].states(0).words());
   if (changed) changed->emplace_back();
+  if (ann.source == target &&
+      ann.levels[0].states(0).Intersects(ann.final_states)) {
+    ann.lambda = 0;
+    scratch.Return(ker, ann.levels);
+    return;
+  }
 
   // fresh: the pairs of the current level that are new, unless every
   // pair of it is (fresh_is_level).
   LevelSets fresh;
   bool fresh_is_level = old.empty();
   LevelSets none;  // stands in for the old levels past the last one
+  StateSet at_target(ann.num_states);
   for (uint32_t i = 0;; ++i) {
     const LevelSets& current = ann.levels[i];
     if (current.empty()) break;
-    if (StateSetView at_target = current.Find(target);
-        at_target && at_target.Intersects(ann.final_states)) {
-      ann.lambda = static_cast<int32_t>(i);
-      scratch.Return(ker, ann.levels);
-      return;
-    }
 
     // The old level i + 1's pairs that did not settle lower keep their
     // level; marking them before any move keeps the moves from
@@ -218,6 +233,39 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
           ker.CommitInto(sw, nw, buf.data());
         }
       }
+    }
+
+    // The target's states at level i + 1: its old entry, or what that
+    // kept, and its new pairs. If they meet the final states, level
+    // i + 1 is lambda and keeps that one entry; nothing else of it is
+    // sealed. Every other vertex of the old level leaves it.
+    uint64_t* tw = at_target.mutable_words();
+    ker.Zero(tw);
+    const size_t old_at = old_next.FindIndex(target);
+    if (old_at != LevelSets::npos) {
+      const auto it = std::lower_bound(lost.begin(), lost.end(), old_at);
+      ker.Or(tw, it != lost.end() && *it == old_at
+                     ? &kept_words[static_cast<size_t>(it - lost.begin()) *
+                                   wps]
+                     : old_next.states(old_at).words());
+    }
+    if (slot[target] != kNoSlot)
+      ker.Or(tw, &slot_words[static_cast<size_t>(slot[target]) * wps]);
+    if (at_target.Intersects(ann.final_states)) {
+      if (changed) {
+        std::vector<uint32_t>& c = changed->emplace_back();
+        for (uint32_t v : old_next.vertices())
+          if (v != target) c.push_back(v);
+        if (old_at == LevelSets::npos ||
+            !ker.Equal(old_next.states(old_at).words(), tw))
+          c.insert(std::lower_bound(c.begin(), c.end(), target), target);
+      }
+      scratch.Drop(ker, touched);
+      scratch.Drop(ker, old_next.vertices());
+      ann.levels.emplace_back(ann.num_states).Append(target, tw);
+      ann.lambda = static_cast<int32_t>(i + 1);
+      scratch.Return(ker, ann.levels);
+      return;
     }
 
     // Seal the new pairs: sorted vertices, contiguous words, reserved

@@ -1,8 +1,13 @@
 // Stage 1 of the pipeline: BFS over the product D x A from
-// (source, initial states), recording for every level i <= lambda the set
-// of states q such that (v, q) is at BFS distance exactly i. lambda is
-// the length of the shortest walk from source to target whose label word
-// the query accepts (-1 when none exists).
+// (source, initial states), recording for every level i < lambda the set
+// of states q such that (v, q) is at BFS distance exactly i, and at
+// level lambda that set for the target alone. lambda is the length of
+// the shortest walk from source to target whose label word the query
+// accepts (-1 when none exists). Level lambda's other vertices end no
+// answer walk, so the trim never reads them, and an insertion can only
+// shorten lambda, so a repair never moves out of that level either: the
+// BFS tests the target's states before it seals a level, and when they
+// meet the final states it keeps that one entry and drops the rest.
 //
 // Key property used downstream (trimming and enumeration): for any
 // *shortest* answer walk v_0 ... v_lambda and any accepting run
@@ -36,8 +41,8 @@
 // table plus a touched list. The V-sized tables, the seen bitmap
 // (V x ceil(|Q|/64) words) and the slot table (V entries), are one
 // per-thread scratch: all zero and all empty between calls, because a
-// BFS frees each slot as it seals a level and, before it returns,
-// zeroes the bitmap rows of the vertices on the levels it built. So a
+// BFS frees each slot as it seals or drops a level and, before it
+// returns, zeroes the bitmap rows of the vertices it marked. So a
 // build costs the pairs it reaches, and a repair costs one pass over the
 // old levels (each is marked into the bitmap, then moved over as is or
 // block-copied around its changed vertices) and the touched region: the
@@ -92,7 +97,8 @@ struct Annotation {
 
   /// levels[i]: sorted vertices with the states q whose product pair
   /// (v, q) has BFS distance exactly i; contiguous word storage.
-  /// Populated for i in [0, lambda] when reachable() is true.
+  /// Populated for i in [0, lambda] when reachable() is true, where
+  /// levels[lambda] holds the target's entry alone.
   std::vector<LevelSets> levels;
 
   /// Snapshot of the query, for the Nfa-free downstream stages: the
@@ -104,7 +110,9 @@ struct Annotation {
   bool reachable() const { return lambda >= 0; }
   uint32_t words_per_set() const { return (num_states + 63) / 64; }
 
-  /// States annotated at (level, v); null view if none.
+  /// States annotated at (level, v); null view if none. At level
+  /// lambda that is every state at distance lambda for the target and
+  /// a null view for any other vertex.
   StateSetView StatesAt(uint32_t level, uint32_t v) const {
     return level < levels.size() ? levels[level].Find(v) : StateSetView();
   }

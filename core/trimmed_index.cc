@@ -193,9 +193,9 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
     return old.useful_.empty() ? none : old.useful_[i];
   };
 
-  // Level lambda: only (target, final) pairs are useful. Other vertices
-  // annotated at this level — even ones carrying final states — end no
-  // answer walk.
+  // Level lambda: only (target, final) pairs are useful. The annotation
+  // keeps only the target's entry there: other vertices at distance
+  // lambda — even ones carrying final states — end no answer walk.
   if (StateSetView at_target = ann.StatesAt(lambda, ann.target)) {
     StateSet fin(ann.num_states);
     fin.Assign(at_target);

@@ -297,6 +297,93 @@ TEST(DeltaAnnotateTest, InsertGrowsUsefulStatesWhileLambdaHolds) {
   EXPECT_EQ(Enumerate(carried, repaired_idx, u, t), want);
 }
 
+// Level lambda keeps only the target's entry, through a build and
+// through repairs. s -a-> m -b-> {w, t}, and w -c-> {t, y, z}; two
+// initial states start tracks q0 q1 q2 -c-> f and r0 p1 p2 -d-> g, and
+// q1 -e-> f is a shortcut. The full level 3 is t, y and z, each with
+// {f}. Three inserts follow: w -d-> y adds a pair at lambda off the
+// target only, w -d-> t adds g to the target at lambda, and m -e-> t
+// shortens lambda to 2, where w leaves the level and t gains f.
+TEST(DeltaAnnotateTest, LastLevelKeepsOnlyTheTarget) {
+  Database db;
+  const uint32_t a = db.labels().Intern("a"), b = db.labels().Intern("b"),
+                 c = db.labels().Intern("c"), d = db.labels().Intern("d"),
+                 e = db.labels().Intern("e");
+  const uint32_t s = db.AddVertex(), m = db.AddVertex(), w = db.AddVertex(),
+                 t = db.AddVertex(), y = db.AddVertex(), z = db.AddVertex();
+  db.AddEdge(s, a, m);
+  db.AddEdge(m, b, w);
+  db.AddEdge(m, b, t);
+  db.AddEdge(w, c, t);
+  db.AddEdge(w, c, y);
+  db.AddEdge(w, c, z);
+  constexpr uint32_t q0 = 0, q1 = 1, q2 = 2, r0 = 3, p1 = 4, p2 = 5, f = 6,
+                     g = 7;
+  Nfa query(8);
+  query.AddInitial(q0);
+  query.AddInitial(r0);
+  query.AddFinal(f);
+  query.AddFinal(g);
+  query.AddTransition(q0, a, q1);
+  query.AddTransition(q1, b, q2);
+  query.AddTransition(q2, c, f);
+  query.AddTransition(r0, a, p1);
+  query.AddTransition(p1, b, p2);
+  query.AddTransition(p2, d, g);
+  query.AddTransition(q1, e, f);
+
+  Snapshot snap = db.Freeze();
+  Annotation carried = Annotate(snap, query, s, t);
+  auto states_at = [&carried](uint32_t level, uint32_t v) {
+    StateSet out(8);
+    out.UnionWith(carried.StatesAt(level, v));
+    return out;
+  };
+  ASSERT_EQ(carried.lambda, 3);
+  ASSERT_EQ(carried.levels.size(), 4u);
+  EXPECT_EQ(carried.levels[2].vertices(), (std::vector<uint32_t>{w, t}));
+  EXPECT_EQ(carried.levels[3].vertices(), std::vector<uint32_t>{t});
+  StateSet want(8);
+  want.Set(f);
+  EXPECT_EQ(states_at(3, t), want);
+  TrimmedIndex carried_trim(snap, carried);
+
+  struct Insert {
+    uint32_t src, label, dst;
+    int32_t lambda;
+    std::vector<std::vector<uint32_t>> changed;
+  };
+  const Insert inserts[] = {
+      {w, d, y, 3, {{}, {}, {}, {}}},
+      {w, d, t, 3, {{}, {}, {}, {t}}},
+      {m, e, t, 2, {{}, {}, {w, t}}},
+  };
+  for (const Insert& ins : inserts) {
+    SCOPED_TRACE(testing::Message() << "insert " << ins.src << " -> "
+                                    << ins.dst);
+    const uint64_t prev_gen = db.generation();
+    db.AddEdge(ins.src, ins.label, ins.dst);
+    Snapshot ns = db.Freeze();
+    const EdgeDelta delta = ns.DeltaFrom(prev_gen);
+    ASSERT_TRUE(delta.known);
+    AnnotationRepair rep = DeltaAnnotate(ns, delta, &carried);
+    ASSERT_TRUE(rep.ok);
+    EXPECT_EQ(carried.lambda, ins.lambda);
+    EXPECT_EQ(rep.changed, ins.changed);
+    Annotation fresh = Annotate(ns, query, s, t);
+    ExpectAnnotationsEqual(carried, fresh);
+    EXPECT_EQ(carried.levels.back().vertices(), std::vector<uint32_t>{t});
+
+    carried_trim =
+        DeltaTrim(ns, carried, carried_trim, rep, delta, DeltaContext(ns));
+    ExpectTrimsEqual(carried_trim, TrimmedIndex(ns, fresh));
+  }
+  // The target's last entry: f through the shortcut, next to the q2 and
+  // p2 that m -b-> t always gave it at level 2.
+  for (uint32_t q : {q2, p2}) want.Set(q);
+  EXPECT_EQ(states_at(2, t), want);
+}
+
 TEST(DeltaAnnotateTest, UnknownDeltaIsRejected) {
   Instance inst = BubbleChain(3, 2);
   Snapshot snap = inst.db.Freeze();

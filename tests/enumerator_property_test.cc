@@ -100,6 +100,35 @@ TEST(EnumeratorPropertyTest, NaiveCountsDuplicatesTrimmedAvoids) {
   EXPECT_EQ(emitted, 16u);
 }
 
+// The naive search counts the paths of length lambda that end off the
+// target too, although the annotation keeps only the target's entry at
+// level lambda. Grid(6, 6) to vertex (0, 5) under the width-2 staircase:
+// lambda is 5, and the full level 5 is the anti-diagonal. All 32 walks
+// of length 5 from the corner are level-consistent with each of their
+// C(5, 0) + C(5, 1) + C(5, 2) = 16 runs, so the search generates 512
+// paths. Only the straight walk ends at the target, with C(5, 2) = 10
+// accepting runs: one answer and nine duplicates. A search that stopped
+// at the stored level would generate that walk's 16 paths alone.
+TEST(EnumeratorPropertyTest, NaiveCountsPathsThatEndOffTheTarget) {
+  Instance inst = Grid(6, 6);
+  inst.target = 5;
+  const Nfa query = StaircaseNfa(2, 1);
+  const Snapshot snap = inst.db.Freeze();
+  const NaiveResult full =
+      NaiveDistinctShortestWalks(snap, query, inst.source, inst.target);
+  EXPECT_EQ(full.lambda, 5);
+  EXPECT_EQ(full.walks.size(), 1u);
+  EXPECT_EQ(full.paths_generated, 512u);
+  EXPECT_EQ(full.duplicates, 9u);
+  EXPECT_FALSE(full.budget_exhausted);
+
+  const NaiveResult capped =
+      NaiveDistinctShortestWalks(snap, query, inst.source, inst.target, 50);
+  EXPECT_EQ(capped.paths_generated, 50u);
+  EXPECT_EQ(capped.duplicates, 2u);
+  EXPECT_TRUE(capped.budget_exhausted);
+}
+
 TEST(EnumeratorPropertyTest, NoiseEmbeddingPreservesTheAnswerSet) {
   Instance core = BubbleChain(5, 2);
   Nfa query = StaircaseNfa(1, 2);
