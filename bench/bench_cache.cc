@@ -5,7 +5,9 @@
 //    hot query, cache disabled (byte budget 0 and each handle released,
 //    so the entry dies with it and every call pays the full annotate +
 //    trim build) vs cache enabled and warmed (pure key lookup +
-//    handle). CI gates warm being >10x faster than cold.
+//    handle). CI gates warm being >10x faster than cold. The cold arm
+//    also reports its plan's plan_bytes (PreparedQuery::ApproxBytes)
+//    and annotated_entries (the annotation's (level, vertex) entries).
 //  - BM_Cache_ZipfPrepareMix/warm:{0,1}: a stream of PrepareRegex
 //    calls over textually-varied spellings of a small shape set with
 //    Zipf(1.0) popularity, each followed by one pumped batch, closing
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -117,6 +120,15 @@ void BM_Cache_PrepareCold(benchmark::State& state) {
   }
   state.counters["misses"] =
       static_cast<double>(engine.Stats().plan_cache.misses);
+  // The plan each iteration built: its budgeted bytes and its annotated
+  // (level, vertex) entries, for bytes per entry across commits.
+  const QueryId q = engine.Prepare(query, w.inst.source, w.inst.target);
+  const std::shared_ptr<const PreparedQuery> plan = engine.Plan(q);
+  size_t entries = 0;
+  for (const LevelSets& level : plan->ann.levels) entries += level.size();
+  state.counters["plan_bytes"] = static_cast<double>(plan->ApproxBytes());
+  state.counters["annotated_entries"] = static_cast<double>(entries);
+  engine.ReleaseQuery(q);
 }
 BENCHMARK(BM_Cache_PrepareCold)->Unit(benchmark::kMicrosecond);
 

@@ -23,6 +23,13 @@ constexpr uint32_t kNoSlot = UINT32_MAX;
 struct BfsScratch {
   std::vector<uint64_t> seen;
   std::vector<uint32_t> slot;
+  // The set table of the level being sealed or merged and its hash
+  // index (SetTable), and the use count of each of the old level's sets
+  // during a merge. Reused level after level; no invariant between
+  // calls.
+  std::vector<uint64_t> set_words;
+  std::vector<uint32_t> set_index;
+  std::vector<uint32_t> set_uses;
   bool busy = false;  // a BFS on this thread holds the tables
 };
 
@@ -59,6 +66,7 @@ class ScratchLease {
 
   uint64_t* seen() { return s_.seen.data(); }
   uint32_t* slot() { return s_.slot.data(); }
+  BfsScratch& tables() { return s_; }
 
   // Zeroes the seen rows of \p vertices and frees their slots: the
   // vertices of level lambda, whose pairs the BFS marked but does not
@@ -90,6 +98,100 @@ class ScratchLease {
   bool returned_ = false;
 };
 
+// The distinct state sets of the level a BFS is sealing or merging,
+// kept in the thread's scratch until the level takes them
+// (LevelSets::AssignSets). Intern finds a set's id by the last id
+// first, then by a scan while the table holds at most kScanSets sets,
+// and past that through an open-addressing hash of the table, so a
+// level of many distinct sets (up to min(n, 2^|Q|)) still interns in
+// O(1) per entry.
+template <typename Kernel>
+class SetTable {
+ public:
+  SetTable(Kernel ker, BfsScratch& s)
+      : ker_(ker), words_(s.set_words), index_(s.set_index) {}
+
+  uint32_t size() const { return size_; }
+  const uint64_t* words() const { return words_.data(); }
+
+  // Starts over from \p sets: none for a new level, or the old level's
+  // table for a merge, whose verbatim-copied ids keep naming them.
+  void Reset(std::span<const uint64_t> sets) {
+    words_.assign(sets.begin(), sets.end());
+    size_ = static_cast<uint32_t>(sets.size() / ker_.wps());
+    index_.clear();
+    last_ = 0;
+  }
+
+  // The id of the set at \p w, added to the table when absent.
+  uint32_t Intern(const uint64_t* w) {
+    if (last_ < size_ && ker_.Equal(At(last_), w)) return last_;
+    if (size_ <= kScanSets) {
+      for (uint32_t id = 0; id < size_; ++id)
+        if (ker_.Equal(At(id), w)) return last_ = id;
+    } else {
+      if (index_.size() < 2 * (static_cast<size_t>(size_) + 1)) Rehash();
+      uint32_t* slot = Probe(w);
+      if (*slot != kNoSet) return last_ = *slot;
+      *slot = size_;
+    }
+    words_.insert(words_.end(), w, w + ker_.wps());
+    return last_ = size_++;
+  }
+
+  // Drops every set whose count in \p uses is zero and turns \p uses
+  // into the map from a kept set's old id to its new one.
+  void DropUnused(std::vector<uint32_t>* uses) {
+    uint32_t kept = 0;
+    for (uint32_t id = 0; id < size_; ++id) {
+      if ((*uses)[id] == 0) continue;
+      if (kept != id) std::copy_n(At(id), ker_.wps(), At(kept));
+      (*uses)[id] = kept++;
+    }
+    size_ = kept;
+    words_.resize(static_cast<size_t>(kept) * ker_.wps());
+    index_.clear();
+    last_ = 0;
+  }
+
+ private:
+  static constexpr uint32_t kScanSets = 8;
+  static constexpr uint32_t kNoSet = UINT32_MAX;
+
+  uint64_t* At(uint32_t id) {
+    return words_.data() + static_cast<size_t>(id) * ker_.wps();
+  }
+
+  size_t Hash(const uint64_t* w) const {
+    uint64_t h = 0;
+    for (uint32_t i = 0; i < ker_.wps(); ++i)
+      h = (h ^ w[i]) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<size_t>(h ^ h >> 32);
+  }
+
+  // The index slot holding \p w's id, or the empty slot it would take.
+  uint32_t* Probe(const uint64_t* w) {
+    const size_t mask = index_.size() - 1;
+    for (size_t h = Hash(w) & mask;; h = (h + 1) & mask)
+      if (index_[h] == kNoSet || ker_.Equal(At(index_[h]), w))
+        return &index_[h];
+  }
+
+  // Refills the index at a load of at most a quarter.
+  void Rehash() {
+    size_t slots = 16;
+    while (slots < 4 * (static_cast<size_t>(size_) + 1)) slots *= 2;
+    index_.assign(slots, kNoSet);
+    for (uint32_t id = 0; id < size_; ++id) *Probe(At(id)) = id;
+  }
+
+  Kernel ker_;
+  std::vector<uint64_t>& words_;
+  std::vector<uint32_t>& index_;
+  uint32_t size_ = 0;
+  uint32_t last_ = 0;
+};
+
 // The product BFS, templated over the word kernel (util/word_kernel.h):
 // SingleWordKernel collapses every per-set loop to one uint64_t op for
 // |Q| <= 64. ann->levels holds level 0 on entry; \p old holds the
@@ -99,7 +201,9 @@ class ScratchLease {
 // Fills ann->levels and ann->lambda, and, when \p changed is not null,
 // the vertices of each level whose state set differs from the old
 // level's. Level lambda keeps only the target's entry, the one entry
-// the trim reads.
+// the trim reads. Every level it stores is coded (core/level_sets.h):
+// a sealed level interns its sets, and a merged level copies the old
+// level's ids and table and interns only the sets its events make.
 template <typename Kernel>
 void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
                 uint32_t first_new_edge,
@@ -138,6 +242,11 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   StateSet moved(ann.num_states);
   std::vector<uint64_t> buf(wps);  // new bits of one relaxed edge; merges
 
+  // The table of the level being sealed or merged, and, while level
+  // i + 1 is merged, how many entries use each of its sets.
+  SetTable<Kernel> table(ker, scratch.tables());
+  std::vector<uint32_t>& uses = scratch.tables().set_uses;
+
   // Level 0 is the source's closed initial states, which no insertion
   // changes.
   assert(ann.levels.size() == 1 && ann.levels[0].size() == 1);
@@ -166,9 +275,12 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
     LevelSets& old_next = i + 1 < old.size() ? old[i + 1] : none;
     lost.clear();
     kept_words.clear();
+    uses.assign(old_next.num_sets(), 0);
     for (size_t k = 0; k < old_next.size(); ++k) {
+      const uint32_t id = old_next.set_id(k);
+      ++uses[id];
       uint64_t* sw = seen_row(old_next.vertex(k));
-      const uint64_t* ow = old_next.states(k).words();
+      const uint64_t* ow = old_next.set(id).words();
       ker.NewBits(buf.data(), ow, sw);
       if (!ker.Equal(buf.data(), ow)) {
         lost.push_back(static_cast<uint32_t>(k));
@@ -262,35 +374,48 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
       }
       scratch.Drop(ker, touched);
       scratch.Drop(ker, old_next.vertices());
-      ann.levels.emplace_back(ann.num_states).Append(target, tw);
+      ann.levels.emplace_back(ann.num_states, LevelSets::Layout::kCoded)
+          .Append(target, tw);
       ann.lambda = static_cast<int32_t>(i + 1);
       scratch.Return(ker, ann.levels);
       return;
     }
 
-    // Seal the new pairs: sorted vertices, contiguous words, reserved
-    // exactly, so a level a plan keeps carries no growth slack.
-    fresh = LevelSets(ann.num_states);
+    // Seal the new pairs: sorted vertices, reserved exactly, so a level
+    // a plan keeps carries no growth slack. Without an old level they
+    // are level i + 1, coded, its table assigned to fit; otherwise they
+    // are the merge's events, raw.
+    fresh_is_level = old_next.empty();
+    fresh = LevelSets(ann.num_states, fresh_is_level
+                                          ? LevelSets::Layout::kCoded
+                                          : LevelSets::Layout::kRaw);
     fresh.Reserve(touched.size());
+    table.Reset({});
+    auto seal = [&](uint32_t v) {
+      const uint64_t* w = &slot_words[static_cast<size_t>(slot[v]) * wps];
+      if (fresh_is_level)
+        fresh.AppendId(v, table.Intern(w));
+      else
+        fresh.Append(v, w);
+    };
     if (touched.size() >= num_vertices / 16) {
       for (uint32_t v = 0; v < num_vertices; ++v) {
         if (slot[v] == kNoSlot) continue;
-        fresh.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+        seal(v);
         slot[v] = kNoSlot;
       }
     } else {
       sorted.assign(touched.begin(), touched.end());
       std::sort(sorted.begin(), sorted.end());
-      for (uint32_t v : sorted)
-        fresh.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+      for (uint32_t v : sorted) seal(v);
       for (uint32_t v : touched) slot[v] = kNoSlot;
     }
 
     // Level i + 1: the old level with its events applied. Each consumed
     // old level is released before the next is built, so the new levels
     // reuse its memory.
-    fresh_is_level = old_next.empty();
     if (fresh_is_level) {
+      fresh.AssignSets(table.words(), table.size());
       ann.levels.push_back(std::move(fresh));
       if (changed) changed->push_back(ann.levels.back().vertices());
       continue;
@@ -300,10 +425,14 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
       ann.levels.push_back(std::move(old_next));
       continue;
     }
-    // Block-copy the runs of old entries around the event vertices: an
-    // entry that lost pairs, or a vertex with new pairs.
-    LevelSets next(ann.num_states);
+    // Block-copy the runs of old entries, ids and all, around the event
+    // vertices: an entry that lost pairs, or a vertex with new pairs.
+    // The table starts as the old level's, so the copied ids keep
+    // naming their sets, and an event's set is interned into it; a set
+    // whose last user an event replaced leaves the table.
+    LevelSets next(ann.num_states, LevelSets::Layout::kCoded);
     next.Reserve(old_next.size() + fresh.size());
+    table.Reset(old_next.set_words());
     const std::vector<uint32_t>& old_vertices = old_next.vertices();
     size_t copied = 0, li = 0;
     fi = 0;
@@ -322,18 +451,28 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
       next.AppendRange(old_next, copied, pos);
       copied = pos;
       ker.Zero(buf.data());
-      if (lv == v) {
-        ker.Or(buf.data(), &kept_words[li++ * wps]);
-        ++copied;
-      } else if (pos < old_vertices.size() && old_vertices[pos] == v) {
-        ker.Or(buf.data(), old_next.states(pos).words());
-        ++copied;
+      const bool had_entry =
+          lv == v || (pos < old_vertices.size() && old_vertices[pos] == v);
+      if (had_entry) {
+        ker.Or(buf.data(), lv == v ? &kept_words[li++ * wps]
+                                   : old_next.states(pos).words());
+        --uses[old_next.set_id(copied++)];
       }
       if (fv == v) ker.Or(buf.data(), fresh.states(fi++).words());
-      if (ker.Any(buf.data())) next.Append(v, buf.data());
+      if (ker.Any(buf.data())) {
+        const uint32_t id = table.Intern(buf.data());
+        if (id == uses.size()) uses.push_back(0);
+        ++uses[id];
+        next.AppendId(v, id);
+      }
       if (changed) changed->back().push_back(v);
     }
     next.AppendRange(old_next, copied, old_next.size());
+    if (std::find(uses.begin(), uses.end(), 0u) != uses.end()) {
+      table.DropUnused(&uses);
+      next.RenameSets(uses);
+    }
+    next.AssignSets(table.words(), table.size());
     old_next = LevelSets();
     ann.levels.push_back(std::move(next));
   }
@@ -391,7 +530,8 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
     init.ForEach([&](uint32_t q) { saturated.UnionWith(closures[q]); });
     init = std::move(saturated);
   }
-  ann.levels.emplace_back(ann.num_states).Append(source, init.words());
+  ann.levels.emplace_back(ann.num_states, LevelSets::Layout::kCoded)
+      .Append(source, init.words());
   RunProductBfs(snap, {}, static_cast<uint32_t>(snap.num_edges()), {}, &ann,
                 nullptr);
   return ann;

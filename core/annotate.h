@@ -36,8 +36,17 @@
 // v", then "edges of v with label l") and, once per (vertex, label),
 // moves the whole mover state set with a word-parallel OR of
 // precompiled CompiledDelta rows — shared across every edge of the
-// group. Levels are flat sorted-vertex arrays with contiguous word
-// storage (LevelSets); the per-level hash-free scratch is a dense slot
+// group. Levels are flat sorted-vertex arrays in LevelSets' coded
+// layout: 8 bytes per annotated vertex-level (its vertex and a set id)
+// plus a table of the level's distinct state sets, 8 ceil(|Q|/64)
+// bytes each, where a set per vertex-level would take 4 + 8
+// ceil(|Q|/64) bytes. Sealing a level interns each set, by the last id
+// and then a scan of a short table or a hash in the thread's scratch,
+// so O(1) per entry. A repair's merge copies the runs of old ids and
+// the old table verbatim and interns only the sets its events make; a
+// set whose last user an event replaced leaves the table, by use counts
+// taken in the pass that marks the old level, so a table holds exactly
+// the sets its level uses. The new-pair accumulator is a dense slot
 // table plus a touched list. The V-sized tables, the seen bitmap
 // (V x ceil(|Q|/64) words) and the slot table (V entries), are one
 // per-thread scratch: all zero and all empty between calls, because a
@@ -49,8 +58,9 @@
 // moves of new pairs and of the new edges' sources. The scratch grows,
 // and never shrinks, to the largest graph and word count its thread has
 // annotated: V x (8 ceil(|Q|/64) + 4) bytes per thread that builds or
-// repairs annotations (0.78 MiB at 68,172 vertices and one word),
-// outside any plan-cache budget, until the thread ends or calls
+// repairs annotations (0.78 MiB at 68,172 vertices and one word), plus
+// the set table of the largest level it has sealed or merged, outside
+// any plan-cache budget, until the thread ends or calls
 // ReleaseAnnotateScratch — as a thread that annotates only now and then
 // should (the engine's workers after helping an install's repairs). A
 // BFS that throws drops its thread's scratch, and the next one
@@ -96,7 +106,9 @@ struct Annotation {
   uint32_t target = 0;
 
   /// levels[i]: sorted vertices with the states q whose product pair
-  /// (v, q) has BFS distance exactly i; contiguous word storage.
+  /// (v, q) has BFS distance exactly i, in the coded layout
+  /// (core/level_sets.h): a set id per vertex and a table of the
+  /// level's distinct sets.
   /// Populated for i in [0, lambda] when reachable() is true, where
   /// levels[lambda] holds the target's entry alone.
   std::vector<LevelSets> levels;

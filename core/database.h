@@ -183,6 +183,21 @@ class LabelIndex {
     return edges_.PageHolding(edge)[Chunks::SlotOf(edge)].src;
   }
 
+  /// \p edge (edge < num_edges()) as (src, dst, label), read off its
+  /// chunk record, its source's page and the group that holds its rank:
+  /// O(log) in the source's distinct labels.
+  Edge EdgeAt(uint32_t edge) const {
+    const EdgeRecord& r = edges_.PageHolding(edge)[Chunks::SlotOf(edge)];
+    const Page& page = pages_.PageHolding(r.src);
+    const Bounds first = page.bounds[Pages::SlotOf(r.src)];
+    const Bounds last = page.bounds[Pages::SlotOf(r.src) + 1];
+    const uint32_t rank = page.rank[first.target + r.ins];
+    const Group* group = std::partition_point(
+        page.groups.data() + first.group, page.groups.data() + last.group,
+        [rank](const Group& g) { return g.end <= rank; });
+    return Edge{r.src, page.targets[first.target + rank].dst, group->label};
+  }
+
   /// Number of vertices frozen into this index (ids [0, num_vertices())).
   /// Unlike Database::num_vertices(), it does not grow with later inserts.
   uint32_t num_vertices() const { return num_vertices_; }
@@ -238,8 +253,8 @@ struct EdgeDelta {
   bool known = false;
   uint32_t first_new_edge = 0;
   /// The sorted distinct sources of the new edges: the vertices the
-  /// delta gave new out-edges. Read off the edge table once, so that a
-  /// repair reads only the snapshot and the delta.
+  /// delta gave new out-edges. Read off the snapshot's index once, so
+  /// that a repair reads only the snapshot and the delta.
   std::vector<uint32_t> new_sources;
 
   /// A new edge's endpoints, destination first.
@@ -249,7 +264,7 @@ struct EdgeDelta {
     friend auto operator<=>(const Arc&, const Arc&) = default;
   };
   /// The new edges' distinct (dst, src) pairs in sorted order, read off
-  /// the edge table with new_sources: a repair finds the sources of the
+  /// the index with new_sources: a repair finds the sources of the
   /// new edges into any sorted vertex set by one intersection.
   std::vector<Arc> new_arcs;
 };
@@ -355,12 +370,14 @@ class Database {
 /// Annotation/TrimmedIndex/ResumableIndex built from it) can be read
 /// from any number of threads concurrently — the read path performs no
 /// lazy work whatsoever. Later mutations of the Database do not change
-/// what a snapshot answers: its counts and adjacency come from the
-/// frozen index, and edge() reads the append-only edge table below the
-/// frozen count. edge(), labels() and DeltaFrom() read the live Database
-/// through a back-pointer, so it must outlive every snapshot of it, and
-/// they are for the thread that mutates it (engine/engine.h); nothing
-/// built from a snapshot calls them on the read path.
+/// what a snapshot answers: its counts, adjacency and edges come from
+/// the frozen index, so edge(), src(), dst() and DeltaFrom() are safe
+/// while another thread appends to the database (AddEdge may reallocate
+/// its edge table, which no snapshot reads). labels() and db() reach the
+/// live Database through a back-pointer, so it must outlive every
+/// snapshot of it; the dictionary is for the thread that mutates the
+/// database (engine/engine.h), and nothing built from a snapshot reads
+/// it on the read path.
 class Snapshot {
  public:
   /// Null snapshot (tests false); assign a real one from Freeze().
@@ -375,7 +392,7 @@ class Snapshot {
 
   /// Insert-only delta between \p prev_generation, an earlier state of
   /// the same Database, and this snapshot, with the new edges' sources
-  /// and (dst, src) pairs read off the edge table (O(k log k) for k new
+  /// and (dst, src) pairs read off the frozen index (O(k log k) for k new
   /// edges). Any generation with no more vertices and edges than this
   /// snapshot is an earlier state, whether or not it was ever frozen;
   /// any other returns known == false — the caller's cue to rebuild
@@ -391,11 +408,15 @@ class Snapshot {
 
   uint32_t num_vertices() const { return index_->num_vertices(); }
   size_t num_edges() const { return index_->num_edges(); }
-  const Edge& edge(uint32_t id) const {
+  /// The frozen edge \p id, read off the index (LabelIndex::EdgeAt).
+  Edge edge(uint32_t id) const {
     assert(id < num_edges() && "Snapshot::edge: id past the frozen edges");
-    return db_->edge(id);
+    return index_->EdgeAt(id);
   }
-  uint32_t src(uint32_t id) const { return edge(id).src; }
+  uint32_t src(uint32_t id) const {
+    assert(id < num_edges() && "Snapshot::src: id past the frozen edges");
+    return index_->SourceOf(id);
+  }
   uint32_t dst(uint32_t id) const { return edge(id).dst; }
   const LabelDictionary& labels() const { return db_->labels(); }
 
@@ -425,8 +446,9 @@ inline EdgeDelta Snapshot::DeltaFrom(uint64_t prev_generation) const {
   std::vector<uint32_t>& sources = delta.new_sources;
   std::vector<EdgeDelta::Arc>& arcs = delta.new_arcs;
   for (uint32_t e = delta.first_new_edge; e < num_edges(); ++e) {
-    sources.push_back(src(e));
-    arcs.push_back(EdgeDelta::Arc{dst(e), src(e)});
+    const Edge edge = index_->EdgeAt(e);
+    sources.push_back(edge.src);
+    arcs.push_back(EdgeDelta::Arc{edge.dst, edge.src});
   }
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());

@@ -1,17 +1,43 @@
 // One BFS (or trim) level: the touched vertices in sorted order, each
-// carrying a StateSet whose words live in a single contiguous pool.
-// Replaces the unordered_map<uint32_t, StateSet> levels of the original
-// pipeline: no per-vertex heap allocation, cache-linear sweeps for the
-// "for each (v, states) in level" loops, O(log n) point lookups, and a
-// deterministic (sorted) iteration order — which in turn makes
-// enumeration order deterministic across platforms.
+// carrying a StateSet. Replaces the unordered_map<uint32_t, StateSet>
+// levels of the original pipeline: no per-vertex heap allocation,
+// cache-linear sweeps for the "for each (v, states) in level" loops,
+// O(log n) point lookups, and a deterministic (sorted) iteration order —
+// which in turn makes enumeration order deterministic across platforms.
+//
+// Two layouts, chosen at construction by the level's role:
+//
+//  - Raw: each vertex's set, ceil(|Q|/64) words, in one contiguous pool,
+//    so a state lookup is one indexed load. The trim's useful sets are
+//    raw, because the enumerator reads them on every push; coding them
+//    too read 6-16% slower first pages and 3-22% slower installs on
+//    perfbench's write_mix (EXPERIMENTS.md E12, "A level stores each
+//    state set once").
+//  - Coded: one 4-byte set id per vertex and a table of the level's
+//    distinct sets, each stored once. Annotation levels are coded: only
+//    the trim and a repair read them, and a level holds few distinct
+//    sets — on perfbench's cold plans at most 16, about 2 on average,
+//    one in 70% of levels — so a vertex costs 8 bytes plus its share of
+//    the table, where the raw layout costs 4 + 8 ceil(|Q|/64).
+//
+// Interning belongs to the builder: Append looks a set up by the last
+// id and then a scan of the table, which suits levels of few sets; the
+// product BFS keeps its own index and appends ids (AppendId), and a
+// merge copies runs of ids verbatim (AppendRange) and assigns the table
+// once (AssignSets).
+//
+// A view (states, Find, set) into a level stays valid only until the
+// next append to that level, or AssignSets: either may reallocate the
+// pool or the table the view points into.
 
 #ifndef DSW_CORE_LEVEL_SETS_H_
 #define DSW_CORE_LEVEL_SETS_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/state_set.h"
@@ -22,21 +48,48 @@ class LevelSets {
  public:
   static constexpr size_t npos = static_cast<size_t>(-1);
 
+  /// How the level stores its sets (the header comment).
+  enum class Layout : uint8_t { kRaw, kCoded };
+
   LevelSets() = default;
-  explicit LevelSets(uint32_t num_bits)
+  LevelSets(uint32_t num_bits, Layout layout)
       : num_bits_(num_bits),
         words_per_set_(
-            static_cast<uint32_t>(state_set_detail::WordsFor(num_bits))) {}
+            static_cast<uint32_t>(state_set_detail::WordsFor(num_bits))),
+        coded_(layout == Layout::kCoded) {}
 
   size_t size() const { return vertices_.size(); }
   bool empty() const { return vertices_.empty(); }
   uint32_t words_per_set() const { return words_per_set_; }
+  bool coded() const { return coded_; }
   const std::vector<uint32_t>& vertices() const { return vertices_; }
 
   uint32_t vertex(size_t i) const { return vertices_[i]; }
   StateSetView states(size_t i) const {
-    return {&words_[i * words_per_set_], num_bits_};
+    return set(coded_ ? ids_[i] : static_cast<uint32_t>(i));
   }
+
+  /// Sets stored: the table's in the coded layout, one per vertex in
+  /// the raw one.
+  size_t num_sets() const {
+    return words_per_set_ == 0 ? 0 : words_.size() / words_per_set_;
+  }
+
+  /// The set stored at \p id: the table entry of that id in the coded
+  /// layout, the set of the vertex at position \p id in the raw one.
+  StateSetView set(uint32_t id) const {
+    assert(id < num_sets() && "set id past the level's table");
+    return {&words_[static_cast<size_t>(id) * words_per_set_], num_bits_};
+  }
+
+  /// The id of the set at position \p i (coded layout).
+  uint32_t set_id(size_t i) const {
+    assert(coded_);
+    return ids_[i];
+  }
+
+  /// The stored sets' words, num_sets() x words_per_set().
+  std::span<const uint64_t> set_words() const { return words_; }
 
   /// States at vertex \p v, or a null view when v is not in the level.
   StateSetView Find(uint32_t v) const {
@@ -52,38 +105,97 @@ class LevelSets {
   }
 
   /// Appends (v, states). Vertices must arrive in strictly increasing
-  /// order; \p words points at words_per_set() words.
+  /// order; \p words points at words_per_set() words. The coded layout
+  /// finds the set's id by the last id and then a scan of the table,
+  /// adding it when absent, so it costs O(num_sets()) per entry at
+  /// worst.
   void Append(uint32_t v, const uint64_t* words) {
     vertices_.push_back(v);
-    words_.insert(words_.end(), words, words + words_per_set_);
+    if (!coded_) {
+      words_.insert(words_.end(), words, words + words_per_set_);
+      return;
+    }
+    const uint32_t n = static_cast<uint32_t>(num_sets());
+    uint32_t id = ids_.empty() ? 0 : ids_.back();
+    if (id >= n || !SameSet(id, words)) {
+      for (id = 0; id < n && !SameSet(id, words); ++id) {
+      }
+      if (id == n) words_.insert(words_.end(), words, words + words_per_set_);
+    }
+    ids_.push_back(id);
   }
 
-  void Reserve(size_t n) {
-    vertices_.reserve(n);
-    words_.reserve(n * words_per_set_);
+  /// Appends (v, the set of id \p id) (coded layout), under the same
+  /// vertex order as Append. The id need name a set only once the level
+  /// reads it: a builder may assign the table afterwards (AssignSets).
+  void AppendId(uint32_t v, uint32_t id) {
+    assert(coded_);
+    vertices_.push_back(v);
+    ids_.push_back(id);
   }
 
-  /// Appends \p other's entries at positions [begin, end) wholesale.
-  /// The same strictly-increasing-vertex contract as Append applies.
+  /// Appends \p other's entries at positions [begin, end) wholesale, in
+  /// the same layout and under the same vertex order as Append. The
+  /// coded layout copies the ids verbatim, so this level's table must
+  /// name the same sets by the same ids as \p other's (AssignSets).
   void AppendRange(const LevelSets& other, size_t begin, size_t end) {
+    assert(coded_ == other.coded_);
     vertices_.insert(vertices_.end(), other.vertices_.begin() + begin,
                      other.vertices_.begin() + end);
+    if (coded_) {
+      ids_.insert(ids_.end(), other.ids_.begin() + begin,
+                  other.ids_.begin() + end);
+      return;
+    }
     words_.insert(words_.end(),
                   other.words_.begin() + begin * words_per_set_,
                   other.words_.begin() + end * words_per_set_);
   }
 
-  /// Heap footprint estimate, for the plan cache's byte budget.
+  /// Replaces the table with the \p num_sets sets at \p words (coded
+  /// layout), allocated to fit.
+  void AssignSets(const uint64_t* words, size_t num_sets) {
+    assert(coded_);
+    std::vector<uint64_t>(words, words + num_sets * words_per_set_)
+        .swap(words_);
+  }
+
+  /// Renames every set id i to \p map[i] (coded layout), for a builder
+  /// that drops sets from the table.
+  void RenameSets(std::span<const uint32_t> map) {
+    assert(coded_);
+    for (uint32_t& id : ids_) id = map[id];
+  }
+
+  /// Reserves room for \p n entries: vertices and ids, or vertices and
+  /// pool words.
+  void Reserve(size_t n) {
+    vertices_.reserve(n);
+    if (coded_)
+      ids_.reserve(n);
+    else
+      words_.reserve(n * words_per_set_);
+  }
+
+  /// Heap footprint estimate, for the plan cache's byte budget: the
+  /// vertices, and the ids and table or the pool.
   size_t ApproxBytes() const {
-    return vertices_.capacity() * sizeof(uint32_t) +
+    return (vertices_.capacity() + ids_.capacity()) * sizeof(uint32_t) +
            words_.capacity() * sizeof(uint64_t);
   }
 
  private:
+  bool SameSet(uint32_t id, const uint64_t* words) const {
+    return std::equal(words, words + words_per_set_,
+                      words_.begin() + static_cast<size_t>(id) * words_per_set_);
+  }
+
+  std::vector<uint32_t> vertices_;  // sorted
+  std::vector<uint32_t> ids_;       // coded: one set id per vertex
+  std::vector<uint64_t> words_;     // num_sets() * words_per_set_ words
   uint32_t num_bits_ = 0;
   uint32_t words_per_set_ = 0;
-  std::vector<uint32_t> vertices_;  // sorted
-  std::vector<uint64_t> words_;     // size() * words_per_set_ words
+  bool coded_ = false;
 };
 
 }  // namespace dsw

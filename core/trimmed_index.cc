@@ -53,7 +53,7 @@ bool TrimVertexImpl(Kernel ker, const LabelIndex& adj,
         } else {
           last_pos = static_cast<uint32_t>(pos);
           ker.Zero(eqw);
-          ker.ForEachBit(next_useful.states(pos).words(), [&](uint32_t q_next) {
+          ker.ForEachBit(next_useful.set(last_pos).words(), [&](uint32_t q_next) {
             ker.Or(eqw, delta.ReverseWords(group.label, q_next));
           });
           ker.And(eqw, states.words());
@@ -186,7 +186,8 @@ TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
   assert((old.useful_.empty() || old.num_levels() == lambda + 1) &&
          "the previous index must be empty or share lambda");
   wps_ = ann.words_per_set();
-  useful_.assign(lambda + 1, LevelSets(ann.num_states));
+  useful_.assign(lambda + 1,
+                 LevelSets(ann.num_states, LevelSets::Layout::kRaw));
   slot_base_.resize(lambda);
   const LevelSets none;
   auto old_level = [&](uint32_t i) -> const LevelSets& {

@@ -36,9 +36,10 @@
 // other vertex would re-trim to its old slot, so a repaired index is
 // bit-identical to a rebuilt one.
 //
-// All useful sets live in contiguous word pools (LevelSets); the
-// useful sets, the candidate pool and the rank pool stay O(|D| x |A|)
-// in cost and size. The certificate blocks below are the one structure
+// All useful sets live in contiguous word pools (LevelSets' raw
+// layout, one pool entry per useful vertex); the useful sets, the
+// candidate pool and the rank pool stay O(|D| x |A|) in cost and size.
+// The certificate blocks below are the one structure
 // that does not: they are *dense* per-state next-usable arrays, so they
 // cost sum over useful (level, v) of |useful states| x (num_cand + 1)
 // entries — O(|D| x |A| x |Q|) worst case — trading a |Q| space factor
@@ -186,9 +187,10 @@ class TrimmedIndex {
   uint32_t words_per_set() const { return wps_; }
 
   /// Useful states at a (level, position) slot, e.g. a position
-  /// recorded in CandidateEdge::next_pos; O(1).
+  /// recorded in CandidateEdge::next_pos; O(1). A useful level is raw,
+  /// so its set at position pos is the one stored under id pos.
   StateSetView UsefulStates(uint32_t level, uint32_t pos) const {
-    return useful_[level].states(pos);
+    return useful_[level].set(pos);
   }
 
   /// Number of useful levels (lambda + 1 when an answer exists, else 0).
@@ -217,7 +219,7 @@ class TrimmedIndex {
     const size_t s = slot_base_[level] + pos;
     return BList{nxt_pool_.data() + queues_[s].blist,
                  queues_[s + 1].cand - queues_[s].cand,
-                 useful_[level].states(pos)};
+                 useful_[level].set(static_cast<uint32_t>(pos))};
   }
 
   /// Seek ranks of the queue at position \p pos of useful level

@@ -25,6 +25,7 @@
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 #include "regex/regex_parser.h"
+#include "tests/oracles.h"
 #include "tests/plan_equality.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -54,8 +55,6 @@ std::vector<uint32_t> DiffLevel(const LevelSets& a, const LevelSets& b,
   }
   return out;
 }
-
-using EdgeSeq = std::vector<std::vector<uint32_t>>;
 
 EdgeSeq Enumerate(const Annotation& ann, const ResumableIndex& idx,
                   uint32_t source, uint32_t target) {
@@ -382,6 +381,94 @@ TEST(DeltaAnnotateTest, LastLevelKeepsOnlyTheTarget) {
   // p2 that m -b-> t always gave it at level 2.
   for (uint32_t q : {q2, p2}) want.Set(q);
   EXPECT_EQ(states_at(2, t), want);
+}
+
+// Every level of \p ann is coded, and its table holds exactly the
+// distinct sets of its vertices: none twice, and no dead set, one that
+// no vertex uses.
+void ExpectTablesHoldNoDeadSets(const Annotation& ann) {
+  for (size_t i = 0; i < ann.levels.size(); ++i) {
+    const LevelSets& level = ann.levels[i];
+    std::set<std::vector<uint64_t>> distinct;
+    for (size_t k = 0; k < level.size(); ++k) {
+      const StateSetView states = level.states(k);
+      distinct.emplace(states.words(), states.words() + states.num_words());
+    }
+    ASSERT_TRUE(level.coded()) << "level " << i;
+    ASSERT_EQ(level.num_sets(), distinct.size()) << "level " << i;
+  }
+}
+
+// A repair copies each changed level's ids and table verbatim and
+// interns only the sets its events make, so it must drop a set whose
+// last user an event replaced. 240 random inserts on a noisy bubble
+// chain: noise edges (from the noise or the core into the noise, which
+// never leads back), lambda-preserving edges between consecutive
+// layers of the core, and at insert 120 one edge from the source to the
+// last hub, which shortens lambda from 12 to 3. After every repair the
+// annotation equals a fresh build and no level's table keeps a set its
+// vertices do not use; for one- and two-word staircases and a Thompson
+// epsilon-NFA.
+TEST(DeltaAnnotateTest, RepairsKeepNoDeadSets) {
+  constexpr uint32_t kBubbles = 6, kNoise = 60, kInserts = 240,
+                     kShortcutAt = 120;
+  // BubbleChain(k): hub i is vertex 3i, its branches 3i + 1 and 3i + 2;
+  // the noise follows the core.
+  constexpr uint32_t kCore = 3 * kBubbles + 1;
+  for (int query_kind = 0; query_kind < 3; ++query_kind) {
+    SCOPED_TRACE(testing::Message() << "query " << query_kind);
+    Instance inst = EmbedInNoise(BubbleChain(kBubbles, 2), kNoise, 180, 11);
+    const Nfa query =
+        query_kind == 0   ? StaircaseNfa(2, 2)
+        : query_kind == 1 ? CompileRegex(ContainsL0Regex(2), &inst.db,
+                                         /*thompson=*/true)
+                          : SpreadStates(StaircaseNfa(2, 2), 2);
+    ASSERT_EQ(query.has_epsilon(), query_kind == 1);
+    std::mt19937_64 rng(900 + query_kind);
+    Annotation carried =
+        Annotate(inst.db.Freeze(), query, inst.source, inst.target);
+    ASSERT_EQ(carried.lambda, 2 * static_cast<int32_t>(kBubbles));
+    ExpectTablesHoldNoDeadSets(carried);
+    size_t most_sets = 0;  // in one level, over the run
+
+    for (uint32_t step = 0; step < kInserts; ++step) {
+      SCOPED_TRACE(testing::Message() << "insertion " << step);
+      uint32_t u, v, label = static_cast<uint32_t>(rng() % 2);
+      if (step == kShortcutAt) {
+        u = inst.source;
+        v = 3 * (kBubbles - 1);
+        label = 0;
+      } else if (rng() % 2 == 0) {
+        u = rng() % 4 == 0 ? static_cast<uint32_t>(rng() % kCore)
+                           : kCore + static_cast<uint32_t>(rng() % kNoise);
+        v = kCore + static_cast<uint32_t>(rng() % kNoise);
+      } else {
+        const uint32_t hub = 3 * static_cast<uint32_t>(rng() % kBubbles);
+        const uint32_t branch = hub + 1 + static_cast<uint32_t>(rng() % 2);
+        u = rng() % 2 == 0 ? hub : branch;
+        v = u == hub ? branch : hub + 3;
+      }
+      const uint64_t prev_gen = inst.db.generation();
+      inst.db.AddEdge(u, label, v);
+      Snapshot ns = inst.db.Freeze();
+      const EdgeDelta delta = ns.DeltaFrom(prev_gen);
+      ASSERT_TRUE(delta.known);
+      AnnotationRepair rep = DeltaAnnotate(ns, delta, &carried);
+      ASSERT_TRUE(rep.ok);
+      EXPECT_EQ(rep.lambda_changed, step == kShortcutAt);
+      ExpectAnnotationsEqual(carried,
+                             Annotate(ns, query, inst.source, inst.target));
+      ExpectTablesHoldNoDeadSets(carried);
+      for (const LevelSets& level : carried.levels)
+        most_sets = std::max(most_sets, level.num_sets());
+    }
+    EXPECT_EQ(carried.lambda, 3);
+    // The epsilon-NFA's levels hold more distinct sets than the BFS
+    // interns by a scan (eight), so its hashed lookup runs too.
+    if (query_kind == 1) {
+      EXPECT_GT(most_sets, 8u);
+    }
+  }
 }
 
 TEST(DeltaAnnotateTest, UnknownDeltaIsRejected) {

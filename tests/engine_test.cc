@@ -1094,6 +1094,59 @@ TEST(SnapshotConcurrencyTest, ReadersShareOneSnapshotWithoutLocks) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Snapshot::edge, src, dst and DeltaFrom read the frozen index, not the
+// database's edge table, which AddEdge may reallocate under a reader:
+// two readers re-read every frozen edge, and the delta from a
+// generation before the freeze, while this thread appends 200,000
+// edges. Under ASan a read of the live table is a use after free; the
+// EXPECTs check what the readers saw.
+TEST(SnapshotConcurrencyTest, EdgeReadsWhileWriterAppends) {
+  Instance inst = EmbedInNoise(BubbleChain(6, 2), 40, 160, 7);
+  const uint64_t earlier = inst.db.generation();
+  std::mt19937_64 rng(61);
+  const uint32_t n = inst.db.num_vertices();
+  auto add_random_edge = [&] {
+    inst.db.AddEdge(static_cast<uint32_t>(rng() % n),
+                    static_cast<uint32_t>(rng() % 2),
+                    static_cast<uint32_t>(rng() % n));
+  };
+  for (int i = 0; i < 50; ++i) add_random_edge();
+  const Snapshot snap = inst.db.Freeze();
+  std::vector<Edge> want;
+  for (uint32_t e = 0; e < snap.num_edges(); ++e)
+    want.push_back(inst.db.edge(e));
+  const EdgeDelta want_delta = snap.DeltaFrom(earlier);
+  ASSERT_EQ(want_delta.first_new_edge, static_cast<uint32_t>(earlier));
+  ASSERT_FALSE(want_delta.new_sources.empty());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 2; ++i) {
+    readers.emplace_back([&] {
+      do {
+        for (uint32_t e = 0; e < want.size(); ++e) {
+          const Edge got = snap.edge(e);
+          if (got.src != want[e].src || got.dst != want[e].dst ||
+              got.label != want[e].label || snap.src(e) != want[e].src ||
+              snap.dst(e) != want[e].dst)
+            ++mismatches;
+        }
+        const EdgeDelta delta = snap.DeltaFrom(earlier);
+        if (delta.first_new_edge != want_delta.first_new_edge ||
+            delta.new_sources != want_delta.new_sources ||
+            delta.new_arcs != want_delta.new_arcs)
+          ++mismatches;
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  for (int i = 0; i < 200000; ++i) add_random_edge();
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(snap.num_edges(), want.size());
+}
+
 // And the sharing the engine actually performs: many enumerators over
 // ONE prepared (annotation, index) pair, concurrently.
 TEST(SnapshotConcurrencyTest, EnumeratorsShareOnePreparedQuery) {

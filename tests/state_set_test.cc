@@ -263,44 +263,95 @@ TEST(StateSetFuzzTest, ResizeRoundTripsNeverResurrectBits) {
   }
 }
 
+// Both layouts, with each vertex's set drawn from a pool of 1, 3 or 40
+// distinct sets, so that a coded level's ids both repeat and do not. A
+// second level is built from the first through AppendRange in random
+// pieces (a merge's verbatim runs) and must read back state for state;
+// built exactly reserved, it accounts 8 bytes per vertex plus its
+// table when coded, and 4 bytes plus a set per vertex when raw.
 TEST(LevelSetsFuzzTest, AppendFindRoundTrip) {
   std::mt19937_64 rng(31337);
-  for (uint32_t cap : {3u, 64u, 130u}) {
-    for (int round = 0; round < 10; ++round) {
-      // Sorted random vertex ids with random nonempty state sets, as
-      // Annotate/TrimmedIndex produce them.
-      std::set<uint32_t> vertex_ids;
-      const uint32_t universe = 200;
-      for (int i = 0; i < 40; ++i)
-        vertex_ids.insert(static_cast<uint32_t>(rng() % universe));
-      LevelSets level(cap);
-      std::vector<std::pair<uint32_t, std::set<uint32_t>>> ref;
-      for (uint32_t v : vertex_ids) {  // std::set iterates ascending
-        std::set<uint32_t> bits = RandomBits(rng, cap, 3);
-        bits.insert(static_cast<uint32_t>(rng() % cap));  // nonempty
-        StateSet s = FromReference(bits, cap);
-        level.Append(v, s.words());
-        ref.emplace_back(v, std::move(bits));
-      }
+  for (LevelSets::Layout layout :
+       {LevelSets::Layout::kRaw, LevelSets::Layout::kCoded}) {
+    for (uint32_t cap : {3u, 64u, 130u}) {
+      const size_t wps = state_set_detail::WordsFor(cap);
+      for (size_t pool_size : {1u, 3u, 40u}) {
+        for (int round = 0; round < 4; ++round) {
+          SCOPED_TRACE(testing::Message()
+                       << (layout == LevelSets::Layout::kCoded ? "coded"
+                                                               : "raw")
+                       << " cap " << cap << " pool " << pool_size
+                       << " round " << round);
+          // Distinct nonempty sets; a 3-state cap has only 7.
+          const size_t want =
+              cap < 8 ? std::min<size_t>(pool_size, (1u << cap) - 1)
+                      : pool_size;
+          std::vector<std::set<uint32_t>> pool;
+          while (pool.size() < want) {
+            std::set<uint32_t> bits = RandomBits(rng, cap, 3);
+            bits.insert(static_cast<uint32_t>(rng() % cap));
+            if (std::find(pool.begin(), pool.end(), bits) == pool.end())
+              pool.push_back(std::move(bits));
+          }
+          // Sorted random vertex ids, as Annotate/TrimmedIndex produce
+          // them.
+          std::set<uint32_t> vertex_ids;
+          const uint32_t universe = 200;
+          for (int i = 0; i < 40; ++i)
+            vertex_ids.insert(static_cast<uint32_t>(rng() % universe));
+          LevelSets level(cap, layout);
+          std::vector<std::pair<uint32_t, std::set<uint32_t>>> ref;
+          for (uint32_t v : vertex_ids) {  // std::set iterates ascending
+            const std::set<uint32_t>& bits = pool[rng() % pool.size()];
+            level.Append(v, FromReference(bits, cap).words());
+            ref.emplace_back(v, bits);
+          }
+          std::set<std::set<uint32_t>> distinct;
+          for (const auto& entry : ref) distinct.insert(entry.second);
+          const bool coded = layout == LevelSets::Layout::kCoded;
+          EXPECT_EQ(level.coded(), coded);
+          EXPECT_EQ(level.num_sets(), coded ? distinct.size() : ref.size());
 
-      ASSERT_EQ(level.size(), ref.size());
-      for (size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(level.vertex(i), ref[i].first);
-        EXPECT_EQ(ToReference(level.states(i)), ref[i].second);
-      }
-      // Point lookups: hits for every member, misses for every hole.
-      for (uint32_t v = 0; v < universe + 5; ++v) {
-        auto it = std::find_if(ref.begin(), ref.end(),
-                               [&](const auto& p) { return p.first == v; });
-        if (it == ref.end()) {
-          EXPECT_EQ(level.FindIndex(v), LevelSets::npos);
-          EXPECT_FALSE(level.Find(v));
-        } else {
-          EXPECT_EQ(level.FindIndex(v),
-                    static_cast<size_t>(it - ref.begin()));
-          StateSetView v_states = level.Find(v);
-          ASSERT_TRUE(v_states);
-          EXPECT_EQ(ToReference(v_states), it->second);
+          ASSERT_EQ(level.size(), ref.size());
+          for (size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(level.vertex(i), ref[i].first);
+            EXPECT_EQ(ToReference(level.states(i)), ref[i].second);
+          }
+          // Point lookups: hits for every member, misses for every hole.
+          for (uint32_t v = 0; v < universe + 5; ++v) {
+            auto it = std::find_if(ref.begin(), ref.end(), [&](const auto& p) {
+              return p.first == v;
+            });
+            if (it == ref.end()) {
+              EXPECT_EQ(level.FindIndex(v), LevelSets::npos);
+              EXPECT_FALSE(level.Find(v));
+            } else {
+              EXPECT_EQ(level.FindIndex(v),
+                        static_cast<size_t>(it - ref.begin()));
+              StateSetView v_states = level.Find(v);
+              ASSERT_TRUE(v_states);
+              EXPECT_EQ(ToReference(v_states), it->second);
+            }
+          }
+
+          // The second level: verbatim runs of the first, then (coded)
+          // the first's table under the same ids.
+          LevelSets copy(cap, layout);
+          copy.Reserve(ref.size());
+          for (size_t at = 0; at < ref.size();) {
+            const size_t end = at + rng() % (ref.size() - at + 1);
+            copy.AppendRange(level, at, end);
+            at = end;
+          }
+          if (coded) copy.AssignSets(level.set_words().data(), level.num_sets());
+          ASSERT_EQ(copy.size(), ref.size());
+          for (size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(copy.vertex(i), ref[i].first);
+            EXPECT_EQ(ToReference(copy.states(i)), ref[i].second);
+          }
+          const size_t n = ref.size(), d = copy.num_sets();
+          EXPECT_EQ(copy.ApproxBytes(),
+                    coded ? 8 * n + 8 * wps * d : 4 * n + 8 * wps * n);
         }
       }
     }
