@@ -23,13 +23,16 @@ constexpr uint32_t kNoSlot = UINT32_MAX;
 struct BfsScratch {
   std::vector<uint64_t> seen;
   std::vector<uint32_t> slot;
-  // The set table of the level being sealed or merged and its hash
-  // index (SetTable), and the use count of each of the old level's sets
-  // during a merge. Reused level after level; no invariant between
-  // calls.
+  // The set table of the level being sealed or merged, its use counts
+  // and hash index (SetTable), the ids of the level's vertices, the id
+  // of each new-pair slot's set, and the new id of each set a merge
+  // keeps. Reused level after level; no invariant between calls.
   std::vector<uint64_t> set_words;
-  std::vector<uint32_t> set_index;
   std::vector<uint32_t> set_uses;
+  std::vector<uint32_t> set_index;
+  std::vector<uint32_t> set_ids;
+  std::vector<uint32_t> slot_ids;
+  std::vector<uint32_t> set_map;
   bool busy = false;  // a BFS on this thread holds the tables
 };
 
@@ -98,64 +101,87 @@ class ScratchLease {
   bool returned_ = false;
 };
 
-// The distinct state sets of the level a BFS is sealing or merging,
-// kept in the thread's scratch until the level takes them
-// (LevelSets::AssignSets). Intern finds a set's id by the last id
-// first, then by a scan while the table holds at most kScanSets sets,
-// and past that through an open-addressing hash of the table, so a
-// level of many distinct sets (up to min(n, 2^|Q|)) still interns in
-// O(1) per entry.
+// The distinct state sets of the level a BFS is sealing or merging and
+// how many of its entries use each, kept in the thread's scratch until
+// the level takes them (LevelSets::AssignSets). Intern finds a set's id
+// through an open-addressing hash of the table, so a level of many
+// distinct sets (up to min(n, 2^|Q|)) still interns in O(1) per entry.
+// It tries no cheaper check first: on perfbench's cold plans a check of
+// the entry before mispredicted more than the hash costs, in vertex
+// order (62% of entries carry another set than the one before them)
+// and in slot order alike, and so did a scan of a short table
+// (EXPERIMENTS.md E12).
 template <typename Kernel>
 class SetTable {
  public:
   SetTable(Kernel ker, BfsScratch& s)
-      : ker_(ker), words_(s.set_words), index_(s.set_index) {}
+      : ker_(ker),
+        words_(s.set_words),
+        uses_(s.set_uses),
+        index_(s.set_index) {}
 
-  uint32_t size() const { return size_; }
-  const uint64_t* words() const { return words_.data(); }
+  std::span<const uint64_t> sets() const { return words_; }
+  std::span<const uint32_t> uses() const { return uses_; }
 
-  // Starts over from \p sets: none for a new level, or the old level's
-  // table for a merge, whose verbatim-copied ids keep naming them.
-  void Reset(std::span<const uint64_t> sets) {
-    words_.assign(sets.begin(), sets.end());
-    size_ = static_cast<uint32_t>(sets.size() / ker_.wps());
+  // Starts over with no sets, for a level sealed from new pairs.
+  void Reset() {
+    words_.clear();
+    uses_.clear();
     index_.clear();
-    last_ = 0;
   }
 
-  // The id of the set at \p w, added to the table when absent.
+  // Starts over from \p level's sets and use counts, for a merge, whose
+  // verbatim-copied ids keep naming them.
+  void Reset(const LevelSets& level) {
+    const std::span<const uint64_t> sets = level.set_words();
+    words_.assign(sets.begin(), sets.end());
+    uses_.resize(level.num_sets());
+    for (uint32_t id = 0; id < uses_.size(); ++id)
+      uses_[id] = level.use_count(id);
+    index_.clear();
+  }
+
+  // The id of the set at \p w, added to the table when absent; counts
+  // one more entry using it. The index is built at the first call after
+  // a Reset, so a merge whose events intern nothing builds none.
   uint32_t Intern(const uint64_t* w) {
-    if (last_ < size_ && ker_.Equal(At(last_), w)) return last_;
-    if (size_ <= kScanSets) {
-      for (uint32_t id = 0; id < size_; ++id)
-        if (ker_.Equal(At(id), w)) return last_ = id;
-    } else {
-      if (index_.size() < 2 * (static_cast<size_t>(size_) + 1)) Rehash();
-      uint32_t* slot = Probe(w);
-      if (*slot != kNoSet) return last_ = *slot;
-      *slot = size_;
+    if (index_.size() < 2 * (uses_.size() + 1)) Rehash();
+    uint32_t* slot = Probe(w);
+    if (*slot == kNoSet) {
+      *slot = static_cast<uint32_t>(uses_.size());
+      words_.insert(words_.end(), w, w + ker_.wps());
+      uses_.push_back(0);
     }
-    words_.insert(words_.end(), w, w + ker_.wps());
-    return last_ = size_++;
+    ++uses_[*slot];
+    return *slot;
   }
 
-  // Drops every set whose count in \p uses is zero and turns \p uses
-  // into the map from a kept set's old id to its new one.
-  void DropUnused(std::vector<uint32_t>* uses) {
+  // Counts one entry fewer using the set of id \p id: a merge replaced
+  // it.
+  void Release(uint32_t id) { --uses_[id]; }
+
+  // Drops every set no entry uses. Returns whether it dropped any, and
+  // then fills \p map with each kept set's new id at its old one.
+  bool DropUnused(std::vector<uint32_t>* map) {
+    if (std::find(uses_.begin(), uses_.end(), 0u) == uses_.end())
+      return false;
+    map->resize(uses_.size());
     uint32_t kept = 0;
-    for (uint32_t id = 0; id < size_; ++id) {
-      if ((*uses)[id] == 0) continue;
-      if (kept != id) std::copy_n(At(id), ker_.wps(), At(kept));
-      (*uses)[id] = kept++;
+    for (uint32_t id = 0; id < uses_.size(); ++id) {
+      if (uses_[id] == 0) continue;
+      if (kept != id) {
+        std::copy_n(At(id), ker_.wps(), At(kept));
+        uses_[kept] = uses_[id];
+      }
+      (*map)[id] = kept++;
     }
-    size_ = kept;
+    uses_.resize(kept);
     words_.resize(static_cast<size_t>(kept) * ker_.wps());
     index_.clear();
-    last_ = 0;
+    return true;
   }
 
  private:
-  static constexpr uint32_t kScanSets = 8;
   static constexpr uint32_t kNoSet = UINT32_MAX;
 
   uint64_t* At(uint32_t id) {
@@ -180,17 +206,28 @@ class SetTable {
   // Refills the index at a load of at most a quarter.
   void Rehash() {
     size_t slots = 16;
-    while (slots < 4 * (static_cast<size_t>(size_) + 1)) slots *= 2;
+    while (slots < 4 * (uses_.size() + 1)) slots *= 2;
     index_.assign(slots, kNoSet);
-    for (uint32_t id = 0; id < size_; ++id) *Probe(At(id)) = id;
+    for (uint32_t id = 0; id < uses_.size(); ++id) *Probe(At(id)) = id;
   }
 
   Kernel ker_;
   std::vector<uint64_t>& words_;
+  std::vector<uint32_t>& uses_;
   std::vector<uint32_t>& index_;
-  uint32_t size_ = 0;
-  uint32_t last_ = 0;
 };
+
+// A coded level of the one entry (v, the set at \p words).
+LevelSets OneEntryLevel(uint32_t num_states, uint32_t v,
+                        const uint64_t* words) {
+  LevelSets level(num_states, LevelSets::Layout::kCoded);
+  level.Reserve(1);
+  level.AppendVertex(v);
+  const uint32_t id = 0;
+  const uint32_t uses = 1;
+  level.AssignSets({words, level.words_per_set()}, {&uses, 1}, {&id, 1});
+  return level;
+}
 
 // The product BFS, templated over the word kernel (util/word_kernel.h):
 // SingleWordKernel collapses every per-set loop to one uint64_t op for
@@ -242,10 +279,13 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   StateSet moved(ann.num_states);
   std::vector<uint64_t> buf(wps);  // new bits of one relaxed edge; merges
 
-  // The table of the level being sealed or merged, and, while level
-  // i + 1 is merged, how many entries use each of its sets.
+  // The table of the level being sealed or merged, its vertices' ids,
+  // the ids of the new-pair slots' sets, and the new ids of the sets a
+  // merge keeps.
   SetTable<Kernel> table(ker, scratch.tables());
-  std::vector<uint32_t>& uses = scratch.tables().set_uses;
+  std::vector<uint32_t>& ids = scratch.tables().set_ids;
+  std::vector<uint32_t>& slot_ids = scratch.tables().slot_ids;
+  std::vector<uint32_t>& id_map = scratch.tables().set_map;
 
   // Level 0 is the source's closed initial states, which no insertion
   // changes.
@@ -263,7 +303,8 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
   // pair of it is (fresh_is_level).
   LevelSets fresh;
   bool fresh_is_level = old.empty();
-  LevelSets none;  // stands in for the old levels past the last one
+  // Stands in for the old levels past the last one.
+  LevelSets none(ann.num_states, LevelSets::Layout::kCoded);
   StateSet at_target(ann.num_states);
   for (uint32_t i = 0;; ++i) {
     const LevelSets& current = ann.levels[i];
@@ -273,14 +314,13 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
     // level; marking them before any move keeps the moves from
     // re-proposing them.
     LevelSets& old_next = i + 1 < old.size() ? old[i + 1] : none;
+    const uint64_t* const old_sets = old_next.set_words().data();
     lost.clear();
     kept_words.clear();
-    uses.assign(old_next.num_sets(), 0);
+    const LevelSets::Ids old_ids = old_next.ids();
     for (size_t k = 0; k < old_next.size(); ++k) {
-      const uint32_t id = old_next.set_id(k);
-      ++uses[id];
       uint64_t* sw = seen_row(old_next.vertex(k));
-      const uint64_t* ow = old_next.set(id).words();
+      const uint64_t* ow = old_sets + static_cast<size_t>(old_ids[k]) * wps;
       ker.NewBits(buf.data(), ow, sw);
       if (!ker.Equal(buf.data(), ow)) {
         lost.push_back(static_cast<uint32_t>(k));
@@ -374,8 +414,7 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
       }
       scratch.Drop(ker, touched);
       scratch.Drop(ker, old_next.vertices());
-      ann.levels.emplace_back(ann.num_states, LevelSets::Layout::kCoded)
-          .Append(target, tw);
+      ann.levels.push_back(OneEntryLevel(ann.num_states, target, tw));
       ann.lambda = static_cast<int32_t>(i + 1);
       scratch.Return(ker, ann.levels);
       return;
@@ -390,13 +429,23 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
                                           ? LevelSets::Layout::kCoded
                                           : LevelSets::Layout::kRaw);
     fresh.Reserve(touched.size());
-    table.Reset({});
+    // A new level's sets are interned slot by slot, in one sequential
+    // pass over the slot words, before its vertices are put in order:
+    // interning each vertex's set in that order cost twice as much.
+    if (fresh_is_level) {
+      table.Reset();
+      ids.clear();
+      slot_ids.resize(touched.size());
+      for (size_t k = 0; k < touched.size(); ++k)
+        slot_ids[k] = table.Intern(&slot_words[k * wps]);
+    }
     auto seal = [&](uint32_t v) {
-      const uint64_t* w = &slot_words[static_cast<size_t>(slot[v]) * wps];
-      if (fresh_is_level)
-        fresh.AppendId(v, table.Intern(w));
-      else
-        fresh.Append(v, w);
+      if (fresh_is_level) {
+        fresh.AppendVertex(v);
+        ids.push_back(slot_ids[slot[v]]);
+      } else {
+        fresh.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+      }
     };
     if (touched.size() >= num_vertices / 16) {
       for (uint32_t v = 0; v < num_vertices; ++v) {
@@ -415,7 +464,7 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
     // old level is released before the next is built, so the new levels
     // reuse its memory.
     if (fresh_is_level) {
-      fresh.AssignSets(table.words(), table.size());
+      fresh.AssignSets(table.sets(), table.uses(), ids);
       ann.levels.push_back(std::move(fresh));
       if (changed) changed->push_back(ann.levels.back().vertices());
       continue;
@@ -432,7 +481,8 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
     // whose last user an event replaced leaves the table.
     LevelSets next(ann.num_states, LevelSets::Layout::kCoded);
     next.Reserve(old_next.size() + fresh.size());
-    table.Reset(old_next.set_words());
+    table.Reset(old_next);
+    ids.clear();
     const std::vector<uint32_t>& old_vertices = old_next.vertices();
     size_t copied = 0, li = 0;
     fi = 0;
@@ -448,31 +498,30 @@ void ProductBfs(const Snapshot& snap, Kernel ker, std::vector<LevelSets> old,
                         std::lower_bound(old_vertices.begin() + copied,
                                          old_vertices.end(), v) -
                         old_vertices.begin());
-      next.AppendRange(old_next, copied, pos);
+      next.AppendVertices(old_next, copied, pos);
+      old_next.AppendIdsTo(copied, pos, &ids);
       copied = pos;
       ker.Zero(buf.data());
       const bool had_entry =
           lv == v || (pos < old_vertices.size() && old_vertices[pos] == v);
       if (had_entry) {
-        ker.Or(buf.data(), lv == v ? &kept_words[li++ * wps]
-                                   : old_next.states(pos).words());
-        --uses[old_next.set_id(copied++)];
+        ker.Or(buf.data(),
+               lv == v ? &kept_words[li++ * wps]
+                       : old_sets + static_cast<size_t>(old_ids[pos]) * wps);
+        table.Release(old_ids[copied++]);
       }
       if (fv == v) ker.Or(buf.data(), fresh.states(fi++).words());
       if (ker.Any(buf.data())) {
-        const uint32_t id = table.Intern(buf.data());
-        if (id == uses.size()) uses.push_back(0);
-        ++uses[id];
-        next.AppendId(v, id);
+        next.AppendVertex(v);
+        ids.push_back(table.Intern(buf.data()));
       }
       if (changed) changed->back().push_back(v);
     }
-    next.AppendRange(old_next, copied, old_next.size());
-    if (std::find(uses.begin(), uses.end(), 0u) != uses.end()) {
-      table.DropUnused(&uses);
-      next.RenameSets(uses);
-    }
-    next.AssignSets(table.words(), table.size());
+    next.AppendVertices(old_next, copied, old_next.size());
+    old_next.AppendIdsTo(copied, old_next.size(), &ids);
+    if (table.DropUnused(&id_map))
+      for (uint32_t& id : ids) id = id_map[id];
+    next.AssignSets(table.sets(), table.uses(), ids);
     old_next = LevelSets();
     ann.levels.push_back(std::move(next));
   }
@@ -530,8 +579,7 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
     init.ForEach([&](uint32_t q) { saturated.UnionWith(closures[q]); });
     init = std::move(saturated);
   }
-  ann.levels.emplace_back(ann.num_states, LevelSets::Layout::kCoded)
-      .Append(source, init.words());
+  ann.levels.push_back(OneEntryLevel(ann.num_states, source, init.words()));
   RunProductBfs(snap, {}, static_cast<uint32_t>(snap.num_edges()), {}, &ann,
                 nullptr);
   return ann;

@@ -38,29 +38,31 @@
 // precompiled CompiledDelta rows — shared across every edge of the
 // group. Levels are flat sorted-vertex arrays in LevelSets' coded
 // layout: 8 bytes per annotated vertex-level (its vertex and a set id)
-// plus a table of the level's distinct state sets, 8 ceil(|Q|/64)
-// bytes each, where a set per vertex-level would take 4 + 8
-// ceil(|Q|/64) bytes. Sealing a level interns each set, by the last id
-// and then a scan of a short table or a hash in the thread's scratch,
-// so O(1) per entry. A repair's merge copies the runs of old ids and
-// the old table verbatim and interns only the sets its events make; a
-// set whose last user an event replaced leaves the table, by use counts
-// taken in the pass that marks the old level, so a table holds exactly
-// the sets its level uses. The new-pair accumulator is a dense slot
-// table plus a touched list. The V-sized tables, the seen bitmap
-// (V x ceil(|Q|/64) words) and the slot table (V entries), are one
-// per-thread scratch: all zero and all empty between calls, because a
-// BFS frees each slot as it seals or drops a level and, before it
-// returns, zeroes the bitmap rows of the vertices it marked. So a
-// build costs the pairs it reaches, and a repair costs one pass over the
-// old levels (each is marked into the bitmap, then moved over as is or
-// block-copied around its changed vertices) and the touched region: the
-// moves of new pairs and of the new edges' sources. The scratch grows,
-// and never shrinks, to the largest graph and word count its thread has
-// annotated: V x (8 ceil(|Q|/64) + 4) bytes per thread that builds or
-// repairs annotations (0.78 MiB at 68,172 vertices and one word), plus
-// the set table of the largest level it has sealed or merged, outside
-// any plan-cache budget, until the thread ends or calls
+// plus a table of the level's distinct state sets, 8 ceil(|Q|/64) bytes
+// and a 4-byte use count each; a level of one set keeps neither ids nor
+// counts. A set per vertex-level would take 4 + 8 ceil(|Q|/64) bytes.
+// Sealing a level interns each new pair's set through a hash of the
+// level's table in the thread's scratch, O(1) per entry. A repair's
+// merge copies the runs of old ids and the old table and counts
+// verbatim, and interns only the sets its events make; an event that
+// replaces an entry releases one use of its old set, and a set left
+// unused leaves the table. So a table holds exactly the sets its level
+// uses, and keeping it so costs a merge per event, not per entry. The
+// new-pair accumulator is a dense slot table plus a touched list. The
+// V-sized tables, the seen bitmap (V x ceil(|Q|/64) words) and the slot
+// table (V entries), are one per-thread scratch: all zero and all empty
+// between calls, because a BFS frees each slot as it seals or drops a
+// level and, before it returns, zeroes the bitmap rows of the vertices
+// it marked. So a build costs the pairs it reaches, and a repair costs
+// one pass over the old levels (each is marked into the bitmap, then
+// moved over as is or block-copied around its changed vertices) and the
+// touched region: the moves of new pairs and of the new edges' sources.
+// The scratch grows, and never shrinks, to the largest graph and word
+// count its thread has annotated: V x (8 ceil(|Q|/64) + 4) bytes per
+// thread that builds or repairs annotations (0.78 MiB at 68,172
+// vertices and one word), plus the set table and ids of the largest
+// level it has sealed or merged, outside any plan-cache budget, until
+// the thread ends or calls
 // ReleaseAnnotateScratch — as a thread that annotates only now and then
 // should (the engine's workers after helping an install's repairs). A
 // BFS that throws drops its thread's scratch, and the next one

@@ -385,17 +385,22 @@ TEST(DeltaAnnotateTest, LastLevelKeepsOnlyTheTarget) {
 
 // Every level of \p ann is coded, and its table holds exactly the
 // distinct sets of its vertices: none twice, and no dead set, one that
-// no vertex uses.
+// no vertex uses. Each set's stored use count is the number of vertices
+// that carry it.
 void ExpectTablesHoldNoDeadSets(const Annotation& ann) {
   for (size_t i = 0; i < ann.levels.size(); ++i) {
     const LevelSets& level = ann.levels[i];
     std::set<std::vector<uint64_t>> distinct;
+    ASSERT_TRUE(level.coded()) << "level " << i;
+    std::vector<uint32_t> uses(level.num_sets(), 0);
     for (size_t k = 0; k < level.size(); ++k) {
       const StateSetView states = level.states(k);
       distinct.emplace(states.words(), states.words() + states.num_words());
+      ++uses[level.set_id(k)];
     }
-    ASSERT_TRUE(level.coded()) << "level " << i;
     ASSERT_EQ(level.num_sets(), distinct.size()) << "level " << i;
+    for (uint32_t id = 0; id < uses.size(); ++id)
+      ASSERT_EQ(level.use_count(id), uses[id]) << "level " << i;
   }
 }
 
@@ -463,8 +468,8 @@ TEST(DeltaAnnotateTest, RepairsKeepNoDeadSets) {
         most_sets = std::max(most_sets, level.num_sets());
     }
     EXPECT_EQ(carried.lambda, 3);
-    // The epsilon-NFA's levels hold more distinct sets than the BFS
-    // interns by a scan (eight), so its hashed lookup runs too.
+    // The epsilon-NFA's levels hold more than eight distinct sets, so
+    // the BFS's intern hash grows past its first sixteen slots twice.
     if (query_kind == 1) {
       EXPECT_GT(most_sets, 8u);
     }

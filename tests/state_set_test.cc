@@ -265,23 +265,25 @@ TEST(StateSetFuzzTest, ResizeRoundTripsNeverResurrectBits) {
 
 // Both layouts, with each vertex's set drawn from a pool of 1, 3 or 40
 // distinct sets, so that a coded level's ids both repeat and do not. A
-// second level is built from the first through AppendRange in random
-// pieces (a merge's verbatim runs) and must read back state for state;
-// built exactly reserved, it accounts 8 bytes per vertex plus its
-// table when coded, and 4 bytes plus a set per vertex when raw.
+// coded level is built as the product BFS builds one: its vertices, then
+// its table and ids at once. A second level is built from the first in
+// random runs (a merge's verbatim copies when coded) and must read back
+// state for state. Built exactly reserved, it accounts 4 bytes and a set
+// per vertex when raw; when coded, 4 bytes per vertex and its table,
+// and, when it holds more than one set, 4 bytes per use count and per
+// id, rounded up to a word.
 TEST(LevelSetsFuzzTest, AppendFindRoundTrip) {
   std::mt19937_64 rng(31337);
   for (LevelSets::Layout layout :
        {LevelSets::Layout::kRaw, LevelSets::Layout::kCoded}) {
+    const bool coded = layout == LevelSets::Layout::kCoded;
     for (uint32_t cap : {3u, 64u, 130u}) {
       const size_t wps = state_set_detail::WordsFor(cap);
       for (size_t pool_size : {1u, 3u, 40u}) {
         for (int round = 0; round < 4; ++round) {
           SCOPED_TRACE(testing::Message()
-                       << (layout == LevelSets::Layout::kCoded ? "coded"
-                                                               : "raw")
-                       << " cap " << cap << " pool " << pool_size
-                       << " round " << round);
+                       << (coded ? "coded" : "raw") << " cap " << cap
+                       << " pool " << pool_size << " round " << round);
           // Distinct nonempty sets; a 3-state cap has only 7.
           const size_t want =
               cap < 8 ? std::min<size_t>(pool_size, (1u << cap) - 1)
@@ -301,14 +303,33 @@ TEST(LevelSetsFuzzTest, AppendFindRoundTrip) {
             vertex_ids.insert(static_cast<uint32_t>(rng() % universe));
           LevelSets level(cap, layout);
           std::vector<std::pair<uint32_t, std::set<uint32_t>>> ref;
+          std::vector<uint64_t> table;  // coded: the distinct sets,
+          std::vector<uint32_t> uses;   // their use counts
+          std::vector<uint32_t> ids;    // and an id per vertex
           for (uint32_t v : vertex_ids) {  // std::set iterates ascending
             const std::set<uint32_t>& bits = pool[rng() % pool.size()];
-            level.Append(v, FromReference(bits, cap).words());
+            const StateSet s = FromReference(bits, cap);
+            if (coded) {
+              size_t id = 0;
+              while (id * wps < table.size() &&
+                     !std::equal(s.words(), s.words() + wps,
+                                 table.begin() + id * wps))
+                ++id;
+              if (id * wps == table.size()) {
+                table.insert(table.end(), s.words(), s.words() + wps);
+                uses.push_back(0);
+              }
+              ++uses[id];
+              level.AppendVertex(v);
+              ids.push_back(static_cast<uint32_t>(id));
+            } else {
+              level.Append(v, s.words());
+            }
             ref.emplace_back(v, bits);
           }
+          if (coded) level.AssignSets(table, uses, ids);
           std::set<std::set<uint32_t>> distinct;
           for (const auto& entry : ref) distinct.insert(entry.second);
-          const bool coded = layout == LevelSets::Layout::kCoded;
           EXPECT_EQ(level.coded(), coded);
           EXPECT_EQ(level.num_sets(), coded ? distinct.size() : ref.size());
 
@@ -316,6 +337,10 @@ TEST(LevelSetsFuzzTest, AppendFindRoundTrip) {
           for (size_t i = 0; i < ref.size(); ++i) {
             EXPECT_EQ(level.vertex(i), ref[i].first);
             EXPECT_EQ(ToReference(level.states(i)), ref[i].second);
+            if (coded) {
+              EXPECT_EQ(level.set_id(i), ids[i]);
+              EXPECT_EQ(level.use_count(ids[i]), uses[ids[i]]);
+            }
           }
           // Point lookups: hits for every member, misses for every hole.
           for (uint32_t v = 0; v < universe + 5; ++v) {
@@ -334,24 +359,33 @@ TEST(LevelSetsFuzzTest, AppendFindRoundTrip) {
             }
           }
 
-          // The second level: verbatim runs of the first, then (coded)
-          // the first's table under the same ids.
+          // The second level: runs of the first, and (coded) the
+          // first's table under the same ids.
           LevelSets copy(cap, layout);
           copy.Reserve(ref.size());
+          std::vector<uint32_t> copied_ids;
           for (size_t at = 0; at < ref.size();) {
             const size_t end = at + rng() % (ref.size() - at + 1);
-            copy.AppendRange(level, at, end);
+            if (coded) {
+              copy.AppendVertices(level, at, end);
+              level.AppendIdsTo(at, end, &copied_ids);
+            } else {
+              for (size_t i = at; i < end; ++i)
+                copy.Append(level.vertex(i), level.states(i).words());
+            }
             at = end;
           }
-          if (coded) copy.AssignSets(level.set_words().data(), level.num_sets());
+          if (coded) copy.AssignSets(level.set_words(), uses, copied_ids);
           ASSERT_EQ(copy.size(), ref.size());
           for (size_t i = 0; i < ref.size(); ++i) {
             EXPECT_EQ(copy.vertex(i), ref[i].first);
             EXPECT_EQ(ToReference(copy.states(i)), ref[i].second);
           }
           const size_t n = ref.size(), d = copy.num_sets();
+          const size_t count_bytes = d > 1 ? 8 * ((d + n + 1) / 2) : 0;
           EXPECT_EQ(copy.ApproxBytes(),
-                    coded ? 8 * n + 8 * wps * d : 4 * n + 8 * wps * n);
+                    coded ? 4 * n + 8 * wps * d + count_bytes
+                          : 4 * n + 8 * wps * n);
         }
       }
     }
